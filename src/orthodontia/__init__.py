@@ -29,7 +29,6 @@ from orthodontia.polynomial import (
     Monomial,
     Polynomial,
     RankMismatchError,
-    exact_divide_linear,
     exact_divide_monomial,
     fundamental_weight,
     monomial_divides,
@@ -94,7 +93,6 @@ __all__ = [
     "Polynomial",
     "RankMismatchError",
     "DivisionRemainderError",
-    "exact_divide_linear",
     "exact_divide_monomial",
     "fundamental_weight",
     "monomial_divides",

@@ -8,15 +8,14 @@ streams one JSON record per permutation per suite, followed by a summary
 record per suite; its stdout is byte-identical across runs and worker
 counts.  Results can be cached in an append-only JSON-lines file given
 by --cache or the ORTHODONTIA_CACHE environment variable; cached records
-are trusted only when their version stamp matches.
+are trusted only when their version stamp matches, and malformed lines
+are skipped with one warning on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
-import multiprocessing
 import os
 import sys
 from typing import Sequence, TextIO
@@ -204,10 +203,12 @@ def _cache_key(n: int, suite: str, word: tuple[int, ...]) -> str:
     return f"{n}|{suite}|{','.join(map(str, word))}"
 
 
-def _load_cache(path: str) -> dict[str, dict]:
+def _load_cache(path: str, err: TextIO) -> dict[str, dict]:
+    """Entries stamped with this version; malformed lines are counted and skipped."""
     cache: dict[str, dict] = {}
+    malformed = 0
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8", errors="replace") as handle:
             for line in handle:
                 line = line.strip()
                 if not line:
@@ -215,12 +216,21 @@ def _load_cache(path: str) -> dict[str, dict]:
                 try:
                     entry = json.loads(line)
                 except json.JSONDecodeError:
+                    malformed += 1
                     continue
-                if entry.get("version") != __version__:
+                if not (
+                    isinstance(entry, dict)
+                    and isinstance(entry.get("key"), str)
+                    and isinstance(entry.get("record"), dict)
+                ):
+                    malformed += 1
                     continue
-                cache[entry["key"]] = entry["record"]
+                if entry.get("version") == __version__:
+                    cache[entry["key"]] = entry["record"]
     except OSError:
         pass
+    if malformed:
+        err.write(f"warning: skipped {malformed} malformed line(s) in cache {path}\n")
     return cache
 
 
@@ -328,7 +338,7 @@ def cmd_verify(
 
     cache: dict[str, dict] = {}
     if cache_path:
-        cache = _load_cache(cache_path)
+        cache = _load_cache(cache_path, err)
 
     results: dict[tuple[int, ...], dict[str, dict]] = {word: {} for word in words}
     tasks: list[tuple[tuple[int, ...], tuple[str, ...]]] = []
@@ -348,6 +358,9 @@ def cmd_verify(
         if heavy:
             warm_caches(n)
         if jobs > 1:
+            import concurrent.futures
+            import multiprocessing
+
             context = multiprocessing.get_context("fork")
             with concurrent.futures.ProcessPoolExecutor(jobs, mp_context=context) as pool:
                 chunk = max(1, len(tasks) // (jobs * 4))

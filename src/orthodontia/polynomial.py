@@ -16,6 +16,7 @@ Polynomials are immutable values and safe to share between threads.
 
 from __future__ import annotations
 
+import operator
 from typing import Iterator, Mapping
 
 Monomial = tuple[int, ...]
@@ -27,16 +28,6 @@ class RankMismatchError(ValueError):
 
 class DivisionRemainderError(ArithmeticError):
     """An exact division left a nonzero remainder; the caller broke a contract."""
-
-
-def monomial_degree(m: Monomial) -> int:
-    return sum(m)
-
-
-def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
-    if len(a) != len(b):
-        raise RankMismatchError(f"monomial ranks differ: {len(a)} vs {len(b)}")
-    return tuple(x + y for x, y in zip(a, b))
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
@@ -57,8 +48,11 @@ def fundamental_weight(j: int, n: int) -> Monomial:
     return (1,) * j + (0,) * (n - j)
 
 
-def _term_key(exps: Monomial) -> tuple[int, tuple[int, ...]]:
-    return (sum(exps), tuple(-e for e in exps))
+def _canonical_order(terms: Mapping[Monomial, int]) -> list[Monomial]:
+    # descending exponent vectors, then a stable sort by total degree
+    order = sorted(terms, reverse=True)
+    order.sort(key=sum)
+    return order
 
 
 class Polynomial:
@@ -219,7 +213,8 @@ class Polynomial:
             raise RankMismatchError(f"monomial rank {len(exps)} vs polynomial rank {self.n}")
         if not coeff:
             return Polynomial.zero(self.n)
-        out = {tuple(a + b for a, b in zip(e, exps)): c * coeff for e, c in self.terms.items()}
+        add = operator.add
+        out = {tuple(map(add, e, exps)): c * coeff for e, c in self.terms.items()}
         return Polynomial._raw(self.n, out)
 
     def swap_variables(self, j: int) -> Polynomial:
@@ -256,35 +251,33 @@ class Polynomial:
 
     def monomials(self) -> Iterator[Monomial]:
         """Exponent vectors of the support, in canonical order."""
-        return iter(sorted(self.terms, key=_term_key))
+        return iter(_canonical_order(self.terms))
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """(exponents, coefficient) pairs in canonical order."""
-        return [(e, self.terms[e]) for e in sorted(self.terms, key=_term_key)]
+        terms = self.terms
+        return [(e, terms[e]) for e in _canonical_order(terms)]
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        pieces: list[tuple[bool, str]] = []
+        names: dict[tuple[int, int], str] = {}   # (index, exponent) -> "x{i}^{e}"
+        parts: list[str] = []
         for exps, c in self.sorted_terms():
-            factors = [
-                f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
-                for i, e in enumerate(exps)
-                if e
-            ]
+            factors = []
+            for i, e in enumerate(exps):
+                if e:
+                    name = names.get((i, e))
+                    if name is None:
+                        name = names[i, e] = f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
+                    factors.append(name)
             mag = abs(c)
-            if not factors:
-                body = str(mag)
-            elif mag == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(mag)] + factors)
-            pieces.append((c < 0, body))
-        neg, body = pieces[0]
-        out = ("-" if neg else "") + body
-        for neg, body in pieces[1:]:
-            out += (" - " if neg else " + ") + body
-        return out
+            if mag != 1 or not factors:
+                factors.insert(0, str(mag))
+            parts.append(" - " if c < 0 else " + ")
+            parts.append("*".join(factors))
+        parts[0] = "-" if parts[0] == " - " else ""
+        return "".join(parts)
 
     def __repr__(self) -> str:
         return f"Polynomial({self.n}, {self!s})"
@@ -330,53 +323,6 @@ class Polynomial:
             key = tuple(exps)
             terms[key] = terms.get(key, 0) + coeff
         return cls(n, terms)
-
-
-def exact_divide_linear(f: Polynomial, j: int) -> Polynomial:
-    """Divide f exactly by (x_j - x_{j+1}).
-
-    Runs synthetic division of f, viewed as a polynomial in x_j over the
-    ring generated by the remaining variables.  A nonzero remainder means
-    the caller violated the divisibility precondition and raises
-    :class:`DivisionRemainderError`.
-    """
-    if not 1 <= j <= f.n - 1:
-        raise ValueError(f"division index {j} out of range for n={f.n}")
-    if f.is_zero:
-        return f
-    a = j - 1
-    layers: dict[int, dict[Monomial, int]] = {}
-    for exps, c in f.terms.items():
-        key = exps[:a] + (0,) + exps[a + 1:]
-        layers.setdefault(exps[a], {})[key] = c
-    top = max(layers)
-    if top == 0:
-        raise DivisionRemainderError(f"{f} is not divisible by x{j} - x{j + 1}")
-    out: dict[Monomial, int] = {}
-
-    def emit(layer: dict[Monomial, int], deg: int) -> None:
-        for key, c in layer.items():
-            out[key[:a] + (deg,) + key[a + 1:]] = c
-
-    current = dict(layers.get(top, {}))
-    emit(current, top - 1)
-    for d in range(top - 1, -1, -1):
-        shifted: dict[Monomial, int] = {}
-        for key, c in current.items():
-            k2 = key[: a + 1] + (key[a + 1] + 1,) + key[a + 2:]
-            shifted[k2] = c
-        current = shifted
-        for key, c in layers.get(d, {}).items():
-            s = current.get(key, 0) + c
-            if s:
-                current[key] = s
-            else:
-                current.pop(key, None)
-        if d > 0:
-            emit(current, d - 1)
-    if current:
-        raise DivisionRemainderError(f"nonzero remainder dividing by x{j} - x{j + 1}")
-    return Polynomial._raw(f.n, out)
 
 
 def exact_divide_monomial(f: Polynomial, exps: Monomial) -> Polynomial:

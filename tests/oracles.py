@@ -1,95 +1,87 @@
 """Independent oracles the tests check library code against.
 
-These deliberately avoid the library's exact-division kernel: the
-divided-difference and Demazure-Lascoux oracles act monomial by monomial
-through closed forms, so agreement with the kernel-based operators is a
-genuine cross-check, not a tautology.
+The library computes every operator monomial by monomial from closed
+forms.  The oracles here take the other route: they form the whole
+numerator f - s_j.f and divide it exactly by x_j - x_{j+1} with
+synthetic division, so agreement between the two is a genuine
+cross-check, not a tautology.
 """
 
 from __future__ import annotations
 
-from orthodontia.polynomial import Monomial, Polynomial
+from orthodontia.polynomial import DivisionRemainderError, Monomial, Polynomial
 
 
-def _pair_monomial(n: int, j: int, a: int, b: int, rest: Monomial) -> Monomial:
-    exps = list(rest)
-    exps[j - 1] += a
-    exps[j] += b
-    return tuple(exps)
+def exact_divide_linear(f: Polynomial, j: int) -> Polynomial:
+    """Divide f exactly by (x_j - x_{j+1}).
 
-
-def divided_difference_oracle(j: int, f: Polynomial) -> Polynomial:
-    """Closed-form divided difference, term by term.
-
-    For a single monomial with exponents a, b on x_j, x_{j+1}:
-    zero when a == b, otherwise a signed sum of a-b (or b-a) monomials
-    interpolating between the two exponent patterns.
+    Runs synthetic division of f, viewed as a polynomial in x_j over the
+    ring generated by the remaining variables.  A nonzero remainder means
+    the caller violated the divisibility precondition and raises
+    :class:`DivisionRemainderError`.
     """
-    n = f.n
-    terms: dict[Monomial, int] = {}
+    if not 1 <= j <= f.n - 1:
+        raise ValueError(f"division index {j} out of range for n={f.n}")
+    if f.is_zero:
+        return f
+    a = j - 1
+    layers: dict[int, dict[Monomial, int]] = {}
+    for exps, c in f.terms.items():
+        key = exps[:a] + (0,) + exps[a + 1:]
+        layers.setdefault(exps[a], {})[key] = c
+    top = max(layers)
+    if top == 0:
+        raise DivisionRemainderError(f"{f} is not divisible by x{j} - x{j + 1}")
+    out: dict[Monomial, int] = {}
 
-    def add(exps: Monomial, c: int) -> None:
-        s = terms.get(exps, 0) + c
-        if s:
-            terms[exps] = s
-        else:
-            terms.pop(exps, None)
+    def emit(layer: dict[Monomial, int], deg: int) -> None:
+        for key, c in layer.items():
+            out[key[:a] + (deg,) + key[a + 1:]] = c
 
-    for exps, coeff in f.terms.items():
-        a, b = exps[j - 1], exps[j]
-        rest = exps[: j - 1] + (0, 0) + exps[j + 1 :]
-        if a == b:
-            continue
-        if a > b:
-            for q in range(a - b):
-                add(_pair_monomial(n, j, b + q, a - 1 - q, rest), coeff)
-        else:
-            for q in range(b - a):
-                add(_pair_monomial(n, j, a + q, b - 1 - q, rest), -coeff)
-    return Polynomial(n, terms)
-
-
-def demazure_lascoux_monomial_oracle(j: int, exps: Monomial) -> Polynomial:
-    """Closed form of the Demazure-Lascoux operator on one monomial.
-
-    Four cases on the exponents a, b of x_j, x_{j+1}; the untouched
-    variables factor straight through.
-    """
-    n = len(exps)
-    a, b = exps[j - 1], exps[j]
-    rest = exps[: j - 1] + (0, 0) + exps[j + 1 :]
-    terms: dict[Monomial, int] = {}
-
-    def add(x: int, y: int, c: int) -> None:
-        key = _pair_monomial(n, j, x, y, rest)
-        s = terms.get(key, 0) + c
-        if s:
-            terms[key] = s
-        else:
-            terms.pop(key, None)
-
-    if a == b:
-        add(a, b, 1)
-    elif a == b - 1:
-        add(a + 1, b, 1)
-    elif a > b:
-        for q in range(a - b + 1):
-            add(a - q, b + q, 1)
-        for q in range(a - b):
-            add(a - q, b + 1 + q, -1)
-    else:
-        for q in range(b - a):
-            add(a + 1 + q, b - q, 1)
-        for q in range(b - a - 1):
-            add(a + 1 + q, b - 1 - q, -1)
-    return Polynomial(n, terms)
+    current = dict(layers.get(top, {}))
+    emit(current, top - 1)
+    for d in range(top - 1, -1, -1):
+        shifted: dict[Monomial, int] = {}
+        for key, c in current.items():
+            k2 = key[: a + 1] + (key[a + 1] + 1,) + key[a + 2:]
+            shifted[k2] = c
+        current = shifted
+        for key, c in layers.get(d, {}).items():
+            s = current.get(key, 0) + c
+            if s:
+                current[key] = s
+            else:
+                current.pop(key, None)
+        if d > 0:
+            emit(current, d - 1)
+    if current:
+        raise DivisionRemainderError(f"nonzero remainder dividing by x{j} - x{j + 1}")
+    return Polynomial(f.n, out)
 
 
-def demazure_lascoux_oracle(j: int, f: Polynomial) -> Polynomial:
-    total = Polynomial.zero(f.n)
-    for exps, coeff in f.terms.items():
-        total = total + coeff * demazure_lascoux_monomial_oracle(j, exps)
-    return total
+def _variable_monomial(n: int, *indices: int) -> Monomial:
+    return tuple(1 if i + 1 in indices else 0 for i in range(n))
+
+
+def divided_difference_kernel(j: int, f: Polynomial) -> Polynomial:
+    """(f - s_j.f) / (x_j - x_{j+1}) by exact division."""
+    return exact_divide_linear(f - f.swap_variables(j), j)
+
+
+def demazure_kernel(j: int, f: Polynomial) -> Polynomial:
+    """d_j(x_j f)."""
+    return divided_difference_kernel(j, f.mul_monomial(_variable_monomial(f.n, j)))
+
+
+def isobaric_kernel(j: int, f: Polynomial) -> Polynomial:
+    """d_j((1 - x_{j+1}) f)."""
+    return divided_difference_kernel(j, f - f.mul_monomial(_variable_monomial(f.n, j + 1)))
+
+
+def demazure_lascoux_kernel(j: int, f: Polynomial) -> Polynomial:
+    """d_j(x_j (1 - x_{j+1}) f)."""
+    xj = f.mul_monomial(_variable_monomial(f.n, j))
+    return divided_difference_kernel(j, xj - xj.mul_monomial(_variable_monomial(f.n, j + 1)))
 
 
 def inversions_by_enumeration(word: tuple[int, ...]) -> int:

@@ -360,7 +360,7 @@ def test_criterion_6_monk_identity():
     _report("6 transition identity S4", ok, f"{checked} (w, j) pairs")
 
 
-def test_criterion_7_conjecture_experiment():
+def test_criterion_7_conjecture_experiment(tmp_path):
     counterexamples = []
     lines = []
     for w in symmetric_group(5):
@@ -377,9 +377,7 @@ def test_criterion_7_conjecture_experiment():
         )
         if not passed:
             counterexamples.append((w, witness))
-    report_path = os.path.join(
-        os.path.dirname(__file__), "..", "conjecture_report_s5.jsonl"
-    )
+    report_path = tmp_path / "conjecture_report_s5.jsonl"
     with open(report_path, "w", encoding="utf-8") as handle:
         handle.write("\n".join(lines) + "\n")
     if counterexamples:
@@ -392,7 +390,7 @@ def test_criterion_7_conjecture_experiment():
     _report(
         "7 conjecture experiment S5",
         True,
-        f"{len(counterexamples)} counterexample(s), report at conjecture_report_s5.jsonl",
+        f"{len(counterexamples)} counterexample(s), report at {report_path}",
     )
 
 

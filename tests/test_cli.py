@@ -182,6 +182,20 @@ def test_verify_cache_round_trip(tmp_path):
     assert code == 0 and third == first
 
 
+@pytest.mark.parametrize("line", [b'{"version":"0.1.0"}', b"[1]", b"\xff{"])
+def test_verify_cache_skips_malformed_line(tmp_path, line):
+    cache = tmp_path / "results.jsonl"
+    cache.write_bytes(line + b"\n")
+    _, expected, _ = run_verify(2, suites=["main"])
+    code, out, err = run_verify(2, suites=["main"], cache=str(cache))
+    assert code == 0 and out == expected
+    assert err == f"warning: skipped 1 malformed line(s) in cache {cache}\n"
+    # the fresh records were appended after the bad line and replay cleanly
+    code, replay, err = run_verify(2, suites=["main"], cache=str(cache))
+    assert code == 0 and replay == expected
+    assert err.count("\n") == 1
+
+
 def test_main_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["compute", "2137"])

@@ -1,8 +1,9 @@
 """Operator laws, checked on seeded random polynomials and exact closed forms.
 
 The randomized suites draw at least 200 samples per law (n up to 5,
-degree up to 6 via exponents up to 3 across up to 6 terms).  Closed-form
-oracles from ``oracles.py`` keep the division kernel honest.
+degree up to 6 via exponents up to 3 across up to 6 terms).  The
+exact-division kernel in ``oracles.py`` keeps the library's closed forms
+honest.
 """
 
 from __future__ import annotations
@@ -22,7 +23,12 @@ from orthodontia.grothendieck import (
 )
 from orthodontia.permutation import from_one_line, symmetric_group
 from conftest import random_polynomial
-from oracles import demazure_lascoux_oracle, divided_difference_oracle
+from oracles import (
+    demazure_kernel,
+    demazure_lascoux_kernel,
+    divided_difference_kernel,
+    isobaric_kernel,
+)
 
 SAMPLES = 200
 
@@ -87,22 +93,24 @@ def test_index_out_of_range():
             op(3, f)
 
 
-def test_divided_difference_matches_closed_form_oracle():
-    rng = random.Random(2)
-    for _ in range(SAMPLES):
-        n = rng.randint(2, 5)
-        f = random_polynomial(rng, n)
-        j = rng.randint(1, n - 1)
-        assert divided_difference(j, f) == divided_difference_oracle(j, f)
+def test_divided_difference_matches_kernel_oracle():
+    for n, f, j, _ in _cases(seed=2):
+        assert divided_difference(j, f) == divided_difference_kernel(j, f)
 
 
-def test_demazure_lascoux_matches_closed_form_oracle():
-    rng = random.Random(3)
-    for _ in range(SAMPLES):
-        n = rng.randint(2, 5)
-        f = random_polynomial(rng, n)
-        j = rng.randint(1, n - 1)
-        assert demazure_lascoux(j, f) == demazure_lascoux_oracle(j, f)
+def test_demazure_matches_kernel_oracle():
+    for n, f, j, _ in _cases(seed=16):
+        assert demazure(j, f) == demazure_kernel(j, f)
+
+
+def test_isobaric_matches_kernel_oracle():
+    for n, f, j, _ in _cases(seed=17):
+        assert isobaric(j, f) == isobaric_kernel(j, f)
+
+
+def test_demazure_lascoux_matches_kernel_oracle():
+    for n, f, j, _ in _cases(seed=3):
+        assert demazure_lascoux(j, f) == demazure_lascoux_kernel(j, f)
 
 
 def test_divided_difference_squares_to_zero():

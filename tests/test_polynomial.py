@@ -9,11 +9,11 @@ from orthodontia.polynomial import (
     DivisionRemainderError,
     Polynomial,
     RankMismatchError,
-    exact_divide_linear,
     exact_divide_monomial,
     fundamental_weight,
     monomial_divides,
 )
+from oracles import exact_divide_linear
 
 
 def P(n, terms):
@@ -183,6 +183,48 @@ def test_text_form_examples():
     f = Polynomial(3, {(2, 1, 0): 3, (0, 0, 1): -1})
     assert str(f) == "-x3 + 3*x1^2*x2"
     assert str(Polynomial.monomial((0, 1, 0), -1)) == "-x2"
+
+
+def _x(*pairs, n=10):
+    """Exponent vector from (variable, exponent) pairs."""
+    exps = [0] * n
+    for var, e in pairs:
+        exps[var - 1] = e
+    return tuple(exps)
+
+
+def test_text_and_json_golden():
+    # ascending degree; within a degree, descending exponent vectors,
+    # so x1*x10 > x2^2 > x10^2 (a tie in degree 2) and x1 > x10
+    f = Polynomial(10, {
+        _x((3, 1), (10, 2)): -1,
+        _x((10, 2)): 12,
+        _x((2, 2)): -1,
+        _x((1, 1), (10, 1)): 2,
+        _x((10, 1)): -1,
+        _x((1, 1)): 1,
+        _x(): -3,
+    })
+    text = "-3 + x1 - x10 + 2*x1*x10 - x2^2 + 12*x10^2 - x3*x10^2"
+    assert str(f) == text
+    assert Polynomial.parse(text, 10) == f
+    assert f.to_json() == {"n": 10, "terms": [
+        [-3, [0, 0, 0, 0, 0, 0, 0, 0, 0, 0]],
+        [1, [1, 0, 0, 0, 0, 0, 0, 0, 0, 0]],
+        [-1, [0, 0, 0, 0, 0, 0, 0, 0, 0, 1]],
+        [2, [1, 0, 0, 0, 0, 0, 0, 0, 0, 1]],
+        [-1, [0, 2, 0, 0, 0, 0, 0, 0, 0, 0]],
+        [12, [0, 0, 0, 0, 0, 0, 0, 0, 0, 2]],
+        [-1, [0, 0, 1, 0, 0, 0, 0, 0, 0, 2]],
+    ]}
+    assert list(f.monomials()) == [tuple(exps) for _, exps in f.to_json()["terms"]]
+    # a negative leading coefficient of magnitude 1 and of magnitude > 1,
+    # and a bare positive constant in front
+    g = Polynomial(2, {(0, 1): -1, (2, 0): -3})
+    assert str(g) == "-x2 - 3*x1^2"
+    h = Polynomial(2, {(1, 1): -1, (0, 0): 1, (1, 0): -2})
+    assert str(h) == "1 - 2*x1 - x1*x2"
+    assert h.to_json() == {"n": 2, "terms": [[1, [0, 0]], [-2, [1, 0]], [-1, [1, 1]]]}
 
 
 def test_power():
