@@ -28,7 +28,7 @@ from orthodontia.grothendieck import (
     schubert_recursive,
 )
 from orthodontia.permutation import Permutation
-from orthodontia.polynomial import Monomial, monomial_divides
+from orthodontia.polynomial import Monomial, Polynomial, monomial_divides
 
 
 @dataclass(frozen=True)
@@ -68,16 +68,29 @@ class SupportVectors:
             raise ValueError("support vectors must be nonnegative")
 
 
+def support_witness(f: Polynomial, bound: Monomial) -> Monomial | None:
+    """The first monomial of f, in canonical order, that does not divide x^bound.
+
+    None when every monomial divides it (vacuously for f = 0).  Every
+    monomial divides x^bound iff the per-variable maximum exponents do,
+    so the canonical-order scan runs only when there is a witness.
+    """
+    if not f.terms or monomial_divides(tuple(map(max, zip(*f.terms))), bound):
+        return None
+    for exps in f.monomials():
+        if not monomial_divides(exps, bound):
+            return exps
+    raise AssertionError("maximum exponents exceed the bound but no monomial does")
+
+
 def check_divisibility(w: Permutation) -> tuple[bool, Monomial | None]:
     """Does every monomial of G_w divide the upper-closure monomial?
 
     Returns (True, None), or (False, offending exponent vector).
     """
     bound = diagram_monomial(upper_closure(rothe_diagram(w)))
-    for exps in grothendieck_recursive(w).monomials():
-        if not monomial_divides(exps, bound):
-            return False, exps
-    return True, None
+    witness = support_witness(grothendieck_recursive(w), bound)
+    return witness is None, witness
 
 
 def degree_report(w: Permutation) -> DegreeReport:
@@ -85,8 +98,9 @@ def degree_report(w: Permutation) -> DegreeReport:
     schub = schubert_recursive(w)
     deg_groth = 0 if groth.is_zero else groth.degree()
     deg_schub = 0 if schub.is_zero else schub.degree()
-    length = orthodontia(rothe_diagram(w)).step_count
-    closure_size = upper_closure(rothe_diagram(w)).box_count()
+    D = rothe_diagram(w)
+    length = orthodontia(D).step_count
+    closure_size = upper_closure(D).box_count()
     return DegreeReport(
         deg_groth=deg_groth,
         deg_schub=deg_schub,
@@ -138,9 +152,10 @@ def exponent_change_check(w: Permutation) -> bool:
 
 def support_vectors(w: Permutation) -> SupportVectors:
     n = w.n
-    maxima = [max(c) if c else 0 for c in rothe_diagram(w).columns]
+    D = rothe_diagram(w)
+    maxima = [max(c) if c else 0 for c in D.columns]
     theta = tuple(sum(1 for m in maxima if m >= j) for j in range(1, n + 1))
-    teeth = orthodontia(rothe_diagram(w)).teeth
+    teeth = orthodontia(D).teeth
     xi = tuple(sum(1 for t in teeth if t == j) for j in range(1, n + 1))
     return SupportVectors(theta, xi)
 
@@ -153,10 +168,8 @@ def check_conjecture(w: Permutation) -> tuple[bool, Monomial | None]:
     """
     vectors = support_vectors(w)
     bound = tuple(t + x for t, x in zip(vectors.theta, vectors.xi))
-    for exps in grothendieck_recursive(w).monomials():
-        if not monomial_divides(exps, bound):
-            return False, exps
-    return True, None
+    witness = support_witness(grothendieck_recursive(w), bound)
+    return witness is None, witness
 
 
 def analysis_record(w: Permutation) -> dict:

@@ -9,7 +9,9 @@ record per suite; its stdout is byte-identical across runs and worker
 counts.  Results can be cached in an append-only JSON-lines file given
 by --cache or the ORTHODONTIA_CACHE environment variable; cached records
 are trusted only when their version stamp matches, and malformed lines
-are skipped with one warning on stderr.
+(including records that lack a field the summary reads) are skipped and
+recomputed, with one warning on stderr.  --jobs is capped at the CPU
+count.
 """
 
 from __future__ import annotations
@@ -27,23 +29,18 @@ from orthodontia.analysis import (
     check_divisibility,
     degree_report,
 )
-from orthodontia.diagram import orthodontia, orthodontia_trace, rothe_diagram, upper_closure
+from orthodontia.diagram import orthodontia_trace, rothe_diagram, upper_closure
 from orthodontia.grothendieck import (
     RankOverflowError,
+    check_sorted_step,
     grothendieck_recursive,
-    is_sorted_permutation,
     monk_terms,
     orthodontia_grothendieck,
     orthodontia_schubert,
-    os_predecessor,
-    primary_column_data,
     schubert_recursive,
-    sigma,
-    sort_permutation,
     warm_caches,
 )
 from orthodontia.permutation import Permutation, from_one_line, symmetric_group
-from orthodontia.polynomial import Polynomial
 
 SUITES = ("main", "divisibility", "degree", "sorted", "monk", "conjecture")
 GATING_SUITES = frozenset(SUITES) - {"conjecture"}
@@ -104,52 +101,12 @@ def _check_degree(w: Permutation) -> dict:
 
 
 def _check_sorted(w: Permutation) -> dict:
-    seq_w = orthodontia(rothe_diagram(w))
-    w_sorted = sort_permutation(w)
-    seq_sorted = orthodontia(rothe_diagram(w_sorted))
-    data = primary_column_data(w)
-    # the sequences of w and sort(w) agree except for the interval counts,
-    # which shift by the interval counts of the pattern sigma(w)
-    pattern_counts = orthodontia(rothe_diagram(sigma(w))).interval_multiplicities
-    expected_k = list(seq_sorted.interval_multiplicities)
-    if data.prefix > 0:
-        expected_k[data.prefix - 1] -= sum(pattern_counts)
-    for j in range(data.prefix + 1, data.tooth + 1):
-        expected_k[j - 1] += pattern_counts[j - data.prefix - 1]
-    unsort_ok = (
-        seq_w.teeth == seq_sorted.teeth
-        and seq_w.tooth_multiplicities == seq_sorted.tooth_multiplicities
-        and list(seq_w.interval_multiplicities) == expected_k
-    )
-
-    parts_ok: bool | None = None
-    if is_sorted_permutation(w) and not w.is_identity():
-        gap = data.gap
-        k = seq_w.interval_multiplicities
-        m = seq_w.tooth_multiplicities
-        part_i = all(seq_w.teeth[t] == data.tooth - t for t in range(gap))
-        part_ii = data.prefix == 0 or k[data.prefix - 1] >= gap
-        part_iii = all(k[j - 1] == 0 for j in range(data.prefix + 1, data.tooth + 1))
-        part_iv = all(m[t] == 0 for t in range(gap - 1))
-        up = os_predecessor(w)
-        seq_up = orthodontia(rothe_diagram(up))
-        expected_up_k = list(k)
-        if data.prefix > 0:
-            expected_up_k[data.prefix - 1] -= gap
-        expected_up_k[data.prefix] = gap + m[gap - 1]
-        part_v = (
-            seq_up.teeth == seq_w.teeth[gap:]
-            and seq_up.tooth_multiplicities == m[gap:]
-            and list(seq_up.interval_multiplicities) == expected_up_k
-        )
-        parts_ok = part_i and part_ii and part_iii and part_iv and part_v
-
-    ok = unsort_ok and (parts_ok is None or parts_ok)
+    step = check_sorted_step(w)
     return {
-        "sorted": is_sorted_permutation(w),
-        "parts_ok": parts_ok,
-        "unsort_ok": unsort_ok,
-        "ok": ok,
+        "sorted": step.is_sorted,
+        "parts_ok": step.parts_ok,
+        "unsort_ok": step.unsort_ok,
+        "ok": step.ok,
     }
 
 
@@ -166,11 +123,18 @@ def _check_monk(w: Permutation) -> dict:
             skipped += 1
             continue
         checked += 1
-        xj = Polynomial.variable(j, n)
-        total = Polynomial.zero(n)
+        # x_j * G_w minus every sign * G_v; mul_monomial returns a new
+        # polynomial, so its terms dict is ours to drain in place
+        residue = base.mul_monomial((0,) * (j - 1) + (1,) + (0,) * (n - j)).terms
         for term in terms:
-            total = total + term.sign * grothendieck_recursive(term.target)
-        if total != xj * base:
+            sign = term.sign
+            for exps, c in grothendieck_recursive(term.target).terms.items():
+                s = residue.get(exps, 0) - sign * c
+                if s:
+                    residue[exps] = s
+                else:
+                    del residue[exps]
+        if residue:
             ok = False
     return {"ok": ok, "checked": checked, "skipped": skipped}
 
@@ -203,8 +167,24 @@ def _cache_key(n: int, suite: str, word: tuple[int, ...]) -> str:
     return f"{n}|{suite}|{','.join(map(str, word))}"
 
 
+def _has_summary_fields(key: str, record: dict) -> bool:
+    # the counts the verify summary reads from a record of the key's suite
+    if "|monk|" in key:
+        a, b = "checked", "skipped"
+    elif "|degree|" in key and record.get("ok"):
+        a, b = "tight_prop", "tight_cor"
+    else:
+        return True
+    return isinstance(record.get(a), int) and isinstance(record.get(b), int)
+
+
 def _load_cache(path: str, err: TextIO) -> dict[str, dict]:
-    """Entries stamped with this version; malformed lines are counted and skipped."""
+    """Entries stamped with this version; malformed lines are counted and skipped.
+
+    A line is malformed when it is not a JSON object with a string key
+    and an object record, or when its record lacks a field the summary
+    reads; its record is recomputed.
+    """
     cache: dict[str, dict] = {}
     malformed = 0
     try:
@@ -225,8 +205,12 @@ def _load_cache(path: str, err: TextIO) -> dict[str, dict]:
                 ):
                     malformed += 1
                     continue
-                if entry.get("version") == __version__:
-                    cache[entry["key"]] = entry["record"]
+                if entry.get("version") != __version__:
+                    continue
+                if not _has_summary_fields(entry["key"], entry["record"]):
+                    malformed += 1
+                    continue
+                cache[entry["key"]] = entry["record"]
     except OSError:
         pass
     if malformed:
@@ -332,6 +316,10 @@ def cmd_verify(
         return 2
     if n >= 7:
         err.write(f"warning: rank {n} sweeps {n}! permutations; expect a long run\n")
+    cpus = os.cpu_count() or 1
+    if jobs > cpus:
+        err.write(f"warning: --jobs {jobs} capped at the CPU count, {cpus}\n")
+        jobs = cpus
 
     selected = [s for s in SUITES if s in set(suites)]
     words = [w.word for w in symmetric_group(n)]

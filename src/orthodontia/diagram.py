@@ -120,13 +120,15 @@ def rothe_diagram(w: Permutation) -> Diagram:
 
     The number of boxes equals the number of inversions of w.
     """
-    n = w.n
-    inv = w.inverse()
-    cols = []
-    for j in range(1, n + 1):
-        top = inv(j)
-        cols.append(frozenset(i for i in range(1, top) if w(i) > j))
-    return Diagram(n, tuple(cols))
+    word = w.word
+    n = len(word)
+    position = [0] * (n + 1)
+    for i, v in enumerate(word, start=1):
+        position[v] = i
+    cols = tuple(
+        frozenset(i for i in range(1, position[j]) if word[i - 1] > j) for j in range(1, n + 1)
+    )
+    return Diagram(n, cols)
 
 
 def missing_tooth(column: Iterable[int]) -> int | None:

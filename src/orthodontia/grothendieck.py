@@ -179,8 +179,10 @@ class PrimaryColumnData:
 
 
 def primary_column_data(w: Permutation) -> PrimaryColumnData:
-    n = w.n
-    D = rothe_diagram(w)
+    return _primary_column_data(rothe_diagram(w))
+
+
+def _primary_column_data(D: Diagram) -> PrimaryColumnData:
     for idx, c in enumerate(D.columns):
         if not c:
             continue
@@ -194,7 +196,7 @@ def primary_column_data(w: Permutation) -> PrimaryColumnData:
         assert not any(i in c for i in range(prefix + 1, tooth + 1))
         assert tooth + 1 in c
         return PrimaryColumnData(idx, c, prefix, tooth, tooth - prefix)
-    return PrimaryColumnData(n, frozenset(), 0, n, n)
+    return PrimaryColumnData(D.n, frozenset(), 0, D.n, D.n)
 
 
 def sigma(w: Permutation) -> Permutation:
@@ -205,9 +207,12 @@ def sigma(w: Permutation) -> Permutation:
     dominant w the restriction is all of w, so sigma(w) = w.  w is called
     sorted when sigma(w) is the identity.
     """
-    data = primary_column_data(w)
+    return _sigma(w, primary_column_data(w))
+
+
+def _sigma(w: Permutation, data: PrimaryColumnData) -> Permutation:
     shift = data.standard_cols - data.gap
-    values = [w(p) - shift for p in range(data.prefix + 1, data.tooth + 1)]
+    values = [v - shift for v in w.word[data.prefix : data.tooth]]
     if sorted(values) != list(range(1, data.gap + 1)):
         raise AssertionError(
             f"restriction of {w} to positions {data.prefix + 1}..{data.tooth} "
@@ -218,7 +223,10 @@ def sigma(w: Permutation) -> Permutation:
 
 def is_sorted_permutation(w: Permutation) -> bool:
     """True iff the entries on positions prefix+1..tooth already increase."""
-    data = primary_column_data(w)
+    return _is_sorted(w, primary_column_data(w))
+
+
+def _is_sorted(w: Permutation, data: PrimaryColumnData) -> bool:
     word = w.word[data.prefix : data.tooth]
     return all(a < b for a, b in zip(word, word[1:]))
 
@@ -229,7 +237,10 @@ def sort_permutation(w: Permutation) -> Permutation:
     Idempotent; preserves primary column data; maps dominant permutations
     to the identity.
     """
-    data = primary_column_data(w)
+    return _sort(w, primary_column_data(w))
+
+
+def _sort(w: Permutation, data: PrimaryColumnData) -> Permutation:
     word = list(w.word)
     word[data.prefix : data.tooth] = sorted(word[data.prefix : data.tooth])
     return Permutation(tuple(word))
@@ -243,7 +254,7 @@ def unsort_factor(w: Permutation) -> Monomial:
     the constant monomial.
     """
     data = primary_column_data(w)
-    shape = rothe_diagram(sigma(w))
+    shape = rothe_diagram(_sigma(w, data))
     rows = [0] * data.gap
     for i, _ in shape.boxes():
         rows[i - 1] += 1
@@ -358,10 +369,83 @@ def os_predecessor(w: Permutation) -> Permutation:
     """
     if w.is_identity():
         raise ValueError("the identity has no predecessor")
-    if not is_sorted_permutation(w):
-        return sort_permutation(w)
     data = primary_column_data(w)
-    u = w
-    for pos in range(data.tooth, data.prefix, -1):
-        u = u.right_multiply_adjacent(pos)
-    return u
+    if not _is_sorted(w, data):
+        return _sort(w, data)
+    return _sorted_step_up(w, data)
+
+
+def _sorted_step_up(w: Permutation, data: PrimaryColumnData) -> Permutation:
+    # w * s_tooth * ... * s_{prefix+1}: move the entry at position tooth+1 to prefix+1
+    word = w.word
+    p, t = data.prefix, data.tooth
+    return Permutation(word[:p] + (word[t],) + word[p:t] + word[t + 1 :])
+
+
+@dataclass(frozen=True)
+class SortedStepCheck:
+    """The step relations of the orthodontic sort order, checked for one w.
+
+    ``is_sorted``: whether w is sorted.
+    ``unsort_ok``: the orthodontic sequences of w and sort(w) share teeth
+        and tooth multiplicities, and their interval multiplicities
+        differ by those of the pattern sigma(w).
+    ``parts_ok``: for sorted nonidentity w, the five relations (i)-(v)
+        between w and its predecessor u; None for other w.
+    """
+
+    is_sorted: bool
+    unsort_ok: bool
+    parts_ok: bool | None
+
+    @property
+    def ok(self) -> bool:
+        return self.unsort_ok and self.parts_ok is not False
+
+
+def check_sorted_step(w: Permutation) -> SortedStepCheck:
+    """Check the sorted-step relations for w, building its diagram once."""
+    D = rothe_diagram(w)
+    data = _primary_column_data(D)
+    seq_w = orthodontia(D)
+    is_sorted = _is_sorted(w, data)
+    seq_sorted = seq_w if is_sorted else orthodontia(rothe_diagram(_sort(w, data)))
+    # the sequences of w and sort(w) agree except for the interval counts,
+    # which shift by the interval counts of the pattern sigma(w)
+    pattern_counts = orthodontia(rothe_diagram(_sigma(w, data))).interval_multiplicities
+    expected_k = list(seq_sorted.interval_multiplicities)
+    if data.prefix > 0:
+        expected_k[data.prefix - 1] -= sum(pattern_counts)
+    for j in range(data.prefix + 1, data.tooth + 1):
+        expected_k[j - 1] += pattern_counts[j - data.prefix - 1]
+    unsort_ok = (
+        seq_w.teeth == seq_sorted.teeth
+        and seq_w.tooth_multiplicities == seq_sorted.tooth_multiplicities
+        and list(seq_w.interval_multiplicities) == expected_k
+    )
+
+    parts_ok: bool | None = None
+    if is_sorted and not w.is_identity():
+        gap = data.gap
+        teeth = seq_w.teeth
+        k = seq_w.interval_multiplicities
+        m = seq_w.tooth_multiplicities
+        part_i = len(teeth) >= gap and all(teeth[t] == data.tooth - t for t in range(gap))
+        part_ii = data.prefix == 0 or k[data.prefix - 1] >= gap
+        part_iii = all(k[j - 1] == 0 for j in range(data.prefix + 1, data.tooth + 1))
+        part_iv = all(m[t] == 0 for t in range(gap - 1))
+        part_v = False
+        if part_i:
+            seq_up = orthodontia(rothe_diagram(_sorted_step_up(w, data)))
+            expected_up_k = list(k)
+            if data.prefix > 0:
+                expected_up_k[data.prefix - 1] -= gap
+            expected_up_k[data.prefix] = gap + m[gap - 1]
+            part_v = (
+                seq_up.teeth == teeth[gap:]
+                and seq_up.tooth_multiplicities == m[gap:]
+                and list(seq_up.interval_multiplicities) == expected_up_k
+            )
+        parts_ok = part_i and part_ii and part_iii and part_iv and part_v
+
+    return SortedStepCheck(is_sorted, unsort_ok, parts_ok)

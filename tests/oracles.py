@@ -5,11 +5,20 @@ forms.  The oracles here take the other route: they form the whole
 numerator f - s_j.f and divide it exactly by x_j - x_{j+1} with
 synthetic division, so agreement between the two is a genuine
 cross-check, not a tautology.
+
+The support checks in the library compare per-variable maximum
+exponents against a bound; the oracle for them tests every monomial in
+canonical order.
 """
 
 from __future__ import annotations
 
-from orthodontia.polynomial import DivisionRemainderError, Monomial, Polynomial
+from orthodontia.polynomial import (
+    DivisionRemainderError,
+    Monomial,
+    Polynomial,
+    monomial_divides,
+)
 
 
 def exact_divide_linear(f: Polynomial, j: int) -> Polynomial:
@@ -92,3 +101,11 @@ def inversions_by_enumeration(word: tuple[int, ...]) -> int:
         for j in range(i + 1, len(word))
         if word[i] > word[j]
     )
+
+
+def support_witness_scan(f: Polynomial, bound: Monomial) -> Monomial | None:
+    """The first monomial of f in canonical order not dividing x^bound, by testing each."""
+    for exps in f.monomials():
+        if not monomial_divides(exps, bound):
+            return exps
+    return None

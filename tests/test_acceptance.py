@@ -22,6 +22,7 @@ from orthodontia.cli import SUITES, cmd_verify
 from orthodontia.diagram import orthodontia, rothe_diagram
 from orthodontia.grothendieck import (
     RankOverflowError,
+    check_sorted_step,
     fallen_boxes,
     grothendieck_recursive,
     is_sorted_permutation,
@@ -202,6 +203,20 @@ def _unsort_transform_holds(w) -> bool:
         and seq_w.tooth_multiplicities == seq_sorted.tooth_multiplicities
         and list(seq_w.interval_multiplicities) == expected_k
     )
+
+
+def test_check_sorted_step_matches_relation_oracles_s6():
+    # the library's one-diagram sorted-step check against the helpers above,
+    # which rebuild every diagram through the public functions
+    for w in symmetric_group(6):
+        step = check_sorted_step(w)
+        assert step.is_sorted == is_sorted_permutation(w)
+        assert step.unsort_ok == _unsort_transform_holds(w)
+        if step.is_sorted and not w.is_identity():
+            assert step.parts_ok == _sorted_step_relations_hold(w)
+        else:
+            assert step.parts_ok is None
+        assert step.ok
 
 
 def test_criterion_4_structural_relations():

@@ -10,6 +10,7 @@ from orthodontia.analysis import (
     degree_report,
     exponent_change_check,
     support_vectors,
+    support_witness,
 )
 from orthodontia.diagram import diagram_monomial, rothe_diagram, upper_closure
 from orthodontia.grothendieck import (
@@ -18,7 +19,9 @@ from orthodontia.grothendieck import (
     os_predecessor,
 )
 from orthodontia.permutation import from_one_line, identity, longest_element, symmetric_group
-from orthodontia.polynomial import monomial_divides
+from orthodontia.polynomial import Polynomial, monomial_divides
+
+from oracles import support_witness_scan
 
 
 def test_check_divisibility_identity():
@@ -37,6 +40,37 @@ def test_check_divisibility_14532():
 def test_check_divisibility_s5():
     for w in symmetric_group(5):
         assert check_divisibility(w) == (True, None)
+
+
+def test_support_checks_match_scan_oracle_s5():
+    for w in symmetric_group(5):
+        groth = grothendieck_recursive(w)
+        closure = diagram_monomial(upper_closure(rothe_diagram(w)))
+        witness = support_witness_scan(groth, closure)
+        assert check_divisibility(w) == (witness is None, witness)
+        vectors = support_vectors(w)
+        conjectured = tuple(t + x for t, x in zip(vectors.theta, vectors.xi))
+        witness = support_witness_scan(groth, conjectured)
+        assert check_conjecture(w) == (witness is None, witness)
+
+
+def test_support_witness_with_shrunken_bound():
+    # lowering one entry of the tight bound below its maximum exponent forces
+    # the canonical-order scan, which must find the oracle's first witness
+    shrunk = 0
+    for w in symmetric_group(4):
+        groth = grothendieck_recursive(w)
+        maxima = tuple(map(max, zip(*groth.terms)))
+        assert support_witness(groth, maxima) is None
+        for i, top in enumerate(maxima):
+            if top:
+                bound = maxima[:i] + (top - 1,) + maxima[i + 1 :]
+                witness = support_witness(groth, bound)
+                assert witness is not None and witness[i] == top
+                assert witness == support_witness_scan(groth, bound)
+                shrunk += 1
+    assert shrunk > 0
+    assert support_witness(Polynomial.zero(3), (0, 0, 0)) is None
 
 
 def test_degree_report_identity():

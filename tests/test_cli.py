@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import io
 import json
+import os
 
 import pytest
 
+from orthodontia import cli
 from orthodontia.cli import (
     SUITES,
     cmd_compute,
@@ -16,7 +19,7 @@ from orthodontia.cli import (
     main,
     parse_permutation,
 )
-from orthodontia.grothendieck import grothendieck_recursive, schubert_recursive
+from orthodontia.grothendieck import MonkTerm, grothendieck_recursive, schubert_recursive
 from orthodontia.permutation import from_one_line
 from orthodontia.polynomial import Polynomial
 
@@ -194,6 +197,57 @@ def test_verify_cache_skips_malformed_line(tmp_path, line):
     code, replay, err = run_verify(2, suites=["main"], cache=str(cache))
     assert code == 0 and replay == expected
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "suite, line",
+    [
+        # a monk record without the counts its summary adds up
+        ("monk", b'{"version":"0.1.0","key":"2|monk|1,2","record":{"ok":true}}'),
+        # an ok degree record without the tightness flags its summary counts
+        ("degree", b'{"version":"0.1.0","key":"2|degree|2,1","record":{"ok":true}}'),
+    ],
+)
+def test_verify_cache_recomputes_record_missing_summary_fields(tmp_path, suite, line):
+    cache = tmp_path / "results.jsonl"
+    cache.write_bytes(line + b"\n")
+    _, expected, _ = run_verify(2, suites=[suite])
+    code, out, err = run_verify(2, suites=[suite], cache=str(cache))
+    assert code == 0 and out == expected
+    assert err == f"warning: skipped 1 malformed line(s) in cache {cache}\n"
+    code, replay, _ = run_verify(2, suites=[suite], cache=str(cache))
+    assert code == 0 and replay == expected
+
+
+def test_verify_stdout_golden_rank5():
+    # sha256 of `verify --n 5` stdout with every suite, as first recorded
+    code, out, err = run_verify(5)
+    assert code == 0 and err == ""
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "d7b54a2cde352d4e2fcc57af447f700bb08c6287d62d3b603d39cfe7726b4107"
+    )
+
+
+def test_check_monk_fails_when_one_sign_flips(monkeypatch):
+    w = from_one_line([1, 3, 2, 4])
+    assert cli._check_monk(w) == {"ok": True, "checked": 3, "skipped": 1}
+    real_terms = cli.monk_terms
+
+    def flipped(j, v):
+        first, *rest = real_terms(j, v)
+        return (MonkTerm(first.target, -first.sign), *rest)
+
+    monkeypatch.setattr(cli, "monk_terms", flipped)
+    assert cli._check_monk(w)["ok"] is False
+
+
+def test_verify_jobs_capped_at_cpu_count(monkeypatch):
+    _, expected, _ = run_verify(2)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    code, out, err = run_verify(2, jobs=2)
+    assert code == 0 and out == expected
+    assert err == "warning: --jobs 2 capped at the CPU count, 1\n"
 
 
 def test_main_usage_errors_exit_2():
