@@ -1,6 +1,7 @@
 """Command-line front end: compute, ortho, diagram, verify, report.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error or any
+unexpected error (reported in one line on stderr, without a traceback).
 
 Permutations are written as a digit string for rank at most 9 (31542)
 and comma-separated otherwise (10,3,1,...).  The verify subcommand
@@ -10,8 +11,8 @@ counts.  Results can be cached in an append-only JSON-lines file given
 by --cache or the ORTHODONTIA_CACHE environment variable; cached records
 are trusted only when their version stamp matches, and malformed lines
 (including records that lack a field the summary reads) are skipped and
-recomputed, with one warning on stderr.  --jobs is capped at the CPU
-count.
+recomputed, with one warning on stderr, and the run then rewrites the
+file without them.  --jobs is capped at the CPU count.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import argparse
 import json
 import os
 import sys
+from itertools import repeat
+from operator import add, sub
 from typing import Sequence, TextIO
 
 from orthodontia import __version__
@@ -29,10 +32,14 @@ from orthodontia.analysis import (
     check_divisibility,
     degree_report,
 )
-from orthodontia.diagram import orthodontia_trace, rothe_diagram, upper_closure
+from orthodontia.diagram import orthodontia, orthodontia_trace, rothe_diagram, upper_closure
 from orthodontia.grothendieck import (
+    FormulaChain,
     RankOverflowError,
+    chained_grothendieck,
+    chained_schubert,
     check_sorted_step,
+    formula_steps,
     grothendieck_recursive,
     monk_terms,
     orthodontia_grothendieck,
@@ -66,11 +73,17 @@ def _dump(obj) -> str:
 # ---------------------------------------------------------------------------
 # verify suite checks (module level so worker processes can pickle them)
 
+# The main check's ascending-formula chains, one per kind.  cmd_verify
+# clears them before each run; forked workers inherit them cleared.
+_SCHUBERT_CHAIN = FormulaChain()
+_GROTH_CHAIN = FormulaChain()
+
+
 def _check_main(w: Permutation) -> dict:
-    D = rothe_diagram(w)
-    groth_match = grothendieck_recursive(w) == orthodontia_grothendieck(D)
+    seq = orthodontia(rothe_diagram(w))
+    groth_match = grothendieck_recursive(w) == chained_grothendieck(seq, _GROTH_CHAIN)
     schubert = schubert_recursive(w)
-    schubert_match = schubert == orthodontia_schubert(D)
+    schubert_match = schubert == chained_schubert(seq, _SCHUBERT_CHAIN)
     lowest_match = grothendieck_recursive(w).lowest_degree_component() == schubert
     return {
         "groth_match": groth_match,
@@ -115,7 +128,7 @@ def _check_monk(w: Permutation) -> dict:
     checked = 0
     skipped = 0
     ok = True
-    base = grothendieck_recursive(w)
+    base = grothendieck_recursive(w).terms
     for j in range(1, n + 1):
         try:
             terms = monk_terms(j, w)
@@ -123,18 +136,17 @@ def _check_monk(w: Permutation) -> dict:
             skipped += 1
             continue
         checked += 1
-        # x_j * G_w minus every sign * G_v; mul_monomial returns a new
-        # polynomial, so its terms dict is ours to drain in place
-        residue = base.mul_monomial((0,) * (j - 1) + (1,) + (0,) * (n - j)).terms
+        # x_j * G_w minus every sign * G_v, accumulated in one dict that
+        # keeps its zeros; the pair passes iff every coefficient ends at 0
+        i = j - 1
+        residue = {e[:i] + (e[i] + 1,) + e[j:]: c for e, c in base.items()}
+        get = residue.get
         for term in terms:
-            sign = term.sign
-            for exps, c in grothendieck_recursive(term.target).terms.items():
-                s = residue.get(exps, 0) - sign * c
-                if s:
-                    residue[exps] = s
-                else:
-                    del residue[exps]
-        if residue:
+            g = grothendieck_recursive(term.target).terms
+            keys = g.keys()
+            combine = sub if term.sign > 0 else add
+            residue.update(zip(keys, map(combine, map(get, keys, repeat(0)), g.values())))
+        if any(residue.values()):
             ok = False
     return {"ok": ok, "checked": checked, "skipped": skipped}
 
@@ -178,12 +190,32 @@ def _has_summary_fields(key: str, record: dict) -> bool:
     return isinstance(record.get(a), int) and isinstance(record.get(b), int)
 
 
-def _load_cache(path: str, err: TextIO) -> dict[str, dict]:
-    """Entries stamped with this version; malformed lines are counted and skipped.
+def _cache_entry(line: str) -> dict | None:
+    # the entry on a nonblank line, or None when the line is malformed: not
+    # a JSON object with a string key and an object record, or a record of
+    # this version that lacks a field the summary reads
+    try:
+        entry = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    if not (
+        isinstance(entry, dict)
+        and isinstance(entry.get("key"), str)
+        and isinstance(entry.get("record"), dict)
+    ):
+        return None
+    if entry.get("version") == __version__ and not _has_summary_fields(
+        entry["key"], entry["record"]
+    ):
+        return None
+    return entry
 
-    A line is malformed when it is not a JSON object with a string key
-    and an object record, or when its record lacks a field the summary
-    reads; its record is recomputed.
+
+def _load_cache(path: str, err: TextIO) -> tuple[dict[str, dict], int]:
+    """Entries stamped with this version, and the number of malformed lines.
+
+    Malformed lines are skipped, with one warning, and their records are
+    recomputed.
     """
     cache: dict[str, dict] = {}
     malformed = 0
@@ -193,35 +225,50 @@ def _load_cache(path: str, err: TextIO) -> dict[str, dict]:
                 line = line.strip()
                 if not line:
                     continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
+                entry = _cache_entry(line)
+                if entry is None:
                     malformed += 1
-                    continue
-                if not (
-                    isinstance(entry, dict)
-                    and isinstance(entry.get("key"), str)
-                    and isinstance(entry.get("record"), dict)
-                ):
-                    malformed += 1
-                    continue
-                if entry.get("version") != __version__:
-                    continue
-                if not _has_summary_fields(entry["key"], entry["record"]):
-                    malformed += 1
-                    continue
-                cache[entry["key"]] = entry["record"]
+                elif entry.get("version") == __version__:
+                    cache[entry["key"]] = entry["record"]
     except OSError:
         pass
     if malformed:
         err.write(f"warning: skipped {malformed} malformed line(s) in cache {path}\n")
-    return cache
+    return cache, malformed
+
+
+def _cache_line(key: str, record: dict) -> str:
+    return _dump({"version": __version__, "key": key, "record": record}) + "\n"
 
 
 def _append_cache(path: str, entries: list[tuple[str, dict]]) -> None:
     with open(path, "a", encoding="utf-8") as handle:
         for key, record in entries:
-            handle.write(_dump({"version": __version__, "key": key, "record": record}) + "\n")
+            handle.write(_cache_line(key, record))
+
+
+def _rewrite_cache(path: str, entries: list[tuple[str, dict]]) -> None:
+    """Rewrite the cache without its malformed lines, then add the entries.
+
+    The new file is written beside the old one and renamed over it, so a
+    failed write leaves the old file as it was.
+    """
+    temp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(path, "r", encoding="utf-8", errors="replace") as source, open(
+            temp, "w", encoding="utf-8"
+        ) as handle:
+            for line in source:
+                line = line.strip()
+                if line and _cache_entry(line) is not None:
+                    handle.write(line + "\n")
+            for key, record in entries:
+                handle.write(_cache_line(key, record))
+        os.replace(temp, path)
+    except OSError:
+        if os.path.exists(temp):
+            os.unlink(temp)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +372,9 @@ def cmd_verify(
     words = [w.word for w in symmetric_group(n)]
 
     cache: dict[str, dict] = {}
+    malformed = 0
     if cache_path:
-        cache = _load_cache(cache_path, err)
+        cache, malformed = _load_cache(cache_path, err)
 
     results: dict[tuple[int, ...], dict[str, dict]] = {word: {} for word in words}
     tasks: list[tuple[tuple[int, ...], tuple[str, ...]]] = []
@@ -345,6 +393,13 @@ def cmd_verify(
         heavy = set(selected) - {"sorted"}
         if heavy:
             warm_caches(n)
+        if any("main" in missing for _, missing in tasks):
+            # neighbours in step order share the longest formula prefixes
+            tasks.sort(
+                key=lambda task: formula_steps(orthodontia(rothe_diagram(Permutation(task[0]))))
+            )
+            _SCHUBERT_CHAIN.clear()
+            _GROTH_CHAIN.clear()
         if jobs > 1:
             import concurrent.futures
             import multiprocessing
@@ -395,9 +450,12 @@ def cmd_verify(
         elif suite in GATING_SUITES:
             failures += failed
 
-    if cache_path and fresh:
+    if cache_path and (fresh or malformed):
         try:
-            _append_cache(cache_path, fresh)
+            if malformed:
+                _rewrite_cache(cache_path, fresh)
+            else:
+                _append_cache(cache_path, fresh)
         except OSError as exc:
             err.write(f"cache write failed: {exc}\n")
             return 2
@@ -457,7 +515,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     out, err = sys.stdout, sys.stderr
+    try:
+        return _run(args, out, err)
+    except Exception as exc:
+        # an unexpected failure is reported in one line, never as a traceback
+        message = " ".join(str(exc).split()) or "no message"
+        err.write(f"error: {type(exc).__name__}: {message}\n")
+        return 2
 
+
+def _run(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     if args.command == "compute":
         return cmd_compute(args.permutation, args.kind, args.method, args.format, out, err)
     if args.command == "ortho":

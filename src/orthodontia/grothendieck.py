@@ -4,7 +4,8 @@ Two independent routes to the same polynomials:
 
 - the classical recursions, descending the weak order from the longest
   element with divided-difference (Schubert) or isobaric (Grothendieck)
-  operators, memoized per rank;
+  operators, memoized per rank and run as loops, so their depth is not
+  bounded by Python's recursion limit;
 - the ascending operator formulas driven by the orthodontic sequence of
   the Rothe diagram, with Demazure operators for Schubert polynomials and
   Demazure-Lascoux operators for Grothendieck polynomials.
@@ -14,6 +15,10 @@ small rank.  The module also carries the sorting machinery (primary
 column data, the dominant projection, the unsorting monomial factor),
 the transition expansion of x_j * G_w, fallen boxes, and the step
 relation of the orthodontic sort order.
+
+A caller that evaluates the ascending formula on many diagrams can pass
+a :class:`FormulaChain`, which keeps the polynomials along the last step
+sequence so that shared step prefixes are applied once.
 
 The memo caches are plain dicts keyed by one-line words.  Entries are
 only ever written once with the final value, so concurrent readers are
@@ -27,6 +32,7 @@ from dataclasses import dataclass
 
 from orthodontia.diagram import (
     Diagram,
+    OrthodonticSequence,
     diagram_monomial,
     missing_tooth,
     orthodontia,
@@ -45,9 +51,8 @@ _SCHUBERT_CACHE: dict[tuple[int, ...], Polynomial] = {}
 _GROTH_CACHE: dict[tuple[int, ...], Polynomial] = {}
 
 
-def _first_ascent(w: Permutation) -> int | None:
-    word = w.word
-    for j in range(1, w.n):
+def _first_ascent(word: tuple[int, ...]) -> int | None:
+    for j in range(1, len(word)):
         if word[j - 1] < word[j]:
             return j
     return None
@@ -57,18 +62,28 @@ def _staircase(n: int) -> Polynomial:
     return Polynomial.monomial(tuple(n - k for k in range(1, n + 1)))
 
 
+def _descend(w: Permutation, memo: dict[tuple[int, ...], Polynomial], op) -> Polynomial:
+    # Walk up the weak order by first ascents to a memo hit or w0, then
+    # apply op on the way back down, memoizing every word on the chain.
+    word = w.word
+    chain: list[tuple[tuple[int, ...], int]] = []
+    poly = memo.get(word)
+    while poly is None:
+        j = _first_ascent(word)
+        if j is None:
+            poly = memo[word] = _staircase(len(word))
+            break
+        chain.append((word, j))
+        word = word[: j - 1] + (word[j], word[j - 1]) + word[j + 1 :]
+        poly = memo.get(word)
+    for word, j in reversed(chain):
+        poly = memo[word] = op(j, poly)
+    return poly
+
+
 def schubert_recursive(w: Permutation) -> Polynomial:
     """The Schubert polynomial, by divided differences down from the staircase."""
-    cached = _SCHUBERT_CACHE.get(w.word)
-    if cached is not None:
-        return cached
-    j = _first_ascent(w)
-    if j is None:
-        poly = _staircase(w.n)
-    else:
-        poly = divided_difference(j, schubert_recursive(w.right_multiply_adjacent(j)))
-    _SCHUBERT_CACHE[w.word] = poly
-    return poly
+    return _descend(w, _SCHUBERT_CACHE, divided_difference)
 
 
 def grothendieck_recursive(w: Permutation) -> Polynomial:
@@ -76,16 +91,7 @@ def grothendieck_recursive(w: Permutation) -> Polynomial:
 
     Its lowest-degree homogeneous component is the Schubert polynomial.
     """
-    cached = _GROTH_CACHE.get(w.word)
-    if cached is not None:
-        return cached
-    j = _first_ascent(w)
-    if j is None:
-        poly = _staircase(w.n)
-    else:
-        poly = isobaric(j, grothendieck_recursive(w.right_multiply_adjacent(j)))
-    _GROTH_CACHE[w.word] = poly
-    return poly
+    return _descend(w, _GROTH_CACHE, isobaric)
 
 
 def warm_caches(n: int) -> None:
@@ -103,14 +109,69 @@ def _weight_exps(j: int, n: int, power: int) -> Monomial:
     return (power,) * j + (0,) * (n - j)
 
 
-def _evaluate_formula(D: Diagram, op) -> Polynomial:
-    seq = orthodontia(D)
-    n = D.n
-    f = Polynomial.one(n)
-    for tooth, mult in zip(reversed(seq.teeth), reversed(seq.tooth_multiplicities)):
-        if mult:
-            f = f.mul_monomial(_weight_exps(tooth, n, mult))
-        f = op(tooth, f)
+Step = tuple[int, int]
+
+
+def formula_steps(seq: OrthodonticSequence) -> tuple[Step, ...]:
+    """The (tooth, multiplicity) steps of the ascending formula, in the order applied.
+
+    This is the orthodontic sequence read backwards.  Diagrams whose step
+    sequences share a prefix share the polynomial after that prefix.
+    """
+    return tuple(zip(reversed(seq.teeth), reversed(seq.tooth_multiplicities)))
+
+
+class FormulaChain:
+    """The steps of the last sequence evaluated through it, and the polynomial after each.
+
+    Owned by the caller and passed to one kind of ascending formula only.
+    Evaluating through the chain reuses the longest step prefix shared
+    with the previous sequence and applies only the remaining steps, so
+    a caller that visits sequences in step order applies each distinct
+    prefix once.  A sequence of another rank starts it afresh.
+    """
+
+    __slots__ = ("steps", "polys")
+
+    def __init__(self) -> None:
+        self.steps: tuple[Step, ...] = ()
+        self.polys: list[Polynomial] = []   # polys[k]: after the first k steps
+
+    def clear(self) -> None:
+        self.steps, self.polys = (), []
+
+
+def _apply_step(f: Polynomial, step: Step, op) -> Polynomial:
+    tooth, mult = step
+    if mult:
+        f = f.mul_monomial(_weight_exps(tooth, f.n, mult))
+    return op(tooth, f)
+
+
+def _evaluate_formula(
+    seq: OrthodonticSequence, op, chain: FormulaChain | None = None
+) -> Polynomial:
+    n = len(seq.interval_multiplicities)
+    steps = formula_steps(seq)
+    if chain is None:
+        f = Polynomial.one(n)
+        for step in steps:
+            f = _apply_step(f, step, op)
+    else:
+        if not chain.polys or chain.polys[0].n != n:
+            chain.steps, chain.polys = (), [Polynomial.one(n)]
+        polys = chain.polys
+        shared = 0
+        for old, new in zip(chain.steps, steps):
+            if old != new:
+                break
+            shared += 1
+        del polys[shared + 1 :]
+        f = polys[shared]
+        for step in steps[shared:]:
+            f = _apply_step(f, step, op)
+            polys.append(f)
+        chain.steps = steps
     # prefix of interval-column weights collapses to a single monomial
     suffix_sums = [0] * n
     running = 0
@@ -127,7 +188,7 @@ def orthodontia_schubert(D: Diagram) -> Polynomial:
     strongly separated with its columns already ordered (see
     :func:`orthodontia.diagram.sort_columns`).
     """
-    return _evaluate_formula(D, demazure)
+    return _evaluate_formula(orthodontia(D), demazure)
 
 
 def orthodontia_grothendieck(D: Diagram) -> Polynomial:
@@ -135,7 +196,17 @@ def orthodontia_grothendieck(D: Diagram) -> Polynomial:
 
     On Rothe diagrams this equals :func:`grothendieck_recursive`.
     """
-    return _evaluate_formula(D, demazure_lascoux)
+    return _evaluate_formula(orthodontia(D), demazure_lascoux)
+
+
+def chained_schubert(seq: OrthodonticSequence, chain: FormulaChain) -> Polynomial:
+    """:func:`orthodontia_schubert` of the diagram with sequence seq, through chain."""
+    return _evaluate_formula(seq, demazure, chain)
+
+
+def chained_grothendieck(seq: OrthodonticSequence, chain: FormulaChain) -> Polynomial:
+    """:func:`orthodontia_grothendieck` of the diagram with sequence seq, through chain."""
+    return _evaluate_formula(seq, demazure_lascoux, chain)
 
 
 def is_dominant(w: Permutation) -> bool:
@@ -276,20 +347,6 @@ class MonkTerm:
             raise ValueError("sign must be +1 or -1")
 
 
-def _swap_positions(word: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    lst = list(word)
-    lst[a - 1], lst[b - 1] = lst[b - 1], lst[a - 1]
-    return tuple(lst)
-
-
-def _covers(word: tuple[int, ...], x: int, y: int) -> bool:
-    # swapping positions x < y raises the length by exactly 1
-    wx, wy = word[x - 1], word[y - 1]
-    if wx >= wy:
-        return False
-    return all(not wx < word[p - 1] < wy for p in range(x + 1, y))
-
-
 def monk_terms(j: int, w: Permutation) -> tuple[MonkTerm, ...]:
     """The signed targets v with x_j * G_w = sum of sign * G_v.
 
@@ -299,49 +356,54 @@ def monk_terms(j: int, w: Permutation) -> tuple[MonkTerm, ...]:
     raising the length by exactly 1.  The sign is -1 when the number of
     above-j swaps is even, +1 when odd.
 
-    The chains are enumerated inside S_{n+1}; if any chain escapes S_n
-    the whole expansion needs a larger ambient rank and
-    :class:`RankOverflowError` is raised rather than truncating.
+    The chains live in S_{n+1}, where w fixes n+1.  A chain escapes S_n
+    exactly when it swaps j with position n+1; that swap can only be the
+    first above-j swap, and it raises the length by one from some chain
+    word iff it does so from w, i.e. iff w(j) exceeds every later entry.
+    Then the expansion needs a larger ambient rank and
+    :class:`RankOverflowError` is raised before any chain is enumerated.
     """
     n = w.n
     if not 1 <= j <= n:
         raise ValueError(f"variable index {j} out of range for rank {n}")
-    root = w.word + (n + 1,)
-    found: dict[tuple[int, ...], int] = {}
-
-    def record(word: tuple[int, ...], above_swaps: int) -> None:
-        sign = 1 if above_swaps % 2 == 1 else -1
-        prior = found.get(word)
-        if prior is not None and prior != sign:
-            raise AssertionError(f"conflicting signs for target {word[:n]}")
-        found[word] = sign
-
-    def extend_above(word: tuple[int, ...], cap: int, above_swaps: int) -> None:
-        for b in range(cap, j, -1):
-            if _covers(word, j, b):
-                nxt = _swap_positions(word, j, b)
-                record(nxt, above_swaps + 1)
-                extend_above(nxt, b - 1, above_swaps + 1)
-
-    def extend_below(word: tuple[int, ...], cap: int) -> None:
-        extend_above(word, n + 1, 0)
-        for a in range(cap, 0, -1):
-            if _covers(word, a, j):
-                nxt = _swap_positions(word, a, j)
-                record(nxt, 0)
-                extend_below(nxt, a - 1)
-
-    extend_below(root, j - 1)
-
-    overflow = [word for word in found if word[n] != n + 1]
-    if overflow:
-        samples = ", ".join(str(word[:n]) for word in sorted(overflow)[:3])
+    word = w.word
+    if all(v < word[j - 1] for v in word[j:]):
         raise RankOverflowError(
-            f"expansion of x_{j} * G_w for w={w} leaves S_{n} (e.g. via {samples})"
+            f"expansion of x_{j} * G_w for w={w} leaves S_{n} "
+            f"(swapping positions {j} and {n + 1} raises the length by one)"
         )
-    return tuple(
-        MonkTerm(Permutation(word[:n]), sign) for word, sign in sorted(found.items())
-    )
+    found: dict[tuple[int, ...], int] = {}
+    # depth-first over chains; an entry is a chain's word, the largest
+    # position left for a below-j swap (0 once an above-j swap is made),
+    # the largest position left for an above-j swap, and the chain's sign
+    stack = [(word, j - 1, n, -1)]
+    while stack:
+        word, below, above, sign = stack.pop()
+        wj = word[j - 1]
+        # swapping j < b raises the length by one iff no entry between
+        # them has a value between theirs
+        bound = n + 1
+        for b in range(j + 1, above + 1):
+            v = word[b - 1]
+            if wj < v < bound:
+                bound = v
+                nxt = word[: j - 1] + (v,) + word[j : b - 1] + (wj,) + word[b:]
+                if found.setdefault(nxt, -sign) != -sign:
+                    raise AssertionError(f"conflicting signs for target {nxt}")
+                stack.append((nxt, 0, b - 1, -sign))
+        if not below:
+            continue
+        bound = 0
+        for a in range(j - 1, 0, -1):
+            v = word[a - 1]
+            if bound < v < wj:
+                bound = v
+                if a <= below:
+                    nxt = word[: a - 1] + (wj,) + word[a : j - 1] + (v,) + word[j:]
+                    if found.setdefault(nxt, -1) != -1:
+                        raise AssertionError(f"conflicting signs for target {nxt}")
+                    stack.append((nxt, a - 1, n, -1))
+    return tuple(MonkTerm(Permutation(v), sign) for v, sign in sorted(found.items()))
 
 
 def fallen_boxes(w: Permutation) -> frozenset[tuple[int, int]]:

@@ -9,6 +9,11 @@ cross-check, not a tautology.
 The support checks in the library compare per-variable maximum
 exponents against a bound; the oracle for them tests every monomial in
 canonical order.
+
+The library decides a Monk expansion's overflow before enumerating and
+finds covering swaps by one scan per chain word; the oracle enumerates
+every chain in S_{n+1} by recursion, testing each swap from the
+definition, and reads the overflow off the targets.
 """
 
 from __future__ import annotations
@@ -109,3 +114,51 @@ def support_witness_scan(f: Polynomial, bound: Monomial) -> Monomial | None:
         if not monomial_divides(exps, bound):
             return exps
     return None
+
+
+def _covers(word: tuple[int, ...], x: int, y: int) -> bool:
+    # swapping positions x < y raises the length by exactly 1
+    wx, wy = word[x - 1], word[y - 1]
+    if wx >= wy:
+        return False
+    return all(not wx < word[p - 1] < wy for p in range(x + 1, y))
+
+
+def _swap_positions(word: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    lst = list(word)
+    lst[a - 1], lst[b - 1] = lst[b - 1], lst[a - 1]
+    return tuple(lst)
+
+
+def monk_terms_oracle(j: int, word: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """Every target of the transition chains of x_j * G_w in S_{n+1}, with its sign.
+
+    The expansion overflows S_n iff some target moves n + 1.
+    """
+    n = len(word)
+    found: dict[tuple[int, ...], int] = {}
+
+    def record(target: tuple[int, ...], above_swaps: int) -> None:
+        sign = 1 if above_swaps % 2 == 1 else -1
+        prior = found.get(target)
+        if prior is not None and prior != sign:
+            raise AssertionError(f"conflicting signs for target {target}")
+        found[target] = sign
+
+    def extend_above(current: tuple[int, ...], cap: int, above_swaps: int) -> None:
+        for b in range(cap, j, -1):
+            if _covers(current, j, b):
+                nxt = _swap_positions(current, j, b)
+                record(nxt, above_swaps + 1)
+                extend_above(nxt, b - 1, above_swaps + 1)
+
+    def extend_below(current: tuple[int, ...], cap: int) -> None:
+        extend_above(current, n + 1, 0)
+        for a in range(cap, 0, -1):
+            if _covers(current, a, j):
+                nxt = _swap_positions(current, a, j)
+                record(nxt, 0)
+                extend_below(nxt, a - 1)
+
+    extend_below(word + (n + 1,), j - 1)
+    return found

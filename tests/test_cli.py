@@ -8,7 +8,7 @@ import os
 
 import pytest
 
-from orthodontia import cli
+from orthodontia import cli, grothendieck
 from orthodontia.cli import (
     SUITES,
     cmd_compute,
@@ -193,10 +193,10 @@ def test_verify_cache_skips_malformed_line(tmp_path, line):
     code, out, err = run_verify(2, suites=["main"], cache=str(cache))
     assert code == 0 and out == expected
     assert err == f"warning: skipped 1 malformed line(s) in cache {cache}\n"
-    # the fresh records were appended after the bad line and replay cleanly
+    # the run rewrote the file without the bad line, so replay is silent
+    assert line not in cache.read_bytes()
     code, replay, err = run_verify(2, suites=["main"], cache=str(cache))
-    assert code == 0 and replay == expected
-    assert err.count("\n") == 1
+    assert code == 0 and replay == expected and err == ""
 
 
 @pytest.mark.parametrize(
@@ -215,8 +215,23 @@ def test_verify_cache_recomputes_record_missing_summary_fields(tmp_path, suite, 
     code, out, err = run_verify(2, suites=[suite], cache=str(cache))
     assert code == 0 and out == expected
     assert err == f"warning: skipped 1 malformed line(s) in cache {cache}\n"
-    code, replay, _ = run_verify(2, suites=[suite], cache=str(cache))
-    assert code == 0 and replay == expected
+    code, replay, err = run_verify(2, suites=[suite], cache=str(cache))
+    assert code == 0 and replay == expected and err == ""
+
+
+def test_verify_cache_drops_malformed_line_when_nothing_is_computed(tmp_path):
+    cache = tmp_path / "results.jsonl"
+    _, expected, _ = run_verify(2, suites=["main"], cache=str(cache))
+    complete = cache.read_bytes()
+    with cache.open("ab") as handle:
+        handle.write(b"[1]\n")
+    code, out, err = run_verify(2, suites=["main"], cache=str(cache))
+    assert code == 0 and out == expected
+    assert err == f"warning: skipped 1 malformed line(s) in cache {cache}\n"
+    assert cache.read_bytes() == complete
+    assert [p.name for p in tmp_path.iterdir()] == ["results.jsonl"]
+    code, replay, err = run_verify(2, suites=["main"], cache=str(cache))
+    assert code == 0 and replay == expected and err == ""
 
 
 def test_verify_stdout_golden_rank5():
@@ -227,6 +242,33 @@ def test_verify_stdout_golden_rank5():
         hashlib.sha256(out.encode()).hexdigest()
         == "d7b54a2cde352d4e2fcc57af447f700bb08c6287d62d3b603d39cfe7726b4107"
     )
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_verify_stdout_golden_rank6(jobs):
+    # sha256 of `verify --n 6` stdout with every suite, as first recorded
+    code, out, _ = run_verify(6, jobs=jobs)
+    assert code == 0
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "315ca8898455dc7626b6d92a2b118f967998db10819f7c21e8c05786bf31c075"
+    )
+
+
+def test_verify_main_applies_each_shared_prefix_once(monkeypatch):
+    # S_6 has 1,692 ascending-formula steps but 207 distinct step prefixes
+    counts = {"demazure": 0, "demazure_lascoux": 0}
+    for name in counts:
+        real = getattr(grothendieck, name)
+
+        def counted(j, f, real=real, name=name):
+            counts[name] += 1
+            return real(j, f)
+
+        monkeypatch.setattr(grothendieck, name, counted)
+    code, _, _ = run_verify(6, suites=["main"])
+    assert code == 0
+    assert counts == {"demazure": 207, "demazure_lascoux": 207}
 
 
 def test_check_monk_fails_when_one_sign_flips(monkeypatch):
@@ -263,3 +305,14 @@ def test_main_verify_smoke(capsys):
     assert main(["verify", "--n", "2", "--suite", "main,divisibility"]) == 0
     out = capsys.readouterr().out
     assert len(out.strip().splitlines()) == 2 * 2 + 2
+
+
+def test_main_unexpected_exception_exits_2(monkeypatch, capsys):
+    def broken(w):
+        raise RuntimeError("check failed\nunexpectedly")
+
+    monkeypatch.setitem(cli._SUITE_CHECKS, "main", broken)
+    assert main(["verify", "--n", "2", "--suite", "main"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: RuntimeError: check failed unexpectedly\n"
+    assert captured.out == ""

@@ -1,13 +1,21 @@
 from __future__ import annotations
 
+import gc
+import random
+import sys
+
 import pytest
 
-from orthodontia.diagram import Diagram, rothe_diagram
+from orthodontia.diagram import Diagram, orthodontia, rothe_diagram
 from orthodontia.grothendieck import (
+    FormulaChain,
     MonkTerm,
     RankOverflowError,
+    chained_grothendieck,
+    chained_schubert,
     dominant_grothendieck,
     fallen_boxes,
+    formula_steps,
     grothendieck_recursive,
     is_dominant,
     is_sorted_permutation,
@@ -31,6 +39,8 @@ from orthodontia.permutation import (
     symmetric_group,
 )
 from orthodontia.polynomial import Polynomial
+
+from oracles import monk_terms_oracle
 
 SCHUBERT_31542 = Polynomial(
     5,
@@ -141,6 +151,43 @@ def test_left_aligned_diagram_formula_smoke():
     g = orthodontia_grothendieck(D)
     assert not f.is_zero and not g.is_zero
     assert g.lowest_degree_component() == f
+
+
+def test_formula_chain_matches_fresh_evaluation_s6_then_s5():
+    words = list(symmetric_group(6))
+    random.Random(6).shuffle(words)
+    schubert_chain, groth_chain = FormulaChain(), FormulaChain()
+    # the S_5 tail checks that a change of rank restarts the chain
+    for w in words + list(symmetric_group(5)):
+        D = rothe_diagram(w)
+        seq = orthodontia(D)
+        assert chained_schubert(seq, schubert_chain) == orthodontia_schubert(D), w
+        assert chained_grothendieck(seq, groth_chain) == orthodontia_grothendieck(D), w
+        steps = formula_steps(seq)
+        for chain in (schubert_chain, groth_chain):
+            assert chain.steps == steps
+            assert len(chain.polys) == len(steps) + 1
+            assert chain.polys[0] == Polynomial.one(w.n)
+
+
+def test_recursive_routes_run_below_the_recursion_limit():
+    # w = 16 1 2 ... 15 lies 105 first-ascent steps below w0 in S_16, so a
+    # route that recursed once per step would exceed the lowered limit
+    w = from_one_line([16] + list(range(1, 16)))
+    depth = 0
+    frame = sys._getframe()
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 60)
+    try:
+        schubert = schubert_recursive(w)
+        groth = grothendieck_recursive(w)
+    finally:
+        sys.setrecursionlimit(limit)
+    # w avoids 132, so both polynomials are its diagram monomial
+    assert schubert == groth == dominant_grothendieck(w)
 
 
 def test_is_dominant():
@@ -300,6 +347,36 @@ def test_monk_unsorting_instance():
     assert b == 5
     terms = monk_terms(a, w.right_multiply_transposition(a, b))
     assert [(t.target, t.sign) for t in terms] == [(w, 1)]
+
+
+def test_monk_terms_match_chain_oracle_s1_to_s6():
+    for n in range(1, 7):
+        for w in symmetric_group(n):
+            for j in range(1, n + 1):
+                found = monk_terms_oracle(j, w.word)
+                if any(word[n] != n + 1 for word in found):
+                    with pytest.raises(RankOverflowError):
+                        monk_terms(j, w)
+                    continue
+                expected = [(word[:n], sign) for word, sign in sorted(found.items())]
+                assert [(t.target.word, t.sign) for t in monk_terms(j, w)] == expected, (w, j)
+
+
+def test_monk_terms_leave_no_reference_cycles_s4():
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        for w in symmetric_group(4):
+            for j in range(1, 5):
+                try:
+                    monk_terms(j, w)
+                except RankOverflowError:
+                    pass
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_monk_term_validation():
