@@ -170,18 +170,3 @@ def check_conjecture(w: Permutation) -> tuple[bool, Monomial | None]:
     bound = tuple(t + x for t, x in zip(vectors.theta, vectors.xi))
     witness = support_witness(grothendieck_recursive(w), bound)
     return witness is None, witness
-
-
-def analysis_record(w: Permutation) -> dict:
-    """One JSON-ready report record for w."""
-    report = degree_report(w)
-    div_ok, _ = check_divisibility(w)
-    conj_ok, _ = check_conjecture(w)
-    return {
-        "w": list(w.word),
-        "deg_groth": report.deg_groth,
-        "bound_prop": report.bound_prop,
-        "bound_cor": report.bound_cor,
-        "divisibility_ok": div_ok,
-        "conjecture_ok": conj_ok,
-    }

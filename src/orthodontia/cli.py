@@ -1,4 +1,4 @@
-"""Command-line front end: compute, ortho, diagram, verify, report.
+"""Command-line front end: compute, ortho, diagram, verify.
 
 Exit codes: 0 success, 1 verification failure, 2 usage error or any
 unexpected error (reported in one line on stderr, without a traceback).
@@ -8,30 +8,28 @@ and comma-separated otherwise (10,3,1,...).  The verify subcommand
 streams one JSON record per permutation per suite, followed by a summary
 record per suite; its stdout is byte-identical across runs and worker
 counts.  Results can be cached in an append-only JSON-lines file given
-by --cache or the ORTHODONTIA_CACHE environment variable; cached records
-are trusted only when their version stamp matches, and malformed lines
-(including records that lack a field the summary reads) are skipped and
-recomputed, with one warning on stderr, and the run then rewrites the
-file without them.  --jobs is capped at the CPU count.
+by --cache or the ORTHODONTIA_CACHE environment variable.  A cached
+record is replayed only when its stamp matches these sources and its ok
+is what its suite's record rule derives from its other fields; other
+stamps are ignored, and malformed lines and rejected records are skipped
+and recomputed, with one warning on stderr, and the run then rewrites
+the file without them.  --jobs is capped at the CPU count.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from itertools import repeat
 from operator import add, sub
-from typing import Sequence, TextIO
+from pathlib import Path
+from typing import Callable, NamedTuple, Sequence, TextIO
 
 from orthodontia import __version__
-from orthodontia.analysis import (
-    analysis_record,
-    check_conjecture,
-    check_divisibility,
-    degree_report,
-)
+from orthodontia.analysis import check_conjecture, check_divisibility, degree_report
 from orthodontia.diagram import orthodontia, orthodontia_trace, rothe_diagram, upper_closure
 from orthodontia.grothendieck import (
     FormulaChain,
@@ -50,7 +48,6 @@ from orthodontia.grothendieck import (
 from orthodontia.permutation import Permutation, from_one_line, symmetric_group
 
 SUITES = ("main", "divisibility", "degree", "sorted", "monk", "conjecture")
-GATING_SUITES = frozenset(SUITES) - {"conjecture"}
 DEFAULT_MAX_RANK = 7
 CACHE_ENV = "ORTHODONTIA_CACHE"
 
@@ -81,30 +78,25 @@ _GROTH_CHAIN = FormulaChain()
 
 def _check_main(w: Permutation) -> dict:
     seq = orthodontia(rothe_diagram(w))
-    groth_match = grothendieck_recursive(w) == chained_grothendieck(seq, _GROTH_CHAIN)
     schubert = schubert_recursive(w)
-    schubert_match = schubert == chained_schubert(seq, _SCHUBERT_CHAIN)
-    lowest_match = grothendieck_recursive(w).lowest_degree_component() == schubert
     return {
-        "groth_match": groth_match,
-        "schubert_match": schubert_match,
-        "lowest_degree_match": lowest_match,
-        "ok": groth_match and schubert_match and lowest_match,
+        "groth_match": grothendieck_recursive(w) == chained_grothendieck(seq, _GROTH_CHAIN),
+        "schubert_match": schubert == chained_schubert(seq, _SCHUBERT_CHAIN),
+        "lowest_degree_match": grothendieck_recursive(w).lowest_degree_component() == schubert,
     }
 
 
 def _check_divisibility(w: Permutation) -> dict:
-    ok, witness = check_divisibility(w)
-    return {"ok": ok, "witness": None if witness is None else list(witness)}
+    _, witness = check_divisibility(w)
+    return {"witness": None if witness is None else list(witness)}
 
 
 def _check_degree(w: Permutation) -> dict:
     try:
         report = degree_report(w)
     except ValueError:
-        return {"ok": False}
+        return {}
     return {
-        "ok": True,
         "deg_groth": report.deg_groth,
         "bound_prop": report.bound_prop,
         "bound_cor": report.bound_cor,
@@ -115,12 +107,7 @@ def _check_degree(w: Permutation) -> dict:
 
 def _check_sorted(w: Permutation) -> dict:
     step = check_sorted_step(w)
-    return {
-        "sorted": step.is_sorted,
-        "parts_ok": step.parts_ok,
-        "unsort_ok": step.unsort_ok,
-        "ok": step.ok,
-    }
+    return {"sorted": step.is_sorted, "parts_ok": step.parts_ok, "unsort_ok": step.unsort_ok}
 
 
 def _check_monk(w: Permutation) -> dict:
@@ -152,8 +139,8 @@ def _check_monk(w: Permutation) -> dict:
 
 
 def _check_conjecture(w: Permutation) -> dict:
-    ok, witness = check_conjecture(w)
-    return {"ok": ok, "witness": None if witness is None else list(witness)}
+    _, witness = check_conjecture(w)
+    return {"witness": None if witness is None else list(witness)}
 
 
 _SUITE_CHECKS = {
@@ -166,10 +153,48 @@ _SUITE_CHECKS = {
 }
 
 
+class _Rule(NamedTuple):
+    ok: Callable[[dict], bool]  # the record's ok, derived from its other fields
+    counts: dict[str, str] = {}  # int field the summary adds up -> name of the sum
+    gates: bool = True  # whether a failed record fails the run
+
+
+def _no_witness(record: dict) -> bool:
+    return "witness" in record and record["witness"] is None
+
+
+# Each suite's record rule.  The summary adds each count field over the
+# records that carry it; a passing record carries them all.
+_SUITE_RULES = {
+    "main": _Rule(
+        lambda r: r.get("groth_match") is True
+        and r.get("schubert_match") is True
+        and r.get("lowest_degree_match") is True
+    ),
+    "divisibility": _Rule(_no_witness),
+    # a record without its report (degree_report refused w) is {"ok": false}
+    "degree": _Rule(
+        lambda r: r.keys() >= {"deg_groth", "bound_prop", "bound_cor", "tight_prop", "tight_cor"},
+        {"tight_prop": "tight_prop_count", "tight_cor": "tight_cor_count"},
+    ),
+    # parts_ok is None unless w is sorted and not the identity
+    "sorted": _Rule(lambda r: r.get("unsort_ok") is True and r.get("parts_ok") is not False),
+    # ok is the residue check's own result; no other field decides it
+    "monk": _Rule(
+        lambda r: r.get("ok") is True, {"checked": "checked_total", "skipped": "skipped_total"}
+    ),
+    # an experiment: a counterexample is reported, never a failed run
+    "conjecture": _Rule(_no_witness, gates=False),
+}
+
+
 def _verify_task(args: tuple[tuple[int, ...], tuple[str, ...]]) -> tuple[tuple[int, ...], dict]:
     word, suites = args
     w = Permutation(word)
-    return word, {suite: _SUITE_CHECKS[suite](w) for suite in suites}
+    records = {suite: _SUITE_CHECKS[suite](w) for suite in suites}
+    for suite, record in records.items():
+        record["ok"] = _SUITE_RULES[suite].ok(record)
+    return word, records
 
 
 # ---------------------------------------------------------------------------
@@ -179,21 +204,37 @@ def _cache_key(n: int, suite: str, word: tuple[int, ...]) -> str:
     return f"{n}|{suite}|{','.join(map(str, word))}"
 
 
-def _has_summary_fields(key: str, record: dict) -> bool:
-    # the counts the verify summary reads from a record of the key's suite
-    if "|monk|" in key:
-        a, b = "checked", "skipped"
-    elif "|degree|" in key and record.get("ok"):
-        a, b = "tight_prop", "tight_cor"
-    else:
-        return True
-    return isinstance(record.get(a), int) and isinstance(record.get(b), int)
+@functools.cache
+def _cache_stamp() -> str:
+    """__version__ plus the first 16 hex digits of a sha256 over the
+    package's .py files, each file's name and bytes in name order."""
+    try:  # the builtin sha256: hashlib loads OpenSSL (20 ms, 3.5 MiB of RSS)
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        from _sha256 import sha256
+    digest = sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + path.read_bytes())
+    return f"{__version__}+{digest.hexdigest()[:16]}"
+
+
+def _trusted(key: str, record: dict) -> bool:
+    # a record with this stamp is replayed only when its ok is what its
+    # suite's rule derives and the count fields the summary reads are ints
+    parts = key.split("|")
+    rule = _SUITE_RULES.get(parts[1]) if len(parts) == 3 else None
+    if rule is None or record.get("ok") is not rule.ok(record):
+        return False
+    for field in rule.counts:
+        if (record["ok"] or field in record) and not isinstance(record.get(field), int):
+            return False
+    return True
 
 
 def _cache_entry(line: str) -> dict | None:
     # the entry on a nonblank line, or None when the line is malformed: not
-    # a JSON object with a string key and an object record, or a record of
-    # this version that lacks a field the summary reads
+    # a JSON object with a string key and an object record, or a record
+    # stamped with these sources that is not trusted
     try:
         entry = json.loads(line)
     except json.JSONDecodeError:
@@ -204,19 +245,18 @@ def _cache_entry(line: str) -> dict | None:
         and isinstance(entry.get("record"), dict)
     ):
         return None
-    if entry.get("version") == __version__ and not _has_summary_fields(
-        entry["key"], entry["record"]
-    ):
+    if entry.get("version") == _cache_stamp() and not _trusted(entry["key"], entry["record"]):
         return None
     return entry
 
 
 def _load_cache(path: str, err: TextIO) -> tuple[dict[str, dict], int]:
-    """Entries stamped with this version, and the number of malformed lines.
+    """Entries stamped with these sources, and the number of malformed lines.
 
     Malformed lines are skipped, with one warning, and their records are
     recomputed.
     """
+    stamp = _cache_stamp()
     cache: dict[str, dict] = {}
     malformed = 0
     try:
@@ -228,7 +268,7 @@ def _load_cache(path: str, err: TextIO) -> tuple[dict[str, dict], int]:
                 entry = _cache_entry(line)
                 if entry is None:
                     malformed += 1
-                elif entry.get("version") == __version__:
+                elif entry.get("version") == stamp:
                     cache[entry["key"]] = entry["record"]
     except OSError:
         pass
@@ -238,7 +278,7 @@ def _load_cache(path: str, err: TextIO) -> tuple[dict[str, dict], int]:
 
 
 def _cache_line(key: str, record: dict) -> str:
-    return _dump({"version": __version__, "key": key, "record": record}) + "\n"
+    return _dump({"version": _cache_stamp(), "key": key, "record": record}) + "\n"
 
 
 def _append_cache(path: str, entries: list[tuple[str, dict]]) -> None:
@@ -339,12 +379,6 @@ def cmd_diagram(w: Permutation, closure: bool, fmt: str, out: TextIO) -> int:
     return 0
 
 
-def cmd_report(n: int, out: TextIO) -> int:
-    for w in symmetric_group(n):
-        out.write(_dump(analysis_record(w)) + "\n")
-    return 0
-
-
 def cmd_verify(
     n: int,
     suites: Sequence[str],
@@ -417,38 +451,28 @@ def cmd_verify(
     fresh: list[tuple[str, dict]] = []
     failures = 0
     for suite in selected:
-        total = 0
+        rule = _SUITE_RULES[suite]
         failed = 0
-        extra: dict[str, int] = {}
+        totals: dict[str, int] = {}
         for word in words:
             record = results[word][suite]
-            total += 1
-            if not record.get("ok", False):
-                failed += 1
-            if suite == "degree" and record.get("ok"):
-                extra["tight_prop_count"] = extra.get("tight_prop_count", 0) + int(
-                    record["tight_prop"]
-                )
-                extra["tight_cor_count"] = extra.get("tight_cor_count", 0) + int(
-                    record["tight_cor"]
-                )
-            if suite == "monk":
-                extra["checked_total"] = extra.get("checked_total", 0) + record["checked"]
-                extra["skipped_total"] = extra.get("skipped_total", 0) + record["skipped"]
+            failed += not record["ok"]
+            for field, name in rule.counts.items():
+                if field in record:
+                    totals[name] = totals.get(name, 0) + record[field]
             key = _cache_key(n, suite, word)
             if cache_path and key not in cache:
                 fresh.append((key, record))
             out.write(_dump({"suite": suite, "n": n, "w": list(word), **record}) + "\n")
-        summary = {"suite": suite, "n": n, "summary": True, "total": total, "failed": failed}
-        summary.update(extra)
-        out.write(_dump(summary) + "\n")
-        if suite == "conjecture" and failed:
-            err.write(
-                f"CONJECTURE COUNTEREXAMPLE(S): {failed} permutation(s) in S_{n}; "
-                "see the conjecture records above\n"
-            )
-        elif suite in GATING_SUITES:
+        summary = {"suite": suite, "n": n, "summary": True, "total": len(words), "failed": failed}
+        out.write(_dump({**summary, **totals}) + "\n")
+        if rule.gates:
             failures += failed
+        elif failed:
+            err.write(
+                f"{suite.upper()} COUNTEREXAMPLE(S): {failed} permutation(s) in S_{n}; "
+                f"see the {suite} records above\n"
+            )
 
     if cache_path and (fresh or malformed):
         try:
@@ -505,9 +529,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=f"JSON-lines result cache (default: ${CACHE_ENV})",
     )
     verify.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK)
-
-    report = sub.add_parser("report", help="degree/support report for all of S_n")
-    report.add_argument("--n", type=int, required=True)
     return parser
 
 
@@ -531,11 +552,6 @@ def _run(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         return cmd_ortho(args.permutation, args.format, args.trace, out)
     if args.command == "diagram":
         return cmd_diagram(args.permutation, args.closure, args.format, out)
-    if args.command == "report":
-        if args.n < 1 or args.n > DEFAULT_MAX_RANK:
-            err.write(f"rank {args.n} outside 1..{DEFAULT_MAX_RANK}\n")
-            return 2
-        return cmd_report(args.n, out)
     if args.command == "verify":
         suites: list[str] = []
         for item in args.suite or [",".join(SUITES)]:

@@ -460,10 +460,6 @@ class SortedStepCheck:
     unsort_ok: bool
     parts_ok: bool | None
 
-    @property
-    def ok(self) -> bool:
-        return self.unsort_ok and self.parts_ok is not False
-
 
 def check_sorted_step(w: Permutation) -> SortedStepCheck:
     """Check the sorted-step relations for w, building its diagram once."""

@@ -216,7 +216,8 @@ def test_check_sorted_step_matches_relation_oracles_s6():
             assert step.parts_ok == _sorted_step_relations_hold(w)
         else:
             assert step.parts_ok is None
-        assert step.ok
+        assert step.unsort_ok
+        assert step.parts_ok is not False
 
 
 def test_criterion_4_structural_relations():

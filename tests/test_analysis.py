@@ -4,7 +4,6 @@ import pytest
 
 from orthodontia.analysis import (
     DegreeReport,
-    analysis_record,
     check_conjecture,
     check_divisibility,
     degree_report,
@@ -190,17 +189,3 @@ def test_check_conjecture_identity_and_14532():
     assert ok and witness is None
     v = support_vectors(w)
     assert tuple(t + x for t, x in zip(v.theta, v.xi)) == (3, 3, 3, 1, 0)
-
-
-def test_analysis_record_shape():
-    record = analysis_record(from_one_line([2, 1, 3]))
-    assert set(record) == {
-        "w",
-        "deg_groth",
-        "bound_prop",
-        "bound_cor",
-        "divisibility_ok",
-        "conjecture_ok",
-    }
-    assert record["w"] == [2, 1, 3]
-    assert record["divisibility_ok"] is True

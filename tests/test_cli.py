@@ -14,7 +14,6 @@ from orthodontia.cli import (
     cmd_compute,
     cmd_diagram,
     cmd_ortho,
-    cmd_report,
     cmd_verify,
     main,
     parse_permutation,
@@ -28,6 +27,11 @@ def run_verify(n, suites=SUITES, jobs=1, cache=None):
     out, err = io.StringIO(), io.StringIO()
     code = cmd_verify(n, list(suites), jobs, cache, out, err)
     return code, out.getvalue(), err.getvalue()
+
+
+def stamped(line: bytes) -> bytes:
+    """A cache line with its version 0.1.0 replaced by the stamp of these sources."""
+    return line.replace(b'"version":"0.1.0"', b'"version":"%s"' % cli._cache_stamp().encode())
 
 
 def test_parse_permutation():
@@ -106,24 +110,6 @@ def test_diagram_ascii_and_json():
     assert json.loads(out.getvalue())["columns"][1] == [1, 2, 3, 4]
 
 
-def test_report_jsonl():
-    out = io.StringIO()
-    assert cmd_report(3, out) == 0
-    lines = out.getvalue().strip().splitlines()
-    assert len(lines) == 6
-    for line in lines:
-        record = json.loads(line)
-        assert set(record) == {
-            "w",
-            "deg_groth",
-            "bound_prop",
-            "bound_cor",
-            "divisibility_ok",
-            "conjecture_ok",
-        }
-        assert record["divisibility_ok"] is True
-
-
 def test_verify_all_suites_pass_rank4():
     code, out, err = run_verify(4)
     assert code == 0
@@ -171,18 +157,28 @@ def test_verify_deterministic_across_runs_and_jobs():
 
 def test_verify_cache_round_trip(tmp_path):
     cache = tmp_path / "results.jsonl"
-    code, first, _ = run_verify(3, suites=["main"], cache=str(cache))
+    code, first, _ = run_verify(3, cache=str(cache))
     assert code == 0
-    assert cache.exists() and cache.read_text().strip()
-    code, second, _ = run_verify(3, suites=["main"], cache=str(cache))
-    assert code == 0
+    assert len(cache.read_text().splitlines()) == 6 * len(SUITES)
+    # every fresh record passes its suite's rule, so all of them replay
+    code, second, err = run_verify(3, cache=str(cache))
+    assert code == 0 and err == ""
     assert first == second
     # a stale version stamp is ignored, not trusted
     stale = {"version": "0.0.0", "key": "3|main|9,9,9", "record": {"ok": False}}
     with cache.open("a") as handle:
         handle.write(json.dumps(stale) + "\n")
-    code, third, _ = run_verify(3, suites=["main"], cache=str(cache))
+    code, third, _ = run_verify(3, cache=str(cache))
     assert code == 0 and third == first
+
+
+def test_verify_cache_ignores_records_stamped_before_the_source_hash(tmp_path):
+    # a record for a real key, stamped with the bare version 0.1.0
+    cache = tmp_path / "results.jsonl"
+    cache.write_bytes(b'{"version":"0.1.0","key":"2|main|2,1","record":{"ok":false}}\n')
+    _, expected, _ = run_verify(2, suites=["main"])
+    code, out, err = run_verify(2, suites=["main"], cache=str(cache))
+    assert code == 0 and out == expected and err == ""
 
 
 @pytest.mark.parametrize("line", [b'{"version":"0.1.0"}', b"[1]", b"\xff{"])
@@ -206,11 +202,40 @@ def test_verify_cache_skips_malformed_line(tmp_path, line):
         ("monk", b'{"version":"0.1.0","key":"2|monk|1,2","record":{"ok":true}}'),
         # an ok degree record without the tightness flags its summary counts
         ("degree", b'{"version":"0.1.0","key":"2|degree|2,1","record":{"ok":true}}'),
+        # from here on, each record's ok contradicts what its suite's rule derives
+        (
+            "main",
+            b'{"version":"0.1.0","key":"2|main|2,1","record":{"groth_match":false,'
+            b'"lowest_degree_match":true,"ok":true,"schubert_match":true}}',
+        ),
+        (
+            "divisibility",
+            b'{"version":"0.1.0","key":"2|divisibility|2,1","record":{"ok":true,"witness":[2,0]}}',
+        ),
+        (
+            "degree",
+            b'{"version":"0.1.0","key":"2|degree|1,2","record":{"bound_cor":0,"bound_prop":0,'
+            b'"deg_groth":0,"ok":false,"tight_cor":true,"tight_prop":true}}',
+        ),
+        (
+            "sorted",
+            b'{"version":"0.1.0","key":"2|sorted|2,1","record":{"ok":true,"parts_ok":false,'
+            b'"sorted":true,"unsort_ok":true}}',
+        ),
+        # ok is not the boolean the residue check returns
+        (
+            "monk",
+            b'{"version":"0.1.0","key":"2|monk|2,1","record":{"checked":2,"ok":1,"skipped":0}}',
+        ),
+        (
+            "conjecture",
+            b'{"version":"0.1.0","key":"2|conjecture|1,2","record":{"ok":false,"witness":null}}',
+        ),
     ],
 )
 def test_verify_cache_recomputes_record_missing_summary_fields(tmp_path, suite, line):
     cache = tmp_path / "results.jsonl"
-    cache.write_bytes(line + b"\n")
+    cache.write_bytes(stamped(line) + b"\n")
     _, expected, _ = run_verify(2, suites=[suite])
     code, out, err = run_verify(2, suites=[suite], cache=str(cache))
     assert code == 0 and out == expected
