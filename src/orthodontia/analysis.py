@@ -11,8 +11,12 @@ Two facts are verified exhaustively by the test and verify suites:
 - deg G_w is bounded both by deg S_w + (number of orthodontia steps) and
   by the box count of the upper closure.
 
-A sharper divisibility bound (the theta + xi vector) is checked as an
-experiment only: a counterexample is reported, never a build failure.
+The theta + xi bound is checked as an experiment only: a counterexample
+is reported, never a build failure.  It is not sharper than the first
+fact but weaker: theta is the upper-closure monomial itself (row i of
+the closure has a box in column c iff max(c) >= i) and xi >= 0, so
+x^(theta + xi) is a multiple of x^closure, and the experiment passes
+wherever the divisibility check does.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ class DegreeReport:
 
 @dataclass(frozen=True)
 class SupportVectors:
-    """The two exponent vectors whose sum conjecturally bounds the support.
+    """The two exponent vectors whose sum is the conjecture experiment's bound.
 
     ``theta``: entry j counts columns whose diagram reaches row j or lower.
     ``xi``: entry j counts orthodontia steps that swapped rows j, j+1.
@@ -163,8 +167,9 @@ def support_vectors(w: Permutation) -> SupportVectors:
 def check_conjecture(w: Permutation) -> tuple[bool, Monomial | None]:
     """Experimental check: do all monomials of G_w divide x^(theta + xi)?
 
-    A counterexample is interesting output, not an error; callers must
-    not fail a build on (False, witness).
+    Since theta is the upper-closure monomial and xi >= 0, this follows
+    from :func:`check_divisibility`: it can fail only where that check
+    fails.  Callers must not fail a build on (False, witness).
     """
     vectors = support_vectors(w)
     bound = tuple(t + x for t, x in zip(vectors.theta, vectors.xi))

@@ -7,13 +7,16 @@ Permutations are written as a digit string for rank at most 9 (31542)
 and comma-separated otherwise (10,3,1,...).  The verify subcommand
 streams one JSON record per permutation per suite, followed by a summary
 record per suite; its stdout is byte-identical across runs and worker
-counts.  Results can be cached in an append-only JSON-lines file given
-by --cache or the ORTHODONTIA_CACHE environment variable.  A cached
-record is replayed only when its stamp matches these sources and its ok
-is what its suite's record rule derives from its other fields; other
-stamps are ignored, and malformed lines and rejected records are skipped
-and recomputed, with one warning on stderr, and the run then rewrites
-the file without them.  --jobs is capped at the CPU count.
+counts.  Results can be cached in a JSON-lines file given by --cache or
+the ORTHODONTIA_CACHE environment variable.  A cached record is replayed
+only when its stamp matches these sources and its ok is what its suite's
+record rule derives from its other fields.  Lines with another stamp are
+skipped silently; malformed lines and rejected records are skipped and
+recomputed, with one warning on stderr.  A run that computes a record or
+skips a line rewrites the file from its trusted entries plus the new
+records, so stale lines go at the next write; of two concurrent runs
+sharing one file, the last writer's file is kept.  --jobs is capped at
+the CPU count.
 """
 
 from __future__ import annotations
@@ -231,79 +234,59 @@ def _trusted(key: str, record: dict) -> bool:
     return True
 
 
-def _cache_entry(line: str) -> dict | None:
-    # the entry on a nonblank line, or None when the line is malformed: not
-    # a JSON object with a string key and an object record, or a record
-    # stamped with these sources that is not trusted
-    try:
-        entry = json.loads(line)
-    except json.JSONDecodeError:
-        return None
-    if not (
-        isinstance(entry, dict)
-        and isinstance(entry.get("key"), str)
-        and isinstance(entry.get("record"), dict)
-    ):
-        return None
-    if entry.get("version") == _cache_stamp() and not _trusted(entry["key"], entry["record"]):
-        return None
-    return entry
+def _load_cache(path: str, err: TextIO) -> tuple[dict[str, dict], bool]:
+    """Trusted entries stamped with these sources, and whether the file
+    held any nonblank line they leave out.
 
-
-def _load_cache(path: str, err: TextIO) -> tuple[dict[str, dict], int]:
-    """Entries stamped with these sources, and the number of malformed lines.
-
-    Malformed lines are skipped, with one warning, and their records are
-    recomputed.
+    Lines that are not cache entries, and records with this stamp that
+    are not trusted, are skipped with one warning and recomputed; lines
+    with another stamp are skipped silently.
     """
     stamp = _cache_stamp()
     cache: dict[str, dict] = {}
+    lines = 0
     malformed = 0
     try:
         with open(path, "r", encoding="utf-8", errors="replace") as handle:
             for line in handle:
-                line = line.strip()
-                if not line:
+                if not line.strip():
                     continue
-                entry = _cache_entry(line)
-                if entry is None:
+                lines += 1
+                try:
+                    entry = json.loads(line)
+                except json.JSONDecodeError:
+                    malformed += 1
+                    continue
+                if not (
+                    isinstance(entry, dict)
+                    and isinstance(key := entry.get("key"), str)
+                    and isinstance(record := entry.get("record"), dict)
+                ):
                     malformed += 1
                 elif entry.get("version") == stamp:
-                    cache[entry["key"]] = entry["record"]
+                    if _trusted(key, record):
+                        cache[key] = record
+                    else:
+                        malformed += 1
     except OSError:
         pass
     if malformed:
         err.write(f"warning: skipped {malformed} malformed line(s) in cache {path}\n")
-    return cache, malformed
+    return cache, lines > len(cache)
 
 
-def _cache_line(key: str, record: dict) -> str:
-    return _dump({"version": _cache_stamp(), "key": key, "record": record}) + "\n"
-
-
-def _append_cache(path: str, entries: list[tuple[str, dict]]) -> None:
-    with open(path, "a", encoding="utf-8") as handle:
-        for key, record in entries:
-            handle.write(_cache_line(key, record))
-
-
-def _rewrite_cache(path: str, entries: list[tuple[str, dict]]) -> None:
-    """Rewrite the cache without its malformed lines, then add the entries.
+def _write_cache(path: str, cache: dict[str, dict]) -> None:
+    """Replace the cache file with one line per entry, in dict order.
 
     The new file is written beside the old one and renamed over it, so a
     failed write leaves the old file as it was.
     """
+    stamp = _cache_stamp()
     temp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(path, "r", encoding="utf-8", errors="replace") as source, open(
-            temp, "w", encoding="utf-8"
-        ) as handle:
-            for line in source:
-                line = line.strip()
-                if line and _cache_entry(line) is not None:
-                    handle.write(line + "\n")
-            for key, record in entries:
-                handle.write(_cache_line(key, record))
+        with open(temp, "w", encoding="utf-8") as handle:
+            for key, record in cache.items():
+                handle.write(_dump({"version": stamp, "key": key, "record": record}) + "\n")
         os.replace(temp, path)
     except OSError:
         if os.path.exists(temp):
@@ -395,6 +378,9 @@ def cmd_verify(
     if bad:
         err.write(f"unknown suites: {', '.join(bad)}\n")
         return 2
+    if not suites:
+        err.write(f"no suite selected; choose from {', '.join(SUITES)}\n")
+        return 2
     if n >= 7:
         err.write(f"warning: rank {n} sweeps {n}! permutations; expect a long run\n")
     cpus = os.cpu_count() or 1
@@ -406,16 +392,16 @@ def cmd_verify(
     words = [w.word for w in symmetric_group(n)]
 
     cache: dict[str, dict] = {}
-    malformed = 0
+    dropped = False
     if cache_path:
-        cache, malformed = _load_cache(cache_path, err)
+        cache, dropped = _load_cache(cache_path, err)
 
     results: dict[tuple[int, ...], dict[str, dict]] = {word: {} for word in words}
     tasks: list[tuple[tuple[int, ...], tuple[str, ...]]] = []
     for word in words:
         missing = []
         for suite in selected:
-            record = cache.get(_cache_key(n, suite, word))
+            record = cache.get(_cache_key(n, suite, word)) if cache else None
             if record is not None:
                 results[word][suite] = record
             else:
@@ -448,7 +434,6 @@ def cmd_verify(
                 word, records = _verify_task(task)
                 results[word].update(records)
 
-    fresh: list[tuple[str, dict]] = []
     failures = 0
     for suite in selected:
         rule = _SUITE_RULES[suite]
@@ -460,9 +445,8 @@ def cmd_verify(
             for field, name in rule.counts.items():
                 if field in record:
                     totals[name] = totals.get(name, 0) + record[field]
-            key = _cache_key(n, suite, word)
-            if cache_path and key not in cache:
-                fresh.append((key, record))
+            if cache_path:
+                cache.setdefault(_cache_key(n, suite, word), record)
             out.write(_dump({"suite": suite, "n": n, "w": list(word), **record}) + "\n")
         summary = {"suite": suite, "n": n, "summary": True, "total": len(words), "failed": failed}
         out.write(_dump({**summary, **totals}) + "\n")
@@ -474,12 +458,9 @@ def cmd_verify(
                 f"see the {suite} records above\n"
             )
 
-    if cache_path and (fresh or malformed):
+    if cache_path and (tasks or dropped):
         try:
-            if malformed:
-                _rewrite_cache(cache_path, fresh)
-            else:
-                _append_cache(cache_path, fresh)
+            _write_cache(cache_path, cache)
         except OSError as exc:
             err.write(f"cache write failed: {exc}\n")
             return 2

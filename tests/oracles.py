@@ -14,6 +14,10 @@ The library decides a Monk expansion's overflow before enumerating and
 finds covering swaps by one scan per chain word; the oracle enumerates
 every chain in S_{n+1} by recursion, testing each swap from the
 definition, and reads the overflow off the targets.
+
+The library builds G_w from the four operators, by recursion and by the
+ascending formula; the pipe-dream oracle uses no operator at all, only
+the K-theoretic pipe-dream sum.
 """
 
 from __future__ import annotations
@@ -162,3 +166,30 @@ def monk_terms_oracle(j: int, word: tuple[int, ...]) -> dict[tuple[int, ...], in
 
     extend_below(word + (n + 1,), j - 1)
     return found
+
+
+def pipe_dream_grothendiecks(n: int) -> dict[tuple[int, ...], Polynomial]:
+    """G_w for every w in S_n, summed over K-theoretic pipe dreams.
+
+    A pipe dream P is a set of crosses on the staircase cells (i, j) with
+    i + j <= n.  Read row by row from the top, each row right to left, the
+    cross at (i, j) stands for s_(i+j-1), and the Demazure product of the
+    word applies s_k only where it raises the length.  Then G_w is the sum
+    of (-1)^(|P| - l(w)) x^wt(P) over the P whose product is w, where
+    wt(P)_i counts the crosses in row i (Fomin-Kirillov; Knutson-Miller).
+    """
+    cells = [(i, j) for i in range(1, n) for j in range(n - i, 0, -1)]
+    sums: dict[tuple[int, ...], dict[Monomial, int]] = {}
+    for mask in range(1 << len(cells)):
+        word = list(range(1, n + 1))
+        weight = [0] * n
+        for bit, (i, j) in enumerate(cells):
+            if mask >> bit & 1:
+                weight[i - 1] += 1
+                k = i + j - 1
+                if word[k - 1] < word[k]:
+                    word[k - 1], word[k] = word[k], word[k - 1]
+        w, exps = tuple(word), tuple(weight)
+        terms = sums.setdefault(w, {})
+        terms[exps] = terms.get(exps, 0) + (-1) ** (sum(exps) - inversions_by_enumeration(w))
+    return {w: Polynomial(n, terms) for w, terms in sums.items()}

@@ -147,6 +147,14 @@ def test_verify_rank_and_suite_validation():
     assert cmd_verify(3, ["bogus"], 1, None, out, err_io) == 2
 
 
+@pytest.mark.parametrize("suite", ["", " , "])
+def test_main_verify_empty_suite_list_exits_2(capsys, suite):
+    assert main(["verify", "--n", "3", "--suite", suite]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"no suite selected; choose from {', '.join(SUITES)}\n"
+
+
 def test_verify_deterministic_across_runs_and_jobs():
     _, first, _ = run_verify(3)
     _, second, _ = run_verify(3)
@@ -168,8 +176,25 @@ def test_verify_cache_round_trip(tmp_path):
     stale = {"version": "0.0.0", "key": "3|main|9,9,9", "record": {"ok": False}}
     with cache.open("a") as handle:
         handle.write(json.dumps(stale) + "\n")
-    code, third, _ = run_verify(3, cache=str(cache))
-    assert code == 0 and third == first
+    code, third, err = run_verify(3, cache=str(cache))
+    assert code == 0 and third == first and err == ""
+    # the run that skipped the stale line rewrote the file without it
+    assert b"0.0.0" not in cache.read_bytes()
+    assert len(cache.read_text().splitlines()) == 6 * len(SUITES)
+
+
+# a path in a directory that does not exist, where the temporary file
+# cannot be opened; and a directory, which the temporary file cannot
+# be renamed over
+@pytest.mark.parametrize("name", ["missing/results.jsonl", "directory"])
+def test_verify_cache_write_failure_exits_2(tmp_path, name):
+    (tmp_path / "directory").mkdir()
+    cache = tmp_path / name
+    _, expected, _ = run_verify(2, suites=["main"])
+    code, out, err = run_verify(2, suites=["main"], cache=str(cache))
+    assert code == 2 and out == expected
+    assert len(err.splitlines()) == 1 and err.startswith("cache write failed: ")
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 def test_verify_cache_ignores_records_stamped_before_the_source_hash(tmp_path):

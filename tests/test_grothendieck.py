@@ -40,7 +40,7 @@ from orthodontia.permutation import (
 )
 from orthodontia.polynomial import Polynomial
 
-from oracles import monk_terms_oracle
+from oracles import monk_terms_oracle, pipe_dream_grothendiecks
 
 SCHUBERT_31542 = Polynomial(
     5,
@@ -467,3 +467,14 @@ def test_warm_caches():
     warm_caches(3)
     for w in symmetric_group(3):
         assert grothendieck_recursive(w).lowest_degree_component() == schubert_recursive(w)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_both_routes_match_pipe_dream_oracle(n):
+    sums = pipe_dream_grothendiecks(n)
+    assert len(sums) == len(list(symmetric_group(n)))
+    for w in symmetric_group(n):
+        groth = sums[w.word]
+        assert groth == grothendieck_recursive(w)
+        assert groth == orthodontia_grothendieck(rothe_diagram(w))
+        assert groth.lowest_degree_component() == schubert_recursive(w)
