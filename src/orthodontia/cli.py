@@ -8,15 +8,17 @@ and comma-separated otherwise (10,3,1,...).  The verify subcommand
 streams one JSON record per permutation per suite, followed by a summary
 record per suite; its stdout is byte-identical across runs and worker
 counts.  Results can be cached in a JSON-lines file given by --cache or
-the ORTHODONTIA_CACHE environment variable.  A cached record is replayed
-only when its stamp matches these sources and its ok is what its suite's
-record rule derives from its other fields.  Lines with another stamp are
-skipped silently; malformed lines and rejected records are skipped and
-recomputed, with one warning on stderr.  A run that computes a record or
-skips a line rewrites the file from its trusted entries plus the new
-records, so stale lines go at the next write; of two concurrent runs
-sharing one file, the last writer's file is kept.  --jobs is capped at
-the CPU count.
+the ORTHODONTIA_CACHE environment variable; a directory, or a path in
+a missing one, is refused before the sweep.  A cached record is replayed
+only when its stamp matches these sources, its ok is what its suite's
+record rule derives from its word and other fields, and it carries its
+suite's count fields, as every record does.  Lines with another stamp
+are skipped silently; malformed lines and rejected records are skipped
+and recomputed, with one warning on stderr.  A run that computes a
+record or skips a line rewrites the file from its trusted entries plus
+the new records, so stale lines go at the next write; of two concurrent
+runs sharing one file, the last writer's file is kept.  --jobs is capped
+at the CPU count.
 """
 
 from __future__ import annotations
@@ -95,10 +97,7 @@ def _check_divisibility(w: Permutation) -> dict:
 
 
 def _check_degree(w: Permutation) -> dict:
-    try:
-        report = degree_report(w)
-    except ValueError:
-        return {}
+    report = degree_report(w)
     return {
         "deg_groth": report.deg_groth,
         "bound_prop": report.bound_prop,
@@ -157,34 +156,49 @@ _SUITE_CHECKS = {
 
 
 class _Rule(NamedTuple):
-    ok: Callable[[dict], bool]  # the record's ok, derived from its other fields
+    # the record's ok, derived from the word and the record's other fields
+    ok: Callable[[tuple[int, ...], dict], bool]
     counts: dict[str, str] = {}  # int field the summary adds up -> name of the sum
     gates: bool = True  # whether a failed record fails the run
 
 
-def _no_witness(record: dict) -> bool:
+def _no_witness(word: tuple[int, ...], record: dict) -> bool:
     return "witness" in record and record["witness"] is None
 
 
-# Each suite's record rule.  The summary adds each count field over the
-# records that carry it; a passing record carries them all.
+def _within_bounds(word: tuple[int, ...], record: dict) -> bool:
+    deg, prop, cor = record.get("deg_groth"), record.get("bound_prop"), record.get("bound_cor")
+    return (
+        type(deg) is int and type(prop) is int and type(cor) is int
+        and deg <= prop and deg <= cor
+        and record.get("tight_prop") is (deg == prop) and record.get("tight_cor") is (deg == cor)
+    )
+
+
+def _parts_and_unsort_ok(word: tuple[int, ...], record: dict) -> bool:
+    # parts_ok is a boolean exactly when w is sorted and not the identity
+    checked = record.get("sorted") is True and word != tuple(range(1, len(word) + 1))
+    parts_ok = record.get("parts_ok")
+    return record.get("unsort_ok") is True and (parts_ok is True if checked else parts_ok is None)
+
+
+# Each suite's record rule.  Every record, passing or failing, carries
+# the suite's count fields, and the summary adds them up.
 _SUITE_RULES = {
     "main": _Rule(
-        lambda r: r.get("groth_match") is True
+        lambda word, r: r.get("groth_match") is True
         and r.get("schubert_match") is True
         and r.get("lowest_degree_match") is True
     ),
     "divisibility": _Rule(_no_witness),
-    # a record without its report (degree_report refused w) is {"ok": false}
     "degree": _Rule(
-        lambda r: r.keys() >= {"deg_groth", "bound_prop", "bound_cor", "tight_prop", "tight_cor"},
-        {"tight_prop": "tight_prop_count", "tight_cor": "tight_cor_count"},
+        _within_bounds, {"tight_prop": "tight_prop_count", "tight_cor": "tight_cor_count"}
     ),
-    # parts_ok is None unless w is sorted and not the identity
-    "sorted": _Rule(lambda r: r.get("unsort_ok") is True and r.get("parts_ok") is not False),
+    "sorted": _Rule(_parts_and_unsort_ok),
     # ok is the residue check's own result; no other field decides it
     "monk": _Rule(
-        lambda r: r.get("ok") is True, {"checked": "checked_total", "skipped": "skipped_total"}
+        lambda word, r: r.get("ok") is True,
+        {"checked": "checked_total", "skipped": "skipped_total"},
     ),
     # an experiment: a counterexample is reported, never a failed run
     "conjecture": _Rule(_no_witness, gates=False),
@@ -196,7 +210,7 @@ def _verify_task(args: tuple[tuple[int, ...], tuple[str, ...]]) -> tuple[tuple[i
     w = Permutation(word)
     records = {suite: _SUITE_CHECKS[suite](w) for suite in suites}
     for suite, record in records.items():
-        record["ok"] = _SUITE_RULES[suite].ok(record)
+        record["ok"] = _SUITE_RULES[suite].ok(word, record)
     return word, records
 
 
@@ -221,15 +235,25 @@ def _cache_stamp() -> str:
     return f"{__version__}+{digest.hexdigest()[:16]}"
 
 
+@functools.cache
+def _key_word(text: str) -> tuple[int, ...]:
+    # parsed once per word, not once for each of its suites' records
+    return tuple(map(int, text.split(",")))
+
+
 def _trusted(key: str, record: dict) -> bool:
     # a record with this stamp is replayed only when its ok is what its
     # suite's rule derives and the count fields the summary reads are ints
-    parts = key.split("|")
-    rule = _SUITE_RULES.get(parts[1]) if len(parts) == 3 else None
-    if rule is None or record.get("ok") is not rule.ok(record):
+    try:
+        _, suite, text = key.split("|")
+        word = _key_word(text)
+    except ValueError:
+        return False
+    rule = _SUITE_RULES.get(suite)
+    if rule is None or record.get("ok") is not rule.ok(word, record):
         return False
     for field in rule.counts:
-        if (record["ok"] or field in record) and not isinstance(record.get(field), int):
+        if not isinstance(record.get(field), int):
             return False
     return True
 
@@ -381,6 +405,12 @@ def cmd_verify(
     if not suites:
         err.write(f"no suite selected; choose from {', '.join(SUITES)}\n")
         return 2
+    # the cache is written beside its path and renamed over it after the sweep
+    if cache_path and (
+        os.path.isdir(cache_path) or not os.path.isdir(os.path.dirname(os.path.abspath(cache_path)))
+    ):
+        err.write(f"cache {cache_path} cannot be written: not a file in an existing directory\n")
+        return 2
     if n >= 7:
         err.write(f"warning: rank {n} sweeps {n}! permutations; expect a long run\n")
     cpus = os.cpu_count() or 1
@@ -438,13 +468,10 @@ def cmd_verify(
     for suite in selected:
         rule = _SUITE_RULES[suite]
         failed = 0
-        totals: dict[str, int] = {}
+        totals = {name: sum(results[w][suite][f] for w in words) for f, name in rule.counts.items()}
         for word in words:
             record = results[word][suite]
             failed += not record["ok"]
-            for field, name in rule.counts.items():
-                if field in record:
-                    totals[name] = totals.get(name, 0) + record[field]
             if cache_path:
                 cache.setdefault(_cache_key(n, suite, word), record)
             out.write(_dump({"suite": suite, "n": n, "w": list(word), **record}) + "\n")

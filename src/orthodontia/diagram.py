@@ -223,6 +223,12 @@ def upper_closure(D: Diagram) -> Diagram:
     return Diagram(D.n, tuple(_interval(max(c)) if c else frozenset() for c in D.columns))
 
 
+def closure_monomial(D: Diagram) -> Monomial:
+    """The upper-closure monomial: row i counts columns whose lowest box is in row i or below."""
+    maxima = [max(c) for c in D.columns if c]
+    return tuple(sum(1 for m in maxima if m >= i) for i in range(1, D.n + 1))
+
+
 def diagram_monomial(D: Diagram) -> Monomial:
     """Exponent vector counting boxes per row: exponent of x_i = #boxes in row i."""
     exps = [0] * D.n

@@ -149,7 +149,9 @@ def test_criterion_3_divisibility_and_degree_bounds_s6():
         passed, witness = check_divisibility(w)
         if not passed:
             ok = False
-        report = degree_report(w)  # raises if a bound fails
+        report = degree_report(w)
+        if report.deg_groth > report.bound_prop or report.deg_groth > report.bound_cor:
+            ok = False
         tight_prop += report.deg_groth == report.bound_prop
         tight_cor += report.deg_groth == report.bound_cor
     detail = (

@@ -3,7 +3,6 @@ from __future__ import annotations
 import pytest
 
 from orthodontia.analysis import (
-    DegreeReport,
     check_conjecture,
     check_divisibility,
     degree_report,
@@ -93,21 +92,10 @@ def test_degree_report_longest():
     assert r.deg_groth == 6 and r.deg_schub == 6
 
 
-def test_degree_report_invariant_enforced():
-    with pytest.raises(ValueError):
-        DegreeReport(
-            deg_groth=9,
-            deg_schub=1,
-            ortho_length=1,
-            upper_closure_size=3,
-            bound_prop=2,
-            bound_cor=3,
-        )
-
-
 def test_degree_bounds_s5():
     for w in symmetric_group(5):
-        degree_report(w)
+        r = degree_report(w)
+        assert r.deg_groth <= r.bound_prop and r.deg_groth <= r.bound_cor, w
 
 
 def test_exponent_change_check_s5():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import io
 import json
@@ -185,16 +186,32 @@ def test_verify_cache_round_trip(tmp_path):
 
 # a path in a directory that does not exist, where the temporary file
 # cannot be opened; and a directory, which the temporary file cannot
-# be renamed over
+# be renamed over: both are refused before any record is computed
 @pytest.mark.parametrize("name", ["missing/results.jsonl", "directory"])
-def test_verify_cache_write_failure_exits_2(tmp_path, name):
+def test_verify_cache_write_failure_exits_2(tmp_path, monkeypatch, name):
     (tmp_path / "directory").mkdir()
     cache = tmp_path / name
-    _, expected, _ = run_verify(2, suites=["main"])
+
+    def never(w):
+        raise AssertionError("a record was computed")
+
+    monkeypatch.setitem(cli._SUITE_CHECKS, "main", never)
     code, out, err = run_verify(2, suites=["main"], cache=str(cache))
-    assert code == 2 and out == expected
-    assert len(err.splitlines()) == 1 and err.startswith("cache write failed: ")
+    assert code == 2 and out == ""
+    assert err == f"cache {cache} cannot be written: not a file in an existing directory\n"
     assert list(tmp_path.rglob("*.tmp")) == []
+
+
+def test_verify_cache_write_failure_after_the_sweep_exits_2(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    _, expected, _ = run_verify(2, suites=["main"])
+    code, out, err = run_verify(2, suites=["main"], cache=str(tmp_path / "results.jsonl"))
+    assert code == 2 and out == expected
+    assert err == "cache write failed: rename refused\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_verify_cache_ignores_records_stamped_before_the_source_hash(tmp_path):
@@ -227,6 +244,8 @@ def test_verify_cache_skips_malformed_line(tmp_path, line):
         ("monk", b'{"version":"0.1.0","key":"2|monk|1,2","record":{"ok":true}}'),
         # an ok degree record without the tightness flags its summary counts
         ("degree", b'{"version":"0.1.0","key":"2|degree|2,1","record":{"ok":true}}'),
+        # a failing monk record without its counts
+        ("monk", b'{"version":"0.1.0","key":"2|monk|2,1","record":{"ok":false}}'),
         # from here on, each record's ok contradicts what its suite's rule derives
         (
             "main",
@@ -242,9 +261,27 @@ def test_verify_cache_skips_malformed_line(tmp_path, line):
             b'{"version":"0.1.0","key":"2|degree|1,2","record":{"bound_cor":0,"bound_prop":0,'
             b'"deg_groth":0,"ok":false,"tight_cor":true,"tight_prop":true}}',
         ),
+        # deg_groth over both bounds
+        (
+            "degree",
+            b'{"version":"0.1.0","key":"2|degree|2,1","record":{"bound_cor":1,"bound_prop":1,'
+            b'"deg_groth":9,"ok":true,"tight_cor":false,"tight_prop":false}}',
+        ),
+        # tight_prop false where deg_groth equals bound_prop
+        (
+            "degree",
+            b'{"version":"0.1.0","key":"2|degree|2,1","record":{"bound_cor":1,"bound_prop":1,'
+            b'"deg_groth":1,"ok":true,"tight_cor":true,"tight_prop":false}}',
+        ),
         (
             "sorted",
             b'{"version":"0.1.0","key":"2|sorted|2,1","record":{"ok":true,"parts_ok":false,'
+            b'"sorted":true,"unsort_ok":true}}',
+        ),
+        # 132 is sorted and not the identity, so its parts were checked
+        (
+            "sorted",
+            b'{"version":"0.1.0","key":"3|sorted|1,3,2","record":{"ok":true,"parts_ok":null,'
             b'"sorted":true,"unsort_ok":true}}',
         ),
         # ok is not the boolean the residue check returns
@@ -259,14 +296,38 @@ def test_verify_cache_skips_malformed_line(tmp_path, line):
     ],
 )
 def test_verify_cache_recomputes_record_missing_summary_fields(tmp_path, suite, line):
+    n = int(json.loads(line)["key"].split("|")[0])
     cache = tmp_path / "results.jsonl"
     cache.write_bytes(stamped(line) + b"\n")
-    _, expected, _ = run_verify(2, suites=[suite])
-    code, out, err = run_verify(2, suites=[suite], cache=str(cache))
+    _, expected, _ = run_verify(n, suites=[suite])
+    code, out, err = run_verify(n, suites=[suite], cache=str(cache))
     assert code == 0 and out == expected
     assert err == f"warning: skipped 1 malformed line(s) in cache {cache}\n"
-    code, replay, err = run_verify(2, suites=[suite], cache=str(cache))
+    code, replay, err = run_verify(n, suites=[suite], cache=str(cache))
     assert code == 0 and replay == expected and err == ""
+
+
+def test_verify_degree_record_over_a_bound_fails_with_its_counts(monkeypatch):
+    real = cli.degree_report
+
+    def over(w):
+        report = real(w)
+        if w.word == (2, 1):
+            return dataclasses.replace(report, deg_groth=report.bound_cor + 1)
+        return report
+
+    monkeypatch.setattr(cli, "degree_report", over)
+    code, out, _ = run_verify(2, suites=["degree"])
+    assert code == 1
+    records = [json.loads(line) for line in out.splitlines()]
+    assert records[1] == {
+        "suite": "degree", "n": 2, "w": [2, 1], "deg_groth": 2, "bound_prop": 1,
+        "bound_cor": 1, "tight_prop": False, "tight_cor": False, "ok": False,
+    }
+    assert records[2] == {
+        "suite": "degree", "n": 2, "summary": True, "total": 2, "failed": 1,
+        "tight_prop_count": 1, "tight_cor_count": 1,
+    }
 
 
 def test_verify_cache_drops_malformed_line_when_nothing_is_computed(tmp_path):

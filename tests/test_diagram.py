@@ -8,6 +8,7 @@ import pytest
 from orthodontia.diagram import (
     Diagram,
     OrthodonticSequence,
+    closure_monomial,
     diagram_monomial,
     is_strongly_separated,
     missing_tooth,
@@ -135,6 +136,13 @@ def test_upper_closure_monomial_14532():
     closed = upper_closure(D)
     assert diagram_monomial(closed) == (2, 2, 2, 1, 0)
     assert closed.box_count() == 7
+
+
+def test_closure_monomial_is_the_upper_closure_monomial():
+    for n in range(1, 7):
+        for w in symmetric_group(n):
+            D = rothe_diagram(w)
+            assert closure_monomial(D) == diagram_monomial(upper_closure(D)), w
 
 
 def test_diagram_monomial():
