@@ -9,16 +9,20 @@ streams one JSON record per permutation per suite, followed by a summary
 record per suite; its stdout is byte-identical across runs and worker
 counts.  Results can be cached in a JSON-lines file given by --cache or
 the ORTHODONTIA_CACHE environment variable; a directory, or a path in
-a missing one, is refused before the sweep.  A cached record is replayed
-only when its stamp matches these sources, its ok is what its suite's
-record rule derives from its word and other fields, and it carries its
-suite's count fields, as every record does.  Lines with another stamp
-are skipped silently; malformed lines and rejected records are skipped
-and recomputed, with one warning on stderr.  A run that computes a
-record or skips a line rewrites the file from its trusted entries plus
-the new records, so stale lines go at the next write; of two concurrent
-runs sharing one file, the last writer's file is kept.  --jobs is capped
-at the CPU count.
+a missing one, is refused before the sweep.  The file's first line is
+the stamp of these sources, {"version": STAMP}, and every other line is
+one record exactly as verify prints it.  The first line decides how the
+rest is read: after the current stamp, a record is replayed only when
+its w is a permutation of 1..n, its ok is what its suite's record rule
+derives from its word and other fields, and it carries its suite's
+count fields, as every record does; other lines are skipped and
+recomputed, with one warning on stderr.  After another stamp, or a line
+of an older format, every line is skipped silently; after anything
+else, every line is malformed and skipped with the warning.  A run that
+computes a record or skips a line rewrites the file from its trusted
+records plus the new ones, so stale lines go at the next write; of two
+concurrent runs sharing one file, the last writer's file is kept.
+--jobs is capped at the CPU count.
 """
 
 from __future__ import annotations
@@ -195,9 +199,11 @@ _SUITE_RULES = {
         _within_bounds, {"tight_prop": "tight_prop_count", "tight_cor": "tight_cor_count"}
     ),
     "sorted": _Rule(_parts_and_unsort_ok),
-    # ok is the residue check's own result; no other field decides it
+    # ok is the residue check's own result, and each j in 1..n was checked or skipped
     "monk": _Rule(
-        lambda word, r: r.get("ok") is True,
+        lambda word, r: r.get("ok") is True
+        and type(r.get("checked")) is int and type(r.get("skipped")) is int
+        and r["checked"] + r["skipped"] == len(word),
         {"checked": "checked_total", "skipped": "skipped_total"},
     ),
     # an experiment: a counterexample is reported, never a failed run
@@ -217,8 +223,7 @@ def _verify_task(args: tuple[tuple[int, ...], tuple[str, ...]]) -> tuple[tuple[i
 # ---------------------------------------------------------------------------
 # result cache
 
-def _cache_key(n: int, suite: str, word: tuple[int, ...]) -> str:
-    return f"{n}|{suite}|{','.join(map(str, word))}"
+_Key = tuple[int, str, tuple[int, ...]]  # (n, suite, word)
 
 
 @functools.cache
@@ -235,82 +240,91 @@ def _cache_stamp() -> str:
     return f"{__version__}+{digest.hexdigest()[:16]}"
 
 
-@functools.cache
-def _key_word(text: str) -> tuple[int, ...]:
-    # parsed once per word, not once for each of its suites' records
-    return tuple(map(int, text.split(",")))
+def _line(n: int, suite: str, word: tuple[int, ...], record: dict) -> str:
+    """One record as verify prints it and the cache stores it."""
+    return _dump({"suite": suite, "n": n, "w": list(word), **record})
 
 
-def _trusted(key: str, record: dict) -> bool:
-    # a record with this stamp is replayed only when its ok is what its
-    # suite's rule derives and the count fields the summary reads are ints
+def _json_object(line: str) -> dict | None:
     try:
-        _, suite, text = key.split("|")
-        word = _key_word(text)
-    except ValueError:
+        value = json.loads(line)
+    except json.JSONDecodeError:
+        return None
+    return value if isinstance(value, dict) else None
+
+
+@functools.cache
+def _permutation(word: tuple[int, ...]) -> tuple[int, ...] | None:
+    # the word if it is a permutation of 1..n; cached, so the records of
+    # one word share one tuple
+    return word if sorted(word) == list(range(1, len(word) + 1)) else None
+
+
+def _load_record(line: str, table: dict[_Key, dict]) -> bool:
+    # adds the line's record to table and returns True when it can be
+    # replayed: its suite has a rule, n is an int, w is a permutation of
+    # 1..n, ok is what the rule derives and the count fields are ints
+    record = _json_object(line)
+    if record is None:
         return False
-    rule = _SUITE_RULES.get(suite)
-    if rule is None or record.get("ok") is not rule.ok(word, record):
+    suite, n, w = record.pop("suite", None), record.pop("n", None), record.pop("w", None)
+    rule = _SUITE_RULES.get(suite) if type(suite) is str else None
+    if rule is None or type(n) is not int or type(w) is not list or len(w) != n:
+        return False
+    if not all(type(v) is int for v in w) or (word := _permutation(tuple(w))) is None:
+        return False
+    if record.get("ok") is not rule.ok(word, record):
         return False
     for field in rule.counts:
         if not isinstance(record.get(field), int):
             return False
+    table[n, sys.intern(suite), word] = record  # one suite name shared by its records
     return True
 
 
-def _load_cache(path: str, err: TextIO) -> tuple[dict[str, dict], bool]:
-    """Trusted entries stamped with these sources, and whether the file
-    held any nonblank line they leave out.
+def _load_cache(path: str, err: TextIO) -> tuple[dict[_Key, dict], bool]:
+    """The trusted records of the cache file, and whether the file held
+    any nonblank line they leave out.
 
-    Lines that are not cache entries, and records with this stamp that
-    are not trusted, are skipped with one warning and recomputed; lines
-    with another stamp are skipped silently.
+    The first line decides.  After the stamp line of these sources, a
+    line that is not a trusted record is skipped with one warning and
+    recomputed.  After another stamp, or a line of an older format, every
+    line is skipped silently.  After anything else, every line is
+    malformed and skipped with the warning.
     """
-    stamp = _cache_stamp()
-    cache: dict[str, dict] = {}
-    lines = 0
-    malformed = 0
+    table: dict[_Key, dict] = {}
+    lines = malformed = 0
     try:
         with open(path, "r", encoding="utf-8", errors="replace") as handle:
-            for line in handle:
-                if not line.strip():
-                    continue
-                lines += 1
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    malformed += 1
-                    continue
-                if not (
-                    isinstance(entry, dict)
-                    and isinstance(key := entry.get("key"), str)
-                    and isinstance(record := entry.get("record"), dict)
-                ):
-                    malformed += 1
-                elif entry.get("version") == stamp:
-                    if _trusted(key, record):
-                        cache[key] = record
-                    else:
-                        malformed += 1
+            nonblank = filter(str.strip, handle)
+            first = next(nonblank, None)
+            head = None if first is None else _json_object(first)
+            if head == {"version": _cache_stamp()}:
+                for line in nonblank:
+                    lines += 1
+                    malformed += not _load_record(line, table)
+            elif first is not None:
+                lines = 1 + sum(1 for _ in nonblank)
+                malformed = 0 if head and "version" in head else lines
     except OSError:
         pass
     if malformed:
         err.write(f"warning: skipped {malformed} malformed line(s) in cache {path}\n")
-    return cache, lines > len(cache)
+    return table, lines > len(table)
 
 
-def _write_cache(path: str, cache: dict[str, dict]) -> None:
-    """Replace the cache file with one line per entry, in dict order.
+def _write_cache(path: str, table: dict[_Key, dict]) -> None:
+    """Replace the cache file with the stamp line and one line per record.
 
     The new file is written beside the old one and renamed over it, so a
     failed write leaves the old file as it was.
     """
-    stamp = _cache_stamp()
     temp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(temp, "w", encoding="utf-8") as handle:
-            for key, record in cache.items():
-                handle.write(_dump({"version": stamp, "key": key, "record": record}) + "\n")
+            handle.write(_dump({"version": _cache_stamp()}) + "\n")
+            for (n, suite, word), record in table.items():
+                handle.write(_line(n, suite, word, record) + "\n")
         os.replace(temp, path)
     except OSError:
         if os.path.exists(temp):
@@ -421,23 +435,16 @@ def cmd_verify(
     selected = [s for s in SUITES if s in set(suites)]
     words = [w.word for w in symmetric_group(n)]
 
-    cache: dict[str, dict] = {}
+    table: dict[_Key, dict] = {}
     dropped = False
     if cache_path:
-        cache, dropped = _load_cache(cache_path, err)
+        table, dropped = _load_cache(cache_path, err)
 
-    results: dict[tuple[int, ...], dict[str, dict]] = {word: {} for word in words}
     tasks: list[tuple[tuple[int, ...], tuple[str, ...]]] = []
     for word in words:
-        missing = []
-        for suite in selected:
-            record = cache.get(_cache_key(n, suite, word)) if cache else None
-            if record is not None:
-                results[word][suite] = record
-            else:
-                missing.append(suite)
+        missing = tuple(s for s in selected if (n, s, word) not in table)
         if missing:
-            tasks.append((word, tuple(missing)))
+            tasks.append((word, missing))
 
     if tasks:
         heavy = set(selected) - {"sorted"}
@@ -457,24 +464,21 @@ def cmd_verify(
             context = multiprocessing.get_context("fork")
             with concurrent.futures.ProcessPoolExecutor(jobs, mp_context=context) as pool:
                 chunk = max(1, len(tasks) // (jobs * 4))
-                for word, records in pool.map(_verify_task, tasks, chunksize=chunk):
-                    results[word].update(records)
+                done = list(pool.map(_verify_task, tasks, chunksize=chunk))
         else:
-            for task in tasks:
-                word, records = _verify_task(task)
-                results[word].update(records)
+            done = map(_verify_task, tasks)
+        for word, records in done:
+            for suite, record in records.items():
+                table[n, suite, word] = record
 
     failures = 0
     for suite in selected:
         rule = _SUITE_RULES[suite]
-        failed = 0
-        totals = {name: sum(results[w][suite][f] for w in words) for f, name in rule.counts.items()}
-        for word in words:
-            record = results[word][suite]
-            failed += not record["ok"]
-            if cache_path:
-                cache.setdefault(_cache_key(n, suite, word), record)
-            out.write(_dump({"suite": suite, "n": n, "w": list(word), **record}) + "\n")
+        records = [table[n, suite, word] for word in words]
+        failed = sum(not record["ok"] for record in records)
+        totals = {name: sum(r[f] for r in records) for f, name in rule.counts.items()}
+        for word, record in zip(words, records):
+            out.write(_line(n, suite, word, record) + "\n")
         summary = {"suite": suite, "n": n, "summary": True, "total": len(words), "failed": failed}
         out.write(_dump({**summary, **totals}) + "\n")
         if rule.gates:
@@ -487,7 +491,7 @@ def cmd_verify(
 
     if cache_path and (tasks or dropped):
         try:
-            _write_cache(cache_path, cache)
+            _write_cache(cache_path, table)
         except OSError as exc:
             err.write(f"cache write failed: {exc}\n")
             return 2

@@ -30,9 +30,20 @@ def run_verify(n, suites=SUITES, jobs=1, cache=None):
     return code, out.getvalue(), err.getvalue()
 
 
-def stamped(line: bytes) -> bytes:
-    """A cache line with its version 0.1.0 replaced by the stamp of these sources."""
-    return line.replace(b'"version":"0.1.0"', b'"version":"%s"' % cli._cache_stamp().encode())
+def stamp_line() -> str:
+    return json.dumps({"version": cli._cache_stamp()}, separators=(",", ":"))
+
+
+def stamped(*lines: bytes) -> bytes:
+    """A cache file: the stamp line of these sources, then ``lines``."""
+    return b"".join(line + b"\n" for line in (stamp_line().encode(), *lines))
+
+
+def assert_cache_holds(cache, out: str) -> None:
+    """The cache file is the stamp line plus exactly out's record lines."""
+    head, *lines = cache.read_text().splitlines()
+    assert head == stamp_line()
+    assert sorted(lines) == sorted(line for line in out.splitlines() if '"summary"' not in line)
 
 
 def test_parse_permutation():
@@ -168,20 +179,33 @@ def test_verify_cache_round_trip(tmp_path):
     cache = tmp_path / "results.jsonl"
     code, first, _ = run_verify(3, cache=str(cache))
     assert code == 0
-    assert len(cache.read_text().splitlines()) == 6 * len(SUITES)
+    assert_cache_holds(cache, first)
     # every fresh record passes its suite's rule, so all of them replay
     code, second, err = run_verify(3, cache=str(cache))
     assert code == 0 and err == ""
     assert first == second
-    # a stale version stamp is ignored, not trusted
-    stale = {"version": "0.0.0", "key": "3|main|9,9,9", "record": {"ok": False}}
-    with cache.open("a") as handle:
-        handle.write(json.dumps(stale) + "\n")
+    # under a stale stamp, even a record that would fail the run is ignored
+    _, *lines = cache.read_bytes().splitlines()
+    failing = b'{"groth_match":false,"lowest_degree_match":true,"n":3,"ok":false,'
+    failing += b'"schubert_match":true,"suite":"main","w":[1,2,3]}'
+    cache.write_bytes(b"\n".join([b'{"version":"0.0.0"}', failing, *lines]) + b"\n")
     code, third, err = run_verify(3, cache=str(cache))
     assert code == 0 and third == first and err == ""
-    # the run that skipped the stale line rewrote the file without it
+    # the run that skipped the stale lines rewrote the file without them
     assert b"0.0.0" not in cache.read_bytes()
-    assert len(cache.read_text().splitlines()) == 6 * len(SUITES)
+    assert_cache_holds(cache, first)
+
+
+def test_verify_cache_shared_by_two_ranks(tmp_path):
+    cache = tmp_path / "results.jsonl"
+    _, expected, _ = run_verify(2, cache=str(cache))
+    code, three, _ = run_verify(3, cache=str(cache))
+    assert code == 0
+    both = cache.read_bytes()
+    assert_cache_holds(cache, expected + three)
+    code, out, err = run_verify(2, cache=str(cache))
+    assert code == 0 and out == expected and err == ""
+    assert cache.read_bytes() == both
 
 
 # a path in a directory that does not exist, where the temporary file
@@ -214,91 +238,105 @@ def test_verify_cache_write_failure_after_the_sweep_exits_2(tmp_path, monkeypatc
     assert list(tmp_path.iterdir()) == []
 
 
-def test_verify_cache_ignores_records_stamped_before_the_source_hash(tmp_path):
-    # a record for a real key, stamped with the bare version 0.1.0
+# main records for 21 that would fail the run: after a bare 0.1.0 stamp
+# line, and in the format that kept a stamp and a key on every line
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"version":"0.1.0"}\n{"groth_match":false,"lowest_degree_match":true,"n":2,"ok":false,'
+        b'"schubert_match":true,"suite":"main","w":[2,1]}\n',
+        b'{"version":"0.1.0+0123456789abcdef","key":"2|main|2,1","record":{"ok":false}}\n',
+    ],
+)
+def test_verify_cache_ignores_records_stamped_before_the_source_hash(tmp_path, content):
     cache = tmp_path / "results.jsonl"
-    cache.write_bytes(b'{"version":"0.1.0","key":"2|main|2,1","record":{"ok":false}}\n')
+    cache.write_bytes(content)
     _, expected, _ = run_verify(2, suites=["main"])
     code, out, err = run_verify(2, suites=["main"], cache=str(cache))
     assert code == 0 and out == expected and err == ""
+    assert_cache_holds(cache, expected)
 
 
-@pytest.mark.parametrize("line", [b'{"version":"0.1.0"}', b"[1]", b"\xff{"])
-def test_verify_cache_skips_malformed_line(tmp_path, line):
-    cache = tmp_path / "results.jsonl"
-    cache.write_bytes(line + b"\n")
+# the fields of a passing main record
+MAIN_OK = b'"groth_match":true,"lowest_degree_match":true,"ok":true,"schubert_match":true'
+
+
+def assert_skipped_then_silent(cache, content: bytes, skipped: int) -> None:
+    cache.write_bytes(content)
     _, expected, _ = run_verify(2, suites=["main"])
     code, out, err = run_verify(2, suites=["main"], cache=str(cache))
     assert code == 0 and out == expected
-    assert err == f"warning: skipped 1 malformed line(s) in cache {cache}\n"
-    # the run rewrote the file without the bad line, so replay is silent
-    assert line not in cache.read_bytes()
+    assert err == f"warning: skipped {skipped} malformed line(s) in cache {cache}\n"
+    # the run rewrote the file without the bad lines, so replay is silent
+    assert_cache_holds(cache, expected)
     code, replay, err = run_verify(2, suites=["main"], cache=str(cache))
     assert code == 0 and replay == expected and err == ""
 
 
 @pytest.mark.parametrize(
-    "suite, line",
+    "line",
     [
-        # a monk record without the counts its summary adds up
-        ("monk", b'{"version":"0.1.0","key":"2|monk|1,2","record":{"ok":true}}'),
-        # an ok degree record without the tightness flags its summary counts
-        ("degree", b'{"version":"0.1.0","key":"2|degree|2,1","record":{"ok":true}}'),
-        # a failing monk record without its counts
-        ("monk", b'{"version":"0.1.0","key":"2|monk|2,1","record":{"ok":false}}'),
-        # from here on, each record's ok contradicts what its suite's rule derives
-        (
-            "main",
-            b'{"version":"0.1.0","key":"2|main|2,1","record":{"groth_match":false,'
-            b'"lowest_degree_match":true,"ok":true,"schubert_match":true}}',
-        ),
-        (
-            "divisibility",
-            b'{"version":"0.1.0","key":"2|divisibility|2,1","record":{"ok":true,"witness":[2,0]}}',
-        ),
-        (
-            "degree",
-            b'{"version":"0.1.0","key":"2|degree|1,2","record":{"bound_cor":0,"bound_prop":0,'
-            b'"deg_groth":0,"ok":false,"tight_cor":true,"tight_prop":true}}',
-        ),
-        # deg_groth over both bounds
-        (
-            "degree",
-            b'{"version":"0.1.0","key":"2|degree|2,1","record":{"bound_cor":1,"bound_prop":1,'
-            b'"deg_groth":9,"ok":true,"tight_cor":false,"tight_prop":false}}',
-        ),
-        # tight_prop false where deg_groth equals bound_prop
-        (
-            "degree",
-            b'{"version":"0.1.0","key":"2|degree|2,1","record":{"bound_cor":1,"bound_prop":1,'
-            b'"deg_groth":1,"ok":true,"tight_cor":true,"tight_prop":false}}',
-        ),
-        (
-            "sorted",
-            b'{"version":"0.1.0","key":"2|sorted|2,1","record":{"ok":true,"parts_ok":false,'
-            b'"sorted":true,"unsort_ok":true}}',
-        ),
-        # 132 is sorted and not the identity, so its parts were checked
-        (
-            "sorted",
-            b'{"version":"0.1.0","key":"3|sorted|1,3,2","record":{"ok":true,"parts_ok":null,'
-            b'"sorted":true,"unsort_ok":true}}',
-        ),
-        # ok is not the boolean the residue check returns
-        (
-            "monk",
-            b'{"version":"0.1.0","key":"2|monk|2,1","record":{"checked":2,"ok":1,"skipped":0}}',
-        ),
-        (
-            "conjecture",
-            b'{"version":"0.1.0","key":"2|conjecture|1,2","record":{"ok":false,"witness":null}}',
-        ),
+        b'{"version":"0.1.0"}',
+        b"[1]",
+        b"\xff{",
+        # w is not a permutation of 1..n, or n is not an int
+        b'{"n":2,"suite":"main","w":[1,1],' + MAIN_OK + b"}",
+        b'{"n":2,"suite":"main","w":["a",2],' + MAIN_OK + b"}",
+        b'{"n":2,"suite":"main","w":[[1],2],' + MAIN_OK + b"}",
+        b'{"n":"2","suite":"main","w":[2,1],' + MAIN_OK + b"}",
     ],
 )
-def test_verify_cache_recomputes_record_missing_summary_fields(tmp_path, suite, line):
-    n = int(json.loads(line)["key"].split("|")[0])
+def test_verify_cache_skips_malformed_line(tmp_path, line):
+    assert_skipped_then_silent(tmp_path / "results.jsonl", stamped(line), 1)
+
+
+# without a stamp line first, every line is malformed, even a record
+@pytest.mark.parametrize(
+    "content, skipped",
+    [(b"[1]\n", 1), (b'\xff{\n{"n":2,"suite":"main","w":[2,1],' + MAIN_OK + b"}\n", 2)],
+)
+def test_verify_cache_without_a_stamp_line_is_malformed(tmp_path, content, skipped):
+    assert_skipped_then_silent(tmp_path / "results.jsonl", content, skipped)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        # a monk record without the counts its summary adds up
+        b'{"n":2,"ok":true,"suite":"monk","w":[1,2]}',
+        # an ok degree record without the tightness flags its summary counts
+        b'{"n":2,"ok":true,"suite":"degree","w":[2,1]}',
+        # a failing monk record without its counts
+        b'{"n":2,"ok":false,"suite":"monk","w":[2,1]}',
+        # from here on, each record's ok contradicts what its suite's rule derives
+        b'{"groth_match":false,"lowest_degree_match":true,"n":2,"ok":true,'
+        b'"schubert_match":true,"suite":"main","w":[2,1]}',
+        b'{"n":2,"ok":true,"suite":"divisibility","w":[2,1],"witness":[2,0]}',
+        b'{"bound_cor":0,"bound_prop":0,"deg_groth":0,"n":2,"ok":false,"suite":"degree",'
+        b'"tight_cor":true,"tight_prop":true,"w":[1,2]}',
+        # deg_groth over both bounds
+        b'{"bound_cor":1,"bound_prop":1,"deg_groth":9,"n":2,"ok":true,"suite":"degree",'
+        b'"tight_cor":false,"tight_prop":false,"w":[2,1]}',
+        # tight_prop false where deg_groth equals bound_prop
+        b'{"bound_cor":1,"bound_prop":1,"deg_groth":1,"n":2,"ok":true,"suite":"degree",'
+        b'"tight_cor":true,"tight_prop":false,"w":[2,1]}',
+        b'{"n":2,"ok":true,"parts_ok":false,"sorted":true,"suite":"sorted","unsort_ok":true,'
+        b'"w":[2,1]}',
+        # 132 is sorted and not the identity, so its parts were checked
+        b'{"n":3,"ok":true,"parts_ok":null,"sorted":true,"suite":"sorted","unsort_ok":true,'
+        b'"w":[1,3,2]}',
+        # ok is not the boolean the residue check returns
+        b'{"checked":2,"n":2,"ok":1,"skipped":0,"suite":"monk","w":[2,1]}',
+        # 132 has three pairs (w, j), each checked or skipped, not nine
+        b'{"checked":9,"n":3,"ok":true,"skipped":0,"suite":"monk","w":[1,3,2]}',
+        b'{"n":2,"ok":false,"suite":"conjecture","w":[1,2],"witness":null}',
+    ],
+)
+def test_verify_cache_recomputes_record_missing_summary_fields(tmp_path, line):
+    record = json.loads(line)
+    n, suite = record["n"], record["suite"]
     cache = tmp_path / "results.jsonl"
-    cache.write_bytes(stamped(line) + b"\n")
+    cache.write_bytes(stamped(line))
     _, expected, _ = run_verify(n, suites=[suite])
     code, out, err = run_verify(n, suites=[suite], cache=str(cache))
     assert code == 0 and out == expected
@@ -393,6 +431,13 @@ def test_check_monk_fails_when_one_sign_flips(monkeypatch):
 
     monkeypatch.setattr(cli, "monk_terms", flipped)
     assert cli._check_monk(w)["ok"] is False
+
+
+def test_traced_names_exist():
+    # the benchmark's tracer wraps these by name
+    for suite in SUITES:
+        assert cli._SUITE_CHECKS[suite] is getattr(cli, f"_check_{suite}")
+    assert callable(cli._load_cache) and callable(cli._verify_task)
 
 
 def test_verify_jobs_capped_at_cpu_count(monkeypatch):
