@@ -1,8 +1,10 @@
 """Support and degree analysis for Grothendieck polynomials.
 
-Everything here recomputes its inputs from first principles (diagram,
-orthodontic sequence, recursive polynomial) so the checks can serve as
-independent oracles for the constructors.
+Each check takes w and builds the diagram facts it needs: the
+orthodontic sequence of the Rothe diagram and the upper-closure
+monomial.  Its private form takes those facts instead, so verify can
+build them once per word and share them across its suites; the public
+forms wrap the private ones.
 
 Two facts are verified exhaustively by the test and verify suites:
 
@@ -23,7 +25,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from orthodontia.diagram import closure_monomial, orthodontia, rothe_diagram
+from orthodontia.diagram import (
+    OrthodonticSequence,
+    closure_monomial,
+    orthodontia,
+    rothe_diagram,
+)
 from orthodontia.grothendieck import (
     grothendieck_recursive,
     is_sorted_permutation,
@@ -88,20 +95,31 @@ def check_divisibility(w: Permutation) -> tuple[bool, Monomial | None]:
 
     Returns (True, None), or (False, offending exponent vector).
     """
-    bound = closure_monomial(rothe_diagram(w))
-    witness = support_witness(grothendieck_recursive(w), bound)
+    return _check_divisibility_from(w, closure_monomial(rothe_diagram(w)))
+
+
+def _check_divisibility_from(w: Permutation, closure: Monomial) -> tuple[bool, Monomial | None]:
+    """:func:`check_divisibility`, given the upper-closure monomial of w."""
+    witness = support_witness(grothendieck_recursive(w), closure)
     return witness is None, witness
 
 
 def degree_report(w: Permutation) -> DegreeReport:
     """Degree of G_w and both bounds for w; never raises on a failed bound."""
+    D = rothe_diagram(w)
+    return _degree_report_from(w, orthodontia(D), closure_monomial(D))
+
+
+def _degree_report_from(
+    w: Permutation, seq: OrthodonticSequence, closure: Monomial
+) -> DegreeReport:
+    """:func:`degree_report`, given the orthodontic sequence and upper-closure monomial of w."""
     groth = grothendieck_recursive(w)
     schub = schubert_recursive(w)
     deg_groth = 0 if groth.is_zero else groth.degree()
     deg_schub = 0 if schub.is_zero else schub.degree()
-    D = rothe_diagram(w)
-    length = orthodontia(D).step_count
-    closure_size = sum(closure_monomial(D))
+    length = seq.step_count
+    closure_size = sum(closure)
     return DegreeReport(
         deg_groth=deg_groth,
         deg_schub=deg_schub,
@@ -152,9 +170,13 @@ def exponent_change_check(w: Permutation) -> bool:
 
 def support_vectors(w: Permutation) -> SupportVectors:
     D = rothe_diagram(w)
-    teeth = orthodontia(D).teeth
-    xi = tuple(sum(1 for t in teeth if t == j) for j in range(1, w.n + 1))
-    return SupportVectors(closure_monomial(D), xi)
+    return _support_vectors_from(orthodontia(D), closure_monomial(D))
+
+
+def _support_vectors_from(seq: OrthodonticSequence, closure: Monomial) -> SupportVectors:
+    teeth = seq.teeth
+    xi = tuple(sum(1 for t in teeth if t == j) for j in range(1, len(closure) + 1))
+    return SupportVectors(closure, xi)
 
 
 def check_conjecture(w: Permutation) -> tuple[bool, Monomial | None]:
@@ -164,7 +186,15 @@ def check_conjecture(w: Permutation) -> tuple[bool, Monomial | None]:
     from :func:`check_divisibility`: it can fail only where that check
     fails.  Callers must not fail a build on (False, witness).
     """
-    vectors = support_vectors(w)
+    D = rothe_diagram(w)
+    return _check_conjecture_from(w, orthodontia(D), closure_monomial(D))
+
+
+def _check_conjecture_from(
+    w: Permutation, seq: OrthodonticSequence, closure: Monomial
+) -> tuple[bool, Monomial | None]:
+    """:func:`check_conjecture`, given the orthodontic sequence and upper-closure monomial of w."""
+    vectors = _support_vectors_from(seq, closure)
     bound = tuple(t + x for t, x in zip(vectors.theta, vectors.xi))
     witness = support_witness(grothendieck_recursive(w), bound)
     return witness is None, witness

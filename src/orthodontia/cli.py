@@ -13,10 +13,10 @@ a missing one, is refused before the sweep.  The file's first line is
 the stamp of these sources, {"version": STAMP}, and every other line is
 one record exactly as verify prints it.  The first line decides how the
 rest is read: after the current stamp, a record is replayed only when
-its w is a permutation of 1..n, its ok is what its suite's record rule
-derives from its word and other fields, and it carries its suite's
-count fields, as every record does; other lines are skipped and
-recomputed, with one warning on stderr.  After another stamp, or a line
+its w is a permutation of 1..n, it carries exactly its suite's fields,
+and its ok is what its suite's record rule derives from its word and
+other fields; other lines are skipped and recomputed, with one warning
+on stderr.  After another stamp, or a line
 of an older format, every line is skipped silently; after anything
 else, every line is malformed and skipped with the warning.  A run that
 computes a record or skips a line rewrites the file from its trusted
@@ -38,23 +38,36 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence, TextIO
 
 from orthodontia import __version__
-from orthodontia.analysis import check_conjecture, check_divisibility, degree_report
-from orthodontia.diagram import orthodontia, orthodontia_trace, rothe_diagram, upper_closure
+from orthodontia.analysis import (
+    _check_conjecture_from,
+    _check_divisibility_from,
+    _degree_report_from,
+)
+from orthodontia.diagram import (
+    OrthodonticSequence,
+    closure_monomial,
+    orthodontia,
+    orthodontia_trace,
+    rothe_diagram,
+    upper_closure,
+)
 from orthodontia.grothendieck import (
     FormulaChain,
     RankOverflowError,
+    _check_sorted_step,
+    _grothendieck_of_word,
+    _monk_targets,
     chained_grothendieck,
     chained_schubert,
-    check_sorted_step,
     formula_steps,
     grothendieck_recursive,
-    monk_terms,
     orthodontia_grothendieck,
     orthodontia_schubert,
     schubert_recursive,
     warm_caches,
 )
 from orthodontia.permutation import Permutation, from_one_line, symmetric_group
+from orthodontia.polynomial import Monomial
 
 SUITES = ("main", "divisibility", "degree", "sorted", "monk", "conjecture")
 DEFAULT_MAX_RANK = 7
@@ -85,8 +98,27 @@ _SCHUBERT_CHAIN = FormulaChain()
 _GROTH_CHAIN = FormulaChain()
 
 
+class _WordFacts(NamedTuple):
+    """What several suites read of one word's Rothe diagram."""
+
+    seq: OrthodonticSequence
+    closure: Monomial
+
+
+# The facts of every task word when a task has one of _FACT_SUITES to
+# compute, which read them; filled by cmd_verify before any fork and
+# cleared when its sweep ends.  The diagrams themselves are not kept.
+_FACTS: dict[tuple[int, ...], _WordFacts] = {}
+_FACT_SUITES = frozenset({"main", "divisibility", "degree", "conjecture"})
+
+
+def _known_sequence(word: tuple[int, ...]) -> OrthodonticSequence | None:
+    facts = _FACTS.get(word)
+    return None if facts is None else facts.seq
+
+
 def _check_main(w: Permutation) -> dict:
-    seq = orthodontia(rothe_diagram(w))
+    seq = _FACTS[w.word].seq
     schubert = schubert_recursive(w)
     return {
         "groth_match": grothendieck_recursive(w) == chained_grothendieck(seq, _GROTH_CHAIN),
@@ -96,12 +128,12 @@ def _check_main(w: Permutation) -> dict:
 
 
 def _check_divisibility(w: Permutation) -> dict:
-    _, witness = check_divisibility(w)
+    _, witness = _check_divisibility_from(w, _FACTS[w.word].closure)
     return {"witness": None if witness is None else list(witness)}
 
 
 def _check_degree(w: Permutation) -> dict:
-    report = degree_report(w)
+    report = _degree_report_from(w, *_FACTS[w.word])
     return {
         "deg_groth": report.deg_groth,
         "bound_prop": report.bound_prop,
@@ -112,19 +144,19 @@ def _check_degree(w: Permutation) -> dict:
 
 
 def _check_sorted(w: Permutation) -> dict:
-    step = check_sorted_step(w)
+    step = _check_sorted_step(w, _known_sequence)
     return {"sorted": step.is_sorted, "parts_ok": step.parts_ok, "unsort_ok": step.unsort_ok}
 
 
 def _check_monk(w: Permutation) -> dict:
-    n = w.n
+    word = w.word
     checked = 0
     skipped = 0
     ok = True
     base = grothendieck_recursive(w).terms
-    for j in range(1, n + 1):
+    for j in range(1, len(word) + 1):
         try:
-            terms = monk_terms(j, w)
+            targets = _monk_targets(j, word)
         except RankOverflowError:
             skipped += 1
             continue
@@ -134,10 +166,10 @@ def _check_monk(w: Permutation) -> dict:
         i = j - 1
         residue = {e[:i] + (e[i] + 1,) + e[j:]: c for e, c in base.items()}
         get = residue.get
-        for term in terms:
-            g = grothendieck_recursive(term.target).terms
+        for v, sign in targets.items():
+            g = _grothendieck_of_word(v).terms
             keys = g.keys()
-            combine = sub if term.sign > 0 else add
+            combine = sub if sign > 0 else add
             residue.update(zip(keys, map(combine, map(get, keys, repeat(0)), g.values())))
         if any(residue.values()):
             ok = False
@@ -145,7 +177,7 @@ def _check_monk(w: Permutation) -> dict:
 
 
 def _check_conjecture(w: Permutation) -> dict:
-    _, witness = check_conjecture(w)
+    _, witness = _check_conjecture_from(w, *_FACTS[w.word])
     return {"witness": None if witness is None else list(witness)}
 
 
@@ -160,54 +192,65 @@ _SUITE_CHECKS = {
 
 
 class _Rule(NamedTuple):
-    # the record's ok, derived from the word and the record's other fields
-    ok: Callable[[tuple[int, ...], dict], bool]
+    fields: frozenset[str]  # the record's field names besides suite, n and w
+    # the record's ok, derived from the word and the record's other fields,
+    # or None, which no stored ok is, when those fields fit no record of the word
+    ok: Callable[[tuple[int, ...], dict], bool | None]
     counts: dict[str, str] = {}  # int field the summary adds up -> name of the sum
     gates: bool = True  # whether a failed record fails the run
 
 
 def _no_witness(word: tuple[int, ...], record: dict) -> bool:
-    return "witness" in record and record["witness"] is None
+    return record["witness"] is None
 
 
 def _within_bounds(word: tuple[int, ...], record: dict) -> bool:
-    deg, prop, cor = record.get("deg_groth"), record.get("bound_prop"), record.get("bound_cor")
+    deg, prop, cor = record["deg_groth"], record["bound_prop"], record["bound_cor"]
     return (
         type(deg) is int and type(prop) is int and type(cor) is int
         and deg <= prop and deg <= cor
-        and record.get("tight_prop") is (deg == prop) and record.get("tight_cor") is (deg == cor)
+        and record["tight_prop"] is (deg == prop) and record["tight_cor"] is (deg == cor)
     )
+
+
+def _residue_ok(word: tuple[int, ...], record: dict) -> bool | None:
+    # the residue check's own result, once each j in 1..n was checked or skipped
+    checked, skipped = record["checked"], record["skipped"]
+    if type(checked) is not int or type(skipped) is not int or checked + skipped != len(word):
+        return None
+    return record["ok"] is True
 
 
 def _parts_and_unsort_ok(word: tuple[int, ...], record: dict) -> bool:
     # parts_ok is a boolean exactly when w is sorted and not the identity
-    checked = record.get("sorted") is True and word != tuple(range(1, len(word) + 1))
-    parts_ok = record.get("parts_ok")
-    return record.get("unsort_ok") is True and (parts_ok is True if checked else parts_ok is None)
+    checked = record["sorted"] is True and word != tuple(range(1, len(word) + 1))
+    parts_ok = record["parts_ok"]
+    return record["unsort_ok"] is True and (parts_ok is True if checked else parts_ok is None)
 
 
 # Each suite's record rule.  Every record, passing or failing, carries
-# the suite's count fields, and the summary adds them up.
+# exactly the suite's fields, and the summary adds up its count fields.
 _SUITE_RULES = {
     "main": _Rule(
-        lambda word, r: r.get("groth_match") is True
-        and r.get("schubert_match") is True
-        and r.get("lowest_degree_match") is True
+        frozenset({"groth_match", "schubert_match", "lowest_degree_match", "ok"}),
+        lambda word, r: r["groth_match"] is True
+        and r["schubert_match"] is True
+        and r["lowest_degree_match"] is True,
     ),
-    "divisibility": _Rule(_no_witness),
+    "divisibility": _Rule(frozenset({"witness", "ok"}), _no_witness),
     "degree": _Rule(
-        _within_bounds, {"tight_prop": "tight_prop_count", "tight_cor": "tight_cor_count"}
+        frozenset({"deg_groth", "bound_prop", "bound_cor", "tight_prop", "tight_cor", "ok"}),
+        _within_bounds,
+        {"tight_prop": "tight_prop_count", "tight_cor": "tight_cor_count"},
     ),
-    "sorted": _Rule(_parts_and_unsort_ok),
-    # ok is the residue check's own result, and each j in 1..n was checked or skipped
+    "sorted": _Rule(frozenset({"sorted", "parts_ok", "unsort_ok", "ok"}), _parts_and_unsort_ok),
     "monk": _Rule(
-        lambda word, r: r.get("ok") is True
-        and type(r.get("checked")) is int and type(r.get("skipped")) is int
-        and r["checked"] + r["skipped"] == len(word),
+        frozenset({"ok", "checked", "skipped"}),
+        _residue_ok,
         {"checked": "checked_total", "skipped": "skipped_total"},
     ),
     # an experiment: a counterexample is reported, never a failed run
-    "conjecture": _Rule(_no_witness, gates=False),
+    "conjecture": _Rule(frozenset({"witness", "ok"}), _no_witness, gates=False),
 }
 
 
@@ -263,7 +306,8 @@ def _permutation(word: tuple[int, ...]) -> tuple[int, ...] | None:
 def _load_record(line: str, table: dict[_Key, dict]) -> bool:
     # adds the line's record to table and returns True when it can be
     # replayed: its suite has a rule, n is an int, w is a permutation of
-    # 1..n, ok is what the rule derives and the count fields are ints
+    # 1..n, its other fields are exactly the rule's, the count fields are
+    # ints, and ok is what the rule derives
     record = _json_object(line)
     if record is None:
         return False
@@ -273,11 +317,13 @@ def _load_record(line: str, table: dict[_Key, dict]) -> bool:
         return False
     if not all(type(v) is int for v in w) or (word := _permutation(tuple(w))) is None:
         return False
-    if record.get("ok") is not rule.ok(word, record):
+    if record.keys() != rule.fields:
         return False
     for field in rule.counts:
-        if not isinstance(record.get(field), int):
+        if not isinstance(record[field], int):
             return False
+    if record["ok"] is not rule.ok(word, record):
+        return False
     table[n, sys.intern(suite), word] = record  # one suite name shared by its records
     return True
 
@@ -450,26 +496,10 @@ def cmd_verify(
         heavy = set(selected) - {"sorted"}
         if heavy:
             warm_caches(n)
-        if any("main" in missing for _, missing in tasks):
-            # neighbours in step order share the longest formula prefixes
-            tasks.sort(
-                key=lambda task: formula_steps(orthodontia(rothe_diagram(Permutation(task[0]))))
-            )
-            _SCHUBERT_CHAIN.clear()
-            _GROTH_CHAIN.clear()
-        if jobs > 1:
-            import concurrent.futures
-            import multiprocessing
-
-            context = multiprocessing.get_context("fork")
-            with concurrent.futures.ProcessPoolExecutor(jobs, mp_context=context) as pool:
-                chunk = max(1, len(tasks) // (jobs * 4))
-                done = list(pool.map(_verify_task, tasks, chunksize=chunk))
-        else:
-            done = map(_verify_task, tasks)
-        for word, records in done:
-            for suite, record in records.items():
-                table[n, suite, word] = record
+        try:
+            _sweep(tasks, jobs, table, n)
+        finally:
+            _FACTS.clear()
 
     failures = 0
     for suite in selected:
@@ -496,6 +526,40 @@ def cmd_verify(
             err.write(f"cache write failed: {exc}\n")
             return 2
     return 1 if failures else 0
+
+
+def _sweep(
+    tasks: list[tuple[tuple[int, ...], tuple[str, ...]]],
+    jobs: int,
+    table: dict[_Key, dict],
+    n: int,
+) -> None:
+    """Compute each task's records into table, in jobs worker processes when jobs > 1.
+
+    The task words' facts are built first, so forked workers inherit them.
+    """
+    if any(not _FACT_SUITES.isdisjoint(missing) for _, missing in tasks):
+        for word, _ in tasks:
+            D = rothe_diagram(Permutation(word))
+            _FACTS[word] = _WordFacts(orthodontia(D), closure_monomial(D))
+    if any("main" in missing for _, missing in tasks):
+        # neighbours in step order share the longest formula prefixes
+        tasks.sort(key=lambda task: formula_steps(_FACTS[task[0]].seq))
+        _SCHUBERT_CHAIN.clear()
+        _GROTH_CHAIN.clear()
+    if jobs > 1:
+        import concurrent.futures
+        import multiprocessing
+
+        context = multiprocessing.get_context("fork")
+        with concurrent.futures.ProcessPoolExecutor(jobs, mp_context=context) as pool:
+            chunk = max(1, len(tasks) // (jobs * 4))
+            done = list(pool.map(_verify_task, tasks, chunksize=chunk))
+    else:
+        done = map(_verify_task, tasks)
+    for word, records in done:
+        for suite, record in records.items():
+            table[n, suite, word] = record
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ a torn value.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from orthodontia.diagram import (
     Diagram,
@@ -62,10 +63,9 @@ def _staircase(n: int) -> Polynomial:
     return Polynomial.monomial(tuple(n - k for k in range(1, n + 1)))
 
 
-def _descend(w: Permutation, memo: dict[tuple[int, ...], Polynomial], op) -> Polynomial:
+def _descend(word: tuple[int, ...], memo: dict[tuple[int, ...], Polynomial], op) -> Polynomial:
     # Walk up the weak order by first ascents to a memo hit or w0, then
     # apply op on the way back down, memoizing every word on the chain.
-    word = w.word
     chain: list[tuple[tuple[int, ...], int]] = []
     poly = memo.get(word)
     while poly is None:
@@ -83,7 +83,7 @@ def _descend(w: Permutation, memo: dict[tuple[int, ...], Polynomial], op) -> Pol
 
 def schubert_recursive(w: Permutation) -> Polynomial:
     """The Schubert polynomial, by divided differences down from the staircase."""
-    return _descend(w, _SCHUBERT_CACHE, divided_difference)
+    return _descend(w.word, _SCHUBERT_CACHE, divided_difference)
 
 
 def grothendieck_recursive(w: Permutation) -> Polynomial:
@@ -91,7 +91,12 @@ def grothendieck_recursive(w: Permutation) -> Polynomial:
 
     Its lowest-degree homogeneous component is the Schubert polynomial.
     """
-    return _descend(w, _GROTH_CACHE, isobaric)
+    return _descend(w.word, _GROTH_CACHE, isobaric)
+
+
+def _grothendieck_of_word(word: tuple[int, ...]) -> Polynomial:
+    """:func:`grothendieck_recursive` of the permutation with one-line word ``word``."""
+    return _descend(word, _GROTH_CACHE, isobaric)
 
 
 def warm_caches(n: int) -> None:
@@ -363,13 +368,19 @@ def monk_terms(j: int, w: Permutation) -> tuple[MonkTerm, ...]:
     Then the expansion needs a larger ambient rank and
     :class:`RankOverflowError` is raised before any chain is enumerated.
     """
-    n = w.n
+    targets = sorted(_monk_targets(j, w.word).items())
+    return tuple(MonkTerm(Permutation(v), sign) for v, sign in targets)
+
+
+def _monk_targets(j: int, word: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+    """:func:`monk_terms` for the permutation with one-line word ``word``,
+    as a dict from each target's word to its sign, in no set order."""
+    n = len(word)
     if not 1 <= j <= n:
         raise ValueError(f"variable index {j} out of range for rank {n}")
-    word = w.word
     if all(v < word[j - 1] for v in word[j:]):
         raise RankOverflowError(
-            f"expansion of x_{j} * G_w for w={w} leaves S_{n} "
+            f"expansion of x_{j} * G_w for w={Permutation(word)} leaves S_{n} "
             f"(swapping positions {j} and {n + 1} raises the length by one)"
         )
     found: dict[tuple[int, ...], int] = {}
@@ -403,7 +414,7 @@ def monk_terms(j: int, w: Permutation) -> tuple[MonkTerm, ...]:
                     if found.setdefault(nxt, -1) != -1:
                         raise AssertionError(f"conflicting signs for target {nxt}")
                     stack.append((nxt, a - 1, n, -1))
-    return tuple(MonkTerm(Permutation(v), sign) for v, sign in sorted(found.items()))
+    return found
 
 
 def fallen_boxes(w: Permutation) -> frozenset[tuple[int, int]]:
@@ -463,11 +474,26 @@ class SortedStepCheck:
 
 def check_sorted_step(w: Permutation) -> SortedStepCheck:
     """Check the sorted-step relations for w, building its diagram once."""
+    return _check_sorted_step(w, lambda word: None)
+
+
+def _check_sorted_step(
+    w: Permutation, known: Callable[[tuple[int, ...]], OrthodonticSequence | None]
+) -> SortedStepCheck:
+    """:func:`check_sorted_step`, taking the orthodontic sequences of w, sort(w)
+    and w's sorted-step predecessor from ``known(word)`` where it gives one.
+
+    The diagrams of w and of the pattern sigma(w) are always built here.
+    """
     D = rothe_diagram(w)
     data = _primary_column_data(D)
-    seq_w = orthodontia(D)
+    seq_w = known(w.word) or orthodontia(D)
     is_sorted = _is_sorted(w, data)
-    seq_sorted = seq_w if is_sorted else orthodontia(rothe_diagram(_sort(w, data)))
+    if is_sorted:
+        seq_sorted = seq_w
+    else:
+        u = _sort(w, data)
+        seq_sorted = known(u.word) or orthodontia(rothe_diagram(u))
     # the sequences of w and sort(w) agree except for the interval counts,
     # which shift by the interval counts of the pattern sigma(w)
     pattern_counts = orthodontia(rothe_diagram(_sigma(w, data))).interval_multiplicities
@@ -494,7 +520,8 @@ def check_sorted_step(w: Permutation) -> SortedStepCheck:
         part_iv = all(m[t] == 0 for t in range(gap - 1))
         part_v = False
         if part_i:
-            seq_up = orthodontia(rothe_diagram(_sorted_step_up(w, data)))
+            u = _sorted_step_up(w, data)
+            seq_up = known(u.word) or orthodontia(rothe_diagram(u))
             expected_up_k = list(k)
             if data.prefix > 0:
                 expected_up_k[data.prefix - 1] -= gap

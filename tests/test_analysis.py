@@ -3,6 +3,9 @@ from __future__ import annotations
 import pytest
 
 from orthodontia.analysis import (
+    _check_conjecture_from,
+    _check_divisibility_from,
+    _degree_report_from,
     check_conjecture,
     check_divisibility,
     degree_report,
@@ -10,7 +13,7 @@ from orthodontia.analysis import (
     support_vectors,
     support_witness,
 )
-from orthodontia.diagram import diagram_monomial, rothe_diagram, upper_closure
+from orthodontia.diagram import diagram_monomial, orthodontia, rothe_diagram, upper_closure
 from orthodontia.grothendieck import (
     grothendieck_recursive,
     is_sorted_permutation,
@@ -69,6 +72,17 @@ def test_support_witness_with_shrunken_bound():
                 shrunk += 1
     assert shrunk > 0
     assert support_witness(Polynomial.zero(3), (0, 0, 0)) is None
+
+
+def test_fact_taking_forms_match_the_public_checks_s1_to_s6():
+    # the closure monomial comes from the closure diagram itself here
+    for n in range(1, 7):
+        for w in symmetric_group(n):
+            D = rothe_diagram(w)
+            seq, closure = orthodontia(D), diagram_monomial(upper_closure(D))
+            assert _check_divisibility_from(w, closure) == check_divisibility(w), w
+            assert _degree_report_from(w, seq, closure) == degree_report(w), w
+            assert _check_conjecture_from(w, seq, closure) == check_conjecture(w), w
 
 
 def test_degree_report_identity():

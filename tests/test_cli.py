@@ -9,7 +9,7 @@ import os
 
 import pytest
 
-from orthodontia import cli, grothendieck
+from orthodontia import analysis, cli, diagram, grothendieck
 from orthodontia.cli import (
     SUITES,
     cmd_compute,
@@ -19,7 +19,7 @@ from orthodontia.cli import (
     main,
     parse_permutation,
 )
-from orthodontia.grothendieck import MonkTerm, grothendieck_recursive, schubert_recursive
+from orthodontia.grothendieck import grothendieck_recursive, schubert_recursive
 from orthodontia.permutation import from_one_line
 from orthodontia.polynomial import Polynomial
 
@@ -329,6 +329,11 @@ def test_verify_cache_without_a_stamp_line_is_malformed(tmp_path, content, skipp
         b'{"checked":2,"n":2,"ok":1,"skipped":0,"suite":"monk","w":[2,1]}',
         # 132 has three pairs (w, j), each checked or skipped, not nine
         b'{"checked":9,"n":3,"ok":true,"skipped":0,"suite":"monk","w":[1,3,2]}',
+        # a failing record is still tied to the word by its counts
+        b'{"checked":9,"n":3,"ok":false,"skipped":0,"suite":"monk","w":[1,3,2]}',
+        # a record's fields are exactly its suite's: none added, none missing
+        b'{"extra":1,"n":2,"suite":"main","w":[1,2],' + MAIN_OK + b"}",
+        b'{"groth_match":false,"n":2,"ok":false,"schubert_match":true,"suite":"main","w":[1,2]}',
         b'{"n":2,"ok":false,"suite":"conjecture","w":[1,2],"witness":null}',
     ],
 )
@@ -346,15 +351,15 @@ def test_verify_cache_recomputes_record_missing_summary_fields(tmp_path, line):
 
 
 def test_verify_degree_record_over_a_bound_fails_with_its_counts(monkeypatch):
-    real = cli.degree_report
+    real = cli._degree_report_from
 
-    def over(w):
-        report = real(w)
+    def over(w, seq, closure):
+        report = real(w, seq, closure)
         if w.word == (2, 1):
             return dataclasses.replace(report, deg_groth=report.bound_cor + 1)
         return report
 
-    monkeypatch.setattr(cli, "degree_report", over)
+    monkeypatch.setattr(cli, "_degree_report_from", over)
     code, out, _ = run_verify(2, suites=["degree"])
     assert code == 1
     records = [json.loads(line) for line in out.splitlines()]
@@ -423,14 +428,90 @@ def test_verify_main_applies_each_shared_prefix_once(monkeypatch):
 def test_check_monk_fails_when_one_sign_flips(monkeypatch):
     w = from_one_line([1, 3, 2, 4])
     assert cli._check_monk(w) == {"ok": True, "checked": 3, "skipped": 1}
-    real_terms = cli.monk_terms
+    real_targets = cli._monk_targets
 
-    def flipped(j, v):
-        first, *rest = real_terms(j, v)
-        return (MonkTerm(first.target, -first.sign), *rest)
+    def flipped(j, word):
+        targets = real_targets(j, word)
+        first = min(targets)
+        return {**targets, first: -targets[first]}
 
-    monkeypatch.setattr(cli, "monk_terms", flipped)
+    monkeypatch.setattr(cli, "_monk_targets", flipped)
     assert cli._check_monk(w)["ok"] is False
+
+
+def test_verify_records_carry_exactly_their_rules_fields():
+    _, out, _ = run_verify(4)
+    for line in out.splitlines():
+        record = json.loads(line)
+        if not record.get("summary"):
+            fields = record.keys() - {"suite", "n", "w"}
+            assert fields == cli._SUITE_RULES[record["suite"]].fields, record
+
+
+def test_verify_builds_each_words_diagram_facts_once(monkeypatch):
+    # 720 words, each with one diagram and one sequence in the shared facts;
+    # sorted also builds w's diagram for its column data, and the diagram
+    # and sequence of the pattern sigma(w)
+    counts = {"rothe_diagram": 0, "orthodontia": 0}
+    for name in counts:
+        real = getattr(diagram, name)
+
+        def counted(arg, real=real, name=name):
+            counts[name] += 1
+            return real(arg)
+
+        for module in (cli, analysis, grothendieck):
+            monkeypatch.setattr(module, name, counted)
+    code, _, _ = run_verify(6)
+    assert code == 0
+    assert counts == {"rothe_diagram": 3 * 720, "orthodontia": 2 * 720}
+
+
+def test_verify_facts_table_serves_one_run(monkeypatch):
+    seen = {}
+    for suite in ("sorted", "monk"):
+        real = cli._SUITE_CHECKS[suite]
+
+        def check(w, real=real, suite=suite):
+            seen.setdefault(suite, set()).add(len(cli._FACTS))
+            return real(w)
+
+        monkeypatch.setitem(cli._SUITE_CHECKS, suite, check)
+    # a sorted-only or monk-only run builds no facts
+    run_verify(4, suites=["sorted"])
+    run_verify(4, suites=["monk"])
+    assert seen == {"sorted": {0}, "monk": {0}}
+    assert cli._FACTS == {}
+    seen.clear()
+    run_verify(4)
+    assert seen == {"sorted": {24}, "monk": {24}}
+    assert cli._FACTS == {}
+
+    def broken(w):
+        raise RuntimeError("check failed")
+
+    monkeypatch.setitem(cli._SUITE_CHECKS, "main", broken)
+    with pytest.raises(RuntimeError):
+        run_verify(4, suites=["main"])
+    assert cli._FACTS == {}
+
+
+@pytest.mark.parametrize("kept", ["some suites", "some words"])
+def test_verify_cache_with_some_records_prints_the_cold_stdout(tmp_path, kept):
+    cache = tmp_path / "results.jsonl"
+    _, cold, _ = run_verify(4)
+    if kept == "some suites":
+        run_verify(4, suites=["main", "sorted"], cache=str(cache))
+    else:
+        # every suite's records for the words of S_4 that start with 1 or 2,
+        # so sorted looks up sort(w) and predecessors that have no facts
+        run_verify(4, cache=str(cache))
+        head, *lines = cache.read_text().splitlines()
+        kept_lines = [line for line in lines if json.loads(line)["w"][0] <= 2]
+        cache.write_text("\n".join([head, *kept_lines]) + "\n")
+    code, out, err = run_verify(4, cache=str(cache))
+    assert code == 0 and out == cold and err == ""
+    assert_cache_holds(cache, cold)
 
 
 def test_traced_names_exist():

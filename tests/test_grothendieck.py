@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import random
+import re
 import sys
 
 import pytest
@@ -9,6 +10,9 @@ import pytest
 from orthodontia.diagram import Diagram, orthodontia, rothe_diagram
 from orthodontia.grothendieck import (
     FormulaChain,
+    _check_sorted_step,
+    _monk_targets,
+    check_sorted_step,
     MonkTerm,
     RankOverflowError,
     chained_grothendieck,
@@ -360,6 +364,33 @@ def test_monk_terms_match_chain_oracle_s1_to_s6():
                     continue
                 expected = [(word[:n], sign) for word, sign in sorted(found.items())]
                 assert [(t.target.word, t.sign) for t in monk_terms(j, w)] == expected, (w, j)
+
+
+def test_monk_targets_match_monk_terms_s1_to_s6():
+    for n in range(1, 7):
+        for w in symmetric_group(n):
+            for j in range(1, n + 1):
+                try:
+                    terms = monk_terms(j, w)
+                except RankOverflowError as exc:
+                    with pytest.raises(RankOverflowError, match=re.escape(str(exc))):
+                        _monk_targets(j, w.word)
+                    continue
+                targets = _monk_targets(j, w.word)
+                assert sorted(targets.items()) == [(t.target.word, t.sign) for t in terms], (w, j)
+    with pytest.raises(ValueError, match="out of range"):
+        _monk_targets(3, (2, 1))
+
+
+def test_sorted_step_with_known_sequences_matches_check_sorted_step_s1_to_s6():
+    for n in range(1, 7):
+        table = {w.word: orthodontia(rothe_diagram(w)) for w in symmetric_group(n)}
+        for w in symmetric_group(n):
+            expected = check_sorted_step(w)
+            assert _check_sorted_step(w, table.get) == expected, w
+            # only w's own sequence is known, so sort(w) and the predecessor are built
+            assert _check_sorted_step(w, {w.word: table[w.word]}.get) == expected, w
+            assert _check_sorted_step(w, lambda word: None) == expected, w
 
 
 def test_monk_terms_leave_no_reference_cycles_s4():
