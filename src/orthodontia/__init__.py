@@ -69,7 +69,6 @@ from orthodontia.grothendieck import (
     sigma,
     sort_permutation,
     unsort_factor,
-    warm_caches,
 )
 from orthodontia.analysis import (
     DegreeReport,
@@ -125,7 +124,6 @@ __all__ = [
     "is_sorted_permutation",
     "monk_terms",
     "unsort_factor",
-    "warm_caches",
     "fallen_boxes",
     "os_predecessor",
     "DegreeReport",

@@ -22,7 +22,7 @@ else, every line is malformed and skipped with the warning.  A run that
 computes a record or skips a line rewrites the file from its trusted
 records plus the new ones, so stale lines go at the next write; of two
 concurrent runs sharing one file, the last writer's file is kept.
---jobs is capped at the CPU count.
+--jobs must be at least 1 and is capped at the CPU count.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import functools
 import json
 import os
 import sys
-from itertools import repeat
+from itertools import permutations, repeat
 from operator import add, sub
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence, TextIO
@@ -53,7 +53,6 @@ from orthodontia.diagram import (
 )
 from orthodontia.grothendieck import (
     FormulaChain,
-    RankOverflowError,
     _check_sorted_step,
     _grothendieck_of_word,
     _monk_targets,
@@ -64,9 +63,8 @@ from orthodontia.grothendieck import (
     orthodontia_grothendieck,
     orthodontia_schubert,
     schubert_recursive,
-    warm_caches,
 )
-from orthodontia.permutation import Permutation, from_one_line, symmetric_group
+from orthodontia.permutation import Permutation, from_one_line
 from orthodontia.polynomial import Monomial
 
 SUITES = ("main", "divisibility", "degree", "sorted", "monk", "conjecture")
@@ -92,8 +90,8 @@ def _dump(obj) -> str:
 # ---------------------------------------------------------------------------
 # verify suite checks (module level so worker processes can pickle them)
 
-# The main check's ascending-formula chains, one per kind.  cmd_verify
-# clears them before each run; forked workers inherit them cleared.
+# The main check's ascending-formula chains, one per kind.  _sweep empties
+# them when it ends, so every sweep and forked worker starts with them empty.
 _SCHUBERT_CHAIN = FormulaChain()
 _GROTH_CHAIN = FormulaChain()
 
@@ -106,8 +104,8 @@ class _WordFacts(NamedTuple):
 
 
 # The facts of every task word when a task has one of _FACT_SUITES to
-# compute, which read them; filled by cmd_verify before any fork and
-# cleared when its sweep ends.  The diagrams themselves are not kept.
+# compute, which read them; filled by _sweep before any fork and emptied
+# when it ends.  The diagrams themselves are not kept.
 _FACTS: dict[tuple[int, ...], _WordFacts] = {}
 _FACT_SUITES = frozenset({"main", "divisibility", "degree", "conjecture"})
 
@@ -155,9 +153,8 @@ def _check_monk(w: Permutation) -> dict:
     ok = True
     base = grothendieck_recursive(w).terms
     for j in range(1, len(word) + 1):
-        try:
-            targets = _monk_targets(j, word)
-        except RankOverflowError:
+        targets = _monk_targets(j, word)
+        if targets is None:
             skipped += 1
             continue
         checked += 1
@@ -471,6 +468,9 @@ def cmd_verify(
     ):
         err.write(f"cache {cache_path} cannot be written: not a file in an existing directory\n")
         return 2
+    if jobs < 1:
+        err.write("--jobs must be at least 1\n")
+        return 2
     if n >= 7:
         err.write(f"warning: rank {n} sweeps {n}! permutations; expect a long run\n")
     cpus = os.cpu_count() or 1
@@ -479,7 +479,7 @@ def cmd_verify(
         jobs = cpus
 
     selected = [s for s in SUITES if s in set(suites)]
-    words = [w.word for w in symmetric_group(n)]
+    words = list(permutations(range(1, n + 1)))
 
     table: dict[_Key, dict] = {}
     dropped = False
@@ -493,13 +493,7 @@ def cmd_verify(
             tasks.append((word, missing))
 
     if tasks:
-        heavy = set(selected) - {"sorted"}
-        if heavy:
-            warm_caches(n)
-        try:
-            _sweep(tasks, jobs, table, n)
-        finally:
-            _FACTS.clear()
+        _sweep(tasks, jobs, table, n)
 
     failures = 0
     for suite in selected:
@@ -537,29 +531,34 @@ def _sweep(
     """Compute each task's records into table, in jobs worker processes when jobs > 1.
 
     The task words' facts are built first, so forked workers inherit them.
+    The facts and the formula chains are emptied when the sweep ends, also
+    by an exception.
     """
-    if any(not _FACT_SUITES.isdisjoint(missing) for _, missing in tasks):
-        for word, _ in tasks:
-            D = rothe_diagram(Permutation(word))
-            _FACTS[word] = _WordFacts(orthodontia(D), closure_monomial(D))
-    if any("main" in missing for _, missing in tasks):
-        # neighbours in step order share the longest formula prefixes
-        tasks.sort(key=lambda task: formula_steps(_FACTS[task[0]].seq))
+    try:
+        if any(not _FACT_SUITES.isdisjoint(missing) for _, missing in tasks):
+            for word, _ in tasks:
+                D = rothe_diagram(Permutation(word))
+                _FACTS[word] = _WordFacts(orthodontia(D), closure_monomial(D))
+        if any("main" in missing for _, missing in tasks):
+            # neighbours in step order share the longest formula prefixes
+            tasks.sort(key=lambda task: formula_steps(_FACTS[task[0]].seq))
+        if jobs > 1:
+            import concurrent.futures
+            import multiprocessing
+
+            context = multiprocessing.get_context("fork")
+            with concurrent.futures.ProcessPoolExecutor(jobs, mp_context=context) as pool:
+                chunk = max(1, len(tasks) // (jobs * 4))
+                done = list(pool.map(_verify_task, tasks, chunksize=chunk))
+        else:
+            done = map(_verify_task, tasks)
+        for word, records in done:
+            for suite, record in records.items():
+                table[n, suite, word] = record
+    finally:
+        _FACTS.clear()
         _SCHUBERT_CHAIN.clear()
         _GROTH_CHAIN.clear()
-    if jobs > 1:
-        import concurrent.futures
-        import multiprocessing
-
-        context = multiprocessing.get_context("fork")
-        with concurrent.futures.ProcessPoolExecutor(jobs, mp_context=context) as pool:
-            chunk = max(1, len(tasks) // (jobs * 4))
-            done = list(pool.map(_verify_task, tasks, chunksize=chunk))
-    else:
-        done = map(_verify_task, tasks)
-    for word, records in done:
-        for suite, record in records.items():
-            table[n, suite, word] = record
 
 
 # ---------------------------------------------------------------------------
@@ -632,9 +631,6 @@ def _run(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
         suites: list[str] = []
         for item in args.suite or [",".join(SUITES)]:
             suites.extend(s.strip() for s in item.split(",") if s.strip())
-        if args.jobs < 1:
-            err.write("--jobs must be at least 1\n")
-            return 2
         return cmd_verify(args.n, suites, args.jobs, args.cache, out, err, args.max_rank)
     raise AssertionError(f"unhandled command {args.command}")
 

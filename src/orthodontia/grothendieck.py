@@ -20,10 +20,8 @@ A caller that evaluates the ascending formula on many diagrams can pass
 a :class:`FormulaChain`, which keeps the polynomials along the last step
 sequence so that shared step prefixes are applied once.
 
-The memo caches are plain dicts keyed by one-line words.  Entries are
-only ever written once with the final value, so concurrent readers are
-safe; a worker racing another may duplicate a computation but never sees
-a torn value.
+The memo caches are plain dicts keyed by one-line words, filled on
+demand.  A forked worker fills its own copy.
 """
 
 from __future__ import annotations
@@ -40,7 +38,7 @@ from orthodontia.diagram import (
     rothe_diagram,
 )
 from orthodontia.operators import demazure, demazure_lascoux, divided_difference, isobaric
-from orthodontia.permutation import Permutation, symmetric_group
+from orthodontia.permutation import Permutation
 from orthodontia.polynomial import Monomial, Polynomial
 
 
@@ -97,17 +95,6 @@ def grothendieck_recursive(w: Permutation) -> Polynomial:
 def _grothendieck_of_word(word: tuple[int, ...]) -> Polynomial:
     """:func:`grothendieck_recursive` of the permutation with one-line word ``word``."""
     return _descend(word, _GROTH_CACHE, isobaric)
-
-
-def warm_caches(n: int) -> None:
-    """Precompute both polynomial tables for all of S_n.
-
-    Useful before forking verification workers: children inherit the
-    filled caches instead of rebuilding them.
-    """
-    for w in symmetric_group(n):
-        schubert_recursive(w)
-        grothendieck_recursive(w)
 
 
 def _weight_exps(j: int, n: int, power: int) -> Monomial:
@@ -368,21 +355,24 @@ def monk_terms(j: int, w: Permutation) -> tuple[MonkTerm, ...]:
     Then the expansion needs a larger ambient rank and
     :class:`RankOverflowError` is raised before any chain is enumerated.
     """
-    targets = sorted(_monk_targets(j, w.word).items())
-    return tuple(MonkTerm(Permutation(v), sign) for v, sign in targets)
+    targets = _monk_targets(j, w.word)
+    if targets is None:
+        raise RankOverflowError(
+            f"expansion of x_{j} * G_w for w={w} leaves S_{w.n} "
+            f"(swapping positions {j} and {w.n + 1} raises the length by one)"
+        )
+    return tuple(MonkTerm(Permutation(v), sign) for v, sign in sorted(targets.items()))
 
 
-def _monk_targets(j: int, word: tuple[int, ...]) -> dict[tuple[int, ...], int]:
+def _monk_targets(j: int, word: tuple[int, ...]) -> dict[tuple[int, ...], int] | None:
     """:func:`monk_terms` for the permutation with one-line word ``word``,
-    as a dict from each target's word to its sign, in no set order."""
+    as a dict from each target's word to its sign, in no set order, or
+    None where monk_terms raises :class:`RankOverflowError`."""
     n = len(word)
     if not 1 <= j <= n:
         raise ValueError(f"variable index {j} out of range for rank {n}")
     if all(v < word[j - 1] for v in word[j:]):
-        raise RankOverflowError(
-            f"expansion of x_{j} * G_w for w={Permutation(word)} leaves S_{n} "
-            f"(swapping positions {j} and {n + 1} raises the length by one)"
-        )
+        return None
     found: dict[tuple[int, ...], int] = {}
     # depth-first over chains; an entry is a chain's word, the largest
     # position left for a below-j swap (0 once an above-j swap is made),

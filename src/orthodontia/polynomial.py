@@ -207,14 +207,12 @@ class Polynomial:
             k >>= 1
         return result
 
-    def mul_monomial(self, exps: Monomial, coeff: int = 1) -> Polynomial:
-        """Multiply by coeff * x^exps in a single pass."""
+    def mul_monomial(self, exps: Monomial) -> Polynomial:
+        """Multiply by x^exps in a single pass."""
         if len(exps) != self.n:
             raise RankMismatchError(f"monomial rank {len(exps)} vs polynomial rank {self.n}")
-        if not coeff:
-            return Polynomial.zero(self.n)
         add = operator.add
-        out = {tuple(map(add, e, exps)): c * coeff for e, c in self.terms.items()}
+        out = {tuple(map(add, e, exps)): c for e, c in self.terms.items()}
         return Polynomial._raw(self.n, out)
 
     def swap_variables(self, j: int) -> Polynomial:

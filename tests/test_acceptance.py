@@ -34,7 +34,6 @@ from orthodontia.grothendieck import (
     schubert_recursive,
     sigma,
     sort_permutation,
-    warm_caches,
 )
 from orthodontia.operators import demazure_lascoux, divided_difference, isobaric
 from orthodontia.permutation import from_one_line, identity, symmetric_group
@@ -42,11 +41,6 @@ from orthodontia.polynomial import Polynomial, exact_divide_monomial
 
 from conftest import random_polynomial
 from test_grothendieck import GROTHENDIECK_14532, SCHUBERT_31542
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm():
-    warm_caches(6)
 
 
 def _report(criterion: str, ok: bool, detail: str = "") -> None:

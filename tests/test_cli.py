@@ -432,6 +432,8 @@ def test_check_monk_fails_when_one_sign_flips(monkeypatch):
 
     def flipped(j, word):
         targets = real_targets(j, word)
+        if targets is None:
+            return None
         first = min(targets)
         return {**targets, first: -targets[first]}
 
@@ -467,6 +469,12 @@ def test_verify_builds_each_words_diagram_facts_once(monkeypatch):
     assert counts == {"rothe_diagram": 3 * 720, "orthodontia": 2 * 720}
 
 
+def assert_sweep_state_empty() -> None:
+    assert cli._FACTS == {}
+    for chain in (cli._SCHUBERT_CHAIN, cli._GROTH_CHAIN):
+        assert chain.steps == () and chain.polys == []
+
+
 def test_verify_facts_table_serves_one_run(monkeypatch):
     seen = {}
     for suite in ("sorted", "monk"):
@@ -481,19 +489,47 @@ def test_verify_facts_table_serves_one_run(monkeypatch):
     run_verify(4, suites=["sorted"])
     run_verify(4, suites=["monk"])
     assert seen == {"sorted": {0}, "monk": {0}}
-    assert cli._FACTS == {}
+    assert_sweep_state_empty()
     seen.clear()
     run_verify(4)
     assert seen == {"sorted": {24}, "monk": {24}}
-    assert cli._FACTS == {}
+    assert_sweep_state_empty()
 
     def broken(w):
+        # main has filled both chains for this word
+        assert cli._SCHUBERT_CHAIN.polys and cli._GROTH_CHAIN.polys
         raise RuntimeError("check failed")
 
-    monkeypatch.setitem(cli._SUITE_CHECKS, "main", broken)
-    with pytest.raises(RuntimeError):
-        run_verify(4, suites=["main"])
-    assert cli._FACTS == {}
+    monkeypatch.setitem(cli._SUITE_CHECKS, "degree", broken)
+    with pytest.raises(RuntimeError, match="check failed"):
+        run_verify(4, suites=["main", "degree"])
+    assert_sweep_state_empty()
+
+
+def test_verify_fills_the_memos_only_as_its_checks_read_them(monkeypatch):
+    for memo in ("_SCHUBERT_CACHE", "_GROTH_CACHE"):
+        monkeypatch.setattr(grothendieck, memo, {})
+    run_verify(5, suites=["divisibility"])
+    assert not any(len(word) == 5 for word in grothendieck._SCHUBERT_CACHE)
+    assert len(grothendieck._GROTH_CACHE) == 120
+
+
+def test_verify_applies_each_recursive_operator_once_per_word(monkeypatch):
+    # every word of S_6 but w0, whose polynomials are the staircase monomial
+    counts = {"divided_difference": 0, "isobaric": 0}
+    for name in counts:
+        real = getattr(grothendieck, name)
+
+        def counted(j, f, real=real, name=name):
+            counts[name] += 1
+            return real(j, f)
+
+        monkeypatch.setattr(grothendieck, name, counted)
+    for memo in ("_SCHUBERT_CACHE", "_GROTH_CACHE"):
+        monkeypatch.setattr(grothendieck, memo, {})
+    code, _, _ = run_verify(6)
+    assert code == 0
+    assert counts == {"divided_difference": 719, "isobaric": 719}
 
 
 @pytest.mark.parametrize("kept", ["some suites", "some words"])
@@ -527,6 +563,13 @@ def test_verify_jobs_capped_at_cpu_count(monkeypatch):
     code, out, err = run_verify(2, jobs=2)
     assert code == 0 and out == expected
     assert err == "warning: --jobs 2 capped at the CPU count, 1\n"
+
+
+def test_verify_jobs_below_one_exits_2(capsys):
+    assert main(["verify", "--n", "2", "--jobs", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "--jobs must be at least 1\n"
+    assert run_verify(2, jobs=0) == (2, "", "--jobs must be at least 1\n")
 
 
 def test_main_usage_errors_exit_2():
