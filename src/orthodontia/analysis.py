@@ -32,10 +32,10 @@ from orthodontia.diagram import (
     rothe_diagram,
 )
 from orthodontia.grothendieck import (
+    _is_sorted,
+    _primary_column_data,
+    _sorted_step_up,
     grothendieck_recursive,
-    is_sorted_permutation,
-    os_predecessor,
-    primary_column_data,
     schubert_recursive,
 )
 from orthodontia.permutation import Permutation
@@ -146,10 +146,10 @@ def exponent_change_check(w: Permutation) -> bool:
     """
     if w.is_identity():
         raise ValueError("w must be a nonidentity sorted permutation")
-    if not is_sorted_permutation(w):
+    data = _primary_column_data(w.word)
+    if not _is_sorted(w.word, data):
         raise ValueError(f"{w} is not sorted")
-    data = primary_column_data(w)
-    u = os_predecessor(w)
+    u = _sorted_step_up(w, data)
     D = rothe_diagram(w)
     gamma = sum(
         1

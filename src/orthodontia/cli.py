@@ -55,7 +55,9 @@ from orthodontia.grothendieck import (
     FormulaChain,
     _check_sorted_step,
     _grothendieck_of_word,
+    _is_sorted,
     _monk_targets,
+    _primary_column_data,
     chained_grothendieck,
     chained_schubert,
     formula_steps,
@@ -218,9 +220,13 @@ def _residue_ok(word: tuple[int, ...], record: dict) -> bool | None:
     return record["ok"] is True
 
 
-def _parts_and_unsort_ok(word: tuple[int, ...], record: dict) -> bool:
-    # parts_ok is a boolean exactly when w is sorted and not the identity
-    checked = record["sorted"] is True and word != tuple(range(1, len(word) + 1))
+def _parts_and_unsort_ok(word: tuple[int, ...], record: dict) -> bool | None:
+    # sorted is what the word gives, and parts_ok is a boolean exactly
+    # when w is sorted and not the identity
+    is_sorted = _is_sorted(word, _primary_column_data(word))
+    if record["sorted"] is not is_sorted:
+        return None
+    checked = is_sorted and word != tuple(range(1, len(word) + 1))
     parts_ok = record["parts_ok"]
     return record["unsort_ok"] is True and (parts_ok is True if checked else parts_ok is None)
 

@@ -33,7 +33,6 @@ from orthodontia.diagram import (
     Diagram,
     OrthodonticSequence,
     diagram_monomial,
-    missing_tooth,
     orthodontia,
     rothe_diagram,
 )
@@ -202,17 +201,8 @@ def chained_grothendieck(seq: OrthodonticSequence, chain: FormulaChain) -> Polyn
 
 
 def is_dominant(w: Permutation) -> bool:
-    """True iff w avoids the pattern 132, iff its diagram columns are all intervals."""
-    word = w.word
-    n = w.n
-    for i in range(n):
-        for j in range(i + 1, n):
-            if word[j] <= word[i]:
-                continue
-            for k in range(j + 1, n):
-                if word[i] < word[k] < word[j]:
-                    return False
-    return True
+    """True iff w avoids the pattern 132, iff no column of its diagram is primary."""
+    return _primary_column_data(w.word).standard_cols == w.n
 
 
 def dominant_grothendieck(w: Permutation) -> Polynomial:
@@ -224,42 +214,46 @@ def dominant_grothendieck(w: Permutation) -> Polynomial:
 
 @dataclass(frozen=True)
 class PrimaryColumnData:
-    """Shape data of the first non-interval column of the Rothe diagram.
+    """Shape data of the primary column, the first Rothe column that is
+    neither empty nor an interval {1..k}.
 
-    ``standard_cols``: number of leading columns that are standard
-        intervals (equals n when w is dominant).
-    ``column``: the first non-interval column (empty when dominant).
+    ``standard_cols``: number of columns before it (n when w is dominant).
     ``prefix``: largest p with {1..p} contained in that column.
-    ``tooth``: its smallest missing tooth (n when dominant).
-    ``gap``: tooth - prefix, the size of the uppermost gap.
+    ``tooth``: its smallest missing tooth, the last row of the gap below
+        that prefix (n when dominant).
+    ``gap``: tooth - prefix, the size of that gap.
     """
 
     standard_cols: int
-    column: frozenset[int]
     prefix: int
     tooth: int
     gap: int
 
 
 def primary_column_data(w: Permutation) -> PrimaryColumnData:
-    return _primary_column_data(rothe_diagram(w))
+    """The primary column data of w, read from its one-line word.
+
+    >>> primary_column_data(Permutation((1, 3, 2)))
+    PrimaryColumnData(standard_cols=1, prefix=0, tooth=1, gap=1)
+    """
+    return _primary_column_data(w.word)
 
 
-def _primary_column_data(D: Diagram) -> PrimaryColumnData:
-    for idx, c in enumerate(D.columns):
-        if not c:
-            continue
-        if c == frozenset(range(1, len(c) + 1)):
-            continue
-        prefix = 0
-        while prefix + 1 in c:
-            prefix += 1
-        tooth = missing_tooth(c)
-        assert tooth is not None and tooth > prefix
-        assert not any(i in c for i in range(prefix + 1, tooth + 1))
-        assert tooth + 1 in c
-        return PrimaryColumnData(idx, c, prefix, tooth, tooth - prefix)
-    return PrimaryColumnData(D.n, frozenset(), 0, D.n, D.n)
+def _primary_column_data(word: tuple[int, ...]) -> PrimaryColumnData:
+    # column j holds the rows i above w^-1(j) with w(i) > j: it is standard
+    # unless a row without a box sits above one with a box.  Both loops stop
+    # at w^-1(j) at the latest, where w(i) = j
+    n = len(word)
+    for j in range(1, n + 1):
+        i = 0
+        while word[i] > j:
+            i += 1
+        prefix = i
+        while word[i] < j:
+            i += 1
+        if word[i] > j:
+            return PrimaryColumnData(j - 1, prefix, i, i - prefix)
+    return PrimaryColumnData(n, 0, n, n)
 
 
 def sigma(w: Permutation) -> Permutation:
@@ -270,7 +264,7 @@ def sigma(w: Permutation) -> Permutation:
     dominant w the restriction is all of w, so sigma(w) = w.  w is called
     sorted when sigma(w) is the identity.
     """
-    return _sigma(w, primary_column_data(w))
+    return _sigma(w, _primary_column_data(w.word))
 
 
 def _sigma(w: Permutation, data: PrimaryColumnData) -> Permutation:
@@ -286,12 +280,12 @@ def _sigma(w: Permutation, data: PrimaryColumnData) -> Permutation:
 
 def is_sorted_permutation(w: Permutation) -> bool:
     """True iff the entries on positions prefix+1..tooth already increase."""
-    return _is_sorted(w, primary_column_data(w))
+    return _is_sorted(w.word, _primary_column_data(w.word))
 
 
-def _is_sorted(w: Permutation, data: PrimaryColumnData) -> bool:
-    word = w.word[data.prefix : data.tooth]
-    return all(a < b for a, b in zip(word, word[1:]))
+def _is_sorted(word: tuple[int, ...], data: PrimaryColumnData) -> bool:
+    run = word[data.prefix : data.tooth]
+    return list(run) == sorted(run)
 
 
 def sort_permutation(w: Permutation) -> Permutation:
@@ -300,7 +294,7 @@ def sort_permutation(w: Permutation) -> Permutation:
     Idempotent; preserves primary column data; maps dominant permutations
     to the identity.
     """
-    return _sort(w, primary_column_data(w))
+    return _sort(w, _primary_column_data(w.word))
 
 
 def _sort(w: Permutation, data: PrimaryColumnData) -> Permutation:
@@ -316,7 +310,7 @@ def unsort_factor(w: Permutation) -> Monomial:
     placed on the variables x_{prefix+1}..x_{tooth}.  Sorted input gives
     the constant monomial.
     """
-    data = primary_column_data(w)
+    data = _primary_column_data(w.word)
     shape = rothe_diagram(_sigma(w, data))
     rows = [0] * data.gap
     for i, _ in shape.boxes():
@@ -432,8 +426,8 @@ def os_predecessor(w: Permutation) -> Permutation:
     """
     if w.is_identity():
         raise ValueError("the identity has no predecessor")
-    data = primary_column_data(w)
-    if not _is_sorted(w, data):
+    data = _primary_column_data(w.word)
+    if not _is_sorted(w.word, data):
         return _sort(w, data)
     return _sorted_step_up(w, data)
 
@@ -473,12 +467,13 @@ def _check_sorted_step(
     """:func:`check_sorted_step`, taking the orthodontic sequences of w, sort(w)
     and w's sorted-step predecessor from ``known(word)`` where it gives one.
 
-    The diagrams of w and of the pattern sigma(w) are always built here.
+    The diagram of the pattern sigma(w) is always built here, and w's only
+    when ``known`` gives no sequence for it.
     """
-    D = rothe_diagram(w)
-    data = _primary_column_data(D)
-    seq_w = known(w.word) or orthodontia(D)
-    is_sorted = _is_sorted(w, data)
+    word = w.word
+    data = _primary_column_data(word)
+    seq_w = known(word) or orthodontia(rothe_diagram(w))
+    is_sorted = _is_sorted(word, data)
     if is_sorted:
         seq_sorted = seq_w
     else:

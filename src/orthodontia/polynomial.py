@@ -91,15 +91,15 @@ class Polynomial:
 
     @classmethod
     def zero(cls, n: int) -> Polynomial:
-        return cls._raw(n, {})
+        return cls(n)
 
     @classmethod
     def one(cls, n: int) -> Polynomial:
-        return cls._raw(n, {(0,) * n: 1})
+        return cls(n, {(0,) * n: 1})
 
     @classmethod
     def constant(cls, n: int, c: int) -> Polynomial:
-        return cls._raw(n, {(0,) * n: c} if c else {})
+        return cls(n, {(0,) * n: c})
 
     @classmethod
     def variable(cls, j: int, n: int) -> Polynomial:
@@ -112,9 +112,7 @@ class Polynomial:
     @classmethod
     def monomial(cls, exps: Monomial, coeff: int = 1) -> Polynomial:
         exps = tuple(exps)
-        if any(e < 0 for e in exps):
-            raise ValueError(f"negative exponent in {exps}")
-        return cls._raw(len(exps), {exps: coeff} if coeff else {})
+        return cls(len(exps), {exps: coeff})
 
     @property
     def is_zero(self) -> bool:

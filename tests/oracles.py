@@ -18,6 +18,11 @@ definition, and reads the overflow off the targets.
 The library builds G_w from the four operators, by recursion and by the
 ascending formula; the pipe-dream oracle uses no operator at all, only
 the K-theoretic pipe-dream sum.
+
+The library reads primary column data, and so dominance, off the
+one-line word in one scan per column; the oracles build the Rothe
+diagram column by column from its definition and read the data off it,
+and test dominance as 132 avoidance.
 """
 
 from __future__ import annotations
@@ -193,3 +198,40 @@ def pipe_dream_grothendiecks(n: int) -> dict[tuple[int, ...], Polynomial]:
         terms = sums.setdefault(w, {})
         terms[exps] = terms.get(exps, 0) + (-1) ** (sum(exps) - inversions_by_enumeration(w))
     return {w: Polynomial(n, terms) for w, terms in sums.items()}
+
+
+def primary_column_oracle(word: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """(standard_cols, prefix, tooth, gap) of the first Rothe column that is
+    neither empty nor an interval {1..k}, read off the diagram.
+
+    Column j holds the rows i with i < w^-1(j) and j < w(i).  standard_cols
+    counts the columns before it, prefix is the largest p with {1..p} in
+    it, and tooth is its smallest missing tooth.  A dominant w, which has
+    no such column, gives (n, 0, n, n).
+    """
+    n = len(word)
+    for j in range(1, n + 1):
+        below = word.index(j) + 1
+        c = {i for i in range(1, below) if word[i - 1] > j}
+        if c == set(range(1, len(c) + 1)):
+            continue
+        prefix = 0
+        while prefix + 1 in c:
+            prefix += 1
+        tooth = min(i for i in range(1, n) if i not in c and i + 1 in c)
+        assert tooth > prefix
+        assert not any(i in c for i in range(prefix + 1, tooth + 1))
+        assert tooth + 1 in c
+        return j - 1, prefix, tooth, tooth - prefix
+    return n, 0, n, n
+
+
+def avoids_132(word: tuple[int, ...]) -> bool:
+    """True iff no positions i < j < k have word[i] < word[k] < word[j]."""
+    n = len(word)
+    return not any(
+        word[i] < word[k] < word[j]
+        for i in range(n)
+        for j in range(i + 1, n)
+        for k in range(j + 1, n)
+    )

@@ -79,8 +79,10 @@ def test_criterion_1_golden_examples():
     )
 
     def pcd_tuple(word):
-        d = primary_column_data(from_one_line(word))
-        return d.standard_cols, tuple(sorted(d.column)), d.prefix, d.tooth, d.gap
+        w = from_one_line(word)
+        d = primary_column_data(w)
+        column = tuple(sorted(rothe_diagram(w).columns[d.standard_cols]))
+        return d.standard_cols, column, d.prefix, d.tooth, d.gap
 
     ok &= pcd_tuple([6, 8, 4, 3, 2, 7, 5, 1]) == (4, (1, 2, 6), 2, 5, 3)
     ok &= pcd_tuple([1, 2, 8, 4, 5, 3, 7, 6]) == (2, (3, 4, 5), 0, 2, 2)

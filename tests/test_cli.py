@@ -325,6 +325,13 @@ def test_verify_cache_without_a_stamp_line_is_malformed(tmp_path, content, skipp
         # 132 is sorted and not the identity, so its parts were checked
         b'{"n":3,"ok":true,"parts_ok":null,"sorted":true,"suite":"sorted","unsort_ok":true,'
         b'"w":[1,3,2]}',
+        # a sorted flag the word does not give: 132 and 123 are sorted, 213 is not
+        b'{"n":3,"ok":true,"parts_ok":null,"sorted":false,"suite":"sorted","unsort_ok":true,'
+        b'"w":[1,3,2]}',
+        b'{"n":3,"ok":true,"parts_ok":true,"sorted":true,"suite":"sorted","unsort_ok":true,'
+        b'"w":[2,1,3]}',
+        b'{"n":3,"ok":true,"parts_ok":null,"sorted":false,"suite":"sorted","unsort_ok":true,'
+        b'"w":[1,2,3]}',
         # ok is not the boolean the residue check returns
         b'{"checked":2,"n":2,"ok":1,"skipped":0,"suite":"monk","w":[2,1]}',
         # 132 has three pairs (w, j), each checked or skipped, not nine
@@ -452,8 +459,8 @@ def test_verify_records_carry_exactly_their_rules_fields():
 
 def test_verify_builds_each_words_diagram_facts_once(monkeypatch):
     # 720 words, each with one diagram and one sequence in the shared facts;
-    # sorted also builds w's diagram for its column data, and the diagram
-    # and sequence of the pattern sigma(w)
+    # sorted reads w's column data off its word and its sequence from the
+    # facts, and builds the diagram and sequence of the pattern sigma(w)
     counts = {"rothe_diagram": 0, "orthodontia": 0}
     for name in counts:
         real = getattr(diagram, name)
@@ -466,7 +473,7 @@ def test_verify_builds_each_words_diagram_facts_once(monkeypatch):
             monkeypatch.setattr(module, name, counted)
     code, _, _ = run_verify(6)
     assert code == 0
-    assert counts == {"rothe_diagram": 3 * 720, "orthodontia": 2 * 720}
+    assert counts == {"rothe_diagram": 2 * 720, "orthodontia": 2 * 720}
 
 
 def assert_sweep_state_empty() -> None:

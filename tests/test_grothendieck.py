@@ -4,6 +4,7 @@ import gc
 import random
 import re
 import sys
+from itertools import permutations
 
 import pytest
 
@@ -43,7 +44,12 @@ from orthodontia.permutation import (
 )
 from orthodontia.polynomial import Polynomial
 
-from oracles import monk_terms_oracle, pipe_dream_grothendiecks
+from oracles import (
+    avoids_132,
+    monk_terms_oracle,
+    pipe_dream_grothendiecks,
+    primary_column_oracle,
+)
 
 SCHUBERT_31542 = Polynomial(
     5,
@@ -217,31 +223,17 @@ def test_dominant_grothendieck():
         dominant_grothendieck(from_one_line([1, 3, 2]))
 
 
+def primary_column_tuple(word):
+    w = from_one_line(word)
+    d = primary_column_data(w)
+    column = sorted(rothe_diagram(w).columns[d.standard_cols])
+    return d.standard_cols, column, d.prefix, d.tooth, d.gap
+
+
 def test_primary_column_data_golden():
-    d = primary_column_data(from_one_line([6, 8, 4, 3, 2, 7, 5, 1]))
-    assert (d.standard_cols, sorted(d.column), d.prefix, d.tooth, d.gap) == (
-        4,
-        [1, 2, 6],
-        2,
-        5,
-        3,
-    )
-    d = primary_column_data(from_one_line([1, 2, 8, 4, 5, 3, 7, 6]))
-    assert (d.standard_cols, sorted(d.column), d.prefix, d.tooth, d.gap) == (
-        2,
-        [3, 4, 5],
-        0,
-        2,
-        2,
-    )
-    d = primary_column_data(from_one_line([9, 2, 3, 8, 5, 4, 7, 6, 1]))
-    assert (d.standard_cols, sorted(d.column), d.prefix, d.tooth, d.gap) == (
-        3,
-        [1, 4, 5],
-        1,
-        3,
-        2,
-    )
+    assert primary_column_tuple([6, 8, 4, 3, 2, 7, 5, 1]) == (4, [1, 2, 6], 2, 5, 3)
+    assert primary_column_tuple([1, 2, 8, 4, 5, 3, 7, 6]) == (2, [3, 4, 5], 0, 2, 2)
+    assert primary_column_tuple([9, 2, 3, 8, 5, 4, 7, 6, 1]) == (3, [1, 4, 5], 1, 3, 2)
 
 
 def test_primary_column_data_dominant_convention():
@@ -249,26 +241,34 @@ def test_primary_column_data_dominant_convention():
         w = from_one_line(word)
         assert is_dominant(w)
         d = primary_column_data(w)
-        assert (d.standard_cols, d.column, d.prefix, d.tooth, d.gap) == (
-            w.n,
-            frozenset(),
-            0,
-            w.n,
-            w.n,
-        )
+        assert (d.standard_cols, d.prefix, d.tooth, d.gap) == (w.n, 0, w.n, w.n)
 
 
 def test_primary_column_data_invariants_s5():
+    def standard(c):
+        return c == frozenset(range(1, len(c) + 1))
+
     for w in symmetric_group(5):
         d = primary_column_data(w)
         if is_dominant(w):
             continue
         D = rothe_diagram(w)
-        assert D.columns[d.standard_cols] == d.column
-        assert all(p in d.column for p in range(1, d.prefix + 1))
-        assert all(p not in d.column for p in range(d.prefix + 1, d.tooth + 1))
-        assert d.tooth + 1 in d.column
+        column = D.columns[d.standard_cols]
+        assert all(standard(c) for c in D.columns[: d.standard_cols])
+        assert not standard(column)
+        assert all(p in column for p in range(1, d.prefix + 1))
+        assert all(p not in column for p in range(d.prefix + 1, d.tooth + 1))
+        assert d.tooth + 1 in column
         assert d.gap == d.tooth - d.prefix >= 1
+
+
+def test_primary_column_data_and_is_dominant_match_oracles_s1_to_s7():
+    for n in range(1, 8):
+        for word in permutations(range(1, n + 1)):
+            w = Permutation(word)
+            d = primary_column_data(w)
+            assert (d.standard_cols, d.prefix, d.tooth, d.gap) == primary_column_oracle(word)
+            assert is_dominant(w) == avoids_132(word)
 
 
 def test_sigma_golden():

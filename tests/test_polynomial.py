@@ -66,6 +66,21 @@ def test_negative_exponents_rejected():
         Polynomial.monomial((0, -2))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Polynomial(0),
+        lambda: Polynomial.zero(0),
+        lambda: Polynomial.one(0),
+        lambda: Polynomial.constant(0, 3),
+        lambda: Polynomial.monomial(()),
+    ],
+)
+def test_no_variables_rejected(make):
+    with pytest.raises(ValueError, match="variable count must be at least 1"):
+        make()
+
+
 def test_zero_coefficients_pruned():
     f = Polynomial(2, {(1, 0): 0, (0, 1): 2})
     assert list(f.terms) == [(0, 1)]
