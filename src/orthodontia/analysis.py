@@ -1,10 +1,10 @@
 """Support and degree analysis for Grothendieck polynomials.
 
-Each check takes w and builds the diagram facts it needs: the
-orthodontic sequence of the Rothe diagram and the upper-closure
-monomial.  Its private form takes those facts instead, so verify can
-build them once per word and share them across its suites; the public
-forms wrap the private ones.
+Each check takes w together with the facts of its Rothe diagram that it
+reads: the orthodontic sequence (:func:`orthodontia.diagram.orthodontia`)
+and the upper-closure monomial
+(:func:`orthodontia.diagram.closure_monomial`).  A caller builds them once
+per word and may share them across checks, as verify does.
 
 Two facts are verified exhaustively by the test and verify suites:
 
@@ -25,12 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from orthodontia.diagram import (
-    OrthodonticSequence,
-    closure_monomial,
-    orthodontia,
-    rothe_diagram,
-)
+from orthodontia.diagram import OrthodonticSequence, closure_monomial, rothe_diagram
 from orthodontia.grothendieck import (
     _is_sorted,
     _primary_column_data,
@@ -90,30 +85,18 @@ def support_witness(f: Polynomial, bound: Monomial) -> Monomial | None:
     raise AssertionError("maximum exponents exceed the bound but no monomial does")
 
 
-def check_divisibility(w: Permutation) -> tuple[bool, Monomial | None]:
-    """Does every monomial of G_w divide the upper-closure monomial?
+def check_divisibility(w: Permutation, closure: Monomial) -> tuple[bool, Monomial | None]:
+    """Does every monomial of G_w divide x^closure, the upper-closure monomial of w?
 
     Returns (True, None), or (False, offending exponent vector).
     """
-    return _check_divisibility_from(w, closure_monomial(rothe_diagram(w)))
-
-
-def _check_divisibility_from(w: Permutation, closure: Monomial) -> tuple[bool, Monomial | None]:
-    """:func:`check_divisibility`, given the upper-closure monomial of w."""
     witness = support_witness(grothendieck_recursive(w), closure)
     return witness is None, witness
 
 
-def degree_report(w: Permutation) -> DegreeReport:
-    """Degree of G_w and both bounds for w; never raises on a failed bound."""
-    D = rothe_diagram(w)
-    return _degree_report_from(w, orthodontia(D), closure_monomial(D))
-
-
-def _degree_report_from(
-    w: Permutation, seq: OrthodonticSequence, closure: Monomial
-) -> DegreeReport:
-    """:func:`degree_report`, given the orthodontic sequence and upper-closure monomial of w."""
+def degree_report(w: Permutation, seq: OrthodonticSequence, closure: Monomial) -> DegreeReport:
+    """Degree of G_w and both bounds, given the orthodontic sequence and
+    upper-closure monomial of w; never raises on a failed bound."""
     groth = grothendieck_recursive(w)
     schub = schubert_recursive(w)
     deg_groth = 0 if groth.is_zero else groth.degree()
@@ -168,33 +151,24 @@ def exponent_change_check(w: Permutation) -> bool:
     return all(head == mu[p - 1] + gamma for p in range(data.prefix + 2, data.tooth + 2))
 
 
-def support_vectors(w: Permutation) -> SupportVectors:
-    D = rothe_diagram(w)
-    return _support_vectors_from(orthodontia(D), closure_monomial(D))
-
-
-def _support_vectors_from(seq: OrthodonticSequence, closure: Monomial) -> SupportVectors:
+def support_vectors(seq: OrthodonticSequence, closure: Monomial) -> SupportVectors:
+    """theta and xi of the orthodontic sequence and upper-closure monomial of one w."""
     teeth = seq.teeth
     xi = tuple(sum(1 for t in teeth if t == j) for j in range(1, len(closure) + 1))
     return SupportVectors(closure, xi)
 
 
-def check_conjecture(w: Permutation) -> tuple[bool, Monomial | None]:
-    """Experimental check: do all monomials of G_w divide x^(theta + xi)?
-
-    Since theta is the upper-closure monomial and xi >= 0, this follows
-    from :func:`check_divisibility`: it can fail only where that check
-    fails.  Callers must not fail a build on (False, witness).
-    """
-    D = rothe_diagram(w)
-    return _check_conjecture_from(w, orthodontia(D), closure_monomial(D))
-
-
-def _check_conjecture_from(
+def check_conjecture(
     w: Permutation, seq: OrthodonticSequence, closure: Monomial
 ) -> tuple[bool, Monomial | None]:
-    """:func:`check_conjecture`, given the orthodontic sequence and upper-closure monomial of w."""
-    vectors = _support_vectors_from(seq, closure)
+    """Experimental check: do all monomials of G_w divide x^(theta + xi)?
+
+    ``seq`` and ``closure`` are the orthodontic sequence and upper-closure
+    monomial of w.  Since theta is the upper-closure monomial and xi >= 0,
+    this follows from :func:`check_divisibility`: it can fail only where
+    that check fails.  Callers must not fail a build on (False, witness).
+    """
+    vectors = support_vectors(seq, closure)
     bound = tuple(t + x for t, x in zip(vectors.theta, vectors.xi))
     witness = support_witness(grothendieck_recursive(w), bound)
     return witness is None, witness

@@ -38,11 +38,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple, Sequence, TextIO
 
 from orthodontia import __version__
-from orthodontia.analysis import (
-    _check_conjecture_from,
-    _check_divisibility_from,
-    _degree_report_from,
-)
+from orthodontia.analysis import check_conjecture, check_divisibility, degree_report
 from orthodontia.diagram import (
     OrthodonticSequence,
     closure_monomial,
@@ -53,13 +49,13 @@ from orthodontia.diagram import (
 )
 from orthodontia.grothendieck import (
     FormulaChain,
-    _check_sorted_step,
     _grothendieck_of_word,
     _is_sorted,
     _monk_targets,
     _primary_column_data,
     chained_grothendieck,
     chained_schubert,
+    check_sorted_step,
     formula_steps,
     grothendieck_recursive,
     orthodontia_grothendieck,
@@ -98,27 +94,17 @@ _SCHUBERT_CHAIN = FormulaChain()
 _GROTH_CHAIN = FormulaChain()
 
 
-class _WordFacts(NamedTuple):
-    """What several suites read of one word's Rothe diagram."""
-
-    seq: OrthodonticSequence
-    closure: Monomial
-
-
-# The facts of every task word when a task has one of _FACT_SUITES to
-# compute, which read them; filled by _sweep before any fork and emptied
-# when it ends.  The diagrams themselves are not kept.
-_FACTS: dict[tuple[int, ...], _WordFacts] = {}
+# The orthodontic sequence and upper-closure monomial of every task word
+# when a task has one of _FACT_SUITES to compute, which read them; filled
+# by _sweep before any fork and emptied when it ends.  The diagrams
+# themselves are not kept.
+_SEQUENCES: dict[tuple[int, ...], OrthodonticSequence] = {}
+_CLOSURES: dict[tuple[int, ...], Monomial] = {}
 _FACT_SUITES = frozenset({"main", "divisibility", "degree", "conjecture"})
 
 
-def _known_sequence(word: tuple[int, ...]) -> OrthodonticSequence | None:
-    facts = _FACTS.get(word)
-    return None if facts is None else facts.seq
-
-
 def _check_main(w: Permutation) -> dict:
-    seq = _FACTS[w.word].seq
+    seq = _SEQUENCES[w.word]
     schubert = schubert_recursive(w)
     return {
         "groth_match": grothendieck_recursive(w) == chained_grothendieck(seq, _GROTH_CHAIN),
@@ -128,12 +114,12 @@ def _check_main(w: Permutation) -> dict:
 
 
 def _check_divisibility(w: Permutation) -> dict:
-    _, witness = _check_divisibility_from(w, _FACTS[w.word].closure)
+    _, witness = check_divisibility(w, _CLOSURES[w.word])
     return {"witness": None if witness is None else list(witness)}
 
 
 def _check_degree(w: Permutation) -> dict:
-    report = _degree_report_from(w, *_FACTS[w.word])
+    report = degree_report(w, _SEQUENCES[w.word], _CLOSURES[w.word])
     return {
         "deg_groth": report.deg_groth,
         "bound_prop": report.bound_prop,
@@ -144,7 +130,7 @@ def _check_degree(w: Permutation) -> dict:
 
 
 def _check_sorted(w: Permutation) -> dict:
-    step = _check_sorted_step(w, _known_sequence)
+    step = check_sorted_step(w, _SEQUENCES)
     return {"sorted": step.is_sorted, "parts_ok": step.parts_ok, "unsort_ok": step.unsort_ok}
 
 
@@ -176,7 +162,7 @@ def _check_monk(w: Permutation) -> dict:
 
 
 def _check_conjecture(w: Permutation) -> dict:
-    _, witness = _check_conjecture_from(w, *_FACTS[w.word])
+    _, witness = check_conjecture(w, _SEQUENCES[w.word], _CLOSURES[w.word])
     return {"witness": None if witness is None else list(witness)}
 
 
@@ -387,7 +373,6 @@ def _write_cache(path: str, table: dict[_Key, dict]) -> None:
 def cmd_compute(
     w: Permutation,
     kind: str,
-    method: str,
     fmt: str,
     out: TextIO,
     err: TextIO,
@@ -403,14 +388,10 @@ def cmd_compute(
             f"  orthodontia: {formula}\n"
         )
         return 1
-    poly = recursive if method == "recursive" else formula
     if fmt == "json":
-        out.write(
-            _dump({"w": list(w.word), "kind": kind, "method": method, "polynomial": poly.to_json()})
-            + "\n"
-        )
+        out.write(_dump({"w": list(w.word), "kind": kind, "polynomial": recursive.to_json()}) + "\n")
     else:
-        out.write(str(poly) + "\n")
+        out.write(str(recursive) + "\n")
     return 0
 
 
@@ -536,18 +517,19 @@ def _sweep(
 ) -> None:
     """Compute each task's records into table, in jobs worker processes when jobs > 1.
 
-    The task words' facts are built first, so forked workers inherit them.
-    The facts and the formula chains are emptied when the sweep ends, also
-    by an exception.
+    The task words' sequences and closure monomials are built first, so
+    forked workers inherit them.  Both tables and the formula chains are
+    emptied when the sweep ends, also by an exception.
     """
     try:
         if any(not _FACT_SUITES.isdisjoint(missing) for _, missing in tasks):
             for word, _ in tasks:
                 D = rothe_diagram(Permutation(word))
-                _FACTS[word] = _WordFacts(orthodontia(D), closure_monomial(D))
+                _SEQUENCES[word] = orthodontia(D)
+                _CLOSURES[word] = closure_monomial(D)
         if any("main" in missing for _, missing in tasks):
             # neighbours in step order share the longest formula prefixes
-            tasks.sort(key=lambda task: formula_steps(_FACTS[task[0]].seq))
+            tasks.sort(key=lambda task: formula_steps(_SEQUENCES[task[0]]))
         if jobs > 1:
             import concurrent.futures
             import multiprocessing
@@ -562,7 +544,8 @@ def _sweep(
             for suite, record in records.items():
                 table[n, suite, word] = record
     finally:
-        _FACTS.clear()
+        _SEQUENCES.clear()
+        _CLOSURES.clear()
         _SCHUBERT_CHAIN.clear()
         _GROTH_CHAIN.clear()
 
@@ -583,7 +566,6 @@ def _build_parser() -> argparse.ArgumentParser:
     compute.add_argument(
         "--kind", choices=("schubert", "grothendieck"), default="grothendieck"
     )
-    compute.add_argument("--method", choices=("recursive", "orthodontia"), default="recursive")
     compute.add_argument("--format", choices=("text", "json"), default="text")
 
     ortho = sub.add_parser("ortho", help="orthodontic sequence of a permutation")
@@ -628,7 +610,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 def _run(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     if args.command == "compute":
-        return cmd_compute(args.permutation, args.kind, args.method, args.format, out, err)
+        return cmd_compute(args.permutation, args.kind, args.format, out, err)
     if args.command == "ortho":
         return cmd_ortho(args.permutation, args.format, args.trace, out)
     if args.command == "diagram":

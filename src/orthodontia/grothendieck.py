@@ -26,8 +26,8 @@ demand.  A forked worker fills its own copy.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable
 
 from orthodontia.diagram import (
     Diagram,
@@ -311,13 +311,8 @@ def unsort_factor(w: Permutation) -> Monomial:
     the constant monomial.
     """
     data = _primary_column_data(w.word)
-    shape = rothe_diagram(_sigma(w, data))
-    rows = [0] * data.gap
-    for i, _ in shape.boxes():
-        rows[i - 1] += 1
     exps = [0] * w.n
-    for r, count in enumerate(rows):
-        exps[data.prefix + r] = count
+    exps[data.prefix : data.tooth] = diagram_monomial(rothe_diagram(_sigma(w, data)))
     return tuple(exps)
 
 
@@ -456,29 +451,26 @@ class SortedStepCheck:
     parts_ok: bool | None
 
 
-def check_sorted_step(w: Permutation) -> SortedStepCheck:
-    """Check the sorted-step relations for w, building its diagram once."""
-    return _check_sorted_step(w, lambda word: None)
-
-
-def _check_sorted_step(
-    w: Permutation, known: Callable[[tuple[int, ...]], OrthodonticSequence | None]
+def check_sorted_step(
+    w: Permutation, known: Mapping[tuple[int, ...], OrthodonticSequence]
 ) -> SortedStepCheck:
-    """:func:`check_sorted_step`, taking the orthodontic sequences of w, sort(w)
-    and w's sorted-step predecessor from ``known(word)`` where it gives one.
+    """Check the sorted-step relations for w.
 
-    The diagram of the pattern sigma(w) is always built here, and w's only
-    when ``known`` gives no sequence for it.
+    ``known`` maps one-line words to their orthodontic sequences and is
+    only read.  The sequences of w, sort(w) and w's sorted-step
+    predecessor come from it where it has them and are built otherwise,
+    so ``{}`` builds every one.  The diagram of the pattern sigma(w) is
+    always built here.
     """
     word = w.word
-    data = _primary_column_data(word)
-    seq_w = known(word) or orthodontia(rothe_diagram(w))
+    data = primary_column_data(w)
+    seq_w = known.get(word) or orthodontia(rothe_diagram(w))
     is_sorted = _is_sorted(word, data)
     if is_sorted:
         seq_sorted = seq_w
     else:
         u = _sort(w, data)
-        seq_sorted = known(u.word) or orthodontia(rothe_diagram(u))
+        seq_sorted = known.get(u.word) or orthodontia(rothe_diagram(u))
     # the sequences of w and sort(w) agree except for the interval counts,
     # which shift by the interval counts of the pattern sigma(w)
     pattern_counts = orthodontia(rothe_diagram(_sigma(w, data))).interval_multiplicities
@@ -506,7 +498,7 @@ def _check_sorted_step(
         part_v = False
         if part_i:
             u = _sorted_step_up(w, data)
-            seq_up = known(u.word) or orthodontia(rothe_diagram(u))
+            seq_up = known.get(u.word) or orthodontia(rothe_diagram(u))
             expected_up_k = list(k)
             if data.prefix > 0:
                 expected_up_k[data.prefix - 1] -= gap

@@ -183,21 +183,46 @@ def pipe_dream_grothendiecks(n: int) -> dict[tuple[int, ...], Polynomial]:
     of (-1)^(|P| - l(w)) x^wt(P) over the P whose product is w, where
     wt(P)_i counts the crosses in row i (Fomin-Kirillov; Knutson-Miller).
     """
-    cells = [(i, j) for i in range(1, n) for j in range(n - i, 0, -1)]
+    return pipe_dream_sums(n, [(i, j) for i in range(1, n) for j in range(n - i, 0, -1)])
+
+
+def pipe_dream_sums(n: int, cells: list[tuple[int, int]]) -> dict[tuple[int, ...], Polynomial]:
+    """The sums of :func:`pipe_dream_grothendiecks`, with the crosses read
+    in the order of ``cells``.
+
+    A depth-first walk over the cells decides at each one whether P has a
+    cross there.  It keeps the Demazure product of the crosses so far,
+    the row weight and |P|, and undoes each cross on return, so it reaches
+    every P once.
+    """
+    word = list(range(1, n + 1))
+    weight = [0] * n
+    # w -> exponent vector -> the sum of (-1)^|P|
     sums: dict[tuple[int, ...], dict[Monomial, int]] = {}
-    for mask in range(1 << len(cells)):
-        word = list(range(1, n + 1))
-        weight = [0] * n
-        for bit, (i, j) in enumerate(cells):
-            if mask >> bit & 1:
-                weight[i - 1] += 1
-                k = i + j - 1
-                if word[k - 1] < word[k]:
-                    word[k - 1], word[k] = word[k], word[k - 1]
-        w, exps = tuple(word), tuple(weight)
-        terms = sums.setdefault(w, {})
-        terms[exps] = terms.get(exps, 0) + (-1) ** (sum(exps) - inversions_by_enumeration(w))
-    return {w: Polynomial(n, terms) for w, terms in sums.items()}
+
+    def walk(index: int, size: int) -> None:
+        if index == len(cells):
+            terms = sums.setdefault(tuple(word), {})
+            exps = tuple(weight)
+            terms[exps] = terms.get(exps, 0) + (-1) ** size
+            return
+        walk(index + 1, size)
+        i, j = cells[index]
+        k = i + j - 1
+        raises = word[k - 1] < word[k]
+        if raises:
+            word[k - 1], word[k] = word[k], word[k - 1]
+        weight[i - 1] += 1
+        walk(index + 1, size + 1)
+        weight[i - 1] -= 1
+        if raises:
+            word[k - 1], word[k] = word[k], word[k - 1]
+
+    walk(0, 0)
+    return {
+        w: Polynomial(n, {e: c * (-1) ** inversions_by_enumeration(w) for e, c in terms.items()})
+        for w, terms in sums.items()
+    }
 
 
 def primary_column_oracle(word: tuple[int, ...]) -> tuple[int, int, int, int]:

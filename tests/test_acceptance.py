@@ -40,6 +40,7 @@ from orthodontia.permutation import from_one_line, identity, symmetric_group
 from orthodontia.polynomial import Polynomial, exact_divide_monomial
 
 from conftest import random_polynomial
+from test_analysis import facts
 from test_grothendieck import GROTHENDIECK_14532, SCHUBERT_31542
 
 
@@ -142,10 +143,11 @@ def test_criterion_3_divisibility_and_degree_bounds_s6():
     ok = True
     for w in symmetric_group(6):
         total += 1
-        passed, witness = check_divisibility(w)
+        seq, closure = facts(w)
+        passed, witness = check_divisibility(w, closure)
         if not passed:
             ok = False
-        report = degree_report(w)
+        report = degree_report(w, seq, closure)
         if report.deg_groth > report.bound_prop or report.deg_groth > report.bound_cor:
             ok = False
         tight_prop += report.deg_groth == report.bound_prop
@@ -207,7 +209,7 @@ def test_check_sorted_step_matches_relation_oracles_s6():
     # the library's one-diagram sorted-step check against the helpers above,
     # which rebuild every diagram through the public functions
     for w in symmetric_group(6):
-        step = check_sorted_step(w)
+        step = check_sorted_step(w, {})
         assert step.is_sorted == is_sorted_permutation(w)
         assert step.unsort_ok == _unsort_transform_holds(w)
         if step.is_sorted and not w.is_identity():
@@ -378,7 +380,7 @@ def test_criterion_7_conjecture_experiment(tmp_path):
     counterexamples = []
     lines = []
     for w in symmetric_group(5):
-        passed, witness = check_conjecture(w)
+        passed, witness = check_conjecture(w, *facts(w))
         lines.append(
             json.dumps(
                 {

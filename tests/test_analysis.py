@@ -3,9 +3,6 @@ from __future__ import annotations
 import pytest
 
 from orthodontia.analysis import (
-    _check_conjecture_from,
-    _check_divisibility_from,
-    _degree_report_from,
     check_conjecture,
     check_divisibility,
     degree_report,
@@ -13,7 +10,13 @@ from orthodontia.analysis import (
     support_vectors,
     support_witness,
 )
-from orthodontia.diagram import diagram_monomial, orthodontia, rothe_diagram, upper_closure
+from orthodontia.diagram import (
+    closure_monomial,
+    diagram_monomial,
+    orthodontia,
+    rothe_diagram,
+    upper_closure,
+)
 from orthodontia.grothendieck import (
     grothendieck_recursive,
     is_sorted_permutation,
@@ -25,8 +28,15 @@ from orthodontia.polynomial import Polynomial, monomial_divides
 from oracles import support_witness_scan
 
 
+def facts(w):
+    """The orthodontic sequence and upper-closure monomial the checks take."""
+    D = rothe_diagram(w)
+    return orthodontia(D), closure_monomial(D)
+
+
 def test_check_divisibility_identity():
-    assert check_divisibility(identity(3)) == (True, None)
+    w = identity(3)
+    assert check_divisibility(w, facts(w)[1]) == (True, None)
 
 
 def test_check_divisibility_14532():
@@ -35,24 +45,26 @@ def test_check_divisibility_14532():
     assert bound == (2, 2, 2, 1, 0)
     for exps in grothendieck_recursive(w).monomials():
         assert monomial_divides(exps, bound)
-    assert check_divisibility(w) == (True, None)
+    assert check_divisibility(w, facts(w)[1]) == (True, None)
 
 
 def test_check_divisibility_s5():
     for w in symmetric_group(5):
-        assert check_divisibility(w) == (True, None)
+        assert check_divisibility(w, facts(w)[1]) == (True, None)
 
 
 def test_support_checks_match_scan_oracle_s5():
     for w in symmetric_group(5):
+        # the checks take the library's closure monomial; the oracle's bound
+        # comes from the closure diagram itself
+        seq, closure = facts(w)
         groth = grothendieck_recursive(w)
-        closure = diagram_monomial(upper_closure(rothe_diagram(w)))
-        witness = support_witness_scan(groth, closure)
-        assert check_divisibility(w) == (witness is None, witness)
-        vectors = support_vectors(w)
+        witness = support_witness_scan(groth, diagram_monomial(upper_closure(rothe_diagram(w))))
+        assert check_divisibility(w, closure) == (witness is None, witness)
+        vectors = support_vectors(seq, closure)
         conjectured = tuple(t + x for t, x in zip(vectors.theta, vectors.xi))
         witness = support_witness_scan(groth, conjectured)
-        assert check_conjecture(w) == (witness is None, witness)
+        assert check_conjecture(w, seq, closure) == (witness is None, witness)
 
 
 def test_support_witness_with_shrunken_bound():
@@ -74,25 +86,16 @@ def test_support_witness_with_shrunken_bound():
     assert support_witness(Polynomial.zero(3), (0, 0, 0)) is None
 
 
-def test_fact_taking_forms_match_the_public_checks_s1_to_s6():
-    # the closure monomial comes from the closure diagram itself here
-    for n in range(1, 7):
-        for w in symmetric_group(n):
-            D = rothe_diagram(w)
-            seq, closure = orthodontia(D), diagram_monomial(upper_closure(D))
-            assert _check_divisibility_from(w, closure) == check_divisibility(w), w
-            assert _degree_report_from(w, seq, closure) == degree_report(w), w
-            assert _check_conjecture_from(w, seq, closure) == check_conjecture(w), w
-
-
 def test_degree_report_identity():
-    r = degree_report(identity(4))
+    w = identity(4)
+    r = degree_report(w, *facts(w))
     assert (r.deg_groth, r.deg_schub, r.ortho_length, r.upper_closure_size) == (0, 0, 0, 0)
     assert r.bound_prop == 0 and r.bound_cor == 0
 
 
 def test_degree_report_14532():
-    r = degree_report(from_one_line([1, 4, 5, 3, 2]))
+    w = from_one_line([1, 4, 5, 3, 2])
+    r = degree_report(w, *facts(w))
     assert r.deg_groth == 7
     assert r.deg_schub == 5
     assert r.ortho_length == 3
@@ -102,13 +105,14 @@ def test_degree_report_14532():
 
 
 def test_degree_report_longest():
-    r = degree_report(longest_element(4))
+    w = longest_element(4)
+    r = degree_report(w, *facts(w))
     assert r.deg_groth == 6 and r.deg_schub == 6
 
 
 def test_degree_bounds_s5():
     for w in symmetric_group(5):
-        r = degree_report(w)
+        r = degree_report(w, *facts(w))
         assert r.deg_groth <= r.bound_prop and r.deg_groth <= r.bound_cor, w
 
 
@@ -161,22 +165,20 @@ def test_exponent_change_rejects_bad_input():
 
 
 def test_support_vectors_identity():
-    v = support_vectors(identity(4))
+    v = support_vectors(*facts(identity(4)))
     assert v.theta == (0, 0, 0, 0)
     assert v.xi == (0, 0, 0, 0)
 
 
 def test_support_vectors_14532():
-    v = support_vectors(from_one_line([1, 4, 5, 3, 2]))
+    v = support_vectors(*facts(from_one_line([1, 4, 5, 3, 2])))
     assert v.theta == (2, 2, 2, 1, 0)
     assert v.xi == (1, 1, 1, 0, 0)
 
 
 def test_support_vectors_s5_consistency():
-    from orthodontia.diagram import orthodontia
-
     for w in symmetric_group(5):
-        v = support_vectors(w)
+        v = support_vectors(*facts(w))
         closed = upper_closure(rothe_diagram(w))
         assert sum(v.theta) == closed.box_count()
         # theta is exactly the closure monomial, row by row
@@ -185,9 +187,10 @@ def test_support_vectors_s5_consistency():
 
 
 def test_check_conjecture_identity_and_14532():
-    assert check_conjecture(identity(3)) == (True, None)
+    e = identity(3)
+    assert check_conjecture(e, *facts(e)) == (True, None)
     w = from_one_line([1, 4, 5, 3, 2])
-    ok, witness = check_conjecture(w)
+    ok, witness = check_conjecture(w, *facts(w))
     assert ok and witness is None
-    v = support_vectors(w)
+    v = support_vectors(*facts(w))
     assert tuple(t + x for t, x in zip(v.theta, v.xi)) == (3, 3, 3, 1, 0)

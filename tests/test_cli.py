@@ -71,18 +71,18 @@ def test_compute_trivial(capsys):
 def test_compute_json_round_trip():
     out, err = io.StringIO(), io.StringIO()
     w = from_one_line([1, 4, 5, 3, 2])
-    assert cmd_compute(w, "grothendieck", "orthodontia", "json", out, err) == 0
+    assert cmd_compute(w, "grothendieck", "json", out, err) == 0
     payload = json.loads(out.getvalue())
+    assert payload.keys() == {"w", "kind", "polynomial"}
     assert payload["w"] == [1, 4, 5, 3, 2]
     assert Polynomial.from_json(payload["polynomial"]) == grothendieck_recursive(w)
 
 
 def test_compute_methods_agree_both_kinds():
     for kind in ("schubert", "grothendieck"):
-        for method in ("recursive", "orthodontia"):
-            out, err = io.StringIO(), io.StringIO()
-            assert cmd_compute(parse_permutation("2143"), kind, method, "text", out, err) == 0
-            assert not err.getvalue()
+        out, err = io.StringIO(), io.StringIO()
+        assert cmd_compute(parse_permutation("2143"), kind, "text", out, err) == 0
+        assert not err.getvalue()
 
 
 def test_ortho_text_golden():
@@ -358,7 +358,7 @@ def test_verify_cache_recomputes_record_missing_summary_fields(tmp_path, line):
 
 
 def test_verify_degree_record_over_a_bound_fails_with_its_counts(monkeypatch):
-    real = cli._degree_report_from
+    real = cli.degree_report
 
     def over(w, seq, closure):
         report = real(w, seq, closure)
@@ -366,7 +366,7 @@ def test_verify_degree_record_over_a_bound_fails_with_its_counts(monkeypatch):
             return dataclasses.replace(report, deg_groth=report.bound_cor + 1)
         return report
 
-    monkeypatch.setattr(cli, "_degree_report_from", over)
+    monkeypatch.setattr(cli, "degree_report", over)
     code, out, _ = run_verify(2, suites=["degree"])
     assert code == 1
     records = [json.loads(line) for line in out.splitlines()]
@@ -470,14 +470,39 @@ def test_verify_builds_each_words_diagram_facts_once(monkeypatch):
             return real(arg)
 
         for module in (cli, analysis, grothendieck):
-            monkeypatch.setattr(module, name, counted)
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     code, _, _ = run_verify(6)
     assert code == 0
     assert counts == {"rothe_diagram": 2 * 720, "orthodontia": 2 * 720}
 
 
+def test_verify_calls_the_public_diagram_fact_checks(monkeypatch):
+    # the benchmark's tracer counts calls by these public names
+    counts = {}
+    targets = [
+        (cli, "check_divisibility"),
+        (cli, "degree_report"),
+        (cli, "check_conjecture"),
+        (analysis, "support_vectors"),
+        (grothendieck, "primary_column_data"),
+    ]
+    for module, name in targets:
+        real = getattr(module, name)
+        counts[name] = 0
+
+        def counted(*args, real=real, name=name):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    code, _, _ = run_verify(4)
+    assert code == 0
+    assert counts == dict.fromkeys(counts, 24)
+
+
 def assert_sweep_state_empty() -> None:
-    assert cli._FACTS == {}
+    assert cli._SEQUENCES == {} and cli._CLOSURES == {}
     for chain in (cli._SCHUBERT_CHAIN, cli._GROTH_CHAIN):
         assert chain.steps == () and chain.polys == []
 
@@ -488,18 +513,18 @@ def test_verify_facts_table_serves_one_run(monkeypatch):
         real = cli._SUITE_CHECKS[suite]
 
         def check(w, real=real, suite=suite):
-            seen.setdefault(suite, set()).add(len(cli._FACTS))
+            seen.setdefault(suite, set()).add((len(cli._SEQUENCES), len(cli._CLOSURES)))
             return real(w)
 
         monkeypatch.setitem(cli._SUITE_CHECKS, suite, check)
     # a sorted-only or monk-only run builds no facts
     run_verify(4, suites=["sorted"])
     run_verify(4, suites=["monk"])
-    assert seen == {"sorted": {0}, "monk": {0}}
+    assert seen == {"sorted": {(0, 0)}, "monk": {(0, 0)}}
     assert_sweep_state_empty()
     seen.clear()
     run_verify(4)
-    assert seen == {"sorted": {24}, "monk": {24}}
+    assert seen == {"sorted": {(24, 24)}, "monk": {(24, 24)}}
     assert_sweep_state_empty()
 
     def broken(w):

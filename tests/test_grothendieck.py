@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import gc
+import os
 import random
 import re
 import sys
@@ -11,7 +12,6 @@ import pytest
 from orthodontia.diagram import Diagram, orthodontia, rothe_diagram
 from orthodontia.grothendieck import (
     FormulaChain,
-    _check_sorted_step,
     _monk_targets,
     check_sorted_step,
     MonkTerm,
@@ -48,6 +48,7 @@ from oracles import (
     avoids_132,
     monk_terms_oracle,
     pipe_dream_grothendiecks,
+    pipe_dream_sums,
     primary_column_oracle,
 )
 
@@ -390,11 +391,10 @@ def test_sorted_step_with_known_sequences_matches_check_sorted_step_s1_to_s6():
     for n in range(1, 7):
         table = {w.word: orthodontia(rothe_diagram(w)) for w in symmetric_group(n)}
         for w in symmetric_group(n):
-            expected = check_sorted_step(w)
-            assert _check_sorted_step(w, table.get) == expected, w
+            expected = check_sorted_step(w, table)
             # only w's own sequence is known, so sort(w) and the predecessor are built
-            assert _check_sorted_step(w, {w.word: table[w.word]}.get) == expected, w
-            assert _check_sorted_step(w, lambda word: None) == expected, w
+            assert check_sorted_step(w, {w.word: table[w.word]}) == expected, w
+            assert check_sorted_step(w, {}) == expected, w
 
 
 def test_monk_terms_leave_no_reference_cycles_s4():
@@ -498,7 +498,19 @@ def test_os_predecessor_chains_terminate_with_fb_monotone():
                 assert fb_after == fb_before
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize(
+    "n",
+    [
+        *range(1, 7),
+        pytest.param(
+            7,
+            marks=pytest.mark.skipif(
+                not os.environ.get("ORTHODONTIA_ACCEPT_N7"),
+                reason="rank-7 pipe-dream sweep enabled by ORTHODONTIA_ACCEPT_N7=1",
+            ),
+        ),
+    ],
+)
 def test_both_routes_match_pipe_dream_oracle(n):
     sums = pipe_dream_grothendiecks(n)
     assert len(sums) == len(list(symmetric_group(n)))
@@ -507,3 +519,13 @@ def test_both_routes_match_pipe_dream_oracle(n):
         assert groth == grothendieck_recursive(w)
         assert groth == orthodontia_grothendieck(rothe_diagram(w))
         assert groth.lowest_degree_component() == schubert_recursive(w)
+        # the coefficient of x^a has sign (-1)^(|a| - l(w))
+        length = w.length()
+        for exps, coeff in groth.terms.items():
+            assert (coeff > 0) == ((sum(exps) - length) % 2 == 0), (w, exps)
+
+
+@pytest.mark.parametrize("n", (3, 4))
+def test_pipe_dream_sums_fail_with_rows_read_left_to_right(n):
+    flipped = pipe_dream_sums(n, [(i, j) for i in range(1, n) for j in range(1, n - i + 1)])
+    assert any(flipped.get(w.word) != grothendieck_recursive(w) for w in symmetric_group(n))
