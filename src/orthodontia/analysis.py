@@ -77,7 +77,7 @@ def support_witness(f: Polynomial, bound: Monomial) -> Monomial | None:
     monomial divides x^bound iff the per-variable maximum exponents do,
     so the canonical-order scan runs only when there is a witness.
     """
-    if not f.terms or monomial_divides(tuple(map(max, zip(*f.terms))), bound):
+    if f.is_zero or monomial_divides(f.max_exponents(), bound):
         return None
     for exps in f.monomials():
         if not monomial_divides(exps, bound):

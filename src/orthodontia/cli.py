@@ -63,7 +63,7 @@ from orthodontia.grothendieck import (
     schubert_recursive,
 )
 from orthodontia.permutation import Permutation, from_one_line
-from orthodontia.polynomial import Monomial
+from orthodontia.polynomial import Monomial, Polynomial
 
 SUITES = ("main", "divisibility", "degree", "sorted", "monk", "conjecture")
 DEFAULT_MAX_RANK = 7
@@ -139,17 +139,20 @@ def _check_monk(w: Permutation) -> dict:
     checked = 0
     skipped = 0
     ok = True
+    n = len(word)
     base = grothendieck_recursive(w).terms
-    for j in range(1, len(word) + 1):
+    for j in range(1, n + 1):
         targets = _monk_targets(j, word)
         if targets is None:
             skipped += 1
             continue
         checked += 1
         # x_j * G_w minus every sign * G_v, accumulated in one dict that
-        # keeps its zeros; the pair passes iff every coefficient ends at 0
-        i = j - 1
-        residue = {e[:i] + (e[i] + 1,) + e[j:]: c for e, c in base.items()}
+        # keeps its zeros; the pair passes iff every coefficient ends at 0.
+        # Term keys are packed exponent vectors, and the key of a product
+        # of monomials is the sum of their keys
+        (x_j,) = Polynomial.variable(j, n).terms
+        residue = {k + x_j: c for k, c in base.items()}
         get = residue.get
         for v, sign in targets.items():
             g = _grothendieck_of_word(v).terms

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from orthodontia.diagram import (
     Diagram,
@@ -212,8 +213,7 @@ def dominant_grothendieck(w: Permutation) -> Polynomial:
     return Polynomial.monomial(diagram_monomial(rothe_diagram(w)))
 
 
-@dataclass(frozen=True)
-class PrimaryColumnData:
+class PrimaryColumnData(NamedTuple):
     """Shape data of the primary column, the first Rothe column that is
     neither empty nor an interval {1..k}.
 

@@ -23,35 +23,49 @@ are stateless pure functions.
 
 from __future__ import annotations
 
-from orthodontia.polynomial import Monomial, Polynomial
+from orthodontia.polynomial import _FIELD, MAX_EXPONENT, Polynomial
 
 
 def _apply(j: int, f: Polynomial, shifts: tuple[tuple[int, int, int], ...]) -> Polynomial:
     """Sum of sign * d_j(x_j^da x_{j+1}^db f) over the (da, db, sign) in shifts."""
-    if not 1 <= j <= f.n - 1:
-        raise ValueError(f"operator index {j} out of range for n={f.n}")
-    i = j - 1
-    out: dict[Monomial, int] = {}
+    n = f.n
+    if not 1 <= j <= n - 1:
+        raise ValueError(f"operator index {j} out of range for n={n}")
+    # packed keys (see orthodontia.polynomial): x_{j+1} in the field at sb,
+    # x_j in the field above it, the total degree above every field.  A
+    # contribution's key is the term's key with both fields cleared, plus
+    # the degree change da + db - 1, plus p and top - p in the two fields,
+    # and p -> p + 1 adds step.  No field can overflow: every output
+    # exponent is below high <= MAX_EXPONENT + 1.
+    sb = _FIELD * (n - j - 1)
+    sa = sb + _FIELD
+    step = (1 << sa) - (1 << sb)
+    unit = 1 << sb
+    clear = ~(MAX_EXPONENT << sa | MAX_EXPONENT << sb)
+    moves = tuple((da, db, sign, (da + db - 1) << _FIELD * n) for da, db, sign in shifts)
+    m = MAX_EXPONENT
+    out: dict[int, int] = {}
     get = out.get
-    for exps, c in f.terms.items():
-        head, tail = exps[:i], exps[i + 2:]
-        for da, db, sign in shifts:
-            a, b = exps[i] + da, exps[i + 1] + db
+    for k, c in f.terms.items():
+        ea, eb = k >> sa & m, k >> sb & m
+        rest = k & clear
+        for da, db, sign, degree in moves:
+            a, b = ea + da, eb + db
             if a > b:
                 low, high, coeff = b, a, c * sign
             elif a < b:
                 low, high, coeff = a, b, -c * sign
             else:
                 continue
-            top = a + b - 1
-            for p in range(low, high):
-                key = head + (p, top - p) + tail
+            key = rest + degree + low * step + (a + b - 1) * unit
+            for _ in range(high - low):
                 s = get(key, 0) + coeff
                 if s:
                     out[key] = s
                 else:
                     del out[key]
-    return Polynomial._raw(f.n, out)
+                key += step
+    return Polynomial._raw(n, out)
 
 
 def divided_difference(j: int, f: Polynomial) -> Polynomial:

@@ -2,24 +2,36 @@
 
 A polynomial in x1..xn is a finite map from exponent vectors (length-n
 tuples of nonnegative ints) to nonzero Python ints.  Coefficients are
-unbounded; exponents are nonnegative only.  The two places where a
-negative power would be convenient are covered instead by
-:func:`exact_divide_monomial`, which divides by a monomial under a
-zero-remainder contract.
+unbounded.  Exponents are nonnegative and at most ``MAX_EXPONENT`` (255):
+a larger exponent, whether given or produced by a product, raises
+``ValueError``.  The two places where a negative power would be
+convenient are covered instead by :func:`exact_divide_monomial`, which
+divides by a monomial under a zero-remainder contract.
 
 Canonical term order is graded-lexicographic: ascending total degree,
 ties broken by descending exponent vector, so equal polynomials always
 serialize identically.
+
+Inside a polynomial each exponent vector is packed into one int, the
+key of its term in ``terms``: the exponent of x_i sits in the 8-bit
+field at bit 8 * (n - i), so x_1 is the highest field and int order on
+the fields is lex order, and the total degree sits above all of them,
+from bit 8 * n up, unbounded.  The key of a product of monomials is the
+sum of their keys, and int order on whole keys is ascending degree, then
+lex order.  Everything public takes and returns tuples; only this module
+and :mod:`orthodontia.operators` read the keys.
 
 Polynomials are immutable values and safe to share between threads.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Iterator, Mapping
 
 Monomial = tuple[int, ...]
+
+_FIELD = 8  # bits per exponent field
+MAX_EXPONENT = (1 << _FIELD) - 1
 
 
 class RankMismatchError(ValueError):
@@ -48,11 +60,18 @@ def fundamental_weight(j: int, n: int) -> Monomial:
     return (1,) * j + (0,) * (n - j)
 
 
-def _canonical_order(terms: Mapping[Monomial, int]) -> list[Monomial]:
-    # descending exponent vectors, then a stable sort by total degree
-    order = sorted(terms, reverse=True)
-    order.sort(key=sum)
-    return order
+def _pack(exps: Monomial) -> int:
+    """The key of x^exps; refuses exponents outside 0..MAX_EXPONENT."""
+    if min(exps) < 0:
+        raise ValueError(f"negative exponent in {exps}")
+    if max(exps) > MAX_EXPONENT:
+        raise ValueError(f"exponent above {MAX_EXPONENT} in {exps}")
+    return sum(exps) << (_FIELD * len(exps)) | int.from_bytes(bytes(exps), "big")
+
+
+def _unpack(key: int, n: int) -> Monomial:
+    """The exponent vector of a key of n fields."""
+    return tuple((key & ((1 << _FIELD * n) - 1)).to_bytes(n, "big"))
 
 
 class Polynomial:
@@ -63,18 +82,17 @@ class Polynomial:
     def __init__(self, n: int, terms: Mapping[Monomial, int] | None = None):
         if n < 1:
             raise ValueError("variable count must be at least 1")
-        clean: dict[Monomial, int] = {}
+        clean: dict[int, int] = {}
         if terms:
             for exps, coeff in terms.items():
                 exps = tuple(exps)
                 if len(exps) != n:
                     raise RankMismatchError(f"exponent vector {exps} has wrong length for n={n}")
-                if any(e < 0 for e in exps):
-                    raise ValueError(f"negative exponent in {exps}")
+                key = _pack(exps)
                 if coeff:
-                    clean[exps] = clean.get(exps, 0) + coeff
-                    if not clean[exps]:
-                        del clean[exps]
+                    clean[key] = clean.get(key, 0) + coeff
+                    if not clean[key]:
+                        del clean[key]
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", clean)
 
@@ -82,8 +100,8 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     @classmethod
-    def _raw(cls, n: int, terms: dict[Monomial, int]) -> Polynomial:
-        # internal fast path: terms already normalized (no zeros, right length)
+    def _raw(cls, n: int, terms: dict[int, int]) -> Polynomial:
+        # internal fast path: packed keys of n fields, no zero coefficients
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", terms)
@@ -106,8 +124,7 @@ class Polynomial:
         """The polynomial x_j (1-based)."""
         if not 1 <= j <= n:
             raise ValueError(f"variable index {j} out of range for n={n}")
-        exps = tuple(1 if i == j - 1 else 0 for i in range(n))
-        return cls._raw(n, {exps: 1})
+        return cls._raw(n, {1 << _FIELD * n | 1 << _FIELD * (n - j): 1})
 
     @classmethod
     def monomial(cls, exps: Monomial, coeff: int = 1) -> Polynomial:
@@ -121,6 +138,18 @@ class Polynomial:
     def _check_rank(self, other: Polynomial) -> None:
         if self.n != other.n:
             raise RankMismatchError(f"polynomial ranks differ: {self.n} vs {other.n}")
+
+    def _check_product(self, other: Polynomial) -> None:
+        # Refuse self * other when a product exponent would pass MAX_EXPONENT.
+        # An exponent is at most its term's degree, so the maxima are read
+        # only when the degrees allow it.  The refusal is exact: the terms
+        # with the largest exponent of x_i, ties broken lexicographically,
+        # multiply to a term that nothing cancels.
+        if self.degree() + other.degree() <= MAX_EXPONENT:
+            return
+        for i, (a, b) in enumerate(zip(self.max_exponents(), other.max_exponents())):
+            if a + b > MAX_EXPONENT:
+                raise ValueError(f"product has x{i + 1}^{a + b}, above the exponent bound {MAX_EXPONENT}")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -137,18 +166,18 @@ class Polynomial:
             return NotImplemented
         self._check_rank(other)
         out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps, 0) + c
+        for key, c in other.terms.items():
+            s = out.get(key, 0) + c
             if s:
-                out[exps] = s
+                out[key] = s
             else:
-                out.pop(exps, None)
+                out.pop(key, None)
         return Polynomial._raw(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        return Polynomial._raw(self.n, {e: -c for e, c in self.terms.items()})
+        return Polynomial._raw(self.n, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other) -> Polynomial:
         if isinstance(other, int):
@@ -157,12 +186,12 @@ class Polynomial:
             return NotImplemented
         self._check_rank(other)
         out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps, 0) - c
+        for key, c in other.terms.items():
+            s = out.get(key, 0) - c
             if s:
-                out[exps] = s
+                out[key] = s
             else:
-                out.pop(exps, None)
+                out.pop(key, None)
         return Polynomial._raw(self.n, out)
 
     def __rsub__(self, other):
@@ -174,21 +203,24 @@ class Polynomial:
         if isinstance(other, int):
             if not other:
                 return Polynomial.zero(self.n)
-            return Polynomial._raw(self.n, {e: c * other for e, c in self.terms.items()})
+            return Polynomial._raw(self.n, {k: c * other for k, c in self.terms.items()})
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_rank(other)
+        if not self.terms or not other.terms:
+            return Polynomial.zero(self.n)
+        self._check_product(other)
         if len(self.terms) > len(other.terms):
             self, other = other, self
-        out: dict[Monomial, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(x + y for x, y in zip(e1, e2))
-                s = out.get(e, 0) + c1 * c2
+        out: dict[int, int] = {}
+        for k1, c1 in self.terms.items():
+            for k2, c2 in other.terms.items():
+                k = k1 + k2
+                s = out.get(k, 0) + c1 * c2
                 if s:
-                    out[e] = s
+                    out[k] = s
                 else:
-                    del out[e]
+                    del out[k]
         return Polynomial._raw(self.n, out)
 
     __rmul__ = __mul__
@@ -207,59 +239,85 @@ class Polynomial:
 
     def mul_monomial(self, exps: Monomial) -> Polynomial:
         """Multiply by x^exps in a single pass."""
+        exps = tuple(exps)
         if len(exps) != self.n:
             raise RankMismatchError(f"monomial rank {len(exps)} vs polynomial rank {self.n}")
-        add = operator.add
-        out = {tuple(map(add, e, exps)): c for e, c in self.terms.items()}
-        return Polynomial._raw(self.n, out)
+        shift = _pack(exps)
+        if self.terms:
+            self._check_product(Polynomial._raw(self.n, {shift: 1}))
+        return Polynomial._raw(self.n, {k + shift: c for k, c in self.terms.items()})
 
     def swap_variables(self, j: int) -> Polynomial:
         """Exchange x_j and x_{j+1} in every monomial (1 <= j <= n-1)."""
         if not 1 <= j <= self.n - 1:
             raise ValueError(f"swap index {j} out of range for n={self.n}")
-        a = j - 1
-        out: dict[Monomial, int] = {}
-        for e, c in self.terms.items():
-            if e[a] == e[a + 1]:
-                out[e] = out.get(e, 0) + c
-            else:
-                e2 = e[:a] + (e[a + 1], e[a]) + e[a + 2:]
-                out[e2] = out.get(e2, 0) + c
+        sb = _FIELD * (self.n - j - 1)  # x_{j+1}; x_j is the field above
+        sa = sb + _FIELD
+        step = (1 << sa) - (1 << sb)
+        m = MAX_EXPONENT
+        # a bijection on monomials, so no two terms meet
+        out = {k + ((k >> sb & m) - (k >> sa & m)) * step: c for k, c in self.terms.items()}
         return Polynomial._raw(self.n, out)
 
     def degree(self) -> int:
         if not self.terms:
             raise ValueError("degree of the zero polynomial is undefined")
-        return max(sum(e) for e in self.terms)
+        return max(self.terms) >> _FIELD * self.n
 
     def min_degree(self) -> int:
         if not self.terms:
             raise ValueError("min degree of the zero polynomial is undefined")
-        return min(sum(e) for e in self.terms)
+        return min(self.terms) >> _FIELD * self.n
 
     def lowest_degree_component(self) -> Polynomial:
         """The sum of terms of minimal total degree."""
-        d = self.min_degree()
-        return Polynomial._raw(self.n, {e: c for e, c in self.terms.items() if sum(e) == d})
+        limit = (self.min_degree() + 1) << _FIELD * self.n
+        return Polynomial._raw(self.n, {k: c for k, c in self.terms.items() if k < limit})
+
+    def max_exponents(self) -> Monomial:
+        """The largest exponent of each variable over the support (the lcm's exponents)."""
+        if not self.terms:
+            raise ValueError("max exponents of the zero polynomial are undefined")
+        n = self.n
+        mask = (1 << _FIELD * n) - 1
+        data = b"".join([(k & mask).to_bytes(n, "big") for k in self.terms])
+        return tuple(max(data[i::n]) for i in range(n))
 
     def coefficient(self, exps: Monomial) -> int:
-        return self.terms.get(tuple(exps), 0)
+        """The coefficient of x^exps; 0 for any exponent outside 0..MAX_EXPONENT."""
+        exps = tuple(exps)
+        if len(exps) != self.n:
+            raise RankMismatchError(f"monomial rank {len(exps)} vs polynomial rank {self.n}")
+        if min(exps) < 0 or max(exps) > MAX_EXPONENT:
+            return 0
+        return self.terms.get(_pack(exps), 0)
+
+    def _canonical_keys(self) -> list[int]:
+        # flipping every exponent bit reverses lex order within a degree
+        return sorted(self.terms, key=((1 << _FIELD * self.n) - 1).__xor__)
 
     def monomials(self) -> Iterator[Monomial]:
         """Exponent vectors of the support, in canonical order."""
-        return iter(_canonical_order(self.terms))
+        n = self.n
+        return (_unpack(k, n) for k in self._canonical_keys())
 
     def sorted_terms(self) -> list[tuple[Monomial, int]]:
         """(exponents, coefficient) pairs in canonical order."""
-        terms = self.terms
-        return [(e, terms[e]) for e in _canonical_order(terms)]
+        n, terms = self.n, self.terms
+        return [(_unpack(k, n), terms[k]) for k in self._canonical_keys()]
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        # exponents read as bytes, one term at a time: a tuple per term,
+        # all held at once, would be the peak of a large result's memory
+        n, terms = self.n, self.terms
+        mask = (1 << _FIELD * n) - 1
         names: dict[tuple[int, int], str] = {}   # (index, exponent) -> "x{i}^{e}"
         parts: list[str] = []
-        for exps, c in self.sorted_terms():
+        for k in self._canonical_keys():
+            c = terms[k]
+            exps = (k & mask).to_bytes(n, "big")
             factors = []
             for i, e in enumerate(exps):
                 if e:
@@ -330,9 +388,13 @@ def exact_divide_monomial(f: Polynomial, exps: Monomial) -> Polynomial:
     exps = tuple(exps)
     if len(exps) != f.n:
         raise RankMismatchError(f"monomial rank {len(exps)} vs polynomial rank {f.n}")
-    out: dict[Monomial, int] = {}
-    for e, c in f.terms.items():
-        if not all(x >= y for x, y in zip(e, exps)):
-            raise DivisionRemainderError(f"term x^{e} not divisible by x^{exps}")
-        out[tuple(x - y for x, y in zip(e, exps))] = c
+    shift = _pack(exps)
+    # a field of x^exps above the term's borrows across a field boundary
+    boundaries = sum(1 << _FIELD * i for i in range(1, f.n + 1))
+    out: dict[int, int] = {}
+    for k, c in f.terms.items():
+        q = k - shift
+        if (k ^ shift ^ q) & boundaries:
+            raise DivisionRemainderError(f"term x^{_unpack(k, f.n)} not divisible by x^{exps}")
+        out[q] = c
     return Polynomial._raw(f.n, out)

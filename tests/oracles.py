@@ -1,8 +1,9 @@
 """Independent oracles the tests check library code against.
 
 The library computes every operator monomial by monomial from closed
-forms.  The oracles here take the other route: they form the whole
-numerator f - s_j.f and divide it exactly by x_j - x_{j+1} with
+forms, on packed exponent keys.  The oracles here take the other route,
+on exponent tuples and without the library's arithmetic: they form the
+whole numerator f - s_j.f and divide it exactly by x_j - x_{j+1} with
 synthetic division, so agreement between the two is a genuine
 cross-check, not a tautology.
 
@@ -43,18 +44,24 @@ def exact_divide_linear(f: Polynomial, j: int) -> Polynomial:
     the caller violated the divisibility precondition and raises
     :class:`DivisionRemainderError`.
     """
-    if not 1 <= j <= f.n - 1:
-        raise ValueError(f"division index {j} out of range for n={f.n}")
-    if f.is_zero:
-        return f
+    return Polynomial(f.n, _divide_linear(dict(f.sorted_terms()), f.n, j))
+
+
+def _divide_linear(terms: dict[Monomial, int], n: int, j: int) -> dict[Monomial, int]:
+    # exact_divide_linear on a map from exponent tuples to coefficients,
+    # which may hold exponents above the library's bound
+    if not 1 <= j <= n - 1:
+        raise ValueError(f"division index {j} out of range for n={n}")
+    if not terms:
+        return {}
     a = j - 1
     layers: dict[int, dict[Monomial, int]] = {}
-    for exps, c in f.terms.items():
+    for exps, c in terms.items():
         key = exps[:a] + (0,) + exps[a + 1:]
         layers.setdefault(exps[a], {})[key] = c
     top = max(layers)
     if top == 0:
-        raise DivisionRemainderError(f"{f} is not divisible by x{j} - x{j + 1}")
+        raise DivisionRemainderError(f"{terms} is not divisible by x{j} - x{j + 1}")
     out: dict[Monomial, int] = {}
 
     def emit(layer: dict[Monomial, int], deg: int) -> None:
@@ -79,32 +86,53 @@ def exact_divide_linear(f: Polynomial, j: int) -> Polynomial:
             emit(current, d - 1)
     if current:
         raise DivisionRemainderError(f"nonzero remainder dividing by x{j} - x{j + 1}")
-    return Polynomial(f.n, out)
+    return out
 
 
-def _variable_monomial(n: int, *indices: int) -> Monomial:
-    return tuple(1 if i + 1 in indices else 0 for i in range(n))
+# The kernels work on exponent tuples throughout, with no library
+# arithmetic, so x_j f may pass the library's exponent bound on the way.
+
+def _times(terms: dict[Monomial, int], *indices: int) -> dict[Monomial, int]:
+    # terms times the product of x_i over the given indices
+    return {tuple(e + (i + 1 in indices) for i, e in enumerate(exps)): c for exps, c in terms.items()}
+
+
+def _divided_difference(j: int, n: int, terms: dict[Monomial, int]) -> Polynomial:
+    a = j - 1
+    numerator = dict(terms)
+    for exps, c in terms.items():
+        swapped = exps[:a] + (exps[a + 1], exps[a]) + exps[a + 2:]
+        numerator[swapped] = numerator.get(swapped, 0) - c
+    return Polynomial(n, _divide_linear({e: c for e, c in numerator.items() if c}, n, j))
+
+
+def _minus(f: dict[Monomial, int], g: dict[Monomial, int]) -> dict[Monomial, int]:
+    out = dict(f)
+    for exps, c in g.items():
+        out[exps] = out.get(exps, 0) - c
+    return {e: c for e, c in out.items() if c}
 
 
 def divided_difference_kernel(j: int, f: Polynomial) -> Polynomial:
     """(f - s_j.f) / (x_j - x_{j+1}) by exact division."""
-    return exact_divide_linear(f - f.swap_variables(j), j)
+    return _divided_difference(j, f.n, dict(f.sorted_terms()))
 
 
 def demazure_kernel(j: int, f: Polynomial) -> Polynomial:
     """d_j(x_j f)."""
-    return divided_difference_kernel(j, f.mul_monomial(_variable_monomial(f.n, j)))
+    return _divided_difference(j, f.n, _times(dict(f.sorted_terms()), j))
 
 
 def isobaric_kernel(j: int, f: Polynomial) -> Polynomial:
     """d_j((1 - x_{j+1}) f)."""
-    return divided_difference_kernel(j, f - f.mul_monomial(_variable_monomial(f.n, j + 1)))
+    terms = dict(f.sorted_terms())
+    return _divided_difference(j, f.n, _minus(terms, _times(terms, j + 1)))
 
 
 def demazure_lascoux_kernel(j: int, f: Polynomial) -> Polynomial:
     """d_j(x_j (1 - x_{j+1}) f)."""
-    xj = f.mul_monomial(_variable_monomial(f.n, j))
-    return divided_difference_kernel(j, xj - xj.mul_monomial(_variable_monomial(f.n, j + 1)))
+    xj = _times(dict(f.sorted_terms()), j)
+    return _divided_difference(j, f.n, _minus(xj, _times(xj, j + 1)))
 
 
 def inversions_by_enumeration(word: tuple[int, ...]) -> int:

@@ -73,7 +73,7 @@ def test_support_witness_with_shrunken_bound():
     shrunk = 0
     for w in symmetric_group(4):
         groth = grothendieck_recursive(w)
-        maxima = tuple(map(max, zip(*groth.terms)))
+        maxima = tuple(map(max, zip(*groth.monomials())))
         assert support_witness(groth, maxima) is None
         for i, top in enumerate(maxima):
             if top:

@@ -11,9 +11,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthodontia.operators import demazure, demazure_lascoux, divided_difference, isobaric
-from orthodontia.polynomial import Polynomial, exact_divide_monomial
+from orthodontia.polynomial import MAX_EXPONENT, Polynomial, exact_divide_monomial
 from orthodontia.grothendieck import (
     grothendieck_recursive,
     is_sorted_permutation,
@@ -82,6 +83,43 @@ def test_demazure_lascoux_golden():
         2, {(1, 2): 1, (2, 1): 1, (1, 1): -1}
     )
     assert demazure_lascoux(1, Polynomial.one(2)) == Polynomial.one(2)
+
+
+OPERATORS = (
+    (divided_difference, divided_difference_kernel),
+    (demazure, demazure_kernel),
+    (isobaric, isobaric_kernel),
+    (demazure_lascoux, demazure_lascoux_kernel),
+)
+
+
+def test_demazure_lascoux_at_the_exponent_bound():
+    # x_j (1 - x_{j+1}) f passes the bound on the way; the result does not
+    top = Polynomial.monomial((MAX_EXPONENT, MAX_EXPONENT))
+    assert demazure_lascoux(1, top) == demazure_lascoux_kernel(1, top) == top
+    f = Polynomial(3, {(MAX_EXPONENT, MAX_EXPONENT, 0): 2, (0, MAX_EXPONENT, MAX_EXPONENT): -1})
+    for j in (1, 2):
+        for op, kernel in OPERATORS:
+            assert op(j, f) == kernel(j, f)
+
+
+@st.composite
+def near_bound(draw):
+    # exponents anywhere in range, most of them within 8 of the bound
+    n = draw(st.integers(2, 12))
+    exponent = st.one_of(st.integers(MAX_EXPONENT - 8, MAX_EXPONENT), st.integers(0, MAX_EXPONENT))
+    terms = draw(st.dictionaries(st.tuples(*[exponent] * n), st.integers(-3, 3), max_size=3))
+    return Polynomial(n, terms), draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(near_bound())
+def test_operators_match_kernel_oracle_near_the_exponent_bound(case):
+    f, j = case
+    for op, kernel in OPERATORS:
+        assert op(j, f) == kernel(j, f)
+    if not f.is_zero:
+        assert f.max_exponents() == tuple(map(max, zip(*f.monomials())))
 
 
 def test_index_out_of_range():

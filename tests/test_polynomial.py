@@ -6,9 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orthodontia.polynomial import (
+    _FIELD,
+    MAX_EXPONENT,
     DivisionRemainderError,
     Polynomial,
     RankMismatchError,
+    _pack,
+    _unpack,
     exact_divide_monomial,
     fundamental_weight,
     monomial_divides,
@@ -83,7 +87,7 @@ def test_no_variables_rejected(make):
 
 def test_zero_coefficients_pruned():
     f = Polynomial(2, {(1, 0): 0, (0, 1): 2})
-    assert list(f.terms) == [(0, 1)]
+    assert list(f.monomials()) == [(0, 1)]
     assert Polynomial.constant(3, 0).is_zero
 
 
@@ -158,6 +162,11 @@ def test_exact_divide_monomial():
     assert exact_divide_monomial(f, (1, 1, 0)) == Polynomial(3, {(1, 0, 0): 3, (0, 0, 1): -2})
     with pytest.raises(DivisionRemainderError):
         exact_divide_monomial(f, (0, 0, 1))
+    # a missing power of a middle or the first variable, next to fields that do divide
+    with pytest.raises(DivisionRemainderError):
+        exact_divide_monomial(Polynomial.monomial((1, 0, 5)), (0, 1, 0))
+    with pytest.raises(DivisionRemainderError):
+        exact_divide_monomial(Polynomial.monomial((0, 255, 255)), (1, 0, 0))
 
 
 @settings(max_examples=200, deadline=None)
@@ -256,9 +265,110 @@ def test_degree_and_min_degree():
     assert f.min_degree() == 1
     with pytest.raises(ValueError):
         Polynomial.zero(2).degree()
+    assert f.max_exponents() == (2, 3)
+    with pytest.raises(ValueError):
+        Polynomial.zero(2).max_exponents()
 
 
 def test_immutability():
     f = Polynomial.one(2)
     with pytest.raises(AttributeError):
         f.n = 3  # type: ignore[misc]
+
+
+def test_coefficient():
+    f = Polynomial(2, {(0, 1): 3})
+    assert f.coefficient((0, 1)) == 3
+    assert f.coefficient([0, 1]) == 3
+    assert f.coefficient((1, 0)) == 0
+    # a vector of another length names no monomial of f
+    for exps in ((1,), (0, 1, 0)):
+        with pytest.raises(RankMismatchError):
+            f.coefficient(exps)
+    # nor does one outside the exponent range
+    assert f.coefficient((-1, 1)) == 0
+    assert f.coefficient((0, MAX_EXPONENT + 1)) == 0
+    assert f.coefficient((MAX_EXPONENT + 1, 1)) == 0
+
+
+TOP = (MAX_EXPONENT, 0, MAX_EXPONENT)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda exps: Polynomial(3, {exps: 2}),
+        lambda exps: Polynomial.monomial(exps, 2),
+        lambda exps: Polynomial.parse("2*" + "*".join(f"x{i + 1}^{e}" for i, e in enumerate(exps) if e), 3),
+        lambda exps: Polynomial.from_json({"n": 3, "terms": [[2, list(exps)]]}),
+    ],
+)
+def test_exponent_bound(make):
+    f = make(TOP)
+    assert f.sorted_terms() == [(TOP, 2)]
+    assert f.coefficient(TOP) == 2
+    assert f.degree() == 2 * MAX_EXPONENT
+    assert Polynomial.parse(str(f), 3) == f
+    for above in ((MAX_EXPONENT + 1, 0, 0), (0, 0, MAX_EXPONENT + 1)):
+        with pytest.raises(ValueError, match=f"above {MAX_EXPONENT}"):
+            make(above)
+
+
+def test_parse_refuses_powers_that_add_past_the_bound():
+    with pytest.raises(ValueError, match=f"above {MAX_EXPONENT}"):
+        Polynomial.parse(f"x2^{MAX_EXPONENT}*x2", 2)
+
+
+def test_products_past_the_bound_are_refused():
+    x1, x2 = Polynomial.variable(1, 2), Polynomial.variable(2, 2)
+    low = Polynomial.monomial((0, MAX_EXPONENT))  # a carry would land in x1's field
+    high = Polynomial.monomial((MAX_EXPONENT, 0))  # a carry would land in the degree
+    for f, x in ((low, x2), (high, x1), (low + x1, x2), (high - x2, x1)):
+        with pytest.raises(ValueError, match=f"above the exponent bound {MAX_EXPONENT}"):
+            f * x
+        with pytest.raises(ValueError, match=f"above the exponent bound {MAX_EXPONENT}"):
+            x * f
+        with pytest.raises(ValueError, match=f"above the exponent bound {MAX_EXPONENT}"):
+            f.mul_monomial(next(x.monomials()))
+    with pytest.raises(ValueError, match=f"above the exponent bound {MAX_EXPONENT}"):
+        x1 ** (MAX_EXPONENT + 1)
+    with pytest.raises(ValueError, match=f"above {MAX_EXPONENT}"):
+        x1.mul_monomial((MAX_EXPONENT + 1, 0))
+    # products that reach the bound but stay within it
+    assert x1 ** MAX_EXPONENT == high
+    assert low * x1 == Polynomial.monomial((1, MAX_EXPONENT))
+    assert high.mul_monomial((0, MAX_EXPONENT)) == Polynomial.monomial((MAX_EXPONENT, MAX_EXPONENT))
+    # degrees past the bound with every exponent within it
+    f = Polynomial.monomial((200, 0)) + Polynomial.monomial((0, 100))
+    g = Polynomial.monomial((0, 155))
+    assert f * g == Polynomial(2, {(200, 155): 1, (0, MAX_EXPONENT): 1})
+    assert f.mul_monomial((55, 155)) == Polynomial(2, {(MAX_EXPONENT, 155): 1, (55, MAX_EXPONENT): 1})
+
+
+def _vectors():
+    # lists of exponent vectors of one length, entries over the whole range
+    return st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.tuples(*[st.integers(0, MAX_EXPONENT)] * n), min_size=1, max_size=8)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_vectors())
+def test_packed_key_layout(vectors):
+    n = len(vectors[0])
+    keys = [_pack(v) for v in vectors]
+    fields = (1 << _FIELD * n) - 1
+    for v, k in zip(vectors, keys):
+        assert _unpack(k, n) == v
+        assert k >> _FIELD * n == sum(v)
+        assert Polynomial.monomial(v).degree() == sum(v)
+    # the exponent fields order as lex order, whole keys as degree, then lex
+    assert [_unpack(k, n) for k in sorted(keys, key=fields.__and__)] == sorted(vectors)
+    assert [_unpack(k, n) for k in sorted(keys)] == sorted(vectors, key=lambda v: (sum(v), v))
+    # the key of a product of monomials is the sum of their keys, up to
+    # exponents at the bound
+    for a, b in zip(vectors, vectors[1:]):
+        a, b = tuple(x // 2 for x in a), tuple(y // 2 for y in b)
+        assert _pack(a) + _pack(b) == _pack(tuple(x + y for x, y in zip(a, b)))
+    rest = tuple(MAX_EXPONENT - x for x in vectors[0])
+    assert _pack(vectors[0]) + _pack(rest) == _pack((MAX_EXPONENT,) * n)
