@@ -41,10 +41,11 @@ from orthodontia import __version__
 from orthodontia.analysis import check_conjecture, check_divisibility, degree_report
 from orthodontia.diagram import (
     OrthodonticSequence,
-    closure_monomial,
-    orthodontia,
+    mask_closure,
+    mask_orthodontia,
     orthodontia_trace,
     rothe_diagram,
+    rothe_masks,
     upper_closure,
 )
 from orthodontia.grothendieck import (
@@ -527,9 +528,9 @@ def _sweep(
     try:
         if any(not _FACT_SUITES.isdisjoint(missing) for _, missing in tasks):
             for word, _ in tasks:
-                D = rothe_diagram(Permutation(word))
-                _SEQUENCES[word] = orthodontia(D)
-                _CLOSURES[word] = closure_monomial(D)
+                masks = rothe_masks(word)
+                _SEQUENCES[word] = mask_orthodontia(masks)
+                _CLOSURES[word] = mask_closure(masks)
         if any("main" in missing for _, missing in tasks):
             # neighbours in step order share the longest formula prefixes
             tasks.sort(key=lambda task: formula_steps(_SEQUENCES[task[0]]))

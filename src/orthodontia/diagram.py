@@ -1,9 +1,7 @@
 """Box diagrams in the n x n grid and the orthodontia algorithm.
 
 A diagram is a sequence of n columns, each a subset of [n]; the box
-(i, j) sits in row i of column j, read like matrix indices.  Columns are
-kept at their original indices throughout -- emptied columns are not
-compacted, so positions stay stable while the algorithm rewrites them.
+(i, j) sits in row i of column j, read like matrix indices.
 
 The orthodontia algorithm repeatedly straightens the first nonempty
 column by swapping the pair of adjacent rows at its smallest "missing
@@ -12,28 +10,34 @@ tooth", stripping standard-interval columns as they appear, and records
 - the row-swap positions (one per step),
 - the multiplicities of standard-interval columns removed up front, and
 - the multiplicity of columns standardized by each swap.
+
+The algorithm itself runs on column masks, one int per column with bit
+i-1 standing for row i, and drops each column once it is emptied.
+:func:`rothe_masks` builds the masks of a Rothe diagram from the
+one-line word, so a caller that starts from a permutation needs no
+:class:`Diagram`.  Only :func:`orthodontia_trace` builds diagrams again,
+with every column in its place.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from orthodontia.permutation import Permutation
 from orthodontia.polynomial import Monomial
 
 
 class OrthodontiaError(RuntimeError):
-    """The algorithm could not finish; the diagram was not an ordered strongly separated one."""
+    """A nonempty first column without a missing tooth, or more steps than the cap.
+
+    Neither can happen (see :func:`orthodontia`); the error guards that.
+    """
 
 
 def _interval(size: int) -> frozenset[int]:
     return frozenset(range(1, size + 1))
-
-
-def _is_standard(column: frozenset[int]) -> bool:
-    return len(column) == 0 or column == _interval(len(column))
 
 
 @dataclass(frozen=True)
@@ -131,6 +135,41 @@ def rothe_diagram(w: Permutation) -> Diagram:
     return Diagram(n, cols)
 
 
+def _rows(mask: int) -> list[int]:
+    return [i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1]
+
+
+def _column_masks(D: Diagram) -> list[int]:
+    return [sum(1 << (i - 1) for i in c) for c in D.columns]
+
+
+def rothe_masks(word: Sequence[int]) -> list[int]:
+    """The column masks of the Rothe diagram of the permutation with one-line word ``word``.
+
+    Bit i-1 of mask j is set when i < w^{-1}(j) and w(i) > j, that is
+    when the diagram has the box (i, j).  :func:`mask_orthodontia` and
+    :func:`mask_closure` read them, so a caller that starts from the word
+    builds no :class:`Diagram`.
+
+    >>> rothe_masks((3, 1, 5, 4, 2))
+    [1, 13, 0, 4, 0]
+    >>> mask_orthodontia(rothe_masks((3, 1, 5, 4, 2)))
+    OrthodonticSequence(teeth=(2, 3, 1), interval_multiplicities=(1, 0, 0, 0, 0), \
+tooth_multiplicities=(0, 1, 1))
+    """
+    n = len(word)
+    places = [0] * n  # places[v - 1]: the bit of the row holding v
+    for i, v in enumerate(word):
+        places[v - 1] = 1 << i
+    masks = [0] * n
+    larger = 0  # the rows holding a value above j
+    for j in range(n - 1, -1, -1):
+        place = places[j]
+        masks[j] = larger & (place - 1)
+        larger |= place
+    return masks
+
+
 def missing_tooth(column: Iterable[int]) -> int | None:
     """Smallest i with i not in the column but i+1 in it, or None.
 
@@ -149,73 +188,103 @@ def missing_tooth(column: Iterable[int]) -> int | None:
 
 
 def _run_orthodontia(
-    D: Diagram, keep_trace: bool
-) -> tuple[OrthodonticSequence, list[tuple[str, Diagram]]]:
-    n = D.n
-    cols = list(D.columns)
-    trace: list[tuple[str, Diagram]] = []
-
-    def snapshot(label: str) -> None:
-        if keep_trace:
-            trace.append((label, Diagram(n, tuple(cols))))
-
-    snapshot("start")
+    masks: Sequence[int], trace: list[tuple[str, list[int]]] | None
+) -> OrthodonticSequence:
+    # The columns left to straighten, in their order, with emptied ones
+    # dropped.  When trace is a list, each snapshot is appended to it as
+    # the masks of all n columns, each in its own place
+    n = len(masks)
     interval_mults = [0] * n
-    for idx, c in enumerate(cols):
-        if c and _is_standard(c):
-            interval_mults[len(c) - 1] += 1
-            cols[idx] = frozenset()
-    snapshot("strip standard columns")
+    cols = []
+    for c in masks:
+        if c & (c + 1):
+            cols.append(c)
+        elif c:
+            interval_mults[c.bit_length() - 1] += 1
+    if trace is not None:
+        places = [j for j, c in enumerate(masks) if c & (c + 1)]
+
+        def snapshot(label: str) -> None:
+            full = [0] * n
+            for j, c in zip(places, cols):
+                full[j] = c
+            trace.append((label, full))
+
+        trace.append(("start", list(masks)))
+        snapshot("strip standard columns")
 
     teeth: list[int] = []
     tooth_mults: list[int] = []
-    # generous safety cap; ordered strongly separated input stays well below it
-    max_steps = n * n * n + n * n + D.box_count() + 1
-    while True:
-        first = next((c for c in cols if c), None)
-        if first is None:
-            break
-        tooth = missing_tooth(first)
-        if tooth is None:
+    # a safety cap, which no diagram reaches (see orthodontia)
+    max_steps = n * n * n + n * n + sum(map(int.bit_count, masks)) + 1
+    while cols:
+        first = cols[0]
+        gaps = first >> 1 & ~first  # bit i-1: row i is empty and row i+1 is not
+        if not gaps:
             raise OrthodontiaError(
-                f"nonempty column {sorted(first)} has no missing tooth; "
+                f"nonempty column {_rows(first)} has no missing tooth; "
                 "columns are not in strongly separated order"
             )
         if len(teeth) >= max_steps:
             raise OrthodontiaError("step limit exceeded; diagram is not strongly separated")
+        low = gaps & -gaps  # the tooth's row
+        high = low << 1  # the row below it
+        tooth = low.bit_length()
         teeth.append(tooth)
-        swapped = []
-        for c in cols:
-            lo, hi = tooth in c, tooth + 1 in c
-            if lo != hi:
-                c = (c - {tooth, tooth + 1}) | {tooth if hi else tooth + 1}
-            swapped.append(c)
-        cols = swapped
-        target = _interval(tooth)
-        count = sum(1 for c in cols if c == target)
+        # swap the two rows in each column that has exactly one of them,
+        # the columns where adding low carries into high or sets it
+        pair = low | high
+        cols = [c ^ pair if (c + low) & high else c for c in cols]
+        target = high - 1  # the interval {1..tooth}
+        count = cols.count(target)
         tooth_mults.append(count)
         if count:
-            cols = [frozenset() if c == target else c for c in cols]
-        snapshot(f"swap rows {tooth},{tooth + 1}")
+            if trace is not None:
+                places = [j for j, c in zip(places, cols) if c != target]
+            cols = [c for c in cols if c != target]
+        if trace is not None:
+            snapshot(f"swap rows {tooth},{tooth + 1}")
 
-    seq = OrthodonticSequence(tuple(teeth), tuple(interval_mults), tuple(tooth_mults))
-    return seq, trace
+    return OrthodonticSequence(tuple(teeth), tuple(interval_mults), tuple(tooth_mults))
+
+
+def mask_orthodontia(masks: Sequence[int]) -> OrthodonticSequence:
+    """:func:`orthodontia` of the diagram whose column masks are ``masks``."""
+    return _run_orthodontia(masks, None)
 
 
 def orthodontia(D: Diagram) -> OrthodonticSequence:
     """Run the orthodontia algorithm on D.
 
-    D must be the Rothe diagram of a permutation, or a strongly separated
-    diagram whose columns already satisfy the pairwise order enforced by
-    :func:`sort_columns`; otherwise :class:`OrthodontiaError` is raised.
+    Every diagram runs to the end.  A swap at tooth t changes only the
+    columns holding exactly one of rows t and t+1, so the only interval
+    it can make is {1..t}, which is stripped at once: the first nonempty
+    column always has a missing tooth.  Each swap lowers that column's
+    row sum by one, which bounds the steps.  :class:`OrthodontiaError`
+    guards these two facts and is never raised.
+
+    The sequence drives the ascending formulas of
+    :mod:`orthodontia.grothendieck`, which give the Schubert and
+    Grothendieck polynomials on Rothe diagrams.  On other diagrams it
+    is still defined, but the paper assigns it a meaning only when D is
+    strongly separated with its columns in the order of
+    :func:`sort_columns`.
     """
-    seq, _ = _run_orthodontia(D, keep_trace=False)
-    return seq
+    return _run_orthodontia(_column_masks(D), None)
 
 
 def orthodontia_trace(D: Diagram) -> tuple[OrthodonticSequence, list[tuple[str, Diagram]]]:
-    """Like :func:`orthodontia`, also returning labeled intermediate diagrams."""
-    return _run_orthodontia(D, keep_trace=True)
+    """Like :func:`orthodontia`, also returning labeled intermediate diagrams.
+
+    Every column keeps its place in the snapshots; a stripped column
+    shows as empty.
+    """
+    snapshots: list[tuple[str, list[int]]] = []
+    seq = _run_orthodontia(_column_masks(D), snapshots)
+    return seq, [
+        (label, Diagram(D.n, tuple(frozenset(_rows(c)) for c in masks)))
+        for label, masks in snapshots
+    ]
 
 
 def upper_closure(D: Diagram) -> Diagram:
@@ -225,8 +294,13 @@ def upper_closure(D: Diagram) -> Diagram:
 
 def closure_monomial(D: Diagram) -> Monomial:
     """The upper-closure monomial: row i counts columns whose lowest box is in row i or below."""
-    maxima = [max(c) for c in D.columns if c]
-    return tuple(sum(1 for m in maxima if m >= i) for i in range(1, D.n + 1))
+    return mask_closure(_column_masks(D))
+
+
+def mask_closure(masks: Sequence[int]) -> Monomial:
+    """:func:`closure_monomial` of the diagram whose column masks are ``masks``."""
+    lowest = [c.bit_length() for c in masks if c]  # each column's lowest row
+    return tuple(sum(1 for m in lowest if m >= i) for i in range(1, len(masks) + 1))
 
 
 def diagram_monomial(D: Diagram) -> Monomial:

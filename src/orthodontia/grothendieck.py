@@ -34,8 +34,10 @@ from orthodontia.diagram import (
     Diagram,
     OrthodonticSequence,
     diagram_monomial,
+    mask_orthodontia,
     orthodontia,
     rothe_diagram,
+    rothe_masks,
 )
 from orthodontia.operators import demazure, demazure_lascoux, divided_difference, isobaric
 from orthodontia.permutation import Permutation
@@ -457,23 +459,22 @@ def check_sorted_step(
     """Check the sorted-step relations for w.
 
     ``known`` maps one-line words to their orthodontic sequences and is
-    only read.  The sequences of w, sort(w) and w's sorted-step
-    predecessor come from it where it has them and are built otherwise,
-    so ``{}`` builds every one.  The diagram of the pattern sigma(w) is
-    always built here.
+    only read.  The sequences of w, sort(w), w's sorted-step predecessor
+    and the pattern sigma(w) come from it where it has them and are built
+    from the words' column masks otherwise, so ``{}`` builds every one.
     """
+
+    def sequence(v: tuple[int, ...]) -> OrthodonticSequence:
+        return known.get(v) or mask_orthodontia(rothe_masks(v))
+
     word = w.word
     data = primary_column_data(w)
-    seq_w = known.get(word) or orthodontia(rothe_diagram(w))
+    seq_w = sequence(word)
     is_sorted = _is_sorted(word, data)
-    if is_sorted:
-        seq_sorted = seq_w
-    else:
-        u = _sort(w, data)
-        seq_sorted = known.get(u.word) or orthodontia(rothe_diagram(u))
+    seq_sorted = seq_w if is_sorted else sequence(_sort(w, data).word)
     # the sequences of w and sort(w) agree except for the interval counts,
     # which shift by the interval counts of the pattern sigma(w)
-    pattern_counts = orthodontia(rothe_diagram(_sigma(w, data))).interval_multiplicities
+    pattern_counts = sequence(_sigma(w, data).word).interval_multiplicities
     expected_k = list(seq_sorted.interval_multiplicities)
     if data.prefix > 0:
         expected_k[data.prefix - 1] -= sum(pattern_counts)
@@ -497,8 +498,7 @@ def check_sorted_step(
         part_iv = all(m[t] == 0 for t in range(gap - 1))
         part_v = False
         if part_i:
-            u = _sorted_step_up(w, data)
-            seq_up = known.get(u.word) or orthodontia(rothe_diagram(u))
+            seq_up = sequence(_sorted_step_up(w, data).word)
             expected_up_k = list(k)
             if data.prefix > 0:
                 expected_up_k[data.prefix - 1] -= gap

@@ -24,6 +24,10 @@ The library reads primary column data, and so dominance, off the
 one-line word in one scan per column; the oracles build the Rothe
 diagram column by column from its definition and read the data off it,
 and test dominance as 132 avoidance.
+
+The library runs the orthodontia algorithm on column bitmasks and drops
+each column once it is emptied; the oracle runs it on sets of rows, with
+every column kept in its place.
 """
 
 from __future__ import annotations
@@ -288,3 +292,56 @@ def avoids_132(word: tuple[int, ...]) -> bool:
         for j in range(i + 1, n)
         for k in range(j + 1, n)
     )
+
+
+Columns = tuple[frozenset[int], ...]
+
+
+def orthodontia_oracle(
+    columns: Columns, count_before_swap: bool = False
+) -> tuple[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]], list[tuple[str, Columns]]]:
+    """The orthodontia algorithm on a diagram given by its columns, sets of rows.
+
+    Returns (teeth, interval multiplicities, tooth multiplicities) and
+    the labeled snapshots of all columns, each column in its place.  The
+    columns that are intervals {1..k} are stripped first.  Then, while a
+    column is nonempty, the rows t and t+1 of the smallest missing tooth
+    t of the first nonempty column are swapped in every column holding
+    exactly one of them, and the columns that became {1..t} are counted
+    and stripped.  ``count_before_swap`` counts them before the swap
+    instead, a deliberate fault for mutation tests.
+    """
+    n = len(columns)
+    cols = list(columns)
+    trace = [("start", tuple(cols))]
+    interval_mults = [0] * n
+    for idx, c in enumerate(cols):
+        if c and c == frozenset(range(1, len(c) + 1)):
+            interval_mults[len(c) - 1] += 1
+            cols[idx] = frozenset()
+    trace.append(("strip standard columns", tuple(cols)))
+
+    teeth: list[int] = []
+    tooth_mults: list[int] = []
+    max_steps = n * n * n + n * n + sum(len(c) for c in columns) + 1
+    while True:
+        first = next((c for c in cols if c), None)
+        if first is None:
+            break
+        tooth = next((i for i in range(1, n) if i not in first and i + 1 in first), None)
+        if tooth is None or len(teeth) >= max_steps:
+            raise AssertionError(f"orthodontia stuck at column {sorted(first)}")
+        teeth.append(tooth)
+        target = frozenset(range(1, tooth + 1))
+        early = sum(1 for c in cols if c == target)
+        swapped = []
+        for c in cols:
+            if (tooth in c) != (tooth + 1 in c):
+                c = c ^ {tooth, tooth + 1}
+            swapped.append(c)
+        cols = swapped
+        count = sum(1 for c in cols if c == target)
+        tooth_mults.append(early if count_before_swap else count)
+        cols = [frozenset() if c == target else c for c in cols]
+        trace.append((f"swap rows {tooth},{tooth + 1}", tuple(cols)))
+    return (tuple(teeth), tuple(interval_mults), tuple(tooth_mults)), trace

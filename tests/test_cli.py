@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+from itertools import permutations
 
 import pytest
 
@@ -103,11 +104,54 @@ def test_ortho_identity_json():
     assert payload["tooth_multiplicities"] == []
 
 
+# `ortho 31542 --trace`; each column keeps its place while the algorithm
+# empties the columns around it
+ORTHO_TRACE_31542 = (
+    "teeth:                    [2, 3, 1]\n"
+    "interval multiplicities:  [1, 0, 0, 0, 0]\n"
+    "tooth multiplicities:     [0, 1, 1]\n"
+    "\n"
+    "[start]\n"
+    "□ □ · · ·\n"
+    "· · · · ·\n"
+    "· □ · □ ·\n"
+    "· □ · · ·\n"
+    "· · · · ·\n"
+    "\n"
+    "[strip standard columns]\n"
+    "· □ · · ·\n"
+    "· · · · ·\n"
+    "· □ · □ ·\n"
+    "· □ · · ·\n"
+    "· · · · ·\n"
+    "\n"
+    "[swap rows 2,3]\n"
+    "· □ · · ·\n"
+    "· □ · □ ·\n"
+    "· · · · ·\n"
+    "· □ · · ·\n"
+    "· · · · ·\n"
+    "\n"
+    "[swap rows 3,4]\n"
+    "· · · · ·\n"
+    "· · · □ ·\n"
+    "· · · · ·\n"
+    "· · · · ·\n"
+    "· · · · ·\n"
+    "\n"
+    "[swap rows 1,2]\n"
+    "· · · · ·\n"
+    "· · · · ·\n"
+    "· · · · ·\n"
+    "· · · · ·\n"
+    "· · · · ·\n"
+)
+
+
 def test_ortho_trace_shows_diagrams():
     out = io.StringIO()
     assert cmd_ortho(parse_permutation("31542"), "text", True, out) == 0
-    assert "[start]" in out.getvalue()
-    assert "□" in out.getvalue()
+    assert out.getvalue() == ORTHO_TRACE_31542
 
 
 def test_diagram_ascii_and_json():
@@ -458,10 +502,19 @@ def test_verify_records_carry_exactly_their_rules_fields():
 
 
 def test_verify_builds_each_words_diagram_facts_once(monkeypatch):
-    # 720 words, each with one diagram and one sequence in the shared facts;
-    # sorted reads w's column data off its word and its sequence from the
-    # facts, and builds the diagram and sequence of the pattern sigma(w)
-    counts = {"rothe_diagram": 0, "orthodontia": 0}
+    # the fact pass builds the masks and sequence of each of the 720 words
+    # once; sorted reads w's column data off its word and the sequences of
+    # rank 6 from the facts, and builds the masks and sequence of the
+    # pattern sigma(w) when it is of lower rank, that is unless w is one
+    # of the 132 dominant words, whose pattern is w itself.  No Diagram is
+    # built
+    built = []
+    counts = {"rothe_diagram": 0, "orthodontia": 0, "mask_orthodontia": 0}
+
+    def counted_masks(word, real=diagram.rothe_masks):
+        built.append(word)
+        return real(word)
+
     for name in counts:
         real = getattr(diagram, name)
 
@@ -472,9 +525,13 @@ def test_verify_builds_each_words_diagram_facts_once(monkeypatch):
         for module in (cli, analysis, grothendieck):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
+    for module in (cli, grothendieck):
+        monkeypatch.setattr(module, "rothe_masks", counted_masks)
     code, _, _ = run_verify(6)
     assert code == 0
-    assert counts == {"rothe_diagram": 2 * 720, "orthodontia": 2 * 720}
+    assert sorted(word for word in built if len(word) == 6) == sorted(permutations(range(1, 7)))
+    assert sum(len(word) < 6 for word in built) == 720 - 132
+    assert counts == {"rothe_diagram": 0, "orthodontia": 0, "mask_orthodontia": len(built)}
 
 
 def test_verify_calls_the_public_diagram_fact_checks(monkeypatch):

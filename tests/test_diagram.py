@@ -2,8 +2,10 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orthodontia.diagram import (
     Diagram,
@@ -11,14 +13,18 @@ from orthodontia.diagram import (
     closure_monomial,
     diagram_monomial,
     is_strongly_separated,
+    mask_closure,
+    mask_orthodontia,
     missing_tooth,
     orthodontia,
     orthodontia_trace,
     rothe_diagram,
+    rothe_masks,
     sort_columns,
     upper_closure,
 )
-from orthodontia.permutation import from_one_line, identity, symmetric_group
+from orthodontia.permutation import Permutation, from_one_line, identity, symmetric_group
+from oracles import orthodontia_oracle
 
 
 def cols(D):
@@ -116,6 +122,62 @@ def test_orthodontia_multiplicities_count_nonempty_columns():
         assert sum(seq.interval_multiplicities) + sum(seq.tooth_multiplicities) == nonempty
 
 
+def fields(seq):
+    return seq.teeth, seq.interval_multiplicities, seq.tooth_multiplicities
+
+
+def assert_matches_oracle(D):
+    expected, expected_trace = orthodontia_oracle(D.columns)
+    assert fields(orthodontia(D)) == expected, D
+    seq, trace = orthodontia_trace(D)
+    assert fields(seq) == expected, D
+    assert [(label, S.columns) for label, S in trace] == expected_trace, D
+
+
+def test_rothe_masks_and_orthodontia_match_the_oracle_through_s7():
+    for n in range(1, 8):
+        for word in permutations(range(1, n + 1)):
+            D = rothe_diagram(Permutation(word))
+            masks = rothe_masks(word)
+            assert masks == [sum(1 << (i - 1) for i in c) for c in D.columns], word
+            expected, _ = orthodontia_oracle(D.columns)
+            assert fields(orthodontia(D)) == expected, word
+            assert fields(mask_orthodontia(masks)) == expected, word
+
+
+def test_orthodontia_and_trace_match_the_oracle_on_the_3x3_grid():
+    # all 512 diagrams, strongly separated or not
+    for cells in product((False, True), repeat=9):
+        columns = [{i for i in (1, 2, 3) if cells[3 * j + i - 1]} for j in range(3)]
+        assert_matches_oracle(Diagram.from_columns(3, columns))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.sets(st.integers(1, n)), min_size=n, max_size=n)
+))
+def test_orthodontia_and_trace_match_the_oracle_on_random_diagrams(columns):
+    assert_matches_oracle(Diagram.from_columns(len(columns), columns))
+
+
+def test_the_oracle_comparison_catches_counting_before_the_swap():
+    # the comparison above fails for an oracle with this fault, so it
+    # would fail for a library core with it
+    assert any(
+        orthodontia_oracle(D.columns, count_before_swap=True)[0] != fields(orthodontia(D))
+        for D in map(rothe_diagram, symmetric_group(4))
+    )
+
+
+def test_orthodontia_runs_on_a_diagram_that_is_not_strongly_separated():
+    D = Diagram.from_columns(4, [{1, 3}, {2, 4}, set(), set()])
+    assert not is_strongly_separated(D)
+    seq = orthodontia(D)
+    assert seq.teeth == (2, 2, 1, 3, 2)
+    assert seq.interval_multiplicities == (0, 0, 0, 0)
+    assert seq.tooth_multiplicities == (1, 0, 0, 0, 1)
+
+
 def test_orthodontia_trace_snapshots():
     D = rothe_diagram(from_one_line([3, 1, 5, 4, 2]))
     seq, trace = orthodontia_trace(D)
@@ -142,7 +204,9 @@ def test_closure_monomial_is_the_upper_closure_monomial():
     for n in range(1, 7):
         for w in symmetric_group(n):
             D = rothe_diagram(w)
-            assert closure_monomial(D) == diagram_monomial(upper_closure(D)), w
+            expected = diagram_monomial(upper_closure(D))
+            assert closure_monomial(D) == expected, w
+            assert mask_closure(rothe_masks(w.word)) == expected, w
 
 
 def test_diagram_monomial():
