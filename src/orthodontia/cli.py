@@ -50,6 +50,7 @@ from orthodontia.diagram import (
 )
 from orthodontia.grothendieck import (
     FormulaChain,
+    _descend,
     _grothendieck_of_word,
     _is_sorted,
     _monk_targets,
@@ -63,6 +64,7 @@ from orthodontia.grothendieck import (
     orthodontia_schubert,
     schubert_recursive,
 )
+from orthodontia.operators import divided_difference, isobaric
 from orthodontia.permutation import Permutation, from_one_line
 from orthodontia.polynomial import Monomial, Polynomial
 
@@ -381,10 +383,15 @@ def cmd_compute(
     out: TextIO,
     err: TextIO,
 ) -> int:
-    recursive = {"schubert": schubert_recursive, "grothendieck": grothendieck_recursive}[kind](w)
-    formula = {"schubert": orthodontia_schubert, "grothendieck": orthodontia_grothendieck}[kind](
-        rothe_diagram(w)
-    )
+    # The ascending route runs first and the recursive route is a walk that
+    # stores nothing, so at most the two results and the polynomial being
+    # built are alive at once; one result is released before formatting.
+    ascending, op = {
+        "schubert": (orthodontia_schubert, divided_difference),
+        "grothendieck": (orthodontia_grothendieck, isobaric),
+    }[kind]
+    formula = ascending(rothe_diagram(w))
+    recursive = _descend(w.word, op)
     if recursive != formula:
         err.write(
             f"ERROR: methods disagree for {w} ({kind})\n"
@@ -392,6 +399,7 @@ def cmd_compute(
             f"  orthodontia: {formula}\n"
         )
         return 1
+    del formula
     if fmt == "json":
         out.write(_dump({"w": list(w.word), "kind": kind, "polynomial": recursive.to_json()}) + "\n")
     else:

@@ -21,7 +21,10 @@ a :class:`FormulaChain`, which keeps the polynomials along the last step
 sequence so that shared step prefixes are applied once.
 
 The memo caches are plain dicts keyed by one-line words, filled on
-demand.  A forked worker fills its own copy.
+demand.  A forked worker fills its own copy.  ``orthodontia compute``
+keeps no memo: it runs the same walk with ``memo=None``, which stores
+nothing and holds only the polynomial in hand, because one ``compute``
+visits each word of its first-ascent chain once.
 """
 
 from __future__ import annotations
@@ -63,27 +66,36 @@ def _staircase(n: int) -> Polynomial:
     return Polynomial.monomial(tuple(n - k for k in range(1, n + 1)))
 
 
-def _descend(word: tuple[int, ...], memo: dict[tuple[int, ...], Polynomial], op) -> Polynomial:
+def _descend(
+    word: tuple[int, ...], op, memo: dict[tuple[int, ...], Polynomial] | None = None
+) -> Polynomial:
     # Walk up the weak order by first ascents to a memo hit or w0, then
     # apply op on the way back down, memoizing every word on the chain.
+    # Without a memo the walk stores nothing: only the polynomial in hand
+    # and the one op is building are alive at any time.
     chain: list[tuple[tuple[int, ...], int]] = []
-    poly = memo.get(word)
+    poly = None if memo is None else memo.get(word)
     while poly is None:
         j = _first_ascent(word)
         if j is None:
-            poly = memo[word] = _staircase(len(word))
+            poly = _staircase(len(word))
+            if memo is not None:
+                memo[word] = poly
             break
         chain.append((word, j))
         word = word[: j - 1] + (word[j], word[j - 1]) + word[j + 1 :]
-        poly = memo.get(word)
+        if memo is not None:
+            poly = memo.get(word)
     for word, j in reversed(chain):
-        poly = memo[word] = op(j, poly)
+        poly = op(j, poly)
+        if memo is not None:
+            memo[word] = poly
     return poly
 
 
 def schubert_recursive(w: Permutation) -> Polynomial:
     """The Schubert polynomial, by divided differences down from the staircase."""
-    return _descend(w.word, _SCHUBERT_CACHE, divided_difference)
+    return _descend(w.word, divided_difference, _SCHUBERT_CACHE)
 
 
 def grothendieck_recursive(w: Permutation) -> Polynomial:
@@ -91,12 +103,12 @@ def grothendieck_recursive(w: Permutation) -> Polynomial:
 
     Its lowest-degree homogeneous component is the Schubert polynomial.
     """
-    return _descend(w.word, _GROTH_CACHE, isobaric)
+    return _descend(w.word, isobaric, _GROTH_CACHE)
 
 
 def _grothendieck_of_word(word: tuple[int, ...]) -> Polynomial:
     """:func:`grothendieck_recursive` of the permutation with one-line word ``word``."""
-    return _descend(word, _GROTH_CACHE, isobaric)
+    return _descend(word, isobaric, _GROTH_CACHE)
 
 
 def _weight_exps(j: int, n: int, power: int) -> Monomial:

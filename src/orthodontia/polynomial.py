@@ -338,7 +338,8 @@ class Polynomial:
 
     def to_json(self) -> dict:
         """JSON form: {"n": n, "terms": [[coeff, [e1, ..., en]], ...]} in canonical order."""
-        return {"n": self.n, "terms": [[c, list(e)] for e, c in self.sorted_terms()]}
+        n, terms = self.n, self.terms
+        return {"n": n, "terms": [[terms[k], list(_unpack(k, n))] for k in self._canonical_keys()]}
 
     @classmethod
     def from_json(cls, obj: Mapping) -> Polynomial:

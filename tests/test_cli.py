@@ -86,6 +86,44 @@ def test_compute_methods_agree_both_kinds():
         assert not err.getvalue()
 
 
+def test_compute_json_golden():
+    out, err = io.StringIO(), io.StringIO()
+    assert cmd_compute(parse_permutation("2143"), "grothendieck", "json", out, err) == 0
+    assert out.getvalue() == (
+        '{"kind":"grothendieck","polynomial":{"n":4,"terms":[[1,[2,0,0,0]],[1,[1,1,0,0]],'
+        '[1,[1,0,1,0]],[-1,[2,1,0,0]],[-1,[2,0,1,0]],[-1,[1,1,1,0]],[1,[2,1,1,0]]]},'
+        '"w":[2,1,4,3]}\n'
+    )
+
+
+@pytest.mark.parametrize("kind", ["schubert", "grothendieck"])
+def test_compute_leaves_the_memos_as_it_found_them(monkeypatch, kind):
+    memos = {name: {(2, 1): Polynomial.variable(1, 2)} for name in ("_SCHUBERT_CACHE", "_GROTH_CACHE")}
+    for name, memo in memos.items():
+        monkeypatch.setattr(grothendieck, name, memo)
+    out, err = io.StringIO(), io.StringIO()
+    assert cmd_compute(parse_permutation("31542"), kind, "text", out, err) == 0
+    for name, memo in memos.items():
+        assert getattr(grothendieck, name) is memo
+        assert memo == {(2, 1): Polynomial.variable(1, 2)}
+
+
+@pytest.mark.parametrize("kind", ["schubert", "grothendieck"])
+def test_compute_reports_methods_that_disagree(monkeypatch, kind):
+    w = parse_permutation("31542")
+    right = {"schubert": schubert_recursive, "grothendieck": grothendieck_recursive}[kind](w)
+    wrong = right + 1
+    monkeypatch.setattr(cli, f"orthodontia_{kind}", lambda D: wrong)
+    out, err = io.StringIO(), io.StringIO()
+    assert cmd_compute(w, kind, "text", out, err) == 1
+    assert out.getvalue() == ""
+    assert err.getvalue() == (
+        f"ERROR: methods disagree for {w} ({kind})\n"
+        f"  recursive:   {right}\n"
+        f"  orthodontia: {wrong}\n"
+    )
+
+
 def test_ortho_text_golden():
     out = io.StringIO()
     assert cmd_ortho(parse_permutation("31542"), "text", False, out) == 0

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import json
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -237,6 +237,25 @@ def test_sort_columns_rothe_already_ordered():
     for w in symmetric_group(5):
         D = rothe_diagram(w)
         assert sort_columns(D) == D
+
+
+def test_sort_columns_orders_every_strongly_separated_3x3_diagram():
+    # a comparator that calls a subset or an empty column "equal" is not
+    # transitive and rejected 22 of these 470 tuples
+    subsets = [frozenset(s) for k in range(4) for s in combinations((1, 2, 3), k)]
+    seen = 0
+    for columns in product(subsets, repeat=3):
+        D = Diagram(3, columns)
+        if not is_strongly_separated(D):
+            continue
+        seen += 1
+        ordered = sort_columns(D).columns
+        assert sorted(ordered, key=sorted) == sorted(columns, key=sorted)
+        for i, j in combinations(range(3), 2):
+            assert max(ordered[i] - ordered[j], default=0) <= min(ordered[j] - ordered[i], default=4)
+    assert seen == 470
+    ordered = sort_columns(Diagram.from_columns(4, [{1}, {2}, {1, 2}, {1}]))
+    assert cols(ordered) == [[1, 2], [1], [1], [2]]
 
 
 def test_sort_columns_rejects_non_strongly_separated():

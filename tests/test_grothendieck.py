@@ -12,6 +12,7 @@ import pytest
 from orthodontia.diagram import Diagram, orthodontia, rothe_diagram
 from orthodontia.grothendieck import (
     FormulaChain,
+    _descend,
     _monk_targets,
     check_sorted_step,
     MonkTerm,
@@ -133,6 +134,13 @@ def test_operator_stability_on_ascents():
         for j in w.ascents():
             assert divided_difference(j, f).is_zero
             assert isobaric(j, f) == f
+
+
+def test_walk_without_memo_matches_the_memoized_recursions():
+    for n in range(1, 7):
+        for w in symmetric_group(n):
+            assert _descend(w.word, divided_difference) == schubert_recursive(w)
+            assert _descend(w.word, isobaric) == grothendieck_recursive(w)
 
 
 def test_orthodontia_formula_golden():
