@@ -45,7 +45,6 @@ from orthodontia.diagram import (
     OrthodonticSequence,
     diagram_monomial,
     is_strongly_separated,
-    missing_tooth,
     orthodontia,
     rothe_diagram,
     sort_columns,
@@ -103,7 +102,6 @@ __all__ = [
     "OrthodonticSequence",
     "OrthodontiaError",
     "rothe_diagram",
-    "missing_tooth",
     "orthodontia",
     "upper_closure",
     "diagram_monomial",

@@ -134,11 +134,7 @@ def exponent_change_check(w: Permutation) -> bool:
         raise ValueError(f"{w} is not sorted")
     u = _sorted_step_up(w, data)
     D = rothe_diagram(w)
-    gamma = sum(
-        1
-        for c in D.columns[data.standard_cols :]
-        if c and max(c) == data.tooth + 1
-    )
+    gamma = sum(1 for c in D.masks[data.standard_cols :] if c.bit_length() == data.tooth + 1)
     mu = closure_monomial(rothe_diagram(u))
     lhs = list(closure_monomial(D))
     lhs[data.prefix] += data.gap

@@ -1,7 +1,14 @@
 """Box diagrams in the n x n grid and the orthodontia algorithm.
 
-A diagram is a sequence of n columns, each a subset of [n]; the box
-(i, j) sits in row i of column j, read like matrix indices.
+A :class:`Diagram` is its n column masks, one int per column: bit i-1
+of mask j is the box (i, j), in row i of column j, read like matrix
+indices.  Everything here works on the masks; only the edges turn them
+into rows: :meth:`Diagram.from_columns` and the JSON and ASCII forms, a
+derived :attr:`Diagram.columns` of frozensets, and :meth:`Diagram.boxes`.
+:func:`rothe_masks` builds a Rothe diagram's masks from the one-line
+word, and :func:`mask_orthodontia` and :func:`mask_closure` take bare
+masks, so a caller that starts from a permutation needs no
+:class:`Diagram`.
 
 The orthodontia algorithm repeatedly straightens the first nonempty
 column by swapping the pair of adjacent rows at its smallest "missing
@@ -11,12 +18,8 @@ tooth", stripping standard-interval columns as they appear, and records
 - the multiplicities of standard-interval columns removed up front, and
 - the multiplicity of columns standardized by each swap.
 
-The algorithm itself runs on column masks, one int per column with bit
-i-1 standing for row i, and drops each column once it is emptied.
-:func:`rothe_masks` builds the masks of a Rothe diagram from the
-one-line word, so a caller that starts from a permutation needs no
-:class:`Diagram`.  Only :func:`orthodontia_trace` builds diagrams again,
-with every column in its place.
+It drops each column once it is emptied; :func:`orthodontia_trace`
+puts the columns back in their places in its snapshots.
 """
 
 from __future__ import annotations
@@ -36,55 +39,67 @@ class OrthodontiaError(RuntimeError):
     """
 
 
-def _interval(size: int) -> frozenset[int]:
-    return frozenset(range(1, size + 1))
+def _rows(mask: int) -> list[int]:
+    # the rows of a column mask, ascending
+    return [i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1]
 
 
 @dataclass(frozen=True)
 class Diagram:
-    """A subset of the n x n grid, stored column by column."""
+    """A subset of the n x n grid: ``masks[j-1]`` has bit i-1 set for the box (i, j)."""
 
     n: int
-    columns: tuple[frozenset[int], ...]
+    masks: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise ValueError("grid size must be at least 1")
-        if len(self.columns) != self.n:
-            raise ValueError(f"expected {self.n} columns, got {len(self.columns)}")
-        for c in self.columns:
-            if any(not 1 <= i <= self.n for i in c):
-                raise ValueError(f"column entries {sorted(c)} outside 1..{self.n}")
+        if len(self.masks) != self.n:
+            raise ValueError(f"expected {self.n} columns, got {len(self.masks)}")
+        for c in self.masks:
+            if c < 0 or c >> self.n:
+                raise ValueError(f"column mask {c} outside 0..{(1 << self.n) - 1}")
 
     @classmethod
     def from_columns(cls, n: int, columns: Iterable[Iterable[int]]) -> Diagram:
-        return cls(n, tuple(frozenset(c) for c in columns))
+        """The diagram whose column j holds the rows in ``columns[j-1]``."""
+        masks = []
+        for column in columns:
+            rows = set(column)
+            if any(not 1 <= i <= n for i in rows):
+                raise ValueError(f"column entries {sorted(rows)} outside 1..{n}")
+            masks.append(sum(1 << (i - 1) for i in rows))
+        return cls(n, tuple(masks))
 
     @classmethod
     def empty(cls, n: int) -> Diagram:
-        return cls(n, (frozenset(),) * n)
+        return cls(n, (0,) * n)
+
+    @property
+    def columns(self) -> tuple[frozenset[int], ...]:
+        """Each column as the set of its rows."""
+        return tuple(frozenset(_rows(c)) for c in self.masks)
 
     def boxes(self) -> Iterator[tuple[int, int]]:
         """All boxes (row, column), column-major, rows ascending."""
-        for j, c in enumerate(self.columns, start=1):
-            for i in sorted(c):
+        for j, c in enumerate(self.masks, start=1):
+            for i in _rows(c):
                 yield (i, j)
 
     def box_count(self) -> int:
-        return sum(len(c) for c in self.columns)
+        return sum(map(int.bit_count, self.masks))
 
     def is_empty(self) -> bool:
-        return all(not c for c in self.columns)
+        return not any(self.masks)
 
     def render_ascii(self) -> str:
         """Rows top to bottom; a box prints as a square, an empty cell as a dot."""
-        lines = []
-        for i in range(1, self.n + 1):
-            lines.append(" ".join("□" if i in c else "·" for c in self.columns))
-        return "\n".join(lines)
+        return "\n".join(
+            " ".join("□" if c >> i & 1 else "·" for c in self.masks) for i in range(self.n)
+        )
 
     def to_json(self) -> dict:
-        return {"n": self.n, "columns": [sorted(c) for c in self.columns]}
+        return {"n": self.n, "columns": [_rows(c) for c in self.masks]}
 
     @classmethod
     def from_json(cls, obj: dict) -> Diagram:
@@ -120,36 +135,18 @@ class OrthodonticSequence:
 
 
 def rothe_diagram(w: Permutation) -> Diagram:
-    """The boxes (i, j) with i < w^{-1}(j) and j < w(i).
+    """The boxes (i, j) with i < w^{-1}(j) and j < w(i), from :func:`rothe_masks`.
 
     The number of boxes equals the number of inversions of w.
     """
-    word = w.word
-    n = len(word)
-    position = [0] * (n + 1)
-    for i, v in enumerate(word, start=1):
-        position[v] = i
-    cols = tuple(
-        frozenset(i for i in range(1, position[j]) if word[i - 1] > j) for j in range(1, n + 1)
-    )
-    return Diagram(n, cols)
-
-
-def _rows(mask: int) -> list[int]:
-    return [i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1]
-
-
-def _column_masks(D: Diagram) -> list[int]:
-    return [sum(1 << (i - 1) for i in c) for c in D.columns]
+    return Diagram(w.n, tuple(rothe_masks(w.word)))
 
 
 def rothe_masks(word: Sequence[int]) -> list[int]:
     """The column masks of the Rothe diagram of the permutation with one-line word ``word``.
 
     Bit i-1 of mask j is set when i < w^{-1}(j) and w(i) > j, that is
-    when the diagram has the box (i, j).  :func:`mask_orthodontia` and
-    :func:`mask_closure` read them, so a caller that starts from the word
-    builds no :class:`Diagram`.
+    when the diagram has the box (i, j).
 
     >>> rothe_masks((3, 1, 5, 4, 2))
     [1, 13, 0, 4, 0]
@@ -170,25 +167,8 @@ tooth_multiplicities=(0, 1, 1))
     return masks
 
 
-def missing_tooth(column: Iterable[int]) -> int | None:
-    """Smallest i with i not in the column but i+1 in it, or None.
-
-    Only the empty column and the intervals {1..i} have no missing tooth.
-
-    >>> missing_tooth({1, 2, 6})
-    5
-    >>> missing_tooth({1, 2, 3}) is None
-    True
-    """
-    c = set(column)
-    for i in sorted(c):
-        if i - 1 >= 1 and i - 1 not in c:
-            return i - 1
-    return None
-
-
 def _run_orthodontia(
-    masks: Sequence[int], trace: list[tuple[str, list[int]]] | None
+    masks: Sequence[int], trace: list[tuple[str, tuple[int, ...]]] | None
 ) -> OrthodonticSequence:
     # The columns left to straighten, in their order, with emptied ones
     # dropped.  When trace is a list, each snapshot is appended to it as
@@ -208,9 +188,9 @@ def _run_orthodontia(
             full = [0] * n
             for j, c in zip(places, cols):
                 full[j] = c
-            trace.append((label, full))
+            trace.append((label, tuple(full)))
 
-        trace.append(("start", list(masks)))
+        trace.append(("start", tuple(masks)))
         snapshot("strip standard columns")
 
     teeth: list[int] = []
@@ -270,7 +250,7 @@ def orthodontia(D: Diagram) -> OrthodonticSequence:
     strongly separated with its columns in the order of
     :func:`sort_columns`.
     """
-    return _run_orthodontia(_column_masks(D), None)
+    return _run_orthodontia(D.masks, None)
 
 
 def orthodontia_trace(D: Diagram) -> tuple[OrthodonticSequence, list[tuple[str, Diagram]]]:
@@ -279,22 +259,19 @@ def orthodontia_trace(D: Diagram) -> tuple[OrthodonticSequence, list[tuple[str, 
     Every column keeps its place in the snapshots; a stripped column
     shows as empty.
     """
-    snapshots: list[tuple[str, list[int]]] = []
-    seq = _run_orthodontia(_column_masks(D), snapshots)
-    return seq, [
-        (label, Diagram(D.n, tuple(frozenset(_rows(c)) for c in masks)))
-        for label, masks in snapshots
-    ]
+    snapshots: list[tuple[str, tuple[int, ...]]] = []
+    seq = _run_orthodontia(D.masks, snapshots)
+    return seq, [(label, Diagram(D.n, masks)) for label, masks in snapshots]
 
 
 def upper_closure(D: Diagram) -> Diagram:
     """Complete each nonempty column upward to the interval {1..max}."""
-    return Diagram(D.n, tuple(_interval(max(c)) if c else frozenset() for c in D.columns))
+    return Diagram(D.n, tuple((1 << c.bit_length()) - 1 for c in D.masks))
 
 
 def closure_monomial(D: Diagram) -> Monomial:
     """The upper-closure monomial: row i counts columns whose lowest box is in row i or below."""
-    return mask_closure(_column_masks(D))
+    return mask_closure(D.masks)
 
 
 def mask_closure(masks: Sequence[int]) -> Monomial:
@@ -305,22 +282,14 @@ def mask_closure(masks: Sequence[int]) -> Monomial:
 
 def diagram_monomial(D: Diagram) -> Monomial:
     """Exponent vector counting boxes per row: exponent of x_i = #boxes in row i."""
-    exps = [0] * D.n
-    for c in D.columns:
-        for i in c:
-            exps[i - 1] += 1
-    return tuple(exps)
+    return tuple(sum(c >> i & 1 for c in D.masks) for i in range(D.n))
 
 
-def _elementwise_leq(r: frozenset[int], s: frozenset[int]) -> bool:
-    # R <= S elementwise; vacuously true when either side is empty
-    if not r or not s:
-        return True
-    return max(r) <= min(s)
-
-
-def _column_pair_ordered(c: frozenset[int], d: frozenset[int]) -> bool:
-    return _elementwise_leq(c - d, d - c)
+def _column_pair_ordered(c: int, d: int) -> bool:
+    # C\D <= D\C elementwise: every row of C\D is smaller than the
+    # smallest row of D\C, vacuously when either side is empty
+    rest = d & ~c
+    return not rest or c & ~d < rest & -rest
 
 
 def is_strongly_separated(D: Diagram) -> bool:
@@ -329,15 +298,10 @@ def is_strongly_separated(D: Diagram) -> bool:
     For columns C, C' this requires C\\C' elementwise <= C'\\C or vice versa.
     Rothe diagrams always qualify.
     """
-    cols = D.columns
-    for i in range(len(cols)):
-        for j in range(i + 1, len(cols)):
-            if not (
-                _column_pair_ordered(cols[i], cols[j])
-                or _column_pair_ordered(cols[j], cols[i])
-            ):
-                return False
-    return True
+    return all(
+        _column_pair_ordered(c, d) or _column_pair_ordered(d, c)
+        for c, d in combinations(D.masks, 2)
+    )
 
 
 def sort_columns(D: Diagram) -> Diagram:
@@ -356,7 +320,7 @@ def sort_columns(D: Diagram) -> Diagram:
     """
     if not is_strongly_separated(D):
         raise ValueError("diagram is not strongly separated")
-    if all(_column_pair_ordered(c, d) for c, d in combinations(D.columns, 2)):
+    if all(_column_pair_ordered(c, d) for c, d in combinations(D.masks, 2)):
         return D
-    rows = range(1, D.n + 1)
-    return Diagram(D.n, tuple(sorted(D.columns, key=lambda c: [r not in c for r in rows])))
+    # lex order on the complemented bits, row 1 first
+    return Diagram(D.n, tuple(sorted(D.masks, key=lambda c: [~c >> i & 1 for i in range(D.n)])))

@@ -417,12 +417,9 @@ def fallen_boxes(w: Permutation) -> frozenset[tuple[int, int]]:
     column, i.e. some earlier row of the column is empty.  Dominant
     permutations have none.
     """
-    fallen = set()
-    for j, c in enumerate(rothe_diagram(w).columns, start=1):
-        for rank, i in enumerate(sorted(c), start=1):
-            if i > rank:
-                fallen.add((i, j))
-    return frozenset(fallen)
+    # c & (c + 1) clears the run of boxes at the top of the column
+    fallen = tuple(c & (c + 1) for c in rothe_diagram(w).masks)
+    return frozenset(Diagram(w.n, fallen).boxes())
 
 
 def os_predecessor(w: Permutation) -> Permutation:

@@ -25,12 +25,24 @@ one-line word in one scan per column; the oracles build the Rothe
 diagram column by column from its definition and read the data off it,
 and test dominance as 132 avoidance.
 
-The library runs the orthodontia algorithm on column bitmasks and drops
-each column once it is emptied; the oracle runs it on sets of rows, with
-every column kept in its place.
+The library builds Rothe diagrams as column bitmasks from the one-line
+word in one pass over the values, and runs the orthodontia algorithm on
+those masks, dropping each column once it is emptied and finding the
+tooth with a bit trick; the oracles build the diagram as sets of rows
+from its definition, and run the algorithm on sets of rows, with every
+column kept in its place and the tooth found by scanning the rows.
+
+The library's ascending Schubert formula on a strongly separated diagram
+is checked against the character of the diagram's flagged Weyl module,
+which uses no operator: the dimension of each weight space of a span of
+products of minors, found by exact elimination over the rationals.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from itertools import combinations, permutations, product
+from typing import Iterable
 
 from orthodontia.polynomial import (
     DivisionRemainderError,
@@ -267,15 +279,13 @@ def primary_column_oracle(word: tuple[int, ...]) -> tuple[int, int, int, int]:
     no such column, gives (n, 0, n, n).
     """
     n = len(word)
-    for j in range(1, n + 1):
-        below = word.index(j) + 1
-        c = {i for i in range(1, below) if word[i - 1] > j}
+    for j, c in enumerate(rothe_oracle(word), start=1):
         if c == set(range(1, len(c) + 1)):
             continue
         prefix = 0
         while prefix + 1 in c:
             prefix += 1
-        tooth = min(i for i in range(1, n) if i not in c and i + 1 in c)
+        tooth = missing_tooth(c)
         assert tooth > prefix
         assert not any(i in c for i in range(prefix + 1, tooth + 1))
         assert tooth + 1 in c
@@ -295,6 +305,27 @@ def avoids_132(word: tuple[int, ...]) -> bool:
 
 
 Columns = tuple[frozenset[int], ...]
+
+
+def rothe_oracle(word: tuple[int, ...]) -> Columns:
+    """The columns of the Rothe diagram of w, sets of rows: column j holds
+    the rows i with i < w^-1(j) and w(i) > j."""
+    return tuple(
+        frozenset(i for i in range(1, word.index(j) + 1) if word[i - 1] > j)
+        for j in range(1, len(word) + 1)
+    )
+
+
+def missing_tooth(column: Iterable[int]) -> int | None:
+    """Smallest i with i not in the column but i+1 in it, or None.
+
+    Only the empty column and the intervals {1..i} have no missing tooth.
+    """
+    c = set(column)
+    for i in sorted(c):
+        if i - 1 >= 1 and i - 1 not in c:
+            return i - 1
+    return None
 
 
 def orthodontia_oracle(
@@ -328,7 +359,7 @@ def orthodontia_oracle(
         first = next((c for c in cols if c), None)
         if first is None:
             break
-        tooth = next((i for i in range(1, n) if i not in first and i + 1 in first), None)
+        tooth = missing_tooth(first)
         if tooth is None or len(teeth) >= max_steps:
             raise AssertionError(f"orthodontia stuck at column {sorted(first)}")
         teeth.append(tooth)
@@ -345,3 +376,85 @@ def orthodontia_oracle(
         cols = [frozenset() if c == target else c for c in cols]
         trace.append((f"swap rows {tooth},{tooth + 1}", tuple(cols)))
     return (tuple(teeth), tuple(interval_mults), tuple(tooth_mults)), trace
+
+
+# A polynomial in the entries y_rc of a generic upper-triangular matrix:
+# each monomial is the sorted tuple of its cells (r, c), one per factor.
+YPolynomial = dict[tuple[tuple[int, int], ...], int]
+
+
+def _minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> YPolynomial:
+    # det Y[rows, cols] by the Leibniz expansion, where y_rc = 0 for r > c;
+    # distinct permutations use distinct cells, so no two terms cancel
+    out = {}
+    for perm in permutations(range(len(cols))):
+        cells = tuple(sorted((r, cols[p]) for r, p in zip(rows, perm)))
+        if all(r <= c for r, c in cells):
+            out[cells] = (-1) ** inversions_by_enumeration(perm)
+    return out
+
+
+def _times_y(f: YPolynomial, g: YPolynomial) -> YPolynomial:
+    out: YPolynomial = {}
+    for a, x in f.items():
+        for b, y in g.items():
+            key = tuple(sorted(a + b))
+            out[key] = out.get(key, 0) + x * y
+    return {k: v for k, v in out.items() if v}
+
+
+def _rank(vectors: list[YPolynomial]) -> int:
+    # rank over Q by elimination on leading monomials: each pivot row is
+    # scaled to lead with 1, and reducing by it adds only smaller monomials
+    pivots: dict[tuple, dict[tuple, Fraction]] = {}
+    for vector in vectors:
+        v = {k: Fraction(c) for k, c in vector.items()}
+        while v:
+            lead = max(v)
+            row = pivots.get(lead)
+            if row is None:
+                pivots[lead] = {k: c / v[lead] for k, c in v.items()}
+                break
+            factor = v[lead]
+            for k, c in row.items():
+                x = v.get(k, 0) - factor * c
+                if x:
+                    v[k] = x
+                else:
+                    v.pop(k, None)
+    return len(pivots)
+
+
+def flagged_weyl_character(n: int, columns: Iterable[Iterable[int]]) -> Polynomial:
+    """The character of the flagged Weyl module of the diagram with these columns.
+
+    Y is the generic upper-triangular n x n matrix, with a variable y_rc
+    for each r <= c.  For each column C_j, R_j ranges over the row sets
+    of size |C_j| that lie elementwise at or below C_j (the k-th smallest
+    row of R_j is at most the k-th smallest of C_j); the other row sets
+    give a zero minor.  The module is spanned by the products
+    prod_j det Y[R_j, C_j], and such a product has weight a, where a_i
+    counts the j with i in R_j.  The coefficient of x^a is the dimension
+    of the span of the products of weight a, their rank over Q.
+
+    For a strongly separated diagram this is the Schubert polynomial of
+    the diagram (Magyar 1998; for Rothe diagrams, Kraskiewicz-Pragacz).
+    """
+    choices = []
+    for column in columns:
+        c = tuple(sorted(column))
+        choices.append([
+            (r, _minor(r, c))
+            for r in combinations(range(1, n + 1), len(c))
+            if all(x <= y for x, y in zip(r, c))
+        ])
+    groups: dict[Monomial, list[YPolynomial]] = {}
+    for picks in product(*choices):
+        weight = [0] * n
+        f: YPolynomial = {(): 1}
+        for rows, minor in picks:
+            for i in rows:
+                weight[i - 1] += 1
+            f = _times_y(f, minor)
+        groups.setdefault(tuple(weight), []).append(f)
+    return Polynomial(n, {a: _rank(fs) for a, fs in groups.items()})

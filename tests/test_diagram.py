@@ -15,7 +15,6 @@ from orthodontia.diagram import (
     is_strongly_separated,
     mask_closure,
     mask_orthodontia,
-    missing_tooth,
     orthodontia,
     orthodontia_trace,
     rothe_diagram,
@@ -24,7 +23,7 @@ from orthodontia.diagram import (
     upper_closure,
 )
 from orthodontia.permutation import Permutation, from_one_line, identity, symmetric_group
-from oracles import orthodontia_oracle
+from oracles import missing_tooth, orthodontia_oracle, rothe_oracle
 
 
 def cols(D):
@@ -43,6 +42,15 @@ def test_rothe_31542():
 def test_rothe_box_count_is_length():
     for w in symmetric_group(5):
         assert rothe_diagram(w).box_count() == w.length()
+
+
+def test_rothe_diagram_is_its_masks_and_round_trips_through_columns():
+    for n in range(1, 7):
+        for w in symmetric_group(n):
+            D = rothe_diagram(w)
+            assert D.masks == tuple(rothe_masks(w.word)), w
+            assert D.columns == rothe_oracle(w.word), w
+            assert Diagram.from_columns(n, D.columns) == D, w
 
 
 def test_missing_tooth():
@@ -137,11 +145,11 @@ def assert_matches_oracle(D):
 def test_rothe_masks_and_orthodontia_match_the_oracle_through_s7():
     for n in range(1, 8):
         for word in permutations(range(1, n + 1)):
-            D = rothe_diagram(Permutation(word))
+            columns = rothe_oracle(word)
             masks = rothe_masks(word)
-            assert masks == [sum(1 << (i - 1) for i in c) for c in D.columns], word
-            expected, _ = orthodontia_oracle(D.columns)
-            assert fields(orthodontia(D)) == expected, word
+            assert masks == [sum(1 << (i - 1) for i in c) for c in columns], word
+            expected, _ = orthodontia_oracle(columns)
+            assert fields(orthodontia(rothe_diagram(Permutation(word)))) == expected, word
             assert fields(mask_orthodontia(masks)) == expected, word
 
 
@@ -245,7 +253,7 @@ def test_sort_columns_orders_every_strongly_separated_3x3_diagram():
     subsets = [frozenset(s) for k in range(4) for s in combinations((1, 2, 3), k)]
     seen = 0
     for columns in product(subsets, repeat=3):
-        D = Diagram(3, columns)
+        D = Diagram.from_columns(3, columns)
         if not is_strongly_separated(D):
             continue
         seen += 1
@@ -270,7 +278,7 @@ def test_sorted_shuffled_rothe_runs_orthodontia():
         D = rothe_diagram(w)
         shuffled = list(D.columns)
         rng.shuffle(shuffled)
-        ordered = sort_columns(Diagram(4, tuple(shuffled)))
+        ordered = sort_columns(Diagram.from_columns(4, shuffled))
         seq = orthodontia(ordered)
         assert seq.step_count <= 4 * 4 + D.box_count()
 
@@ -287,10 +295,16 @@ def test_json_round_trip():
 
 
 def test_diagram_validation():
-    with pytest.raises(ValueError):
-        Diagram.from_columns(2, [{1}, {3}])
-    with pytest.raises(ValueError):
+    for rows in ({3}, {0}, {-1, 1}):
+        with pytest.raises(ValueError, match=r"column entries .* outside 1\.\.2"):
+            Diagram.from_columns(2, [{1}, rows])
+    with pytest.raises(ValueError, match="expected 2 columns, got 1"):
         Diagram.from_columns(2, [{1}])
+    for masks in ((1, 4), (-1, 0)):
+        with pytest.raises(ValueError):
+            Diagram(2, masks)
+    with pytest.raises(ValueError):
+        Diagram.from_columns(0, [])
 
 
 def test_orthodontic_sequence_validation():

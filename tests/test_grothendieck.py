@@ -5,11 +5,17 @@ import os
 import random
 import re
 import sys
-from itertools import permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
-from orthodontia.diagram import Diagram, orthodontia, rothe_diagram
+from orthodontia.diagram import (
+    Diagram,
+    is_strongly_separated,
+    orthodontia,
+    rothe_diagram,
+    sort_columns,
+)
 from orthodontia.grothendieck import (
     FormulaChain,
     _descend,
@@ -47,6 +53,7 @@ from orthodontia.polynomial import Polynomial
 
 from oracles import (
     avoids_132,
+    flagged_weyl_character,
     monk_terms_oracle,
     pipe_dream_grothendiecks,
     pipe_dream_sums,
@@ -169,6 +176,60 @@ def test_left_aligned_diagram_formula_smoke():
     g = orthodontia_grothendieck(D)
     assert not f.is_zero and not g.is_zero
     assert g.lowest_degree_component() == f
+
+
+def strongly_separated_diagrams(n):
+    # one diagram per strongly separated multiset of n columns, in the
+    # order sort_columns gives
+    subsets = [s for k in range(n + 1) for s in combinations(range(1, n + 1), k)]
+    for columns in combinations_with_replacement(subsets, n):
+        D = Diagram.from_columns(n, columns)
+        if is_strongly_separated(D):
+            yield sort_columns(D)
+
+
+@pytest.mark.parametrize(
+    "n, count",
+    [
+        (3, 112),
+        pytest.param(
+            4,
+            2618,
+            marks=pytest.mark.skipif(
+                not os.environ.get("ORTHODONTIA_ACCEPT_N7"),
+                reason="4x4 flagged Weyl sweep enabled by ORTHODONTIA_ACCEPT_N7=1",
+            ),
+        ),
+    ],
+)
+def test_schubert_formula_is_the_flagged_weyl_character(n, count):
+    diagrams = list(strongly_separated_diagrams(n))
+    assert len(diagrams) == count
+    mismatches = [
+        D for D in diagrams if orthodontia_schubert(D) != flagged_weyl_character(n, D.columns)
+    ]
+    assert mismatches == []
+
+
+def test_the_character_comparison_catches_reversed_columns():
+    # the comparison above fails for a formula given the columns out of order
+    mismatches = sum(
+        orthodontia_schubert(Diagram(3, D.masks[::-1])) != flagged_weyl_character(3, D.columns)
+        for D in strongly_separated_diagrams(3)
+    )
+    assert mismatches == 13
+
+
+def test_grothendieck_formula_on_strongly_separated_3x3_diagrams():
+    # measured properties, not theorems: the paper states none for the
+    # K-theoretic formula on diagrams that are not Rothe diagrams
+    for D in strongly_separated_diagrams(3):
+        g = orthodontia_grothendieck(D)
+        low = g.min_degree()
+        assert g.lowest_degree_component() == orthodontia_schubert(D), D
+        terms = g.sorted_terms()
+        assert sum(c for _, c in terms) == 1, D
+        assert all(c * (-1) ** (sum(e) - low) > 0 for e, c in terms), D
 
 
 def test_formula_chain_matches_fresh_evaluation_s6_then_s5():
