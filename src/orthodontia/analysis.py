@@ -27,14 +27,21 @@ from dataclasses import dataclass
 
 from orthodontia.diagram import OrthodonticSequence, closure_monomial, rothe_diagram
 from orthodontia.grothendieck import (
+    _grothendieck_entry,
     _is_sorted,
     _primary_column_data,
+    _schubert_entry,
     _sorted_step_up,
     grothendieck_recursive,
-    schubert_recursive,
 )
 from orthodontia.permutation import Permutation
-from orthodontia.polynomial import Monomial, Polynomial, monomial_divides
+from orthodontia.polynomial import (
+    Monomial,
+    Polynomial,
+    _degree,
+    _max_exponents,
+    monomial_divides,
+)
 
 
 @dataclass(frozen=True)
@@ -85,22 +92,34 @@ def support_witness(f: Polynomial, bound: Monomial) -> Monomial | None:
     raise AssertionError("maximum exponents exceed the bound but no monomial does")
 
 
+def _grothendieck_witness(w: Permutation, bound: Monomial) -> Monomial | None:
+    # support_witness of G_w, with the maximum exponents read off the keys
+    # of its memo entry, so G_w is built only to name a witness
+    keys, _ = _grothendieck_entry(w.word)
+    if not keys or monomial_divides(_max_exponents(keys, w.n), bound):
+        return None
+    return support_witness(grothendieck_recursive(w), bound)
+
+
 def check_divisibility(w: Permutation, closure: Monomial) -> tuple[bool, Monomial | None]:
     """Does every monomial of G_w divide x^closure, the upper-closure monomial of w?
 
     Returns (True, None), or (False, offending exponent vector).
     """
-    witness = support_witness(grothendieck_recursive(w), closure)
+    witness = _grothendieck_witness(w, closure)
     return witness is None, witness
 
 
 def degree_report(w: Permutation, seq: OrthodonticSequence, closure: Monomial) -> DegreeReport:
     """Degree of G_w and both bounds, given the orthodontic sequence and
-    upper-closure monomial of w; never raises on a failed bound."""
-    groth = grothendieck_recursive(w)
-    schub = schubert_recursive(w)
-    deg_groth = 0 if groth.is_zero else groth.degree()
-    deg_schub = 0 if schub.is_zero else schub.degree()
+    upper-closure monomial of w; never raises on a failed bound.
+
+    The degrees are read off the keys of the memo entries of G_w and S_w.
+    """
+    groth, _ = _grothendieck_entry(w.word)
+    schub, _ = _schubert_entry(w.word)
+    deg_groth = _degree(groth, w.n) if groth else 0
+    deg_schub = _degree(schub, w.n) if schub else 0
     length = seq.step_count
     closure_size = sum(closure)
     return DegreeReport(
@@ -166,5 +185,5 @@ def check_conjecture(
     """
     vectors = support_vectors(seq, closure)
     bound = tuple(t + x for t, x in zip(vectors.theta, vectors.xi))
-    witness = support_witness(grothendieck_recursive(w), bound)
+    witness = _grothendieck_witness(w, bound)
     return witness is None, witness

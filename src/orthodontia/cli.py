@@ -51,7 +51,7 @@ from orthodontia.diagram import (
 from orthodontia.grothendieck import (
     FormulaChain,
     _descend,
-    _grothendieck_of_word,
+    _grothendieck_entry,
     _is_sorted,
     _monk_targets,
     _primary_column_data,
@@ -70,6 +70,9 @@ from orthodontia.polynomial import Monomial, Polynomial
 
 SUITES = ("main", "divisibility", "degree", "sorted", "monk", "conjecture")
 DEFAULT_MAX_RANK = 7
+# The time and peak RSS of one process sweeping S_n with every suite, as
+# measured for the README; each --jobs worker fills its own memos
+_SWEEP_COST = {7: "6 s and 45 MiB", 8: "5 min and 560 MiB"}
 CACHE_ENV = "ORTHODONTIA_CACHE"
 
 
@@ -84,8 +87,8 @@ def parse_permutation(text: str) -> Permutation:
         raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# one encoder for every record: json.dumps with arguments builds one per call
+_dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 # ---------------------------------------------------------------------------
@@ -109,10 +112,11 @@ _FACT_SUITES = frozenset({"main", "divisibility", "degree", "conjecture"})
 def _check_main(w: Permutation) -> dict:
     seq = _SEQUENCES[w.word]
     schubert = schubert_recursive(w)
+    groth = grothendieck_recursive(w)
     return {
-        "groth_match": grothendieck_recursive(w) == chained_grothendieck(seq, _GROTH_CHAIN),
+        "groth_match": groth == chained_grothendieck(seq, _GROTH_CHAIN),
         "schubert_match": schubert == chained_schubert(seq, _SCHUBERT_CHAIN),
-        "lowest_degree_match": grothendieck_recursive(w).lowest_degree_component() == schubert,
+        "lowest_degree_match": groth.lowest_degree_component() == schubert,
     }
 
 
@@ -143,7 +147,7 @@ def _check_monk(w: Permutation) -> dict:
     skipped = 0
     ok = True
     n = len(word)
-    base = grothendieck_recursive(w).terms
+    base_keys, base_coeffs = _grothendieck_entry(word)
     for j in range(1, n + 1):
         targets = _monk_targets(j, word)
         if targets is None:
@@ -153,15 +157,15 @@ def _check_monk(w: Permutation) -> dict:
         # x_j * G_w minus every sign * G_v, accumulated in one dict that
         # keeps its zeros; the pair passes iff every coefficient ends at 0.
         # Term keys are packed exponent vectors, and the key of a product
-        # of monomials is the sum of their keys
+        # of monomials is the sum of their keys.  The memo entries are
+        # read as they are, with no polynomial built
         (x_j,) = Polynomial.variable(j, n).terms
-        residue = {k + x_j: c for k, c in base.items()}
+        residue = dict(zip(map(add, base_keys, repeat(x_j)), base_coeffs))
         get = residue.get
         for v, sign in targets.items():
-            g = _grothendieck_of_word(v).terms
-            keys = g.keys()
+            keys, coeffs = _grothendieck_entry(v)
             combine = sub if sign > 0 else add
-            residue.update(zip(keys, map(combine, map(get, keys, repeat(0)), g.values())))
+            residue.update(zip(keys, map(combine, map(get, keys, repeat(0)), coeffs)))
         if any(residue.values()):
             ok = False
     return {"ok": ok, "checked": checked, "skipped": skipped}
@@ -401,7 +405,10 @@ def cmd_compute(
         return 1
     del formula
     if fmt == "json":
-        out.write(_dump({"w": list(w.word), "kind": kind, "polynomial": recursive.to_json()}) + "\n")
+        # _dump of {"kind", "polynomial", "w"}, with the polynomial written term by term
+        out.write(f'{{"kind":{_dump(kind)},"polynomial":')
+        recursive.write_json(out)
+        out.write(f',"w":{_dump(list(w.word))}}}\n')
     else:
         out.write(str(recursive) + "\n")
     return 0
@@ -471,7 +478,11 @@ def cmd_verify(
         err.write("--jobs must be at least 1\n")
         return 2
     if n >= 7:
-        err.write(f"warning: rank {n} sweeps {n}! permutations; expect a long run\n")
+        cost = f"about {_SWEEP_COST[n]}" if n <= 8 else f"far more than rank 8's {_SWEEP_COST[8]}"
+        err.write(
+            f"warning: rank {n} sweeps {n}! permutations; expect a long run, "
+            f"{cost} of peak memory per process with every suite\n"
+        )
     cpus = os.cpu_count() or 1
     if jobs > cpus:
         err.write(f"warning: --jobs {jobs} capped at the CPU count, {cpus}\n")

@@ -21,14 +21,20 @@ a :class:`FormulaChain`, which keeps the polynomials along the last step
 sequence so that shared step prefixes are applied once.
 
 The memo caches are plain dicts keyed by one-line words, filled on
-demand.  A forked worker fills its own copy.  ``orthodontia compute``
-keeps no memo: it runs the same walk with ``memo=None``, which stores
-nothing and holds only the polynomial in hand, because one ``compute``
-visits each word of its first-ascent chain once.
+demand.  A forked worker fills its own copy.  Each memo value is a
+read-only entry ``(keys, coeffs)``: the polynomial's packed keys as a
+tuple of ints shared through one intern table, so each distinct
+exponent vector is a single int object, and its coefficients as an
+``array('q')``, so about 16 bytes per term.  A coefficient outside the
+signed 64-bit range is refused, never truncated.  ``orthodontia
+compute`` keeps no memo: it runs the same walk with ``memo=None``, which
+stores nothing and holds only the polynomial in hand, because one
+``compute`` visits each word of its first-ascent chain once.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -51,8 +57,30 @@ class RankOverflowError(ValueError):
     """A transition chain left S_n; the caller must re-embed w in a larger rank."""
 
 
-_SCHUBERT_CACHE: dict[tuple[int, ...], Polynomial] = {}
-_GROTH_CACHE: dict[tuple[int, ...], Polynomial] = {}
+_Entry = tuple[tuple[int, ...], array]  # a memo value: (packed keys, coefficients)
+
+_SCHUBERT_CACHE: dict[tuple[int, ...], _Entry] = {}
+_GROTH_CACHE: dict[tuple[int, ...], _Entry] = {}
+_KEYS: dict[int, int] = {}  # the intern table of the memos' keys
+
+
+def _freeze(f: Polynomial) -> _Entry:
+    """The memo entry of f; refuses a coefficient outside the signed 64-bit range."""
+    terms = f.terms
+    try:
+        coeffs = array("q", terms.values())
+    except OverflowError:
+        big = next(c for c in terms.values() if not -(1 << 63) <= c < 1 << 63)
+        raise OverflowError(
+            f"coefficient {big} does not fit a memo entry's signed 64-bit coefficients"
+        ) from None
+    return tuple(map(_KEYS.setdefault, terms, terms)), coeffs
+
+
+def _thaw(n: int, entry: _Entry) -> Polynomial:
+    """The polynomial in n variables of a memo entry."""
+    keys, coeffs = entry
+    return Polynomial._raw(n, dict(zip(keys, coeffs)))
 
 
 def _first_ascent(word: tuple[int, ...]) -> int | None:
@@ -67,29 +95,33 @@ def _staircase(n: int) -> Polynomial:
 
 
 def _descend(
-    word: tuple[int, ...], op, memo: dict[tuple[int, ...], Polynomial] | None = None
+    word: tuple[int, ...], op, memo: dict[tuple[int, ...], _Entry] | None = None
 ) -> Polynomial:
     # Walk up the weak order by first ascents to a memo hit or w0, then
-    # apply op on the way back down, memoizing every word on the chain.
-    # Without a memo the walk stores nothing: only the polynomial in hand
-    # and the one op is building are alive at any time.
+    # apply op on the way back down, freezing every word's polynomial on
+    # the chain into the memo; only the entry the walk continues from is
+    # thawed.  Without a memo the walk stores nothing: only the polynomial
+    # in hand and the one op is building are alive at any time.
+    n = len(word)
     chain: list[tuple[tuple[int, ...], int]] = []
-    poly = None if memo is None else memo.get(word)
-    while poly is None:
+    entry = None if memo is None else memo.get(word)
+    while entry is None:
         j = _first_ascent(word)
         if j is None:
-            poly = _staircase(len(word))
+            poly = _staircase(n)
             if memo is not None:
-                memo[word] = poly
+                memo[word] = _freeze(poly)
             break
         chain.append((word, j))
         word = word[: j - 1] + (word[j], word[j - 1]) + word[j + 1 :]
         if memo is not None:
-            poly = memo.get(word)
+            entry = memo.get(word)
+    else:  # the walk stopped at a memo hit
+        poly = _thaw(n, entry)
     for word, j in reversed(chain):
         poly = op(j, poly)
         if memo is not None:
-            memo[word] = poly
+            memo[word] = _freeze(poly)
     return poly
 
 
@@ -106,9 +138,18 @@ def grothendieck_recursive(w: Permutation) -> Polynomial:
     return _descend(w.word, isobaric, _GROTH_CACHE)
 
 
-def _grothendieck_of_word(word: tuple[int, ...]) -> Polynomial:
-    """:func:`grothendieck_recursive` of the permutation with one-line word ``word``."""
-    return _descend(word, isobaric, _GROTH_CACHE)
+def _schubert_entry(word: tuple[int, ...]) -> _Entry:
+    """The memo entry of :func:`schubert_recursive` for the one-line word ``word``."""
+    if word not in _SCHUBERT_CACHE:
+        _descend(word, divided_difference, _SCHUBERT_CACHE)
+    return _SCHUBERT_CACHE[word]
+
+
+def _grothendieck_entry(word: tuple[int, ...]) -> _Entry:
+    """The memo entry of :func:`grothendieck_recursive` for the one-line word ``word``."""
+    if word not in _GROTH_CACHE:
+        _descend(word, isobaric, _GROTH_CACHE)
+    return _GROTH_CACHE[word]
 
 
 def _weight_exps(j: int, n: int, power: int) -> Monomial:

@@ -18,15 +18,19 @@ field at bit 8 * (n - i), so x_1 is the highest field and int order on
 the fields is lex order, and the total degree sits above all of them,
 from bit 8 * n up, unbounded.  The key of a product of monomials is the
 sum of their keys, and int order on whole keys is ascending degree, then
-lex order.  Everything public takes and returns tuples; only this module
-and :mod:`orthodontia.operators` read the keys.
+lex order.  Everything public takes and returns tuples.  Only this module
+and :mod:`orthodontia.operators` compute on the keys, apart from the
+``monk`` check of :mod:`orthodontia.cli`, which shifts them by the key of
+x_j.  The recursive memo of :mod:`orthodontia.grothendieck` stores them
+as they are, and its readers take degrees and maximum exponents through
+this module.
 
 Polynomials are immutable values and safe to share between threads.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, TextIO
 
 Monomial = tuple[int, ...]
 
@@ -72,6 +76,18 @@ def _pack(exps: Monomial) -> int:
 def _unpack(key: int, n: int) -> Monomial:
     """The exponent vector of a key of n fields."""
     return tuple((key & ((1 << _FIELD * n) - 1)).to_bytes(n, "big"))
+
+
+def _degree(keys: Iterable[int], n: int) -> int:
+    """The largest total degree among nonempty keys of n fields."""
+    return max(keys) >> _FIELD * n
+
+
+def _max_exponents(keys: Iterable[int], n: int) -> Monomial:
+    """The largest exponent of each variable among nonempty keys of n fields."""
+    mask = (1 << _FIELD * n) - 1
+    data = b"".join([(k & mask).to_bytes(n, "big") for k in keys])
+    return tuple(max(data[i::n]) for i in range(n))
 
 
 class Polynomial:
@@ -262,7 +278,7 @@ class Polynomial:
     def degree(self) -> int:
         if not self.terms:
             raise ValueError("degree of the zero polynomial is undefined")
-        return max(self.terms) >> _FIELD * self.n
+        return _degree(self.terms, self.n)
 
     def min_degree(self) -> int:
         if not self.terms:
@@ -278,10 +294,7 @@ class Polynomial:
         """The largest exponent of each variable over the support (the lcm's exponents)."""
         if not self.terms:
             raise ValueError("max exponents of the zero polynomial are undefined")
-        n = self.n
-        mask = (1 << _FIELD * n) - 1
-        data = b"".join([(k & mask).to_bytes(n, "big") for k in self.terms])
-        return tuple(max(data[i::n]) for i in range(n))
+        return _max_exponents(self.terms, self.n)
 
     def coefficient(self, exps: Monomial) -> int:
         """The coefficient of x^exps; 0 for any exponent outside 0..MAX_EXPONENT."""
@@ -340,6 +353,21 @@ class Polynomial:
         """JSON form: {"n": n, "terms": [[coeff, [e1, ..., en]], ...]} in canonical order."""
         n, terms = self.n, self.terms
         return {"n": n, "terms": [[terms[k], list(_unpack(k, n))] for k in self._canonical_keys()]}
+
+    def write_json(self, out: TextIO) -> None:
+        """Write :meth:`to_json` as compact JSON with sorted keys, one term at a time.
+
+        The bytes equal ``json.dumps(f.to_json(), sort_keys=True,
+        separators=(",", ":"))``, but no list is built per term.
+        """
+        n, terms = self.n, self.terms
+        mask = (1 << _FIELD * n) - 1
+        out.write(f'{{"n":{n},"terms":[')
+        sep = ""
+        for k in self._canonical_keys():
+            out.write(f"{sep}[{terms[k]},[{','.join(map(str, (k & mask).to_bytes(n, 'big')))}]]")
+            sep = ","
+        out.write("]}")
 
     @classmethod
     def from_json(cls, obj: Mapping) -> Polynomial:

@@ -13,10 +13,13 @@ import io
 import json
 import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 
+from orthodontia import cli
 from orthodontia.analysis import check_conjecture, check_divisibility, degree_report
 from orthodontia.cli import SUITES, cmd_verify
 from orthodontia.diagram import orthodontia, rothe_diagram
@@ -135,6 +138,31 @@ def test_criterion_2_main_equality_rank_7():
     start = time.perf_counter()
     ok = _main_equality_holds(7)
     _report("2 formula = recursion, n=7", ok, f"{time.perf_counter() - start:.1f}s")
+
+
+@pytest.mark.skipif(
+    not os.environ.get("ORTHODONTIA_ACCEPT_N7"),
+    reason="rank-7 sweep enabled by ORTHODONTIA_ACCEPT_N7=1",
+)
+def test_criterion_2_verify_rank_7_peak_memory():
+    # A child's ru_maxrss counts the peak of the process it was started
+    # from, so a small launcher starts verify and reads verify's rusage
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    launcher = (
+        "import os, subprocess, sys\n"
+        "child = subprocess.Popen([sys.executable, '-m', 'orthodontia.cli', 'verify', '--n', '7'],"
+        " stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)\n"
+        "_, status, usage = os.wait4(child.pid, 0)\n"
+        "print(status, usage.ru_maxrss)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("ORTHODONTIA_CACHE", None)
+    result = subprocess.run(
+        [sys.executable, "-c", launcher], capture_output=True, text=True, env=env, check=True
+    )
+    status, maxrss_kib = map(int, result.stdout.split())
+    peak = maxrss_kib / 1024
+    _report("2 verify --n 7 peak RSS below 60 MiB", status == 0 and peak < 60, f"{peak:.1f} MiB")
 
 
 def test_criterion_3_divisibility_and_degree_bounds_s6():

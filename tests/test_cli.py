@@ -21,6 +21,7 @@ from orthodontia.cli import (
     parse_permutation,
 )
 from orthodontia.grothendieck import grothendieck_recursive, schubert_recursive
+from orthodontia.operators import divided_difference, isobaric
 from orthodontia.permutation import from_one_line
 from orthodontia.polynomial import Polynomial
 
@@ -97,15 +98,28 @@ def test_compute_json_golden():
 
 
 @pytest.mark.parametrize("kind", ["schubert", "grothendieck"])
+@pytest.mark.parametrize("word", ["1", "21", "2143", "31542", "2,1,4,3,5,6,7,8,10,9"])
+def test_compute_json_writes_the_record_term_by_term(kind, word):
+    w = parse_permutation(word)
+    out, err = io.StringIO(), io.StringIO()
+    assert cmd_compute(w, kind, "json", out, err) == 0 and err.getvalue() == ""
+    op = {"schubert": divided_difference, "grothendieck": isobaric}[kind]
+    poly = grothendieck._descend(w.word, op)
+    record = {"w": list(w.word), "kind": kind, "polynomial": poly.to_json()}
+    assert out.getvalue() == cli._dump(record) + "\n"
+
+
+@pytest.mark.parametrize("kind", ["schubert", "grothendieck"])
 def test_compute_leaves_the_memos_as_it_found_them(monkeypatch, kind):
-    memos = {name: {(2, 1): Polynomial.variable(1, 2)} for name in ("_SCHUBERT_CACHE", "_GROTH_CACHE")}
+    entry = grothendieck._freeze(Polynomial.variable(1, 2))
+    memos = {name: {(2, 1): entry} for name in ("_SCHUBERT_CACHE", "_GROTH_CACHE")}
     for name, memo in memos.items():
         monkeypatch.setattr(grothendieck, name, memo)
     out, err = io.StringIO(), io.StringIO()
     assert cmd_compute(parse_permutation("31542"), kind, "text", out, err) == 0
     for name, memo in memos.items():
         assert getattr(grothendieck, name) is memo
-        assert memo == {(2, 1): Polynomial.variable(1, 2)}
+        assert memo == {(2, 1): grothendieck._freeze(Polynomial.variable(1, 2))}
 
 
 @pytest.mark.parametrize("kind", ["schubert", "grothendieck"])
@@ -641,6 +655,41 @@ def test_verify_fills_the_memos_only_as_its_checks_read_them(monkeypatch):
     assert len(grothendieck._GROTH_CACHE) == 120
 
 
+def test_verify_memos_share_one_key_object_per_exponent_vector(monkeypatch):
+    for memo in ("_SCHUBERT_CACHE", "_GROTH_CACHE"):
+        monkeypatch.setattr(grothendieck, memo, {})
+    assert run_verify(6)[0] == 0
+    keys = [
+        key
+        for memo in (grothendieck._SCHUBERT_CACHE, grothendieck._GROTH_CACHE)
+        for entry_keys, _ in memo.values()
+        for key in entry_keys
+    ]
+    # the monomials under the staircase of S_6, each one int object
+    assert len(keys) > 20 * 720
+    assert len({id(key) for key in keys}) <= 720
+
+
+def test_verify_thaws_each_words_memo_entries_once_for_main_only(monkeypatch):
+    thawed = []
+    real = grothendieck._thaw
+
+    def counted(n, entry):
+        thawed.append(entry)
+        return real(n, entry)
+
+    monkeypatch.setattr(grothendieck, "_thaw", counted)
+    # with the memos full, no walk thaws the entry it continues from
+    for word in permutations(range(1, 6)):
+        grothendieck._schubert_entry(word)
+        grothendieck._grothendieck_entry(word)
+    thawed.clear()
+    assert run_verify(5, suites=[s for s in SUITES if s != "main"])[0] == 0
+    assert thawed == []
+    assert run_verify(5)[0] == 0
+    assert len(thawed) == 2 * 120
+
+
 def test_verify_applies_each_recursive_operator_once_per_word(monkeypatch):
     # every word of S_6 but w0, whose polynomials are the staircase monomial
     counts = {"divided_difference": 0, "isobaric": 0}
@@ -682,6 +731,22 @@ def test_traced_names_exist():
     for suite in SUITES:
         assert cli._SUITE_CHECKS[suite] is getattr(cli, f"_check_{suite}")
     assert callable(cli._load_cache) and callable(cli._verify_task)
+
+
+def test_verify_warns_of_the_time_and_memory_of_a_long_sweep(monkeypatch):
+    def stop(*args):
+        raise RuntimeError("sweep reached")
+
+    monkeypatch.setattr(cli, "_sweep", stop)
+    for n, cost in ((7, "about 6 s and 45 MiB"), (8, "about 5 min and 560 MiB")):
+        out, err = io.StringIO(), io.StringIO()
+        with pytest.raises(RuntimeError, match="sweep reached"):
+            cmd_verify(n, ["sorted"], 1, None, out, err, max_rank=8)
+        assert out.getvalue() == ""
+        assert err.getvalue() == (
+            f"warning: rank {n} sweeps {n}! permutations; expect a long run, "
+            f"{cost} of peak memory per process with every suite\n"
+        )
 
 
 def test_verify_jobs_capped_at_cpu_count(monkeypatch):

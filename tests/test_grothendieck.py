@@ -19,7 +19,9 @@ from orthodontia.diagram import (
 from orthodontia.grothendieck import (
     FormulaChain,
     _descend,
+    _freeze,
     _monk_targets,
+    _thaw,
     check_sorted_step,
     MonkTerm,
     RankOverflowError,
@@ -51,6 +53,7 @@ from orthodontia.permutation import (
 )
 from orthodontia.polynomial import Polynomial
 
+from conftest import random_polynomial
 from oracles import (
     avoids_132,
     flagged_weyl_character,
@@ -148,6 +151,28 @@ def test_walk_without_memo_matches_the_memoized_recursions():
         for w in symmetric_group(n):
             assert _descend(w.word, divided_difference) == schubert_recursive(w)
             assert _descend(w.word, isobaric) == grothendieck_recursive(w)
+
+
+def test_memo_entries_thaw_to_the_polynomials_they_froze(rng):
+    polys = [Polynomial.zero(3), Polynomial.one(3), Polynomial.constant(2, -7)]
+    polys += [
+        random_polynomial(rng, n) * scale
+        for n in (1, 2, 4, 6)
+        for scale in (1, 1 << 40)
+        for _ in range(12)
+    ]
+    polys.append(Polynomial.constant(2, (1 << 63) - 1) - Polynomial.variable(1, 2) * (1 << 63))
+    for f in polys:
+        keys, coeffs = entry = _freeze(f)
+        assert coeffs.typecode == "q" and len(keys) == len(coeffs) == len(f.terms)
+        assert _thaw(f.n, entry) == f
+
+
+@pytest.mark.parametrize("coeff", [1 << 63, -(1 << 63) - 1, 1 << 200])
+def test_memo_entries_refuse_a_coefficient_outside_64_bits(coeff):
+    f = Polynomial.variable(1, 3) + Polynomial.constant(3, coeff)
+    with pytest.raises(OverflowError, match=f"coefficient {coeff} does not fit"):
+        _freeze(f)
 
 
 def test_orthodontia_formula_golden():
