@@ -11,17 +11,18 @@ counts.  Results can be cached in a JSON-lines file given by --cache or
 the ORTHODONTIA_CACHE environment variable; a directory, or a path in
 a missing one, is refused before the sweep.  The file's first line is
 the stamp of these sources, {"version": STAMP}, and every other line is
-one record exactly as verify prints it.  The first line decides how the
-rest is read: after the current stamp, a record is replayed only when
-its w is a permutation of 1..n, it carries exactly its suite's fields,
-and its ok is what its suite's record rule derives from its word and
-other fields; other lines are skipped and recomputed, with one warning
-on stderr.  After another stamp, or a line
-of an older format, every line is skipped silently; after anything
-else, every line is malformed and skipped with the warning.  A run that
-computes a record or skips a line rewrites the file from its trusted
-records plus the new ones, so stale lines go at the next write; of two
-concurrent runs sharing one file, the last writer's file is kept.
+one record exactly as verify prints it, grouped by (n, suite).  The
+first line decides how the rest is read: after the current stamp, a
+record is replayed only when its w is a permutation of 1..n, it carries
+exactly its suite's fields, each holding a value its suite's check can
+produce for w, and its ok is what its suite's record rule derives from
+its word and other fields; other lines are skipped and recomputed, with
+one warning on stderr.  After another stamp, or a line of an older
+format, every line is skipped silently; after anything else, every line
+is malformed and skipped with the warning.  A run that computes a
+record or skips a line rewrites the file from its trusted records plus
+the new ones, so stale lines go at the next write; of two concurrent
+runs sharing one file, the last writer's file is kept.
 --jobs must be at least 1 and is capped at the CPU count.
 """
 
@@ -32,7 +33,7 @@ import functools
 import json
 import os
 import sys
-from itertools import permutations, repeat
+from itertools import accumulate, permutations, repeat
 from operator import add, sub
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence, TextIO
@@ -72,7 +73,7 @@ SUITES = ("main", "divisibility", "degree", "sorted", "monk", "conjecture")
 DEFAULT_MAX_RANK = 7
 # The time and peak RSS of one process sweeping S_n with every suite, as
 # measured for the README; each --jobs worker fills its own memos
-_SWEEP_COST = {7: "6 s and 45 MiB", 8: "5 min and 560 MiB"}
+_SWEEP_COST = {7: "5 s and 35 MiB", 8: "4 min and 490 MiB"}
 CACHE_ENV = "ORTHODONTIA_CACHE"
 
 
@@ -122,7 +123,7 @@ def _check_main(w: Permutation) -> dict:
 
 def _check_divisibility(w: Permutation) -> dict:
     _, witness = check_divisibility(w, _CLOSURES[w.word])
-    return {"witness": None if witness is None else list(witness)}
+    return {"witness": witness}
 
 
 def _check_degree(w: Permutation) -> dict:
@@ -173,7 +174,7 @@ def _check_monk(w: Permutation) -> dict:
 
 def _check_conjecture(w: Permutation) -> dict:
     _, witness = check_conjecture(w, _SEQUENCES[w.word], _CLOSURES[w.word])
-    return {"witness": None if witness is None else list(witness)}
+    return {"witness": witness}
 
 
 _SUITE_CHECKS = {
@@ -187,85 +188,113 @@ _SUITE_CHECKS = {
 
 
 class _Rule(NamedTuple):
-    fields: frozenset[str]  # the record's field names besides suite, n and w
+    # the record's field names besides suite, n and w, in sorted order; a
+    # stored record is the tuple of its values in this order
+    fields: tuple[str, ...]
     # the record's ok, derived from the word and the record's other fields,
-    # or None, which no stored ok is, when those fields fit no record of the word
+    # or None when a field holds a value that no check of the word produces
     ok: Callable[[tuple[int, ...], dict], bool | None]
     counts: dict[str, str] = {}  # int field the summary adds up -> name of the sum
     gates: bool = True  # whether a failed record fails the run
 
 
-def _no_witness(word: tuple[int, ...], record: dict) -> bool:
-    return record["witness"] is None
+def _all_match(word: tuple[int, ...], record: dict) -> bool | None:
+    flags = (record["groth_match"], record["schubert_match"], record["lowest_degree_match"])
+    if not all(type(flag) is bool for flag in flags):
+        return None
+    return all(flags)
 
 
-def _within_bounds(word: tuple[int, ...], record: dict) -> bool:
+def _no_witness(word: tuple[int, ...], record: dict) -> bool | None:
+    # a witness is an exponent vector of w, a tuple of n ints
+    witness = record["witness"]
+    if witness is None:
+        return True
+    if type(witness) is tuple and len(witness) == len(word) and all(type(e) is int for e in witness):
+        return False
+    return None
+
+
+def _within_bounds(word: tuple[int, ...], record: dict) -> bool | None:
     deg, prop, cor = record["deg_groth"], record["bound_prop"], record["bound_cor"]
-    return (
-        type(deg) is int and type(prop) is int and type(cor) is int
-        and deg <= prop and deg <= cor
-        and record["tight_prop"] is (deg == prop) and record["tight_cor"] is (deg == cor)
-    )
+    if not (type(deg) is int and type(prop) is int and type(cor) is int):
+        return None
+    if record["tight_prop"] is not (deg == prop) or record["tight_cor"] is not (deg == cor):
+        return None
+    return deg <= prop and deg <= cor
 
 
 def _residue_ok(word: tuple[int, ...], record: dict) -> bool | None:
-    # the residue check's own result, once each j in 1..n was checked or skipped
-    checked, skipped = record["checked"], record["skipped"]
-    if type(checked) is not int or type(skipped) is not int or checked + skipped != len(word):
+    # the residue check's own result, once each j in 1..n was checked or
+    # skipped; j is skipped, having no Monk targets, exactly when w(j)
+    # exceeds every later entry, that is at each new maximum from the right
+    skipped = len(set(accumulate(reversed(word), max)))
+    counts = (record["checked"], record["skipped"])
+    if tuple(map(type, counts)) != (int, int) or counts != (len(word) - skipped, skipped):
         return None
     return record["ok"] is True
 
 
 def _parts_and_unsort_ok(word: tuple[int, ...], record: dict) -> bool | None:
-    # sorted is what the word gives, and parts_ok is a boolean exactly
-    # when w is sorted and not the identity
+    # sorted is what the word gives, parts_ok is a boolean exactly when w
+    # is sorted and not the identity and None otherwise, and unsort_ok is
+    # a boolean
     is_sorted = _is_sorted(word, _primary_column_data(word))
-    if record["sorted"] is not is_sorted:
-        return None
     checked = is_sorted and word != tuple(range(1, len(word) + 1))
-    parts_ok = record["parts_ok"]
-    return record["unsort_ok"] is True and (parts_ok is True if checked else parts_ok is None)
+    parts_ok, unsort_ok = record["parts_ok"], record["unsort_ok"]
+    if record["sorted"] is not is_sorted or type(unsort_ok) is not bool:
+        return None
+    if not (type(parts_ok) is bool if checked else parts_ok is None):
+        return None
+    return unsort_ok and parts_ok is not False
 
 
 # Each suite's record rule.  Every record, passing or failing, carries
 # exactly the suite's fields, and the summary adds up its count fields.
 _SUITE_RULES = {
-    "main": _Rule(
-        frozenset({"groth_match", "schubert_match", "lowest_degree_match", "ok"}),
-        lambda word, r: r["groth_match"] is True
-        and r["schubert_match"] is True
-        and r["lowest_degree_match"] is True,
-    ),
-    "divisibility": _Rule(frozenset({"witness", "ok"}), _no_witness),
+    "main": _Rule(("groth_match", "lowest_degree_match", "ok", "schubert_match"), _all_match),
+    "divisibility": _Rule(("ok", "witness"), _no_witness),
     "degree": _Rule(
-        frozenset({"deg_groth", "bound_prop", "bound_cor", "tight_prop", "tight_cor", "ok"}),
+        ("bound_cor", "bound_prop", "deg_groth", "ok", "tight_cor", "tight_prop"),
         _within_bounds,
         {"tight_prop": "tight_prop_count", "tight_cor": "tight_cor_count"},
     ),
-    "sorted": _Rule(frozenset({"sorted", "parts_ok", "unsort_ok", "ok"}), _parts_and_unsort_ok),
+    "sorted": _Rule(("ok", "parts_ok", "sorted", "unsort_ok"), _parts_and_unsort_ok),
     "monk": _Rule(
-        frozenset({"ok", "checked", "skipped"}),
+        ("checked", "ok", "skipped"),
         _residue_ok,
         {"checked": "checked_total", "skipped": "skipped_total"},
     ),
     # an experiment: a counterexample is reported, never a failed run
-    "conjecture": _Rule(frozenset({"witness", "ok"}), _no_witness, gates=False),
+    "conjecture": _Rule(("ok", "witness"), _no_witness, gates=False),
 }
 
 
-def _verify_task(args: tuple[tuple[int, ...], tuple[str, ...]]) -> tuple[tuple[int, ...], dict]:
+def _verify_task(
+    args: tuple[tuple[int, ...], tuple[str, ...]],
+) -> tuple[tuple[int, ...], dict[str, tuple]]:
+    # each suite's record of the word, as the tuple of its field values
     word, suites = args
     w = Permutation(word)
-    records = {suite: _SUITE_CHECKS[suite](w) for suite in suites}
-    for suite, record in records.items():
-        record["ok"] = _SUITE_RULES[suite].ok(word, record)
+    records = {}
+    for suite in suites:
+        rule = _SUITE_RULES[suite]
+        record = _SUITE_CHECKS[suite](w)
+        record["ok"] = rule.ok(word, record)
+        records[suite] = tuple(map(record.__getitem__, rule.fields))
     return word, records
 
 
 # ---------------------------------------------------------------------------
 # result cache
 
-_Key = tuple[int, str, tuple[int, ...]]  # (n, suite, word)
+# The trusted records of one verify run: for each (n, suite), a dict from
+# each word to its record as the tuple of its field values in the order of
+# the suite's rule.  Equal tuples are one object, drawn from the run's
+# intern dict.  Equality takes True for 1, but a rule trusts only None,
+# bools, ints and tuples of ints, and records of one length hold their
+# bools in the same places, so equal tuples print the same.
+_Store = dict[tuple[int, str], dict[tuple[int, ...], tuple]]
 
 
 @functools.cache
@@ -284,7 +313,7 @@ def _cache_stamp() -> str:
 
 def _line(n: int, suite: str, word: tuple[int, ...], record: dict) -> str:
     """One record as verify prints it and the cache stores it."""
-    return _dump({"suite": suite, "n": n, "w": list(word), **record})
+    return _dump({"suite": suite, "n": n, "w": word, **record})
 
 
 def _json_object(line: str) -> dict | None:
@@ -295,18 +324,14 @@ def _json_object(line: str) -> dict | None:
     return value if isinstance(value, dict) else None
 
 
-@functools.cache
-def _permutation(word: tuple[int, ...]) -> tuple[int, ...] | None:
-    # the word if it is a permutation of 1..n; cached, so the records of
-    # one word share one tuple
-    return word if sorted(word) == list(range(1, len(word) + 1)) else None
-
-
-def _load_record(line: str, table: dict[_Key, dict]) -> bool:
-    # adds the line's record to table and returns True when it can be
+def _load_record(
+    line: str, store: _Store, words: dict[tuple, tuple], shared: dict[tuple, tuple]
+) -> bool:
+    # adds the line's record to store and returns True when it can be
     # replayed: its suite has a rule, n is an int, w is a permutation of
-    # 1..n, its other fields are exactly the rule's, the count fields are
-    # ints, and ok is what the rule derives
+    # 1..n, its other fields are exactly the rule's, and ok is what the
+    # rule derives, with each list value read as a tuple.  The records of
+    # one word share one word tuple from words
     record = _json_object(line)
     if record is None:
         return False
@@ -314,22 +339,25 @@ def _load_record(line: str, table: dict[_Key, dict]) -> bool:
     rule = _SUITE_RULES.get(suite) if type(suite) is str else None
     if rule is None or type(n) is not int or type(w) is not list or len(w) != n:
         return False
-    if not all(type(v) is int for v in w) or (word := _permutation(tuple(w))) is None:
+    if not all(type(v) is int for v in w) or sorted(w) != list(range(1, n + 1)):
         return False
-    if record.keys() != rule.fields:
+    if record.keys() != set(rule.fields):
         return False
-    for field in rule.counts:
-        if not isinstance(record[field], int):
-            return False
-    if record["ok"] is not rule.ok(word, record):
+    record = {field: tuple(v) if type(v) is list else v for field, v in record.items()}
+    word = tuple(w)
+    word = words.setdefault(word, word)
+    ok = rule.ok(word, record)
+    if ok is None or record["ok"] is not ok:
         return False
-    table[n, sys.intern(suite), word] = record  # one suite name shared by its records
+    values = tuple(map(record.__getitem__, rule.fields))
+    store.setdefault((n, suite), {})[word] = shared.setdefault(values, values)
     return True
 
 
-def _load_cache(path: str, err: TextIO) -> tuple[dict[_Key, dict], bool]:
-    """The trusted records of the cache file, and whether the file held
-    any nonblank line they leave out.
+def _load_cache(path: str, err: TextIO, shared: dict[tuple, tuple]) -> tuple[_Store, bool]:
+    """The trusted records of the cache file, with their value tuples
+    drawn from shared, and whether the file held any nonblank line they
+    leave out.
 
     The first line decides.  After the stamp line of these sources, a
     line that is not a trusted record is skipped with one warning and
@@ -337,7 +365,8 @@ def _load_cache(path: str, err: TextIO) -> tuple[dict[_Key, dict], bool]:
     line is skipped silently.  After anything else, every line is
     malformed and skipped with the warning.
     """
-    table: dict[_Key, dict] = {}
+    store: _Store = {}
+    words: dict[tuple, tuple] = {}
     lines = malformed = 0
     try:
         with open(path, "r", encoding="utf-8", errors="replace") as handle:
@@ -347,7 +376,7 @@ def _load_cache(path: str, err: TextIO) -> tuple[dict[_Key, dict], bool]:
             if head == {"version": _cache_stamp()}:
                 for line in nonblank:
                     lines += 1
-                    malformed += not _load_record(line, table)
+                    malformed += not _load_record(line, store, words, shared)
             elif first is not None:
                 lines = 1 + sum(1 for _ in nonblank)
                 malformed = 0 if head and "version" in head else lines
@@ -355,11 +384,12 @@ def _load_cache(path: str, err: TextIO) -> tuple[dict[_Key, dict], bool]:
         pass
     if malformed:
         err.write(f"warning: skipped {malformed} malformed line(s) in cache {path}\n")
-    return table, lines > len(table)
+    return store, lines > sum(map(len, store.values()))
 
 
-def _write_cache(path: str, table: dict[_Key, dict]) -> None:
-    """Replace the cache file with the stamp line and one line per record.
+def _write_cache(path: str, store: _Store) -> None:
+    """Replace the cache file with the stamp line and one line per record,
+    grouped by (n, suite).
 
     The new file is written beside the old one and renamed over it, so a
     failed write leaves the old file as it was.
@@ -368,8 +398,10 @@ def _write_cache(path: str, table: dict[_Key, dict]) -> None:
     try:
         with open(temp, "w", encoding="utf-8") as handle:
             handle.write(_dump({"version": _cache_stamp()}) + "\n")
-            for (n, suite, word), record in table.items():
-                handle.write(_line(n, suite, word, record) + "\n")
+            for (n, suite), records in store.items():
+                fields = _SUITE_RULES[suite].fields
+                for word, values in records.items():
+                    handle.write(_line(n, suite, word, dict(zip(fields, values))) + "\n")
         os.replace(temp, path)
     except OSError:
         if os.path.exists(temp):
@@ -489,31 +521,36 @@ def cmd_verify(
         jobs = cpus
 
     selected = [s for s in SUITES if s in set(suites)]
-    words = list(permutations(range(1, n + 1)))
 
-    table: dict[_Key, dict] = {}
+    # one object per distinct record value tuple and per distinct missing-suite tuple
+    shared: dict[tuple, tuple] = {}
+    store: _Store = {}
     dropped = False
     if cache_path:
-        table, dropped = _load_cache(cache_path, err)
+        store, dropped = _load_cache(cache_path, err, shared)
+    suite_records = [store.setdefault((n, suite), {}) for suite in selected]
 
     tasks: list[tuple[tuple[int, ...], tuple[str, ...]]] = []
-    for word in words:
-        missing = tuple(s for s in selected if (n, s, word) not in table)
+    for word in permutations(range(1, n + 1)):
+        missing = tuple(s for s, records in zip(selected, suite_records) if word not in records)
         if missing:
-            tasks.append((word, missing))
+            tasks.append((word, shared.setdefault(missing, missing)))
 
     if tasks:
-        _sweep(tasks, jobs, table, n)
+        _sweep(tasks, jobs, store, n, shared)
 
     failures = 0
-    for suite in selected:
+    for suite, records in zip(selected, suite_records):
         rule = _SUITE_RULES[suite]
-        records = [table[n, suite, word] for word in words]
-        failed = sum(not record["ok"] for record in records)
-        totals = {name: sum(r[f] for r in records) for f, name in rule.counts.items()}
-        for word, record in zip(words, records):
+        failed = 0
+        totals = dict.fromkeys(rule.counts.values(), 0)
+        for word in permutations(range(1, n + 1)):
+            record = dict(zip(rule.fields, records[word]))
+            failed += not record["ok"]
+            for field, name in rule.counts.items():
+                totals[name] += record[field]
             out.write(_line(n, suite, word, record) + "\n")
-        summary = {"suite": suite, "n": n, "summary": True, "total": len(words), "failed": failed}
+        summary = {"suite": suite, "n": n, "summary": True, "total": len(records), "failed": failed}
         out.write(_dump({**summary, **totals}) + "\n")
         if rule.gates:
             failures += failed
@@ -525,7 +562,7 @@ def cmd_verify(
 
     if cache_path and (tasks or dropped):
         try:
-            _write_cache(cache_path, table)
+            _write_cache(cache_path, store)
         except OSError as exc:
             err.write(f"cache write failed: {exc}\n")
             return 2
@@ -535,10 +572,12 @@ def cmd_verify(
 def _sweep(
     tasks: list[tuple[tuple[int, ...], tuple[str, ...]]],
     jobs: int,
-    table: dict[_Key, dict],
+    store: _Store,
     n: int,
+    shared: dict[tuple, tuple],
 ) -> None:
-    """Compute each task's records into table, in jobs worker processes when jobs > 1.
+    """Compute each task's records into store, with their value tuples
+    drawn from shared, in jobs worker processes when jobs > 1.
 
     The task words' sequences and closure monomials are built first, so
     forked workers inherit them.  Both tables and the formula chains are
@@ -564,8 +603,8 @@ def _sweep(
         else:
             done = map(_verify_task, tasks)
         for word, records in done:
-            for suite, record in records.items():
-                table[n, suite, word] = record
+            for suite, values in records.items():
+                store[n, suite][word] = shared.setdefault(values, values)
     finally:
         _SEQUENCES.clear()
         _CLOSURES.clear()

@@ -140,29 +140,63 @@ def test_criterion_2_main_equality_rank_7():
     _report("2 formula = recursion, n=7", ok, f"{time.perf_counter() - start:.1f}s")
 
 
-@pytest.mark.skipif(
-    not os.environ.get("ORTHODONTIA_ACCEPT_N7"),
-    reason="rank-7 sweep enabled by ORTHODONTIA_ACCEPT_N7=1",
-)
-def test_criterion_2_verify_rank_7_peak_memory():
+def _verify_child(*args: str) -> tuple[int, float, str]:
+    """The exit status, peak RSS in MiB and stdout of ``verify ARGS`` run
+    in a child process, without the cache of the environment."""
     # A child's ru_maxrss counts the peak of the process it was started
-    # from, so a small launcher starts verify and reads verify's rusage
+    # from, so a small launcher starts verify and reads verify's rusage;
+    # verify writes to the launcher's stdout, which prints the usage last
     src = os.path.dirname(os.path.dirname(cli.__file__))
     launcher = (
         "import os, subprocess, sys\n"
-        "child = subprocess.Popen([sys.executable, '-m', 'orthodontia.cli', 'verify', '--n', '7'],"
-        " stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)\n"
+        "child = subprocess.Popen([sys.executable, '-m', 'orthodontia.cli', 'verify', *sys.argv[1:]],"
+        " stderr=subprocess.DEVNULL)\n"
         "_, status, usage = os.wait4(child.pid, 0)\n"
         "print(status, usage.ru_maxrss)\n"
     )
     env = {**os.environ, "PYTHONPATH": src}
     env.pop("ORTHODONTIA_CACHE", None)
     result = subprocess.run(
-        [sys.executable, "-c", launcher], capture_output=True, text=True, env=env, check=True
+        [sys.executable, "-c", launcher, *args], capture_output=True, text=True, env=env, check=True
     )
-    status, maxrss_kib = map(int, result.stdout.split())
-    peak = maxrss_kib / 1024
-    _report("2 verify --n 7 peak RSS below 60 MiB", status == 0 and peak < 60, f"{peak:.1f} MiB")
+    out, usage = result.stdout.rstrip("\n").rsplit("\n", 1)
+    status, maxrss_kib = map(int, usage.split())
+    return status, maxrss_kib / 1024, out + "\n"
+
+
+@pytest.mark.skipif(
+    not os.environ.get("ORTHODONTIA_ACCEPT_N7"),
+    reason="rank-7 sweep enabled by ORTHODONTIA_ACCEPT_N7=1",
+)
+def test_criterion_2_verify_rank_7_peak_memory():
+    status, peak, _ = _verify_child("--n", "7")
+    _report("2 verify --n 7 peak RSS below 45 MiB", status == 0 and peak < 45, f"{peak:.1f} MiB")
+
+
+@pytest.mark.skipif(
+    not os.environ.get("ORTHODONTIA_ACCEPT_N7"),
+    reason="rank-7 sweep enabled by ORTHODONTIA_ACCEPT_N7=1",
+)
+def test_criterion_2_verify_rank_7_replay_peak_memory(tmp_path):
+    # one cache holds the records of S_6 and S_7; each rank replays its
+    # own without computing a record or rewriting the file
+    cache = str(tmp_path / "results.jsonl")
+    six = io.StringIO()
+    assert cmd_verify(6, list(SUITES), 1, cache, six, io.StringIO()) == 0
+    status, _, cold = _verify_child("--n", "7", "--cache", cache)
+    assert status == 0
+    written = os.stat(cache)
+    status, peak, replay = _verify_child("--n", "7", "--cache", cache)
+    out, err = io.StringIO(), io.StringIO()
+    assert cmd_verify(6, list(SUITES), 1, cache, out, err) == 0
+    assert out.getvalue() == six.getvalue() and err.getvalue() == ""
+    kept = os.stat(cache)
+    assert (kept.st_ino, kept.st_mtime_ns) == (written.st_ino, written.st_mtime_ns)
+    _report(
+        "2 verify --n 7 replay peak RSS below 25 MiB",
+        status == 0 and replay == cold and peak < 25,
+        f"{peak:.1f} MiB",
+    )
 
 
 def test_criterion_3_divisibility_and_degree_bounds_s6():

@@ -438,6 +438,33 @@ def test_verify_cache_without_a_stamp_line_is_malformed(tmp_path, content, skipp
         b'{"extra":1,"n":2,"suite":"main","w":[1,2],' + MAIN_OK + b"}",
         b'{"groth_match":false,"n":2,"ok":false,"schubert_match":true,"suite":"main","w":[1,2]}',
         b'{"n":2,"ok":false,"suite":"conjecture","w":[1,2],"witness":null}',
+        # a failing record whose fields hold values no check produces
+        b'{"groth_match":"yes","lowest_degree_match":true,"n":3,"ok":false,'
+        b'"schubert_match":true,"suite":"main","w":[1,3,2]}',
+        b'{"groth_match":1,"lowest_degree_match":true,"n":3,"ok":false,'
+        b'"schubert_match":true,"suite":"main","w":[1,3,2]}',
+        b'{"n":3,"ok":false,"suite":"divisibility","w":[2,1,3],"witness":"x"}',
+        b'{"n":3,"ok":false,"suite":"divisibility","w":[2,1,3],"witness":[1,0]}',
+        b'{"n":3,"ok":false,"suite":"conjecture","w":[2,1,3],"witness":[1,true,0]}',
+        b'{"n":3,"ok":false,"suite":"conjecture","w":[2,1,3],"witness":[[1],0,0]}',
+        b'{"bound_cor":1,"bound_prop":1,"deg_groth":"x","n":2,"ok":false,"suite":"degree",'
+        b'"tight_cor":false,"tight_prop":false,"w":[2,1]}',
+        b'{"bound_cor":1,"bound_prop":1,"deg_groth":[1],"n":2,"ok":false,"suite":"degree",'
+        b'"tight_cor":false,"tight_prop":false,"w":[2,1]}',
+        b'{"bound_cor":1,"bound_prop":1,"deg_groth":1,"n":2,"ok":false,"suite":"degree",'
+        b'"tight_cor":true,"tight_prop":false,"w":[2,1]}',
+        b'{"n":3,"ok":false,"parts_ok":null,"sorted":false,"suite":"sorted","unsort_ok":"no",'
+        b'"w":[2,1,3]}',
+        b'{"n":3,"ok":false,"parts_ok":"x","sorted":true,"suite":"sorted","unsort_ok":true,'
+        b'"w":[1,3,2]}',
+        b'{"n":3,"ok":false,"parts_ok":false,"sorted":false,"suite":"sorted","unsort_ok":true,'
+        b'"w":[2,1,3]}',
+        # a null ok matches no derived ok, even where the fields fit no record
+        b'{"groth_match":"yes","lowest_degree_match":true,"n":3,"ok":null,'
+        b'"schubert_match":true,"suite":"main","w":[1,3,2]}',
+        b'{"checked":9,"n":3,"ok":null,"skipped":0,"suite":"monk","w":[1,3,2]}',
+        # counts that add up to n but are not the word's: 123 skips j = 3 only
+        b'{"checked":3,"n":3,"ok":true,"skipped":0,"suite":"monk","w":[1,2,3]}',
     ],
 )
 def test_verify_cache_recomputes_record_missing_summary_fields(tmp_path, line):
@@ -474,6 +501,53 @@ def test_verify_degree_record_over_a_bound_fails_with_its_counts(monkeypatch):
         "suite": "degree", "n": 2, "summary": True, "total": 2, "failed": 1,
         "tight_prop_count": 1, "tight_cor_count": 1,
     }
+
+
+def test_verify_store_shares_equal_records(tmp_path, monkeypatch):
+    # S_6 has 83 distinct record value tuples over its six suites
+    stores = []
+    real_load, real_write = cli._load_cache, cli._write_cache
+
+    def load(path, err, shared):
+        store, dropped = real_load(path, err, shared)
+        stores.append(store)
+        return store, dropped
+
+    def write(path, store):
+        stores.append(store)
+        real_write(path, store)
+
+    monkeypatch.setattr(cli, "_load_cache", load)
+    monkeypatch.setattr(cli, "_write_cache", write)
+    cache = str(tmp_path / "results.jsonl")
+    _, cold, _ = run_verify(6, cache=cache)
+    _, replay, _ = run_verify(6, cache=cache)
+    assert replay == cold
+    # the cold run fills the store it loaded and writes it; then the replayed store
+    assert len(stores) == 3 and stores[0] is stores[1]
+    for store in stores[1:]:
+        records = [values for suite_records in store.values() for values in suite_records.values()]
+        assert len(records) == 720 * len(SUITES)
+        assert len({id(values) for values in records}) <= 100
+
+
+def test_verify_failing_witness_replays_the_same_bytes(tmp_path, monkeypatch):
+    real = cli.check_divisibility
+
+    def failing(w, closure):
+        return (False, (2, 1, 0)) if w.word == (3, 1, 2) else real(w, closure)
+
+    monkeypatch.setattr(cli, "check_divisibility", failing)
+    cache = str(tmp_path / "results.jsonl")
+    code, swept, err = run_verify(3, suites=["divisibility"], cache=cache)
+    assert code == 1 and err == ""
+    assert '"w":[3,1,2],"witness":[2,1,0]' in swept
+
+    def never(w):
+        raise AssertionError("a record was computed")
+
+    monkeypatch.setitem(cli._SUITE_CHECKS, "divisibility", never)
+    assert run_verify(3, suites=["divisibility"], cache=cache) == (1, swept, "")
 
 
 def test_verify_cache_drops_malformed_line_when_nothing_is_computed(tmp_path):
@@ -545,11 +619,12 @@ def test_check_monk_fails_when_one_sign_flips(monkeypatch):
 
 
 def test_verify_records_carry_exactly_their_rules_fields():
+    # printed keys are sorted, so this also checks that each rule lists its fields sorted
     _, out, _ = run_verify(4)
     for line in out.splitlines():
         record = json.loads(line)
         if not record.get("summary"):
-            fields = record.keys() - {"suite", "n", "w"}
+            fields = tuple(key for key in record if key not in ("suite", "n", "w"))
             assert fields == cli._SUITE_RULES[record["suite"]].fields, record
 
 
@@ -614,6 +689,17 @@ def assert_sweep_state_empty() -> None:
     assert cli._SEQUENCES == {} and cli._CLOSURES == {}
     for chain in (cli._SCHUBERT_CHAIN, cli._GROTH_CHAIN):
         assert chain.steps == () and chain.polys == []
+    # the source stamp is the one result the module keeps between runs
+    for name, value in vars(cli).items():
+        if hasattr(value, "cache_info") and name != "_cache_stamp":
+            assert value.cache_info().currsize == 0, name
+
+
+def test_verify_keeps_no_word_after_a_replay(tmp_path):
+    cache = str(tmp_path / "results.jsonl")
+    run_verify(4, cache=cache)
+    assert run_verify(4, cache=cache)[0] == 0
+    assert_sweep_state_empty()
 
 
 def test_verify_facts_table_serves_one_run(monkeypatch):
@@ -738,7 +824,7 @@ def test_verify_warns_of_the_time_and_memory_of_a_long_sweep(monkeypatch):
         raise RuntimeError("sweep reached")
 
     monkeypatch.setattr(cli, "_sweep", stop)
-    for n, cost in ((7, "about 6 s and 45 MiB"), (8, "about 5 min and 560 MiB")):
+    for n, cost in ((7, "about 5 s and 35 MiB"), (8, "about 4 min and 490 MiB")):
         out, err = io.StringIO(), io.StringIO()
         with pytest.raises(RuntimeError, match="sweep reached"):
             cmd_verify(n, ["sorted"], 1, None, out, err, max_rank=8)
