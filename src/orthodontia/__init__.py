@@ -51,7 +51,6 @@ from orthodontia.diagram import (
     upper_closure,
 )
 from orthodontia.grothendieck import (
-    MonkTerm,
     PrimaryColumnData,
     RankOverflowError,
     dominant_grothendieck,
@@ -108,7 +107,6 @@ __all__ = [
     "is_strongly_separated",
     "sort_columns",
     "PrimaryColumnData",
-    "MonkTerm",
     "RankOverflowError",
     "schubert_recursive",
     "grothendieck_recursive",

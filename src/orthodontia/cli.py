@@ -8,27 +8,29 @@ and comma-separated otherwise (10,3,1,...).  The verify subcommand
 streams one JSON record per permutation per suite, followed by a summary
 record per suite; its stdout is byte-identical across runs and worker
 counts.  Results can be cached in a JSON-lines file given by --cache or
-the ORTHODONTIA_CACHE environment variable; a directory, or a path in
-a missing one, is refused before the sweep.  The file's first line is
-the stamp of these sources, {"version": STAMP}, and every other line is
-one record exactly as verify prints it, grouped by (n, suite).  The
-first line decides how the rest is read: after the current stamp, a
-record is replayed only when its w is a permutation of 1..n, it carries
-exactly its suite's fields, each holding a value its suite's check can
-produce for w, and its ok is what its suite's record rule derives from
-its word and other fields; other lines are skipped and recomputed, with
-one warning on stderr.  After another stamp, or a line of an older
-format, every line is skipped silently; after anything else, every line
-is malformed and skipped with the warning.  A run that computes a
-record or skips a line rewrites the file from its trusted records plus
-the new ones, so stale lines go at the next write; of two concurrent
-runs sharing one file, the last writer's file is kept.
+the ORTHODONTIA_CACHE environment variable; a path that holds anything
+but a regular file (a directory, a device, a FIFO, or a symlink to one),
+or a path in a missing directory, is refused before the sweep.  The
+file's first line is the stamp of these sources, {"version": STAMP}, and
+every other line is one record exactly as verify prints it, grouped by
+(n, suite).  The first line decides how the rest is read: after the
+current stamp, a record is replayed only when its w is a permutation of
+1..n, it carries exactly its suite's fields, each holding a value its
+suite's check can produce for w, and its ok is what its suite's record
+rule derives from its word and other fields; other lines are skipped and
+recomputed, with one warning on stderr.  After another stamp, or a line
+of an older format, every line is skipped silently; after anything else,
+every line is malformed and skipped with the warning.  A run that
+computes a record or skips a line rewrites the file from its trusted
+records plus the new ones, so stale lines go at the next write; of two
+concurrent runs sharing one file, the last writer's file is kept.
 --jobs must be at least 1 and is capped at the CPU count.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import os
@@ -51,16 +53,17 @@ from orthodontia.diagram import (
 )
 from orthodontia.grothendieck import (
     FormulaChain,
+    RankOverflowError,
     _descend,
     _grothendieck_entry,
     _is_sorted,
-    _monk_targets,
     _primary_column_data,
     chained_grothendieck,
     chained_schubert,
     check_sorted_step,
     formula_steps,
     grothendieck_recursive,
+    monk_terms,
     orthodontia_grothendieck,
     orthodontia_schubert,
     schubert_recursive,
@@ -150,8 +153,9 @@ def _check_monk(w: Permutation) -> dict:
     n = len(word)
     base_keys, base_coeffs = _grothendieck_entry(word)
     for j in range(1, n + 1):
-        targets = _monk_targets(j, word)
-        if targets is None:
+        try:
+            targets = monk_terms(j, w)
+        except RankOverflowError:
             skipped += 1
             continue
         checked += 1
@@ -500,11 +504,13 @@ def cmd_verify(
     if not suites:
         err.write(f"no suite selected; choose from {', '.join(SUITES)}\n")
         return 2
-    # the cache is written beside its path and renamed over it after the sweep
+    # the cache is written beside its path and renamed over it after the
+    # sweep, so a path holding anything but a regular file is refused
     if cache_path and (
-        os.path.isdir(cache_path) or not os.path.isdir(os.path.dirname(os.path.abspath(cache_path)))
+        os.path.exists(cache_path) and not os.path.isfile(cache_path)
+        or not os.path.isdir(os.path.dirname(os.path.abspath(cache_path)))
     ):
-        err.write(f"cache {cache_path} cannot be written: not a file in an existing directory\n")
+        err.write(f"cache {cache_path} cannot be written: not a regular file in an existing directory\n")
         return 2
     if jobs < 1:
         err.write("--jobs must be at least 1\n")
@@ -592,19 +598,24 @@ def _sweep(
         if any("main" in missing for _, missing in tasks):
             # neighbours in step order share the longest formula prefixes
             tasks.sort(key=lambda task: formula_steps(_SEQUENCES[task[0]]))
-        if jobs > 1:
-            import concurrent.futures
-            import multiprocessing
+        with contextlib.ExitStack() as stack:
+            if jobs > 1:
+                import concurrent.futures
+                import multiprocessing
 
-            context = multiprocessing.get_context("fork")
-            with concurrent.futures.ProcessPoolExecutor(jobs, mp_context=context) as pool:
+                context = multiprocessing.get_context("fork")
+                pool = stack.enter_context(
+                    concurrent.futures.ProcessPoolExecutor(jobs, mp_context=context)
+                )
                 chunk = max(1, len(tasks) // (jobs * 4))
-                done = list(pool.map(_verify_task, tasks, chunksize=chunk))
-        else:
-            done = map(_verify_task, tasks)
-        for word, records in done:
-            for suite, values in records.items():
-                store[n, suite][word] = shared.setdefault(values, values)
+                done = pool.map(_verify_task, tasks, chunksize=chunk)
+            else:
+                done = map(_verify_task, tasks)
+            # each result is stored as it arrives, so the parent never
+            # holds them all at once
+            for word, records in done:
+                for suite, values in records.items():
+                    store[n, suite][word] = shared.setdefault(values, values)
     finally:
         _SEQUENCES.clear()
         _CLOSURES.clear()

@@ -371,20 +371,9 @@ def unsort_factor(w: Permutation) -> Monomial:
     return tuple(exps)
 
 
-@dataclass(frozen=True)
-class MonkTerm:
-    """One summand of the transition expansion of x_j * G_w."""
-
-    target: Permutation
-    sign: int
-
-    def __post_init__(self) -> None:
-        if self.sign not in (-1, 1):
-            raise ValueError("sign must be +1 or -1")
-
-
-def monk_terms(j: int, w: Permutation) -> tuple[MonkTerm, ...]:
-    """The signed targets v with x_j * G_w = sum of sign * G_v.
+def monk_terms(j: int, w: Permutation) -> dict[tuple[int, ...], int]:
+    """The signed targets v with x_j * G_w = sum of sign * G_v, as a dict
+    from each target's one-line word to its sign, in no set order.
 
     Each v arises from w by a chain of position swaps with j: first swaps
     with positions below j (taken in decreasing order), then swaps with
@@ -399,24 +388,15 @@ def monk_terms(j: int, w: Permutation) -> tuple[MonkTerm, ...]:
     Then the expansion needs a larger ambient rank and
     :class:`RankOverflowError` is raised before any chain is enumerated.
     """
-    targets = _monk_targets(j, w.word)
-    if targets is None:
-        raise RankOverflowError(
-            f"expansion of x_{j} * G_w for w={w} leaves S_{w.n} "
-            f"(swapping positions {j} and {w.n + 1} raises the length by one)"
-        )
-    return tuple(MonkTerm(Permutation(v), sign) for v, sign in sorted(targets.items()))
-
-
-def _monk_targets(j: int, word: tuple[int, ...]) -> dict[tuple[int, ...], int] | None:
-    """:func:`monk_terms` for the permutation with one-line word ``word``,
-    as a dict from each target's word to its sign, in no set order, or
-    None where monk_terms raises :class:`RankOverflowError`."""
+    word = w.word
     n = len(word)
     if not 1 <= j <= n:
         raise ValueError(f"variable index {j} out of range for rank {n}")
     if all(v < word[j - 1] for v in word[j:]):
-        return None
+        raise RankOverflowError(
+            f"expansion of x_{j} * G_w for w={w} leaves S_{n} "
+            f"(swapping positions {j} and {n + 1} raises the length by one)"
+        )
     found: dict[tuple[int, ...], int] = {}
     # depth-first over chains; an entry is a chain's word, the largest
     # position left for a below-j swap (0 once an above-j swap is made),

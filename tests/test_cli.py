@@ -20,9 +20,14 @@ from orthodontia.cli import (
     main,
     parse_permutation,
 )
-from orthodontia.grothendieck import grothendieck_recursive, schubert_recursive
+from orthodontia.grothendieck import (
+    RankOverflowError,
+    grothendieck_recursive,
+    monk_terms,
+    schubert_recursive,
+)
 from orthodontia.operators import divided_difference, isobaric
-from orthodontia.permutation import from_one_line
+from orthodontia.permutation import from_one_line, symmetric_group
 from orthodontia.polynomial import Polynomial
 
 
@@ -305,11 +310,13 @@ def test_verify_cache_shared_by_two_ranks(tmp_path):
 
 
 # a path in a directory that does not exist, where the temporary file
-# cannot be opened; and a directory, which the temporary file cannot
-# be renamed over: both are refused before any record is computed
-@pytest.mark.parametrize("name", ["missing/results.jsonl", "directory"])
+# cannot be opened; a directory, which the temporary file cannot be
+# renamed over; and a symlink to a device, which the rename would replace
+# with a regular file: each is refused before any record is computed
+@pytest.mark.parametrize("name", ["missing/results.jsonl", "directory", "device"])
 def test_verify_cache_write_failure_exits_2(tmp_path, monkeypatch, name):
     (tmp_path / "directory").mkdir()
+    (tmp_path / "device").symlink_to(os.devnull)
     cache = tmp_path / name
 
     def never(w):
@@ -318,8 +325,9 @@ def test_verify_cache_write_failure_exits_2(tmp_path, monkeypatch, name):
     monkeypatch.setitem(cli._SUITE_CHECKS, "main", never)
     code, out, err = run_verify(2, suites=["main"], cache=str(cache))
     assert code == 2 and out == ""
-    assert err == f"cache {cache} cannot be written: not a file in an existing directory\n"
+    assert err == f"cache {cache} cannot be written: not a regular file in an existing directory\n"
     assert list(tmp_path.rglob("*.tmp")) == []
+    assert os.readlink(tmp_path / "device") == os.devnull
 
 
 def test_verify_cache_write_failure_after_the_sweep_exits_2(tmp_path, monkeypatch):
@@ -605,17 +613,32 @@ def test_verify_main_applies_each_shared_prefix_once(monkeypatch):
 def test_check_monk_fails_when_one_sign_flips(monkeypatch):
     w = from_one_line([1, 3, 2, 4])
     assert cli._check_monk(w) == {"ok": True, "checked": 3, "skipped": 1}
-    real_targets = cli._monk_targets
+    real_terms = cli.monk_terms
 
-    def flipped(j, word):
-        targets = real_targets(j, word)
-        if targets is None:
-            return None
+    def flipped(j, w):
+        targets = real_terms(j, w)
         first = min(targets)
         return {**targets, first: -targets[first]}
 
-    monkeypatch.setattr(cli, "_monk_targets", flipped)
+    monkeypatch.setattr(cli, "monk_terms", flipped)
     assert cli._check_monk(w)["ok"] is False
+
+
+def test_monk_cache_rule_skips_exactly_where_monk_terms_overflows_s1_to_s6():
+    # the rule counts right-to-left maxima; a drift from the library would
+    # make every cached monk record untrusted
+    for n in range(1, 7):
+        for w in symmetric_group(n):
+            skipped = 0
+            for j in range(1, n + 1):
+                try:
+                    monk_terms(j, w)
+                except RankOverflowError:
+                    skipped += 1
+            record = {"checked": n - skipped, "skipped": skipped, "ok": True}
+            assert cli._residue_ok(w.word, record) is True, w
+            record = {"checked": n - skipped - 1, "skipped": skipped + 1, "ok": True}
+            assert cli._residue_ok(w.word, record) is None, w
 
 
 def test_verify_records_carry_exactly_their_rules_fields():

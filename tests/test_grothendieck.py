@@ -20,10 +20,8 @@ from orthodontia.grothendieck import (
     FormulaChain,
     _descend,
     _freeze,
-    _monk_targets,
     _thaw,
     check_sorted_step,
-    MonkTerm,
     RankOverflowError,
     chained_grothendieck,
     chained_schubert,
@@ -412,15 +410,14 @@ def test_monk_identity_s4():
                 continue
             checked += 1
             total = Polynomial.zero(4)
-            for t in terms:
-                total = total + t.sign * grothendieck_recursive(t.target)
+            for v, sign in terms.items():
+                total = total + sign * grothendieck_recursive(Permutation(v))
             assert total == Polynomial.variable(j, 4) * base, (w, j)
     assert checked > 0
 
 
 def test_monk_rank_two_sign():
-    terms = monk_terms(1, identity(2))
-    assert [(t.target.word, t.sign) for t in terms] == [((2, 1), 1)]
+    assert monk_terms(1, identity(2)) == {(2, 1): 1}
     # x1 * G_id = G_21 exactly
     assert Polynomial.variable(1, 2) * grothendieck_recursive(identity(2)) == (
         grothendieck_recursive(from_one_line([2, 1]))
@@ -447,8 +444,7 @@ def test_monk_unsorting_instance():
     assert a == 4
     b = max(p for p in range(d.prefix + 1, d.tooth + 1) if w(p) < w(a))
     assert b == 5
-    terms = monk_terms(a, w.right_multiply_transposition(a, b))
-    assert [(t.target, t.sign) for t in terms] == [(w, 1)]
+    assert monk_terms(a, w.right_multiply_transposition(a, b)) == {w.word: 1}
 
 
 def test_monk_terms_match_chain_oracle_s1_to_s6():
@@ -461,24 +457,9 @@ def test_monk_terms_match_chain_oracle_s1_to_s6():
                         monk_terms(j, w)
                     continue
                 expected = [(word[:n], sign) for word, sign in sorted(found.items())]
-                assert [(t.target.word, t.sign) for t in monk_terms(j, w)] == expected, (w, j)
-
-
-def test_monk_targets_match_monk_terms_s1_to_s6():
-    for n in range(1, 7):
-        for w in symmetric_group(n):
-            for j in range(1, n + 1):
-                targets = _monk_targets(j, w.word)
-                # None exactly where w(j) exceeds every later entry
-                if all(v < w(j) for v in w.word[j:]):
-                    assert targets is None, (w, j)
-                    with pytest.raises(RankOverflowError):
-                        monk_terms(j, w)
-                    continue
-                terms = monk_terms(j, w)
-                assert sorted(targets.items()) == [(t.target.word, t.sign) for t in terms], (w, j)
+                assert sorted(monk_terms(j, w).items()) == expected, (w, j)
     with pytest.raises(ValueError, match="out of range"):
-        _monk_targets(3, (2, 1))
+        monk_terms(3, from_one_line([2, 1]))
 
 
 def test_sorted_step_with_known_sequences_matches_check_sorted_step_s1_to_s6():
@@ -506,11 +487,6 @@ def test_monk_terms_leave_no_reference_cycles_s4():
     finally:
         if enabled:
             gc.enable()
-
-
-def test_monk_term_validation():
-    with pytest.raises(ValueError):
-        MonkTerm(identity(2), 2)
 
 
 def test_unsort_factor():
