@@ -8,22 +8,23 @@ and comma-separated otherwise (10,3,1,...).  The verify subcommand
 streams one JSON record per permutation per suite, followed by a summary
 record per suite; its stdout is byte-identical across runs and worker
 counts.  Results can be cached in a JSON-lines file given by --cache or
-the ORTHODONTIA_CACHE environment variable; a path that holds anything
-but a regular file (a directory, a device, a FIFO, or a symlink to one),
-or a path in a missing directory, is refused before the sweep.  The
-file's first line is the stamp of these sources, {"version": STAMP}, and
-every other line is one record exactly as verify prints it, grouped by
-(n, suite).  The first line decides how the rest is read: after the
-current stamp, a record is replayed only when its w is a permutation of
-1..n, it carries exactly its suite's fields, each holding a value its
-suite's check can produce for w, and its ok is what its suite's record
-rule derives from its word and other fields; other lines are skipped and
-recomputed, with one warning on stderr.  After another stamp, or a line
-of an older format, every line is skipped silently; after anything else,
-every line is malformed and skipped with the warning.  A run that
-computes a record or skips a line rewrites the file from its trusted
-records plus the new ones, so stale lines go at the next write; of two
-concurrent runs sharing one file, the last writer's file is kept.
+the ORTHODONTIA_CACHE environment variable.  A symlink is followed, and
+the file it resolves to is rewritten; a path that resolves to anything
+but a regular file (a directory, a device, a FIFO), or into a missing
+directory, is refused before the sweep.  The file's first line is the
+stamp of these sources, {"version": STAMP}, and every other line is one
+record exactly as verify prints it, grouped by (n, suite).  The first
+line decides how the rest is read: after the current stamp, a record is
+replayed only when its w is a permutation of 1..n, it carries exactly
+its suite's fields, each holding a value its suite's check can produce
+for w, and its ok is what its suite's record rule derives from its word
+and other fields; other lines are skipped and recomputed, with one
+warning on stderr.  After another stamp, or a line of an older format,
+every line is skipped silently; after anything else, every line is
+malformed and skipped with the warning.  A run that computes a record or
+skips a line rewrites the file from its trusted records plus the new
+ones, so stale lines go at the next write; of two concurrent runs
+sharing one file, the last writer's file is kept.
 --jobs must be at least 1 and is capped at the CPU count.
 """
 
@@ -423,30 +424,33 @@ def cmd_compute(
     out: TextIO,
     err: TextIO,
 ) -> int:
-    # The ascending route runs first and the recursive route is a walk that
-    # stores nothing, so at most the two results and the polynomial being
-    # built are alive at once; one result is released before formatting.
+    # The ascending result is kept only as its snapshot while the recursive
+    # route, a walk that stores nothing, runs; so one route's polynomials
+    # are alive at a time.  The ascending result is built again only to
+    # report a disagreement.
     ascending, op = {
         "schubert": (orthodontia_schubert, divided_difference),
         "grothendieck": (orthodontia_grothendieck, isobaric),
     }[kind]
-    formula = ascending(rothe_diagram(w))
+    expected = ascending(rothe_diagram(w)).snapshot()
     recursive = _descend(w.word, op)
-    if recursive != formula:
+    if recursive.snapshot() != expected:
+        formula = ascending(rothe_diagram(w))
         err.write(
             f"ERROR: methods disagree for {w} ({kind})\n"
             f"  recursive:   {recursive}\n"
             f"  orthodontia: {formula}\n"
         )
         return 1
-    del formula
+    del expected
     if fmt == "json":
         # _dump of {"kind", "polynomial", "w"}, with the polynomial written term by term
         out.write(f'{{"kind":{_dump(kind)},"polynomial":')
         recursive.write_json(out)
         out.write(f',"w":{_dump(list(w.word))}}}\n')
     else:
-        out.write(str(recursive) + "\n")
+        recursive.write_text(out)
+        out.write("\n")
     return 0
 
 
@@ -504,11 +508,13 @@ def cmd_verify(
     if not suites:
         err.write(f"no suite selected; choose from {', '.join(SUITES)}\n")
         return 2
-    # the cache is written beside its path and renamed over it after the
-    # sweep, so a path holding anything but a regular file is refused
-    if cache_path and (
-        os.path.exists(cache_path) and not os.path.isfile(cache_path)
-        or not os.path.isdir(os.path.dirname(os.path.abspath(cache_path)))
+    # the cache is written beside the file its path resolves to and renamed
+    # over that file after the sweep, so a symlink's target is updated and
+    # the link kept, and a target that is not a regular file is refused
+    target = cache_path and os.path.realpath(cache_path)
+    if target and (
+        os.path.exists(target) and not os.path.isfile(target)
+        or not os.path.isdir(os.path.dirname(target))
     ):
         err.write(f"cache {cache_path} cannot be written: not a regular file in an existing directory\n")
         return 2
@@ -566,9 +572,9 @@ def cmd_verify(
                 f"see the {suite} records above\n"
             )
 
-    if cache_path and (tasks or dropped):
+    if target and (tasks or dropped):
         try:
-            _write_cache(cache_path, store)
+            _write_cache(target, store)
         except OSError as exc:
             err.write(f"cache write failed: {exc}\n")
             return 2

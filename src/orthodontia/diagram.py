@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from orthodontia.permutation import Permutation
 from orthodontia.polynomial import Monomial
@@ -106,9 +106,14 @@ class Diagram:
         return cls.from_columns(int(obj["n"]), obj["columns"])
 
 
-@dataclass(frozen=True)
-class OrthodonticSequence:
-    """Output of the orthodontia algorithm.
+class _SequenceFields(NamedTuple):
+    teeth: tuple[int, ...]
+    interval_multiplicities: tuple[int, ...]
+    tooth_multiplicities: tuple[int, ...]
+
+
+class OrthodonticSequence(_SequenceFields):
+    """Output of the orthodontia algorithm, a read-only tuple record.
 
     ``teeth``:      row positions of the successive swaps, one per step.
     ``interval_multiplicities``: entry j-1 counts columns equal to {1..j}
@@ -117,17 +122,19 @@ class OrthodonticSequence:
                     stripped) by swap t.
     """
 
-    teeth: tuple[int, ...]
-    interval_multiplicities: tuple[int, ...]
-    tooth_multiplicities: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.teeth) != len(self.tooth_multiplicities):
+    def __new__(
+        cls,
+        teeth: tuple[int, ...],
+        interval_multiplicities: tuple[int, ...],
+        tooth_multiplicities: tuple[int, ...],
+    ) -> OrthodonticSequence:
+        if len(teeth) != len(tooth_multiplicities):
             raise ValueError("teeth and tooth multiplicities must have equal length")
-        if any(v < 0 for v in self.interval_multiplicities) or any(
-            v < 0 for v in self.tooth_multiplicities
-        ):
+        if min(interval_multiplicities, default=0) < 0 or min(tooth_multiplicities, default=0) < 0:
             raise ValueError("multiplicities must be nonnegative")
+        return tuple.__new__(cls, (teeth, interval_multiplicities, tooth_multiplicities))
 
     @property
     def step_count(self) -> int:

@@ -50,7 +50,7 @@ from orthodontia.diagram import (
 )
 from orthodontia.operators import demazure, demazure_lascoux, divided_difference, isobaric
 from orthodontia.permutation import Permutation
-from orthodontia.polynomial import Monomial, Polynomial
+from orthodontia.polynomial import Monomial, Polynomial, fundamental_weight
 
 
 class RankOverflowError(ValueError):
@@ -152,10 +152,6 @@ def _grothendieck_entry(word: tuple[int, ...]) -> _Entry:
     return _GROTH_CACHE[word]
 
 
-def _weight_exps(j: int, n: int, power: int) -> Monomial:
-    return (power,) * j + (0,) * (n - j)
-
-
 Step = tuple[int, int]
 
 
@@ -191,7 +187,7 @@ class FormulaChain:
 def _apply_step(f: Polynomial, step: Step, op) -> Polynomial:
     tooth, mult = step
     if mult:
-        f = f.mul_monomial(_weight_exps(tooth, f.n, mult))
+        f = f.mul_monomial(tuple(mult * e for e in fundamental_weight(tooth, f.n)))
     return op(tooth, f)
 
 

@@ -30,12 +30,17 @@ Polynomials are immutable values and safe to share between threads.
 
 from __future__ import annotations
 
+import io
+from bisect import bisect_left
 from typing import Iterable, Iterator, Mapping, TextIO
 
 Monomial = tuple[int, ...]
 
 _FIELD = 8  # bits per exponent field
 MAX_EXPONENT = (1 << _FIELD) - 1
+# terms per step of the text writer and the snapshot, which hold one
+# step's strings at a time
+_CHUNK = 4096
 
 
 class RankMismatchError(ValueError):
@@ -44,6 +49,24 @@ class RankMismatchError(ValueError):
 
 class DivisionRemainderError(ArithmeticError):
     """An exact division left a nonzero remainder; the caller broke a contract."""
+
+
+class _Factors(dict):
+    """The factor string of each value of `count` exponent fields, the
+    first of them x_{first+1}, as "x2^3*x4"; "" for all zeros.  Filled on
+    demand."""
+
+    __slots__ = ("count", "first")
+
+    def __init__(self, count: int, first: int):
+        self.count, self.first = count, first
+
+    def __missing__(self, fields: int) -> str:
+        exps = fields.to_bytes(self.count, "big")
+        name = self[fields] = "*".join(
+            f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(exps, self.first + 1) if e
+        )
+        return name
 
 
 def monomial_divides(a: Monomial, b: Monomial) -> bool:
@@ -306,8 +329,16 @@ class Polynomial:
         return self.terms.get(_pack(exps), 0)
 
     def _canonical_keys(self) -> list[int]:
-        # flipping every exponent bit reverses lex order within a degree
-        return sorted(self.terms, key=((1 << _FIELD * self.n) - 1).__xor__)
+        # ascending keys, with the run of each degree reversed into
+        # descending lex order; a sort key would build an int per term
+        keys = sorted(self.terms)
+        shift = _FIELD * self.n
+        start = 0
+        while start < len(keys):
+            end = bisect_left(keys, (keys[start] >> shift) + 1 << shift, start)
+            keys[start:end] = reversed(keys[start:end])
+            start = end
+        return keys
 
     def monomials(self) -> Iterator[Monomial]:
         """Exponent vectors of the support, in canonical order."""
@@ -320,31 +351,61 @@ class Polynomial:
         return [(_unpack(k, n), terms[k]) for k in self._canonical_keys()]
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
-        # exponents read as bytes, one term at a time: a tuple per term,
-        # all held at once, would be the peak of a large result's memory
+        out = io.StringIO()
+        self.write_text(out)
+        return out.getvalue()
+
+    def write_text(self, out: TextIO) -> None:
+        """Write the text form, e.g. "3*x1^2*x2 - x3", a chunk of terms at a time.
+
+        ``str(f)`` is this text, written to a ``StringIO``.
+        """
+        n, terms = self.n, self.terms
+        if not terms:
+            out.write("0")
+            return
+        # Each key splits into its high and low halves of fields, and the
+        # factor string of each half is formatted once: a large result has
+        # far fewer distinct halves than terms
+        low_bits = _FIELD * (n // 2)
+        low_mask = (1 << low_bits) - 1
+        high_mask = (1 << _FIELD * (n - n // 2)) - 1
+        highs, lows = _Factors(n - n // 2, 0), _Factors(n // 2, n - n // 2)
+        keys = self._canonical_keys()
+        for start in range(0, len(keys), _CHUNK):
+            parts = []
+            for k in keys[start : start + _CHUNK]:
+                c = terms[k]
+                hi, lo = highs[k >> low_bits & high_mask], lows[k & low_mask]
+                mono = f"{hi}*{lo}" if hi and lo else hi or lo
+                sign = " + "
+                if c < 0:
+                    sign, c = " - ", -c
+                parts.append(f"{sign}{c}*{mono}" if c != 1 and mono else f"{sign}{mono or c}")
+            text = "".join(parts)
+            if not start:  # the leading term has no " + ", and its minus no spaces
+                text = text[3:] if text[1] == "+" else "-" + text[3:]
+            out.write(text)
+
+    def snapshot(self) -> tuple[int, bytes, str]:
+        """A compact exact form of the polynomial: two are equal iff their
+        polynomials are.
+
+        The exponent fields of the terms as bytes, n per term, in ascending
+        key order, and the terms' coefficients in decimal, as the text of
+        one list per chunk of terms, in the same order.  It takes about
+        n + 5 bytes per term where the polynomial takes about 90, has no
+        bound on the coefficients, and is built a chunk at a time.
+        """
         n, terms = self.n, self.terms
         mask = (1 << _FIELD * n) - 1
-        names: dict[tuple[int, int], str] = {}   # (index, exponent) -> "x{i}^{e}"
-        parts: list[str] = []
-        for k in self._canonical_keys():
-            c = terms[k]
-            exps = (k & mask).to_bytes(n, "big")
-            factors = []
-            for i, e in enumerate(exps):
-                if e:
-                    name = names.get((i, e))
-                    if name is None:
-                        name = names[i, e] = f"x{i + 1}^{e}" if e > 1 else f"x{i + 1}"
-                    factors.append(name)
-            mag = abs(c)
-            if mag != 1 or not factors:
-                factors.insert(0, str(mag))
-            parts.append(" - " if c < 0 else " + ")
-            parts.append("*".join(factors))
-        parts[0] = "-" if parts[0] == " - " else ""
-        return "".join(parts)
+        keys = sorted(terms)
+        fields, digits = [], []
+        for start in range(0, len(keys), _CHUNK):
+            chunk = keys[start : start + _CHUNK]
+            fields.append(b"".join([(k & mask).to_bytes(n, "big") for k in chunk]))
+            digits.append(str(list(map(terms.__getitem__, chunk))))
+        return n, b"".join(fields), "".join(digits)
 
     def __repr__(self) -> str:
         return f"Polynomial({self.n}, {self!s})"

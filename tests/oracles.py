@@ -32,6 +32,12 @@ tooth with a bit trick; the oracles build the diagram as sets of rows
 from its definition, and run the algorithm on sets of rows, with every
 column kept in its place and the tooth found by scanning the rows.
 
+The library writes a polynomial's text a chunk of terms at a time, in
+an order it takes from sorting packed keys, and formats each half of a
+term's exponent vector once per distinct half; the oracle sorts the
+exponent tuples by degree and vector itself and formats every term
+exponent by exponent.
+
 The library's ascending Schubert formula on a strongly separated diagram
 is checked against the character of the diagram's flagged Weyl module,
 which uses no operator: the dimension of each weight space of a span of
@@ -149,6 +155,31 @@ def demazure_lascoux_kernel(j: int, f: Polynomial) -> Polynomial:
     """d_j(x_j (1 - x_{j+1}) f)."""
     xj = _times(dict(f.sorted_terms()), j)
     return _divided_difference(j, f.n, _minus(xj, _times(xj, j + 1)))
+
+
+def text_oracle(f: Polynomial) -> str:
+    """The text form of f, term by term and exponent by exponent.
+
+    Terms go by ascending total degree, ties by descending exponent
+    vector.  A term is its coefficient's magnitude, left out when it is 1
+    and the term has a variable, then x_i^e for each nonzero exponent (x_i
+    when e = 1), joined by "*"; terms are joined by " + " or " - ", and a
+    negative leading term starts with "-".
+    """
+    terms = dict(f.sorted_terms())
+    if not terms:
+        return "0"
+    parts: list[str] = []
+    for exps in sorted(terms, key=lambda e: (sum(e), [-x for x in e])):
+        c = terms[exps]
+        factors = [f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(exps, 1) if e]
+        mag = abs(c)
+        if mag != 1 or not factors:
+            factors.insert(0, str(mag))
+        parts.append(" - " if c < 0 else " + ")
+        parts.append("*".join(factors))
+    parts[0] = "-" if parts[0] == " - " else ""
+    return "".join(parts)
 
 
 def inversions_by_enumeration(word: tuple[int, ...]) -> int:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -297,6 +298,37 @@ def test_verify_cache_round_trip(tmp_path):
     assert_cache_holds(cache, first)
 
 
+@pytest.mark.parametrize("kind", ["schubert", "grothendieck"])
+def test_compute_holds_no_ascending_result_during_the_recursive_walk(monkeypatch, kind):
+    # the walk starts with only the ascending result's snapshot alive, and
+    # the routes are compared through snapshots, not polynomials
+    w = parse_permutation("4,1,6,5,2,3")
+    ascending = getattr(cli, f"orthodontia_{kind}")
+    built = []
+    walked = []
+
+    def route(D):
+        result = ascending(D)
+        built.append(dict(result.terms))
+        return result
+
+    def walk(word, op):
+        walked.append([
+            o for o in gc.get_objects() if isinstance(o, Polynomial) and o.terms == built[0]
+        ])
+        return grothendieck._descend(word, op)
+
+    def refuse(self, other):
+        raise AssertionError("the routes were compared as polynomials")
+
+    monkeypatch.setattr(cli, f"orthodontia_{kind}", route)
+    monkeypatch.setattr(cli, "_descend", walk)
+    monkeypatch.setattr(Polynomial, "__eq__", refuse)
+    out, err = io.StringIO(), io.StringIO()
+    assert cmd_compute(w, kind, "text", out, err) == 0 and err.getvalue() == ""
+    assert len(built[0]) > 1 and walked == [[]]
+
+
 def test_verify_cache_shared_by_two_ranks(tmp_path):
     cache = tmp_path / "results.jsonl"
     _, expected, _ = run_verify(2, cache=str(cache))
@@ -328,6 +360,23 @@ def test_verify_cache_write_failure_exits_2(tmp_path, monkeypatch, name):
     assert err == f"cache {cache} cannot be written: not a regular file in an existing directory\n"
     assert list(tmp_path.rglob("*.tmp")) == []
     assert os.readlink(tmp_path / "device") == os.devnull
+
+
+def test_verify_cache_writes_through_a_symlink(tmp_path):
+    (tmp_path / "links").mkdir()
+    (tmp_path / "files").mkdir()
+    target = tmp_path / "files" / "target.jsonl"
+    target.write_text("\n")
+    link = tmp_path / "links" / "link.jsonl"
+    link.symlink_to(target)
+    code, out, err = run_verify(2, suites=["sorted"], cache=str(link))
+    assert code == 0 and err == ""
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert_cache_holds(target, out)
+    written = target.read_bytes()
+    assert run_verify(2, suites=["sorted"], cache=str(link)) == (0, out, "")
+    assert target.read_bytes() == written and link.is_symlink()
+    assert list(tmp_path.rglob("*.tmp")) == []
 
 
 def test_verify_cache_write_failure_after_the_sweep_exits_2(tmp_path, monkeypatch):

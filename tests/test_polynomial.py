@@ -2,10 +2,12 @@ from __future__ import annotations
 
 import io
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orthodontia import polynomial
 from orthodontia.polynomial import (
     _FIELD,
     MAX_EXPONENT,
@@ -18,7 +20,7 @@ from orthodontia.polynomial import (
     fundamental_weight,
     monomial_divides,
 )
-from oracles import exact_divide_linear
+from oracles import exact_divide_linear, text_oracle
 
 
 def P(n, terms):
@@ -211,6 +213,80 @@ def test_text_form_examples():
     f = Polynomial(3, {(2, 1, 0): 3, (0, 0, 1): -1})
     assert str(f) == "-x3 + 3*x1^2*x2"
     assert str(Polynomial.monomial((0, 1, 0), -1)) == "-x2"
+
+
+# coefficients of magnitude 1, small ones, and ones beyond 64 bits
+_COEFFS = (1, -1, 2, -3, 12, 2**63, -(2**63) - 1, 7**40, -(10**30))
+
+
+def _random_polynomial(rng: random.Random, n: int, terms: int, top: int = 4) -> Polynomial:
+    return Polynomial(n, {
+        tuple(rng.choice((0, 0, 1, 2, top)) for _ in range(n)): rng.choice(_COEFFS)
+        for _ in range(terms)
+    })
+
+
+def _written(f: Polynomial) -> str:
+    out = io.StringIO()
+    f.write_text(out)
+    return out.getvalue()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, polynomial._CHUNK])
+def test_text_form_matches_the_oracle(monkeypatch, chunk):
+    # n = 1..10 covers odd n and, at n = 1, an empty low half of fields;
+    # a chunk of 1 or 3 terms puts the leading term alone or not at the
+    # start of the first chunk
+    monkeypatch.setattr(polynomial, "_CHUNK", chunk)
+    rng = random.Random(chunk)
+    cases = [Polynomial.zero(3), Polynomial.constant(1, -1), Polynomial.constant(2, 2**64)]
+    for n in range(1, 11):
+        cases += [Polynomial.one(n), Polynomial.variable(n, n) * -1 + 2]
+        cases += [_random_polynomial(rng, n, rng.randint(1, 12), rng.choice((4, 255))) for _ in range(12)]
+    assert any(str(f).startswith("-") for f in cases)
+    for f in cases:
+        text = text_oracle(f)
+        assert str(f) == text and _written(f) == text and repr(f) == f"Polynomial({f.n}, {text})"
+
+
+def test_text_form_of_many_chunks_matches_the_oracle():
+    rng = random.Random(5)
+    f = Polynomial(5, {
+        tuple(rng.randrange(10) for _ in range(5)): rng.choice(_COEFFS)
+        for _ in range(3 * polynomial._CHUNK)
+    })
+    assert len(f.terms) > 2 * polynomial._CHUNK
+    assert _written(f) == str(f) == text_oracle(f)
+
+
+@pytest.mark.parametrize("chunk", [2, polynomial._CHUNK])
+def test_snapshots_are_equal_iff_the_polynomials_are(monkeypatch, chunk):
+    monkeypatch.setattr(polynomial, "_CHUNK", chunk)
+    rng = random.Random(chunk)
+    for n in range(1, 7):
+        f = _random_polynomial(rng, n, 9)
+        assert f.snapshot() == Polynomial(n, dict(reversed(f.sorted_terms()))).snapshot()
+        for exps, c in f.sorted_terms():
+            # the same keys with one coefficient changed, past 64 bits too
+            for other in (2 * c, -c, c + 2**64):
+                g = f + Polynomial.monomial(exps, other - c)
+                assert g.terms.keys() == f.terms.keys()
+                assert g.snapshot() != f.snapshot()
+            # the same coefficients with one key moved to a monomial not in f
+            moved = next(e for e in _monomials_near(exps) if f.coefficient(e) == 0)
+            g = f - Polynomial.monomial(exps, c) + Polynomial.monomial(moved, c)
+            assert sorted(g.terms.values()) == sorted(f.terms.values())
+            assert g.snapshot() != f.snapshot()
+        g = _random_polynomial(rng, n, 3)
+        assert (f.snapshot() == g.snapshot()) == (f == g)
+    assert Polynomial.one(2).snapshot() != Polynomial.one(3).snapshot()
+    assert Polynomial.zero(2).snapshot() == Polynomial.zero(2).snapshot() != Polynomial.one(2).snapshot()
+
+
+def _monomials_near(exps):
+    for i in range(len(exps)):
+        for e in range(6):
+            yield exps[:i] + (e,) + exps[i + 1 :]
 
 
 def _x(*pairs, n=10):
