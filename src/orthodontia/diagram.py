@@ -24,6 +24,7 @@ puts the columns back in their places in its snapshots.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -103,7 +104,11 @@ class Diagram:
 
     @classmethod
     def from_json(cls, obj: dict) -> Diagram:
-        return cls.from_columns(int(obj["n"]), obj["columns"])
+        try:
+            n = operator.index(obj["n"])
+        except TypeError:
+            raise ValueError(f"grid size {obj['n']!r} is not an int") from None
+        return cls.from_columns(n, obj["columns"])
 
 
 class _SequenceFields(NamedTuple):

@@ -12,6 +12,7 @@ embedding of S_n into S_{n+1}.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -119,12 +120,17 @@ class Permutation:
 def from_one_line(seq: Sequence[int]) -> Permutation:
     """Build a permutation from one-line notation, validating the input.
 
-    Rejects sequences with repeats, gaps, or values outside 1..n.
+    Rejects sequences with repeats, gaps, values outside 1..n, or values
+    that are not ints: a float or a string is not truncated.
 
     >>> from_one_line([3, 1, 5, 4, 2]).word
     (3, 1, 5, 4, 2)
     """
-    return Permutation(tuple(int(v) for v in seq))
+    try:
+        word = tuple(map(operator.index, seq))
+    except TypeError:
+        raise ValueError(f"not a sequence of ints: {seq!r}") from None
+    return Permutation(word)
 
 
 def identity(n: int) -> Permutation:

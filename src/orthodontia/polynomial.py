@@ -4,9 +4,11 @@ A polynomial in x1..xn is a finite map from exponent vectors (length-n
 tuples of nonnegative ints) to nonzero Python ints.  Coefficients are
 unbounded.  Exponents are nonnegative and at most ``MAX_EXPONENT`` (255):
 a larger exponent, whether given or produced by a product, raises
-``ValueError``.  The two places where a negative power would be
-convenient are covered instead by :func:`exact_divide_monomial`, which
-divides by a monomial under a zero-remainder contract.
+``ValueError``, as does a non-int exponent, coefficient or variable
+count given to the constructor or the parsers: none is truncated.  The
+two places where a negative power would be convenient are covered
+instead by :func:`exact_divide_monomial`, which divides by a monomial
+under a zero-remainder contract.
 
 Canonical term order is graded-lexicographic: ascending total degree,
 ties broken by descending exponent vector, so equal polynomials always
@@ -18,12 +20,19 @@ field at bit 8 * (n - i), so x_1 is the highest field and int order on
 the fields is lex order, and the total degree sits above all of them,
 from bit 8 * n up, unbounded.  The key of a product of monomials is the
 sum of their keys, and int order on whole keys is ascending degree, then
-lex order.  Everything public takes and returns tuples.  Only this module
-and :mod:`orthodontia.operators` compute on the keys, apart from the
-``monk`` check of :mod:`orthodontia.cli`, which shifts them by the key of
-x_j.  The recursive memo of :mod:`orthodontia.grothendieck` stores them
-as they are, and its readers take degrees and maximum exponents through
-this module.
+lex order.  Everything public takes and returns tuples.
+
+Terms from outside enter through one kernel, which adds up repeated
+vectors and drops sums of 0: the constructor (so ``zero``, ``one``,
+``constant`` and ``monomial`` too), ``parse`` and ``from_json`` feed it
+exponent vectors, and ``+``, ``-`` and ``*`` packed keys.  Code that sees
+no outside input keeps its own measured hot loops, and is all that
+computes on keys outside this module: the bijective shifts
+``mul_monomial``, ``swap_variables`` and :func:`exact_divide_monomial`;
+``_apply`` in :mod:`orthodontia.operators`; the ``monk`` check of
+:mod:`orthodontia.cli`, which adds x_j's key and sums by ``dict.update``;
+and ``_thaw`` in :mod:`orthodontia.grothendieck`, whose memo stores keys
+as they are and reads degrees and maximum exponents through this module.
 
 Polynomials are immutable values and safe to share between threads.
 """
@@ -31,6 +40,7 @@ Polynomials are immutable values and safe to share between threads.
 from __future__ import annotations
 
 import io
+import operator
 from bisect import bisect_left
 from typing import Iterable, Iterator, Mapping, TextIO
 
@@ -118,22 +128,17 @@ class Polynomial:
 
     __slots__ = ("n", "terms")
 
-    def __init__(self, n: int, terms: Mapping[Monomial, int] | None = None):
+    def __init__(self, n: int, terms: Mapping[Monomial, int] | Iterable | None = None):
+        """The sum in x1..xn of ``terms``, a mapping or (exponents, coefficient) pairs."""
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(f"variable count {n!r} is not an int") from None
         if n < 1:
             raise ValueError("variable count must be at least 1")
-        clean: dict[int, int] = {}
-        if terms:
-            for exps, coeff in terms.items():
-                exps = tuple(exps)
-                if len(exps) != n:
-                    raise RankMismatchError(f"exponent vector {exps} has wrong length for n={n}")
-                key = _pack(exps)
-                if coeff:
-                    clean[key] = clean.get(key, 0) + coeff
-                    if not clean[key]:
-                        del clean[key]
+        pairs = terms.items() if isinstance(terms, Mapping) else terms or ()
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "terms", _add_terms({}, _packed(n, pairs)))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError("Polynomial is immutable")
@@ -168,7 +173,7 @@ class Polynomial:
     @classmethod
     def monomial(cls, exps: Monomial, coeff: int = 1) -> Polynomial:
         exps = tuple(exps)
-        return cls(len(exps), {exps: coeff})
+        return cls(len(exps), [(exps, coeff)])
 
     @property
     def is_zero(self) -> bool:
@@ -204,14 +209,7 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_rank(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) + c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return Polynomial._raw(self.n, out)
+        return Polynomial._raw(self.n, _add_terms(dict(self.terms), other.terms.items()))
 
     __radd__ = __add__
 
@@ -224,14 +222,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_rank(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, 0) - c
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-        return Polynomial._raw(self.n, out)
+        negated = ((k, -c) for k, c in other.terms.items())
+        return Polynomial._raw(self.n, _add_terms(dict(self.terms), negated))
 
     def __rsub__(self, other):
         if isinstance(other, int):
@@ -251,16 +243,9 @@ class Polynomial:
         self._check_product(other)
         if len(self.terms) > len(other.terms):
             self, other = other, self
-        out: dict[int, int] = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                k = k1 + k2
-                s = out.get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        return Polynomial._raw(self.n, out)
+        right = other.terms.items()
+        products = ((k1 + k2, c1 * c2) for k1, c1 in self.terms.items() for k2, c2 in right)
+        return Polynomial._raw(self.n, _add_terms({}, products))
 
     __rmul__ = __mul__
 
@@ -432,41 +417,55 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> Polynomial:
-        n = int(obj["n"])
-        terms: dict[Monomial, int] = {}
-        for coeff, exps in obj["terms"]:
-            terms[tuple(int(e) for e in exps)] = int(coeff)
-        return cls(n, terms)
+        return cls(obj["n"], ((exps, coeff) for coeff, exps in obj["terms"]))
 
     @classmethod
     def parse(cls, text: str, n: int) -> Polynomial:
         """Parse the text form produced by ``str``, e.g. "3*x1^2*x2 - x3"."""
-        s = text.strip()
-        if s == "0":
-            return cls.zero(n)
-        s = s.replace(" - ", " + -")
-        terms: dict[Monomial, int] = {}
-        for chunk in s.split(" + "):
-            chunk = chunk.strip()
-            sign = 1
-            if chunk.startswith("-"):
-                sign = -1
-                chunk = chunk[1:].strip()
-            coeff = sign
-            exps = [0] * n
-            for factor in chunk.split("*"):
-                factor = factor.strip()
-                if factor.startswith("x"):
-                    var, _, power = factor.partition("^")
-                    idx = int(var[1:])
-                    if not 1 <= idx <= n:
-                        raise ValueError(f"variable {var} out of range for n={n}")
-                    exps[idx - 1] += int(power) if power else 1
-                else:
-                    coeff *= int(factor)
-            key = tuple(exps)
-            terms[key] = terms.get(key, 0) + coeff
-        return cls(n, terms)
+        return cls(n, _parsed_terms(text, n))
+
+
+def _packed(n: int, pairs: Iterable[tuple[Iterable[int], int]]) -> Iterator[tuple[int, int]]:
+    """Each (exponent vector, coefficient) pair as (key, coefficient), checked."""
+    for exps, coeff in pairs:
+        try:
+            exps, coeff = tuple(map(operator.index, exps)), operator.index(coeff)
+        except TypeError:
+            raise ValueError(f"term {coeff!r}*x^{exps!r} has a value that is not an int") from None
+        if len(exps) != n:
+            raise RankMismatchError(f"exponent vector {exps} has wrong length for n={n}")
+        yield _pack(exps), coeff
+
+
+def _add_terms(out: dict[int, int], pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Add (key, coefficient) pairs into out, dropping a key whose sum is 0."""
+    get = out.get
+    for key, c in pairs:
+        s = get(key, 0) + c
+        if s:
+            out[key] = s
+        else:
+            out.pop(key, None)
+    return out
+
+
+def _parsed_terms(text: str, n: int) -> Iterator[tuple[list[int], int]]:
+    # the (exponent vector, coefficient) pair of each term of the text
+    # form; "0" is one term with coefficient 0
+    for term in text.strip().replace(" - ", " + -").split(" + "):
+        term = term.strip()
+        coeff = -1 if term.startswith("-") else 1
+        exps = [0] * n
+        for factor in term.removeprefix("-").split("*"):
+            var, _, power = factor.strip().partition("^")
+            if not var.startswith("x"):
+                coeff *= int(factor)
+                continue
+            i = int(var[1:])
+            if not 1 <= i <= n:
+                raise ValueError(f"variable {var} out of range for n={n}")
+            exps[i - 1] += int(power) if power else 1
+        yield exps, coeff
 
 
 def exact_divide_monomial(f: Polynomial, exps: Monomial) -> Polynomial:

@@ -14,12 +14,11 @@ def random_polynomial(
     max_exponent: int = 3,
     max_coeff: int = 4,
 ) -> Polynomial:
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        exps = tuple(rng.randint(0, max_exponent) for _ in range(n))
-        coeff = rng.choice([c for c in range(-max_coeff, max_coeff + 1) if c])
-        terms[exps] = terms.get(exps, 0) + coeff
-    return Polynomial(n, terms)
+    coeffs = [c for c in range(-max_coeff, max_coeff + 1) if c]
+    return Polynomial(n, [
+        (tuple(rng.randint(0, max_exponent) for _ in range(n)), rng.choice(coeffs))
+        for _ in range(rng.randint(1, max_terms))
+    ])
 
 
 @pytest.fixture

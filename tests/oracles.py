@@ -38,6 +38,10 @@ term's exponent vector once per distinct half; the oracle sorts the
 exponent tuples by degree and vector itself and formats every term
 exponent by exponent.
 
+The library takes every term from outside through one kernel that packs
+each exponent vector into an int key and adds coefficients into a dict
+of keys; the oracle adds them up on exponent tuples with a plain dict.
+
 The library's ascending Schubert formula on a strongly separated diagram
 is checked against the character of the diagram's flagged Weyl module,
 which uses no operator: the dimension of each weight space of a span of
@@ -180,6 +184,14 @@ def text_oracle(f: Polynomial) -> str:
         parts.append("*".join(factors))
     parts[0] = "-" if parts[0] == " - " else ""
     return "".join(parts)
+
+
+def summed_terms(pairs: Iterable[tuple[Monomial, int]]) -> dict[Monomial, int]:
+    """The sum of (exponent vector, coefficient) pairs, zeros dropped."""
+    total: dict[Monomial, int] = {}
+    for exps, c in pairs:
+        total[tuple(exps)] = total.get(tuple(exps), 0) + c
+    return {exps: c for exps, c in total.items() if c}
 
 
 def inversions_by_enumeration(word: tuple[int, ...]) -> int:

@@ -305,6 +305,10 @@ def test_diagram_validation():
             Diagram(2, masks)
     with pytest.raises(ValueError):
         Diagram.from_columns(0, [])
+    # a grid size that is not an int is refused, not truncated
+    for n in (2.9, 2.0, "2"):
+        with pytest.raises(ValueError, match="is not an int"):
+            Diagram.from_json({"n": n, "columns": [[1], []]})
 
 
 def test_orthodontic_sequence_validation():

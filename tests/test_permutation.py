@@ -23,7 +23,7 @@ def test_from_one_line_golden():
 
 @pytest.mark.parametrize(
     "bad",
-    [[2, 1, 3, 7], [1, 1], [2, 3], [0, 1], [], [1, 2, 2, 4]],
+    [[2, 1, 3, 7], [1, 1], [2, 3], [0, 1], [], [1, 2, 2, 4], [1.9, 2.1], ["2", "1"], [2.0, 1.0]],
 )
 def test_from_one_line_rejects_malformed(bad):
     with pytest.raises(ValueError):

@@ -20,7 +20,7 @@ from orthodontia.polynomial import (
     fundamental_weight,
     monomial_divides,
 )
-from oracles import exact_divide_linear, text_oracle
+from oracles import exact_divide_linear, summed_terms, text_oracle
 
 
 def P(n, terms):
@@ -31,12 +31,10 @@ def P(n, terms):
 def polynomials(draw, min_n=1, max_n=4):
     n = draw(st.integers(min_n, max_n))
     n_terms = draw(st.integers(0, 6))
-    terms = {}
-    for _ in range(n_terms):
-        exps = tuple(draw(st.integers(0, 3)) for _ in range(n))
-        coeff = draw(st.integers(-5, 5))
-        terms[exps] = terms.get(exps, 0) + coeff
-    return Polynomial(n, terms)
+    return Polynomial(n, [
+        (tuple(draw(st.integers(0, 3)) for _ in range(n)), draw(st.integers(-5, 5)))
+        for _ in range(n_terms)
+    ])
 
 
 @st.composite
@@ -196,6 +194,68 @@ def test_json_round_trip(f):
     f.write_json(written)
     assert written.getvalue() == json.dumps(f.to_json(), sort_keys=True, separators=(",", ":"))
     assert Polynomial.from_json(json.loads(written.getvalue())) == f
+
+
+@st.composite
+def term_lists(draw):
+    # (exponent vector, coefficient) pairs over a few vectors, so that
+    # vectors repeat, with some pairs negated and appended to cancel
+    n = draw(st.integers(1, 4))
+    vectors = draw(st.lists(st.tuples(*[st.integers(0, 3)] * n), min_size=1, max_size=4))
+    coeffs = st.integers(-3, 3) | st.sampled_from([2**64, -(3**50)])
+    pairs = draw(st.lists(st.tuples(st.sampled_from(vectors), coeffs), max_size=10))
+    cancel = draw(st.lists(st.sampled_from(pairs), max_size=3)) if pairs else []
+    return n, draw(st.permutations(pairs + [(exps, -c) for exps, c in cancel]))
+
+
+def _text_of_pairs(pairs) -> str:
+    # each pair as its own term, zero exponents and coefficients included
+    text = "".join(
+        f"{' - ' if c < 0 else ' + '}{abs(c)}" + "".join(f"*x{i}^{e}" for i, e in enumerate(exps, 1))
+        for exps, c in pairs
+    ) or " + 0"
+    return text[3:] if text[1] == "+" else "-" + text[3:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(term_lists())
+def test_every_way_in_adds_terms_up(case):
+    n, pairs = case
+    expected = summed_terms(pairs)
+    ways = {
+        "+": sum((Polynomial.monomial(exps, c) for exps, c in pairs), Polynomial.zero(n)),
+        "constructor": Polynomial(n, pairs),
+        "parse": Polynomial.parse(_text_of_pairs(pairs), n),
+        "from_json": Polynomial.from_json({"n": n, "terms": [[c, list(exps)] for exps, c in pairs]}),
+    }
+    for way, f in ways.items():
+        assert dict(f.sorted_terms()) == expected, way
+
+
+def test_repeated_terms_add_up():
+    f = Polynomial.from_json({"n": 1, "terms": [[1, [1]], [2, [1]]]})
+    assert str(f) == "3*x1"
+    assert f == Polynomial.parse("x1 + 2*x1", 1) == Polynomial(1, [((1,), 1), ((1,), 2)])
+    assert Polynomial.from_json({"n": 1, "terms": [[1, [1]], [-1, [1]]]}).is_zero
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: Polynomial.from_json({"n": 1, "terms": [[1, [1.7]]]}),
+        lambda: Polynomial.from_json({"n": 1, "terms": [[2.9, [1]]]}),
+        lambda: Polynomial.from_json({"n": 2.5, "terms": [[1, [1, 0]]]}),
+        lambda: Polynomial.from_json({"n": 1, "terms": [["2", [1]]]}),
+        lambda: Polynomial(2, {(1, 0): 1.5}),
+        lambda: Polynomial(2, {("1", 0): 1}),
+        lambda: Polynomial(2.5),
+        lambda: Polynomial(2.0),
+        lambda: Polynomial.monomial((1.0, 0)),
+    ],
+)
+def test_non_int_input_is_refused(make):
+    with pytest.raises(ValueError, match="not an int"):
+        make()
 
 
 def test_canonical_serialization_is_stable():
