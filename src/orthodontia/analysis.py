@@ -29,6 +29,7 @@ from orthodontia.diagram import OrthodonticSequence, closure_monomial, rothe_dia
 from orthodontia.grothendieck import (
     _grothendieck_entry,
     _is_sorted,
+    _keys,
     _primary_column_data,
     _schubert_entry,
     _sorted_step_up,
@@ -95,7 +96,7 @@ def support_witness(f: Polynomial, bound: Monomial) -> Monomial | None:
 def _grothendieck_witness(w: Permutation, bound: Monomial) -> Monomial | None:
     # support_witness of G_w, with the maximum exponents read off the keys
     # of its memo entry, so G_w is built only to name a witness
-    keys, _ = _grothendieck_entry(w.word)
+    keys = _keys(_grothendieck_entry(w.word))
     if not keys or monomial_divides(_max_exponents(keys, w.n), bound):
         return None
     return support_witness(grothendieck_recursive(w), bound)
@@ -116,8 +117,8 @@ def degree_report(w: Permutation, seq: OrthodonticSequence, closure: Monomial) -
 
     The degrees are read off the keys of the memo entries of G_w and S_w.
     """
-    groth, _ = _grothendieck_entry(w.word)
-    schub, _ = _schubert_entry(w.word)
+    groth = _keys(_grothendieck_entry(w.word))
+    schub = _keys(_schubert_entry(w.word))
     deg_groth = _degree(groth, w.n) if groth else 0
     deg_schub = _degree(schub, w.n) if schub else 0
     length = seq.step_count

@@ -65,8 +65,11 @@ class Diagram:
     def from_columns(cls, n: int, columns: Iterable[Iterable[int]]) -> Diagram:
         """The diagram whose column j holds the rows in ``columns[j-1]``."""
         masks = []
-        for column in columns:
-            rows = set(column)
+        for j, column in enumerate(columns, start=1):
+            try:
+                rows = set(map(operator.index, column))
+            except TypeError:
+                raise ValueError(f"column {j} has a row that is not an int") from None
             if any(not 1 <= i <= n for i in rows):
                 raise ValueError(f"column entries {sorted(rows)} outside 1..{n}")
             masks.append(sum(1 << (i - 1) for i in rows))

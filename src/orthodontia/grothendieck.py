@@ -22,14 +22,21 @@ sequence so that shared step prefixes are applied once.
 
 The memo caches are plain dicts keyed by one-line words, filled on
 demand.  A forked worker fills its own copy.  Each memo value is a
-read-only entry ``(keys, coeffs)``: the polynomial's packed keys as a
-tuple of ints shared through one intern table, so each distinct
-exponent vector is a single int object, and its coefficients as an
-``array('q')``, so about 16 bytes per term.  A coefficient outside the
-signed 64-bit range is refused, never truncated.  ``orthodontia
-compute`` keeps no memo: it runs the same walk with ``memo=None``, which
-stores nothing and holds only the polynomial in hand, because one
-``compute`` visits each word of its first-ascent chain once.
+read-only entry ``(indices, coeffs)`` of two arrays, each of the
+narrowest typecode that holds that entry's values.  The polynomial's
+packed keys are stored as indices into one key table that both memos
+share: a list from index to key and a dict from key to index, to which
+a key is appended when a frozen polynomial first has it.  The memos of
+S_n use n! keys, so an index takes 1 byte up to S_5 and 2 bytes up to
+S_8.  The coefficients take ``b``, ``h``, ``i`` or ``q`` (1 byte each
+up to S_6); one outside the signed 64-bit range is refused, never
+truncated.  Only this module reads the format: :func:`_thaw` rebuilds a
+polynomial, :func:`_keys` lists an entry's packed keys for the degree
+and maximum-exponent reads, and :func:`monk_residue_vanishes` sums
+target entries keyed by index.  ``orthodontia compute`` keeps no memo:
+it runs the same walk with ``memo=None``, which stores nothing and
+holds only the polynomial in hand, because one ``compute`` visits each
+word of its first-ascent chain once.
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ from __future__ import annotations
 from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, sub
 from typing import NamedTuple
 
 from orthodontia.diagram import (
@@ -54,33 +63,75 @@ from orthodontia.polynomial import Monomial, Polynomial, fundamental_weight
 
 
 class RankOverflowError(ValueError):
-    """A transition chain left S_n; the caller must re-embed w in a larger rank."""
+    """A transition chain left S_n; the caller must re-embed w in a larger rank.
+
+    Its args are j, w and n; the message is formatted only when read, so
+    a caller that skips the pair builds no string.
+    """
+
+    def __str__(self) -> str:
+        j, w, n = self.args
+        return (
+            f"expansion of x_{j} * G_w for w={w} leaves S_{n} "
+            f"(swapping positions {j} and {n + 1} raises the length by one)"
+        )
 
 
-_Entry = tuple[tuple[int, ...], array]  # a memo value: (packed keys, coefficients)
+_Entry = tuple[array, array]  # a memo value: (key indices, coefficients)
 
 _SCHUBERT_CACHE: dict[tuple[int, ...], _Entry] = {}
 _GROTH_CACHE: dict[tuple[int, ...], _Entry] = {}
-_KEYS: dict[int, int] = {}  # the intern table of the memos' keys
+
+
+class _KeyIndex(dict):
+    """The index of each packed key in ``_KEY_LIST``.  Looking up a key
+    not seen before with ``[]`` appends it there; ``get`` appends nothing."""
+
+    __slots__ = ()
+
+    def __missing__(self, key: int) -> int:
+        index = self[key] = len(_KEY_LIST)
+        _KEY_LIST.append(key)
+        return index
+
+
+# the memos' key table: index to packed key, and packed key to index
+_KEY_LIST: list[int] = []
+_KEY_INDEX = _KeyIndex()
+
+
+def _narrowest(codes: str, values: list[int]) -> array:
+    """values as an array of the first typecode in codes that holds them all;
+    OverflowError when not even the last one does."""
+    for code in codes[:-1]:
+        try:
+            return array(code, values)
+        except OverflowError:
+            pass
+    return array(codes[-1], values)
 
 
 def _freeze(f: Polynomial) -> _Entry:
     """The memo entry of f; refuses a coefficient outside the signed 64-bit range."""
     terms = f.terms
     try:
-        coeffs = array("q", terms.values())
+        coeffs = _narrowest("bhiq", list(terms.values()))
     except OverflowError:
         big = next(c for c in terms.values() if not -(1 << 63) <= c < 1 << 63)
         raise OverflowError(
             f"coefficient {big} does not fit a memo entry's signed 64-bit coefficients"
         ) from None
-    return tuple(map(_KEYS.setdefault, terms, terms)), coeffs
+    return _narrowest("BHIQ", list(map(_KEY_INDEX.__getitem__, terms))), coeffs
+
+
+def _keys(entry: _Entry) -> list[int]:
+    """The packed keys of a memo entry, in its term order."""
+    return list(map(_KEY_LIST.__getitem__, entry[0]))
 
 
 def _thaw(n: int, entry: _Entry) -> Polynomial:
     """The polynomial in n variables of a memo entry."""
-    keys, coeffs = entry
-    return Polynomial._raw(n, dict(zip(keys, coeffs)))
+    return Polynomial._raw(n, dict(zip(_keys(entry), entry[1])))
 
 
 def _first_ascent(word: tuple[int, ...]) -> int | None:
@@ -389,10 +440,7 @@ def monk_terms(j: int, w: Permutation) -> dict[tuple[int, ...], int]:
     if not 1 <= j <= n:
         raise ValueError(f"variable index {j} out of range for rank {n}")
     if all(v < word[j - 1] for v in word[j:]):
-        raise RankOverflowError(
-            f"expansion of x_{j} * G_w for w={w} leaves S_{n} "
-            f"(swapping positions {j} and {n + 1} raises the length by one)"
-        )
+        raise RankOverflowError(j, w, n)
     found: dict[tuple[int, ...], int] = {}
     # depth-first over chains; an entry is a chain's word, the largest
     # position left for a below-j swap (0 once an above-j swap is made),
@@ -425,6 +473,34 @@ def monk_terms(j: int, w: Permutation) -> dict[tuple[int, ...], int]:
                         raise AssertionError(f"conflicting signs for target {nxt}")
                     stack.append((nxt, a - 1, n, -1))
     return found
+
+
+def monk_residue_vanishes(
+    j: int, w: Permutation, targets: Mapping[tuple[int, ...], int]
+) -> bool:
+    """Does x_j * G_w equal the sum of sign * G_v over ``targets``, the
+    dict from target words to signs that :func:`monk_terms` gives?
+
+    Reads G_w and every G_v from the recursive memo, filling it on
+    demand, and builds no polynomial: the residue x_j * G_w minus every
+    sign * G_v is summed in one dict keyed by key index, which keeps its
+    zeros, and the identity holds iff every coefficient ends at 0.
+    """
+    # every target entry is fetched before any key is looked up, so a key
+    # of x_j * G_w with no index is a monomial that no G_v has
+    entries = [(_grothendieck_entry(v), sign) for v, sign in targets.items()]
+    base = _grothendieck_entry(w.word)
+    (x_j,) = Polynomial.variable(j, w.n).terms
+    # the key of x_j times a monomial is the sum of their keys
+    shifted = map(add, _keys(base), repeat(x_j))
+    residue = dict(zip(map(_KEY_INDEX.get, shifted), base[1]))
+    if None in residue:  # a monomial of x_j * G_w that no G_v has
+        return False
+    get = residue.get
+    for (indices, coeffs), sign in entries:
+        combine = sub if sign > 0 else add
+        residue.update(zip(indices, map(combine, map(get, indices, repeat(0)), coeffs)))
+    return not any(residue.values())
 
 
 def fallen_boxes(w: Permutation) -> frozenset[tuple[int, int]]:

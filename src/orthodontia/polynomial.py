@@ -5,7 +5,7 @@ tuples of nonnegative ints) to nonzero Python ints.  Coefficients are
 unbounded.  Exponents are nonnegative and at most ``MAX_EXPONENT`` (255):
 a larger exponent, whether given or produced by a product, raises
 ``ValueError``, as does a non-int exponent, coefficient or variable
-count given to the constructor or the parsers: none is truncated.  The
+count given to a constructor or a parser: none is truncated.  The
 two places where a negative power would be convenient are covered
 instead by :func:`exact_divide_monomial`, which divides by a monomial
 under a zero-remainder contract.
@@ -29,10 +29,12 @@ exponent vectors, and ``+``, ``-`` and ``*`` packed keys.  Code that sees
 no outside input keeps its own measured hot loops, and is all that
 computes on keys outside this module: the bijective shifts
 ``mul_monomial``, ``swap_variables`` and :func:`exact_divide_monomial`;
-``_apply`` in :mod:`orthodontia.operators`; the ``monk`` check of
-:mod:`orthodontia.cli`, which adds x_j's key and sums by ``dict.update``;
-and ``_thaw`` in :mod:`orthodontia.grothendieck`, whose memo stores keys
-as they are and reads degrees and maximum exponents through this module.
+``_apply`` in :mod:`orthodontia.operators`; and the memo of
+:mod:`orthodontia.grothendieck`, which keeps keys in one table and
+stores indices into it (``_freeze``, ``_thaw`` and ``_keys``), reads
+degrees and maximum exponents through this module, and checks the Monk
+expansion in ``monk_residue_vanishes``, which adds x_j's key and sums
+target entries by ``dict.update`` keyed by index.
 
 Polynomials are immutable values and safe to share between threads.
 """
@@ -97,6 +99,17 @@ def fundamental_weight(j: int, n: int) -> Monomial:
     return (1,) * j + (0,) * (n - j)
 
 
+def _variable_count(n: int) -> int:
+    """n as an int, refused unless it is an int of at least 1."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise ValueError(f"variable count {n!r} is not an int") from None
+    if n < 1:
+        raise ValueError("variable count must be at least 1")
+    return n
+
+
 def _pack(exps: Monomial) -> int:
     """The key of x^exps; refuses exponents outside 0..MAX_EXPONENT."""
     if min(exps) < 0:
@@ -130,12 +143,7 @@ class Polynomial:
 
     def __init__(self, n: int, terms: Mapping[Monomial, int] | Iterable | None = None):
         """The sum in x1..xn of ``terms``, a mapping or (exponents, coefficient) pairs."""
-        try:
-            n = operator.index(n)
-        except TypeError:
-            raise ValueError(f"variable count {n!r} is not an int") from None
-        if n < 1:
-            raise ValueError("variable count must be at least 1")
+        n = _variable_count(n)
         pairs = terms.items() if isinstance(terms, Mapping) else terms or ()
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", _add_terms({}, _packed(n, pairs)))
@@ -157,15 +165,21 @@ class Polynomial:
 
     @classmethod
     def one(cls, n: int) -> Polynomial:
-        return cls(n, {(0,) * n: 1})
+        return cls.constant(n, 1)
 
     @classmethod
     def constant(cls, n: int, c: int) -> Polynomial:
+        n = _variable_count(n)
         return cls(n, {(0,) * n: c})
 
     @classmethod
     def variable(cls, j: int, n: int) -> Polynomial:
         """The polynomial x_j (1-based)."""
+        n = _variable_count(n)
+        try:
+            j = operator.index(j)
+        except TypeError:
+            raise ValueError(f"variable index {j!r} is not an int") from None
         if not 1 <= j <= n:
             raise ValueError(f"variable index {j} out of range for n={n}")
         return cls._raw(n, {1 << _FIELD * n | 1 << _FIELD * (n - j): 1})

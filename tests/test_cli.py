@@ -813,19 +813,59 @@ def test_verify_fills_the_memos_only_as_its_checks_read_them(monkeypatch):
     assert len(grothendieck._GROTH_CACHE) == 120
 
 
-def test_verify_memos_share_one_key_object_per_exponent_vector(monkeypatch):
+def fresh_memos(monkeypatch) -> None:
+    """Empty both recursive memos and the key table they share, for one test."""
     for memo in ("_SCHUBERT_CACHE", "_GROTH_CACHE"):
         monkeypatch.setattr(grothendieck, memo, {})
+    monkeypatch.setattr(grothendieck, "_KEY_LIST", [])
+    monkeypatch.setattr(grothendieck, "_KEY_INDEX", grothendieck._KeyIndex())
+
+
+def test_verify_memos_share_one_key_object_per_exponent_vector(monkeypatch):
+    fresh_memos(monkeypatch)
     assert run_verify(6)[0] == 0
-    keys = [
-        key
+    entries = [
+        entry
         for memo in (grothendieck._SCHUBERT_CACHE, grothendieck._GROTH_CACHE)
-        for entry_keys, _ in memo.values()
-        for key in entry_keys
+        for entry in memo.values()
     ]
-    # the monomials under the staircase of S_6, each one int object
-    assert len(keys) > 20 * 720
-    assert len({id(key) for key in keys}) <= 720
+    assert sum(len(indices) for indices, _ in entries) > 20 * 720
+    # the monomials under the staircase of S_6, each one key in the table
+    table = grothendieck._KEY_LIST
+    assert len(table) <= 720 and len(set(table)) == len(table)
+    assert grothendieck._KEY_INDEX == {key: i for i, key in enumerate(table)}
+    # so each index fits 2 bytes, and each coefficient 1 byte
+    assert {indices.typecode for indices, _ in entries} <= {"B", "H"}
+    assert {coeffs.typecode for _, coeffs in entries} == {"b"}
+
+
+def test_verify_monk_from_empty_memos_passes_every_record(monkeypatch):
+    # the residue looks up x_j * G_w's keys only after every target entry
+    # is in the memo, so no key is missing merely because it came first
+    fresh_memos(monkeypatch)
+    code, out, _ = run_verify(5, suites=["monk"])
+    assert code == 0
+    *records, summary = map(json.loads, out.splitlines())
+    assert len(records) == 120 and all(record["ok"] for record in records)
+    assert summary["failed"] == 0 and summary["checked_total"] > 0
+
+
+def test_check_monk_fails_on_an_extra_term_whose_shift_has_no_index(monkeypatch):
+    fresh_memos(monkeypatch)
+    w = from_one_line([1, 3, 2, 4])
+    assert cli._check_monk(w) == {"ok": True, "checked": 3, "skipped": 1}
+    groth = grothendieck_recursive(w)
+    # no G_v of S_4 has a term of x_j times these, which lie under no
+    # staircase of S_4; the opposite pair would cancel if keys without an
+    # index were summed in one slot
+    x1, x2 = Polynomial.variable(1, 4), Polynomial.variable(2, 4)
+    for extra in (x1**5, x2**5 - x2**7):
+        grothendieck._GROTH_CACHE[w.word] = grothendieck._freeze(groth + extra)
+        for j in (1, 2, 3):
+            shifted = Polynomial.variable(j, 4) * extra
+            assert not shifted.terms.keys() & grothendieck._KEY_INDEX.keys()
+            assert not grothendieck.monk_residue_vanishes(j, w, monk_terms(j, w)), (extra, j)
+        assert cli._check_monk(w) == {"ok": False, "checked": 3, "skipped": 1}
 
 
 def test_verify_thaws_each_words_memo_entries_once_for_main_only(monkeypatch):
@@ -896,7 +936,7 @@ def test_verify_warns_of_the_time_and_memory_of_a_long_sweep(monkeypatch):
         raise RuntimeError("sweep reached")
 
     monkeypatch.setattr(cli, "_sweep", stop)
-    for n, cost in ((7, "about 5 s and 35 MiB"), (8, "about 4 min and 490 MiB")):
+    for n, cost in ((7, "about 5 s and 27 MiB"), (8, "about 4.5 min and 175 MiB")):
         out, err = io.StringIO(), io.StringIO()
         with pytest.raises(RuntimeError, match="sweep reached"):
             cmd_verify(n, ["sorted"], 1, None, out, err, max_rank=8)

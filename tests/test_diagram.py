@@ -305,10 +305,15 @@ def test_diagram_validation():
             Diagram(2, masks)
     with pytest.raises(ValueError):
         Diagram.from_columns(0, [])
-    # a grid size that is not an int is refused, not truncated
+    # a grid size or a row that is not an int is refused, not truncated
     for n in (2.9, 2.0, "2"):
         with pytest.raises(ValueError, match="is not an int"):
             Diagram.from_json({"n": n, "columns": [[1], []]})
+    for row in (1.0, 1.5, "1"):
+        with pytest.raises(ValueError, match="column 1 has a row that is not an int"):
+            Diagram.from_columns(2, [[row], []])
+        with pytest.raises(ValueError, match="is not an int"):
+            Diagram.from_json({"n": 2, "columns": [[row], []]})
 
 
 def test_orthodontic_sequence_validation():

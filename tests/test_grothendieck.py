@@ -20,6 +20,8 @@ from orthodontia.grothendieck import (
     FormulaChain,
     _descend,
     _freeze,
+    _keys,
+    _narrowest,
     _thaw,
     check_sorted_step,
     RankOverflowError,
@@ -161,9 +163,28 @@ def test_memo_entries_thaw_to_the_polynomials_they_froze(rng):
     ]
     polys.append(Polynomial.constant(2, (1 << 63) - 1) - Polynomial.variable(1, 2) * (1 << 63))
     for f in polys:
-        keys, coeffs = entry = _freeze(f)
-        assert coeffs.typecode == "q" and len(keys) == len(coeffs) == len(f.terms)
+        indices, coeffs = entry = _freeze(f)
+        assert len(indices) == len(coeffs) == len(f.terms)
+        assert _keys(entry) == list(f.terms)
         assert _thaw(f.n, entry) == f
+    # each entry's coefficients take the narrowest signed typecode that holds them
+    x1 = Polynomial.variable(1, 2)
+    for low, high, code in [
+        (-128, 127, "b"),
+        (-129, 128, "h"),
+        (-32_768, 32_767, "h"),
+        (-32_769, 32_768, "i"),
+        (-(1 << 31), (1 << 31) - 1, "i"),
+        (-(1 << 31) - 1, 1 << 31, "q"),
+        (-(1 << 63), (1 << 63) - 1, "q"),
+    ]:
+        for c in (low, high):
+            f = x1 + Polynomial.constant(2, c)
+            assert _freeze(f)[1].typecode == code, c
+            assert _thaw(2, _freeze(f)) == f
+    # and its key indices the narrowest unsigned one
+    for top, code in [(255, "B"), (256, "H"), (65_535, "H"), (65_536, "I")]:
+        assert _narrowest("BHIQ", [0, top]).typecode == code, top
 
 
 @pytest.mark.parametrize("coeff", [1 << 63, -(1 << 63) - 1, 1 << 200])

@@ -251,6 +251,12 @@ def test_repeated_terms_add_up():
         lambda: Polynomial(2.5),
         lambda: Polynomial(2.0),
         lambda: Polynomial.monomial((1.0, 0)),
+        lambda: Polynomial.zero(2.5),
+        lambda: Polynomial.one(2.5),
+        lambda: Polynomial.constant(2.5, 3),
+        lambda: Polynomial.variable(1, 2.5),
+        lambda: Polynomial.variable(1.0, 2),
+        lambda: Polynomial.one("2"),
     ],
 )
 def test_non_int_input_is_refused(make):
