@@ -15,16 +15,17 @@ directory, is refused before the sweep.  The file's first line is the
 stamp of these sources, {"version": STAMP}, and every other line is one
 record exactly as verify prints it, grouped by (n, suite).  The first
 line decides how the rest is read: after the current stamp, a record is
-replayed only when its w is a permutation of 1..n, it carries exactly
-its suite's fields, each holding a value its suite's check can produce
-for w, and its ok is what its suite's record rule derives from its word
-and other fields; other lines are skipped and recomputed, with one
-warning on stderr.  After another stamp, or a line of an older format,
-every line is skipped silently; after anything else, every line is
-malformed and skipped with the warning.  A run that computes a record or
-skips a line rewrites the file from its trusted records plus the new
-ones, so stale lines go at the next write; of two concurrent runs
-sharing one file, the last writer's file is kept.
+replayed only when the line is exactly the line verify prints for its
+record, its w is a permutation of 1..n, it carries exactly its suite's
+fields, each holding a value its suite's check can produce for w, and
+its ok is what its suite's record rule derives from its word and other
+fields; other lines are skipped and recomputed, with one warning on
+stderr.  After another stamp, or a line of an older format, every line
+is skipped silently; after anything else, every line is malformed and
+skipped with the warning.  A run that computes a record or skips a line
+rewrites the file from its trusted records plus the new ones, so stale
+lines go at the next write; of two concurrent runs sharing one file, the
+last writer's file is kept.
 --jobs must be at least 1 and is capped at the CPU count.
 """
 
@@ -306,40 +307,122 @@ def _line(n: int, suite: str, word: tuple[int, ...], record: dict) -> str:
 
 
 def _json_object(line: str) -> dict | None:
+    # ValueError covers JSONDecodeError and an integer too long to convert;
+    # RecursionError, nesting deeper than the decoder's recursion limit
     try:
         value = json.loads(line)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         return None
     return value if isinstance(value, dict) else None
 
 
+# The record line codec.  A record's line is f'{head}"w":[{digits}]{tail}',
+# where digits is its word's entries joined by commas, and head and tail
+# are its line with an empty word cut around "w":[].  They depend on
+# (n, suite, values) only, so both directions build, or parse and check,
+# them once per distinct record shape: S_7's 30,240 lines have 226.
+
+def _word_format(length: int) -> str:
+    """The %-format of the entries, joined by commas, of a word of this length."""
+    return ",".join(["%d"] * length)
+
+
+def _outer(n: int, suite: str, record: dict) -> tuple[str, str]:
+    """The head and tail of the record's line, around its word."""
+    head, _, tail = _line(n, suite, (), record).partition('"w":[]')
+    return head, tail
+
+
+def _encoder(n: int, suite: str) -> Callable[[tuple[int, ...], tuple], str]:
+    """The line, with its newline, of each record of (n, suite) from its
+    word and value tuple."""
+    fields = _SUITE_RULES[suite].fields
+    word_format = _word_format(n)
+    # keyed by the value tuple, which prints as every tuple equal to it does (see _Store)
+    outer: dict[tuple, tuple[str, str]] = {}
+
+    def encode(word: tuple[int, ...], values: tuple) -> str:
+        try:
+            head, tail = outer[values]
+        except KeyError:
+            head, tail = outer[values] = _outer(n, suite, dict(zip(fields, values)))
+        return f'{head}"w":[{word_format % word}]{tail}\n'
+
+    return encode
+
+
+class _Shape(NamedTuple):
+    n: int
+    suite: str
+    rule: _Rule
+    record: dict  # the fields besides suite, n and w, each list read as a tuple
+    # the record's values in the rule's order, hashable once the rule accepts them
+    values: tuple
+
+
+def _shape(head: str, tail: str) -> _Shape | None:
+    # the record that a line's head and tail hold, when its suite has a
+    # rule, n is an int, its other fields are exactly the rule's, and
+    # _outer gives back exactly head and tail for it
+    record = _json_object(f'{head}"w":[]{tail}')
+    if record is None:
+        return None
+    suite, n = record.pop("suite", None), record.pop("n", None)
+    record.pop("w", None)
+    rule = _SUITE_RULES.get(suite) if type(suite) is str else None
+    if rule is None or type(n) is not int or record.keys() != set(rule.fields):
+        return None
+    record = {field: tuple(v) if type(v) is list else v for field, v in record.items()}
+    if _outer(n, suite, record) != (head, tail):
+        return None
+    return _Shape(n, suite, rule, record, tuple(map(record.__getitem__, rule.fields)))
+
+
+def _word(digits: str) -> tuple[int, ...] | None:
+    # the word whose entries joined by commas are exactly digits (so not
+    # "+1", " 1", "01" or "1.0"), when it is a permutation of 1..its length
+    try:
+        word = tuple(map(int, digits.split(",")))
+    except ValueError:
+        return None
+    if _word_format(len(word)) % word != digits or sorted(word) != list(range(1, len(word) + 1)):
+        return None
+    return word
+
+
 def _load_record(
-    line: str, store: _Store, words: dict[tuple, tuple], shared: dict[tuple, tuple]
+    line: str,
+    store: _Store,
+    shapes: dict[tuple[str, str], _Shape | None],
+    words: dict[str, tuple[int, ...] | None],
+    shared: dict[tuple, tuple],
 ) -> bool:
     # adds the line's record to store and returns True when it can be
-    # replayed: its suite has a rule, n is an int, w is a permutation of
-    # 1..n, its other fields are exactly the rule's, and ok is what the
-    # rule derives, with each list value read as a tuple.  The records of
-    # one word share one word tuple from words
-    record = _json_object(line)
-    if record is None:
+    # replayed: its head and tail are a trusted shape, its word is a
+    # permutation of 1..n, and ok is what the rule derives for that word.
+    # Shapes and words are parsed once each, and the records of one word
+    # share its tuple from words
+    head, _, rest = line.removesuffix("\n").partition('"w":[')
+    digits, bracket, tail = rest.partition("]")
+    if not bracket:
         return False
-    suite, n, w = record.pop("suite", None), record.pop("n", None), record.pop("w", None)
-    rule = _SUITE_RULES.get(suite) if type(suite) is str else None
-    if rule is None or type(n) is not int or type(w) is not list or len(w) != n:
+    try:
+        shape = shapes[head, tail]
+    except KeyError:
+        shape = shapes[head, tail] = _shape(head, tail)
+    if shape is None:
         return False
-    if not all(type(v) is int for v in w) or sorted(w) != list(range(1, n + 1)):
+    try:
+        word = words[digits]
+    except KeyError:
+        word = words[digits] = _word(digits)
+    if word is None or len(word) != shape.n:
         return False
-    if record.keys() != set(rule.fields):
+    ok = shape.rule.ok(word, shape.record)
+    if ok is None or shape.record["ok"] is not ok:
         return False
-    record = {field: tuple(v) if type(v) is list else v for field, v in record.items()}
-    word = tuple(w)
-    word = words.setdefault(word, word)
-    ok = rule.ok(word, record)
-    if ok is None or record["ok"] is not ok:
-        return False
-    values = tuple(map(record.__getitem__, rule.fields))
-    store.setdefault((n, suite), {})[word] = shared.setdefault(values, values)
+    values = shared.setdefault(shape.values, shape.values)
+    store.setdefault((shape.n, shape.suite), {})[word] = values
     return True
 
 
@@ -349,23 +432,25 @@ def _load_cache(path: str, err: TextIO, shared: dict[tuple, tuple]) -> tuple[_St
     leave out.
 
     The first line decides.  After the stamp line of these sources, a
-    line that is not a trusted record is skipped with one warning and
-    recomputed.  After another stamp, or a line of an older format, every
-    line is skipped silently.  After anything else, every line is
-    malformed and skipped with the warning.
+    line that is not exactly the line verify prints for a trusted record
+    is skipped with one warning and recomputed.  After another stamp, or
+    a line of an older format, every line is skipped silently.  After
+    anything else, every line is malformed and skipped with the warning.
     """
     store: _Store = {}
-    words: dict[tuple, tuple] = {}
+    shapes: dict[tuple[str, str], _Shape | None] = {}
+    words: dict[str, tuple[int, ...] | None] = {}
     lines = malformed = 0
     try:
-        with open(path, "r", encoding="utf-8", errors="replace") as handle:
+        # newline="\n" keeps a "\r" before the newline, which no record line has
+        with open(path, "r", encoding="utf-8", errors="replace", newline="\n") as handle:
             nonblank = filter(str.strip, handle)
             first = next(nonblank, None)
             head = None if first is None else _json_object(first)
             if head == {"version": _cache_stamp()}:
                 for line in nonblank:
                     lines += 1
-                    malformed += not _load_record(line, store, words, shared)
+                    malformed += not _load_record(line, store, shapes, words, shared)
             elif first is not None:
                 lines = 1 + sum(1 for _ in nonblank)
                 malformed = 0 if head and "version" in head else lines
@@ -388,9 +473,9 @@ def _write_cache(path: str, store: _Store) -> None:
         with open(temp, "w", encoding="utf-8") as handle:
             handle.write(_dump({"version": _cache_stamp()}) + "\n")
             for (n, suite), records in store.items():
-                fields = _SUITE_RULES[suite].fields
+                encode = _encoder(n, suite)
                 for word, values in records.items():
-                    handle.write(_line(n, suite, word, dict(zip(fields, values))) + "\n")
+                    handle.write(encode(word, values))
         os.replace(temp, path)
     except OSError:
         if os.path.exists(temp):
@@ -538,14 +623,17 @@ def cmd_verify(
     failures = 0
     for suite, records in zip(selected, suite_records):
         rule = _SUITE_RULES[suite]
+        ok = rule.fields.index("ok")
+        counts = {rule.fields.index(field): name for field, name in rule.counts.items()}
+        encode = _encoder(n, suite)
         failed = 0
-        totals = dict.fromkeys(rule.counts.values(), 0)
+        totals = dict.fromkeys(counts.values(), 0)
         for word in permutations(range(1, n + 1)):
-            record = dict(zip(rule.fields, records[word]))
-            failed += not record["ok"]
-            for field, name in rule.counts.items():
-                totals[name] += record[field]
-            out.write(_line(n, suite, word, record) + "\n")
+            values = records[word]
+            failed += not values[ok]
+            for index, name in counts.items():
+                totals[name] += values[index]
+            out.write(encode(word, values))
         summary = {"suite": suite, "n": n, "summary": True, "total": len(records), "failed": failed}
         out.write(_dump({**summary, **totals}) + "\n")
         if rule.gates:

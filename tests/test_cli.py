@@ -414,16 +414,23 @@ def test_verify_cache_ignores_records_stamped_before_the_source_hash(tmp_path, c
 MAIN_OK = b'"groth_match":true,"lowest_degree_match":true,"ok":true,"schubert_match":true'
 
 
-def assert_skipped_then_silent(cache, content: bytes, skipped: int) -> None:
+def assert_skipped_then_silent(cache, content: bytes, skipped: int, n=2, suite="main"):
     cache.write_bytes(content)
-    _, expected, _ = run_verify(2, suites=["main"])
-    code, out, err = run_verify(2, suites=["main"], cache=str(cache))
+    _, expected, _ = run_verify(n, suites=[suite])
+    code, out, err = run_verify(n, suites=[suite], cache=str(cache))
     assert code == 0 and out == expected
     assert err == f"warning: skipped {skipped} malformed line(s) in cache {cache}\n"
     # the run rewrote the file without the bad lines, so replay is silent
     assert_cache_holds(cache, expected)
-    code, replay, err = run_verify(2, suites=["main"], cache=str(cache))
+    code, replay, err = run_verify(n, suites=[suite], cache=str(cache))
     assert code == 0 and replay == expected and err == ""
+
+
+# the line verify prints for the main record of 21
+MAIN_21 = (
+    b'{"groth_match":true,"lowest_degree_match":true,"n":2,"ok":true,"schubert_match":true,'
+    b'"suite":"main","w":[2,1]}'
+)
 
 
 @pytest.mark.parametrize(
@@ -437,6 +444,23 @@ def assert_skipped_then_silent(cache, content: bytes, skipped: int) -> None:
         b'{"n":2,"suite":"main","w":["a",2],' + MAIN_OK + b"}",
         b'{"n":2,"suite":"main","w":[[1],2],' + MAIN_OK + b"}",
         b'{"n":"2","suite":"main","w":[2,1],' + MAIN_OK + b"}",
+        # nested deeper than the recursion limit, as a whole line and
+        # around a word; an integer too long to convert
+        pytest.param(b"[" * 100_000, id="nested-line"),
+        pytest.param(b'{"w":[2,1],"x":' + b"[" * 100_000, id="nested-around-word"),
+        pytest.param(
+            b'{"checked":' + b"9" * 5000 + b',"n":2,"ok":true,"skipped":1,"suite":"monk","w":[1,2]}',
+            id="long-integer",
+        ),
+        # the record of 21 with the right values, but not the line verify prints
+        MAIN_21.replace(b'"n":2', b'"n": 2'),
+        b'{"n":2,' + MAIN_21[1:].replace(b'"n":2,', b""),
+        MAIN_21.replace(b"[2,1]", b"[2, 1]"),
+        MAIN_21.replace(b"[2,1]", b"[2,1.0]"),
+        MAIN_21.replace(b"[2,1]", b"[2,01]"),
+        MAIN_21.replace(b"[2,1]", b"[+2,1]"),
+        MAIN_21 + b"\r",
+        b" " + MAIN_21,
     ],
 )
 def test_verify_cache_skips_malformed_line(tmp_path, line):
@@ -446,10 +470,53 @@ def test_verify_cache_skips_malformed_line(tmp_path, line):
 # without a stamp line first, every line is malformed, even a record
 @pytest.mark.parametrize(
     "content, skipped",
-    [(b"[1]\n", 1), (b'\xff{\n{"n":2,"suite":"main","w":[2,1],' + MAIN_OK + b"}\n", 2)],
+    [
+        (b"[1]\n", 1),
+        (b'\xff{\n{"n":2,"suite":"main","w":[2,1],' + MAIN_OK + b"}\n", 2),
+        pytest.param(b"[" * 100_000 + b"\n" + MAIN_21 + b"\n", 2, id="nested-line"),
+        pytest.param(b"9" * 5000 + b"\n", 1, id="long-integer"),
+    ],
 )
 def test_verify_cache_without_a_stamp_line_is_malformed(tmp_path, content, skipped):
     assert_skipped_then_silent(tmp_path / "results.jsonl", content, skipped)
+
+
+# a trusted line with only its word changed: to one that is not a
+# permutation of 1..n, or to one whose monk counts or sorted flag differ
+# from the record's; the line before it has the same text around its word
+@pytest.mark.parametrize(
+    "n, suite, word, other",
+    [
+        (2, "main", "2,1", "1,1"),
+        (2, "main", "2,1", "3,1"),
+        (3, "monk", "1,2,3", "3,2,1"),
+        (3, "sorted", "1,3,2", "2,1,3"),
+    ],
+)
+def test_verify_cache_shape_vouches_for_no_word(tmp_path, n, suite, word, other):
+    cache = tmp_path / "results.jsonl"
+    run_verify(n, suites=[suite], cache=str(cache))
+    old, new = f'"w":[{word}]'.encode(), f'"w":[{other}]'.encode()
+    line = next(line for line in cache.read_bytes().splitlines() if old in line)
+    assert_skipped_then_silent(cache, stamped(line, line.replace(old, new)), 1, n, suite)
+
+
+def test_verify_replay_parses_each_record_shape_once(tmp_path, monkeypatch):
+    # the stamp line, then the text around the word once per distinct
+    # (suite, value tuple): S_6 has 85, and the bound is the one
+    # test_verify_store_shares_equal_records sets for its 83 distinct tuples
+    cache = str(tmp_path / "results.jsonl")
+    _, cold, _ = run_verify(6, cache=cache)
+    parsed = []
+    real = cli._json_object
+
+    def parse(line):
+        parsed.append(line)
+        return real(line)
+
+    monkeypatch.setattr(cli, "_json_object", parse)
+    assert run_verify(6, cache=cache) == (0, cold, "")
+    assert len(parsed) <= 1 + 100
 
 
 @pytest.mark.parametrize(
