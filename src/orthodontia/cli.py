@@ -7,25 +7,26 @@ Permutations are written as a digit string for rank at most 9 (31542)
 and comma-separated otherwise (10,3,1,...).  The verify subcommand
 streams one JSON record per permutation per suite, followed by a summary
 record per suite; its stdout is byte-identical across runs and worker
-counts.  Results can be cached in a JSON-lines file given by --cache or
-the ORTHODONTIA_CACHE environment variable.  A symlink is followed, and
-the file it resolves to is rewritten; a path that resolves to anything
-but a regular file (a directory, a device, a FIFO), or into a missing
+counts.  Results can be cached in a file given by --cache or the
+ORTHODONTIA_CACHE environment variable.  A symlink is followed, and the
+file it resolves to is rewritten; a path that resolves to anything but a
+regular file (a directory, a device, a FIFO), or into a missing
 directory, is refused before the sweep.  The file's first line is the
-stamp of these sources, {"version": STAMP}, and every other line is one
-record exactly as verify prints it, grouped by (n, suite).  The first
-line decides how the rest is read: after the current stamp, a record is
-replayed only when the line is exactly the line verify prints for its
-record, its w is a permutation of 1..n, it carries exactly its suite's
-fields, each holding a value its suite's check can produce for w, and
-its ok is what its suite's record rule derives from its word and other
-fields; other lines are skipped and recomputed, with one warning on
-stderr.  After another stamp, or a line of an older format, every line
-is skipped silently; after anything else, every line is malformed and
-skipped with the warning.  A run that computes a record or skips a line
-rewrites the file from its trusted records plus the new ones, so stale
-lines go at the next write; of two concurrent runs sharing one file, the
-last writer's file is kept.
+stamp of these sources, {"version": STAMP}.  Then comes one block per
+(n, suite): a header line {"bytes": B, "n": n, "sha256": D, "suite": s},
+then exactly the B bytes that verify prints for that suite at rank n,
+its n! record lines and its summary line.  D is the sha256 of "n s\n"
+followed by those bytes.  The first line decides how the rest is read:
+after the current stamp, a block whose bytes match its digest is
+replayed by writing its text, and its summary line gives its share of
+the exit code; any other block, and any run of lines that are not a
+header, is skipped with one warning on stderr, and a selected suite it
+held is recomputed.  After another stamp, as every older format has,
+every line is skipped silently; after anything else, the file is one
+malformed block, skipped with the warning.  A run that computes a suite
+or skips a block rewrites the file: its trusted blocks byte for byte,
+then the computed ones, so stale blocks go at the next write; of two
+concurrent runs sharing one file, the last writer's file is kept.
 --jobs must be at least 1 and is capped at the CPU count.
 """
 
@@ -39,7 +40,7 @@ import os
 import sys
 from itertools import accumulate, permutations
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence, TextIO
+from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from orthodontia import __version__
 from orthodontia.analysis import check_conjecture, check_divisibility, degree_report
@@ -278,37 +279,41 @@ def _verify_task(
 # ---------------------------------------------------------------------------
 # result cache
 
-# The trusted records of one verify run: for each (n, suite), a dict from
-# each word to its record as the tuple of its field values in the order of
-# the suite's rule.  Equal tuples are one object, drawn from the run's
-# intern dict.  Equality takes True for 1, but a rule trusts only None,
-# bools, ints and tuples of ints, and records of one length hold their
-# bools in the same places, so equal tuples print the same.
-_Store = dict[tuple[int, str], dict[tuple[int, ...], tuple]]
+
+def _sha256(data: bytes = b""):
+    # the builtin sha256: hashlib loads OpenSSL (20 ms, 3.5 MiB of RSS)
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        from _sha256 import sha256
+    return sha256(data)
 
 
 @functools.cache
 def _cache_stamp() -> str:
     """__version__ plus the first 16 hex digits of a sha256 over the
     package's .py files, each file's name and bytes in name order."""
-    try:  # the builtin sha256: hashlib loads OpenSSL (20 ms, 3.5 MiB of RSS)
-        from _sha2 import sha256  # CPython 3.12 and later
-    except ImportError:
-        from _sha256 import sha256
-    digest = sha256()
+    digest = _sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         digest.update(path.name.encode() + path.read_bytes())
     return f"{__version__}+{digest.hexdigest()[:16]}"
 
 
-def _line(n: int, suite: str, word: tuple[int, ...], record: dict) -> str:
-    """One record as verify prints it and the cache stores it."""
-    return _dump({"suite": suite, "n": n, "w": word, **record})
+def _digest(n: int, suite: str, chunks: Iterable[bytes]) -> tuple[int, str]:
+    """The byte length and the sha256 of a cache block that is the chunks
+    joined; the sha256 covers the block's n and suite, then its bytes."""
+    digest = _sha256(f"{n} {suite}\n".encode())
+    size = 0
+    for chunk in chunks:
+        digest.update(chunk)
+        size += len(chunk)
+    return size, digest.hexdigest()
 
 
-def _json_object(line: str) -> dict | None:
-    # ValueError covers JSONDecodeError and an integer too long to convert;
-    # RecursionError, nesting deeper than the decoder's recursion limit
+def _json_object(line: str | bytes) -> dict | None:
+    # ValueError covers JSONDecodeError, bytes that are not UTF-8 and an
+    # integer too long to convert; RecursionError, nesting deeper than the
+    # decoder's recursion limit
     try:
         value = json.loads(line)
     except (ValueError, RecursionError):
@@ -316,166 +321,159 @@ def _json_object(line: str) -> dict | None:
     return value if isinstance(value, dict) else None
 
 
-# The record line codec.  A record's line is f'{head}"w":[{digits}]{tail}',
-# where digits is its word's entries joined by commas, and head and tail
-# are its line with an empty word cut around "w":[].  They depend on
-# (n, suite, values) only, so both directions build, or parse and check,
-# them once per distinct record shape: S_7's 30,240 lines have 226.
-
-def _word_format(length: int) -> str:
-    """The %-format of the entries, joined by commas, of a word of this length."""
-    return ",".join(["%d"] * length)
-
-
-def _outer(n: int, suite: str, record: dict) -> tuple[str, str]:
-    """The head and tail of the record's line, around its word."""
-    head, _, tail = _line(n, suite, (), record).partition('"w":[]')
-    return head, tail
-
-
 def _encoder(n: int, suite: str) -> Callable[[tuple[int, ...], tuple], str]:
     """The line, with its newline, of each record of (n, suite) from its
-    word and value tuple."""
+    word and value tuple.
+
+    A record's line is f'{head}"w":[{digits}]{tail}', where digits is its
+    word's entries joined by commas, and head and tail are its line with
+    an empty word cut around "w":[].  They depend on the value tuple only,
+    so they are built once per distinct tuple: S_7's 30,240 records have
+    224.  Equality takes True for 1, but each field of a suite's records
+    always holds the same type, so equal tuples print the same.
+    """
     fields = _SUITE_RULES[suite].fields
-    word_format = _word_format(n)
-    # keyed by the value tuple, which prints as every tuple equal to it does (see _Store)
+    word_format = ",".join(["%d"] * n)
     outer: dict[tuple, tuple[str, str]] = {}
 
     def encode(word: tuple[int, ...], values: tuple) -> str:
         try:
             head, tail = outer[values]
         except KeyError:
-            head, tail = outer[values] = _outer(n, suite, dict(zip(fields, values)))
+            line = _dump({"suite": suite, "n": n, "w": (), **dict(zip(fields, values))})
+            head, _, tail = line.partition('"w":[]')
+            outer[values] = head, tail
         return f'{head}"w":[{word_format % word}]{tail}\n'
 
     return encode
 
 
-class _Shape(NamedTuple):
-    n: int
-    suite: str
-    rule: _Rule
-    record: dict  # the fields besides suite, n and w, each list read as a tuple
-    # the record's values in the rule's order, hashable once the rule accepts them
-    values: tuple
+def _render(n: int, suite: str, records: dict[tuple[int, ...], tuple]) -> Iterator[str]:
+    """What verify prints for a computed suite at rank n, line by line:
+    each word's record line in word order, then the summary line."""
+    rule = _SUITE_RULES[suite]
+    ok = rule.fields.index("ok")
+    counts = {rule.fields.index(field): name for field, name in rule.counts.items()}
+    encode = _encoder(n, suite)
+    failed = 0
+    totals = dict.fromkeys(counts.values(), 0)
+    for word in permutations(range(1, n + 1)):
+        values = records[word]
+        failed += not values[ok]
+        for index, name in counts.items():
+            totals[name] += values[index]
+        yield encode(word, values)
+    summary = {"suite": suite, "n": n, "summary": True, "total": len(records), "failed": failed}
+    yield _dump({**summary, **totals}) + "\n"
 
 
-def _shape(head: str, tail: str) -> _Shape | None:
-    # the record that a line's head and tail hold, when its suite has a
-    # rule, n is an int, its other fields are exactly the rule's, and
-    # _outer gives back exactly head and tail for it
-    record = _json_object(f'{head}"w":[]{tail}')
-    if record is None:
+def _failed(n: int, suite: str, line: str | bytes) -> int | None:
+    """The failed count of a block's last line, or None when that line is
+    not the summary of (n, suite)."""
+    summary = _json_object(line) or {}
+    failed = summary.get("failed")
+    if summary.get("summary") is True and summary.get("n") == n and summary.get("suite") == suite:
+        return failed if type(failed) is int else None
+    return None
+
+
+class _Block(NamedTuple):
+    # a trusted block of the cache file: the offsets of its header line,
+    # its text and its end, and its summary's failed count
+    start: int
+    body: int
+    end: int
+    failed: int
+
+
+def _header(line: bytes, room: int) -> tuple[tuple[int, str], int, object] | None:
+    # the (n, suite), byte length and digest that a block's header line
+    # holds, when it holds exactly these, with n an int, a known suite and
+    # a positive length of at most room, the bytes left in the file
+    header = _json_object(line)
+    if header is None or header.keys() != {"bytes", "n", "sha256", "suite"}:
         return None
-    suite, n = record.pop("suite", None), record.pop("n", None)
-    record.pop("w", None)
-    rule = _SUITE_RULES.get(suite) if type(suite) is str else None
-    if rule is None or type(n) is not int or record.keys() != set(rule.fields):
+    n, suite, length = header["n"], header["suite"], header["bytes"]
+    if type(n) is not int or suite not in SUITES or type(length) is not int or not 0 < length <= room:
         return None
-    record = {field: tuple(v) if type(v) is list else v for field, v in record.items()}
-    if _outer(n, suite, record) != (head, tail):
-        return None
-    return _Shape(n, suite, rule, record, tuple(map(record.__getitem__, rule.fields)))
+    return (n, suite), length, header["sha256"]
 
 
-def _word(digits: str) -> tuple[int, ...] | None:
-    # the word whose entries joined by commas are exactly digits (so not
-    # "+1", " 1", "01" or "1.0"), when it is a permutation of 1..its length
-    try:
-        word = tuple(map(int, digits.split(",")))
-    except ValueError:
-        return None
-    if _word_format(len(word)) % word != digits or sorted(word) != list(range(1, len(word) + 1)):
-        return None
-    return word
+def _load_cache(cache: BinaryIO, path: str, err: TextIO) -> tuple[dict[tuple[int, str], _Block], bool]:
+    """The trusted blocks of the open cache file, by (n, suite), and
+    whether the file held anything else but blank lines.
 
-
-def _load_record(
-    line: str,
-    store: _Store,
-    shapes: dict[tuple[str, str], _Shape | None],
-    words: dict[str, tuple[int, ...] | None],
-    shared: dict[tuple, tuple],
-) -> bool:
-    # adds the line's record to store and returns True when it can be
-    # replayed: its head and tail are a trusted shape, its word is a
-    # permutation of 1..n, and ok is what the rule derives for that word.
-    # Shapes and words are parsed once each, and the records of one word
-    # share its tuple from words
-    head, _, rest = line.removesuffix("\n").partition('"w":[')
-    digits, bracket, tail = rest.partition("]")
-    if not bracket:
-        return False
-    try:
-        shape = shapes[head, tail]
-    except KeyError:
-        shape = shapes[head, tail] = _shape(head, tail)
-    if shape is None:
-        return False
-    try:
-        word = words[digits]
-    except KeyError:
-        word = words[digits] = _word(digits)
-    if word is None or len(word) != shape.n:
-        return False
-    ok = shape.rule.ok(word, shape.record)
-    if ok is None or shape.record["ok"] is not ok:
-        return False
-    values = shared.setdefault(shape.values, shape.values)
-    store.setdefault((shape.n, shape.suite), {})[word] = values
-    return True
-
-
-def _load_cache(path: str, err: TextIO, shared: dict[tuple, tuple]) -> tuple[_Store, bool]:
-    """The trusted records of the cache file, with their value tuples
-    drawn from shared, and whether the file held any nonblank line they
-    leave out.
-
-    The first line decides.  After the stamp line of these sources, a
-    line that is not exactly the line verify prints for a trusted record
-    is skipped with one warning and recomputed.  After another stamp, or
-    a line of an older format, every line is skipped silently.  After
-    anything else, every line is malformed and skipped with the warning.
+    The first nonblank line decides.  After the stamp line of these
+    sources, a block is trusted when its header is well formed, its bytes
+    are all there and match the header's digest, no trusted block of its
+    (n, suite) came before it, and its last line is that suite's summary.
+    No record line is parsed.  Every other block, and every run of lines
+    that are not a header, is skipped with one warning giving their
+    count.  After another stamp every line is skipped silently; after
+    anything else the whole file is skipped as one malformed block.
     """
-    store: _Store = {}
-    shapes: dict[tuple[str, str], _Shape | None] = {}
-    words: dict[str, tuple[int, ...] | None] = {}
-    lines = malformed = 0
-    try:
-        # newline="\n" keeps a "\r" before the newline, which no record line has
-        with open(path, "r", encoding="utf-8", errors="replace", newline="\n") as handle:
-            nonblank = filter(str.strip, handle)
-            first = next(nonblank, None)
-            head = None if first is None else _json_object(first)
-            if head == {"version": _cache_stamp()}:
-                for line in nonblank:
-                    lines += 1
-                    malformed += not _load_record(line, store, shapes, words, shared)
-            elif first is not None:
-                lines = 1 + sum(1 for _ in nonblank)
-                malformed = 0 if head and "version" in head else lines
-    except OSError:
-        pass
+    blocks: dict[tuple[int, str], _Block] = {}
+    size = os.fstat(cache.fileno()).st_size
+    lines = iter(cache.readline, b"")
+    first = next((line for line in lines if line.strip()), None)
+    stamp = None if first is None else _json_object(first)
+    current = stamp == {"version": _cache_stamp()}
+    malformed = 0 if current or first is None or (stamp and "version" in stamp) else 1
+    skipping = False  # in a run of lines that are not a header, which counts once
+    start = cache.tell()  # the offset of the next line
+    for line in lines if current else ():
+        body = start + len(line)
+        header = _header(line, size - body)
+        if header is None:
+            start = body
+            if line.strip() and not skipping:
+                malformed += 1
+                skipping = True
+            continue
+        key, length, digest = header
+        text = cache.read(length)
+        start = cache.tell()
+        failed = None
+        if text.endswith(b"\n") and key not in blocks and (length, digest) == _digest(*key, [text]):
+            failed = _failed(*key, text[text.rfind(b"\n", 0, -1) + 1:])
+        if failed is None:
+            malformed += 1
+        else:
+            blocks[key] = _Block(body - len(line), body, start, failed)
+        skipping = failed is None
     if malformed:
-        err.write(f"warning: skipped {malformed} malformed line(s) in cache {path}\n")
-    return store, lines > sum(map(len, store.values()))
+        err.write(f"warning: skipped {malformed} malformed block(s) in cache {path}\n")
+    return blocks, first is not None and (malformed > 0 or not current)
 
 
-def _write_cache(path: str, store: _Store) -> None:
-    """Replace the cache file with the stamp line and one line per record,
-    grouped by (n, suite).
+def _write_cache(
+    path: str,
+    cache: BinaryIO | None,
+    blocks: dict[tuple[int, str], _Block],
+    n: int,
+    computed: dict[str, dict[tuple[int, ...], tuple]],
+) -> None:
+    """Replace the cache file with the stamp line, each trusted block of
+    the open old file byte for byte, and a block for each computed suite
+    at rank n.  A trusted block is read whole; a computed block is
+    rendered twice, once for its header's length and digest and once to
+    write it, so its text is never held.
 
     The new file is written beside the old one and renamed over it, so a
     failed write leaves the old file as it was.
     """
     temp = f"{path}.{os.getpid()}.tmp"
     try:
-        with open(temp, "w", encoding="utf-8") as handle:
-            handle.write(_dump({"version": _cache_stamp()}) + "\n")
-            for (n, suite), records in store.items():
-                encode = _encoder(n, suite)
-                for word, values in records.items():
-                    handle.write(encode(word, values))
+        with open(temp, "wb") as handle:
+            handle.write(_dump({"version": _cache_stamp()}).encode() + b"\n")
+            for block in blocks.values():
+                cache.seek(block.start)
+                handle.write(cache.read(block.end - block.start))
+            for suite, records in computed.items():
+                size, digest = _digest(n, suite, map(str.encode, _render(n, suite, records)))
+                header = {"bytes": size, "n": n, "sha256": digest, "suite": suite}
+                handle.write(_dump(header).encode() + b"\n")
+                handle.writelines(map(str.encode, _render(n, suite, records)))
         os.replace(temp, path)
     except OSError:
         if os.path.exists(temp):
@@ -602,78 +600,64 @@ def cmd_verify(
         jobs = cpus
 
     selected = [s for s in SUITES if s in set(suites)]
+    with contextlib.ExitStack() as stack:
+        cache = None
+        if target:
+            with contextlib.suppress(OSError):
+                cache = stack.enter_context(open(target, "rb"))
+        # the file stays open, so a trusted block is read from the file it
+        # was checked in even when another run replaces the path meanwhile
+        blocks, dropped = _load_cache(cache, cache_path, err) if cache else ({}, False)
+        missing = tuple(suite for suite in selected if (n, suite) not in blocks)
+        computed = _sweep(n, missing, jobs) if missing else {}
 
-    # one object per distinct record value tuple and per distinct missing-suite tuple
-    shared: dict[tuple, tuple] = {}
-    store: _Store = {}
-    dropped = False
-    if cache_path:
-        store, dropped = _load_cache(cache_path, err, shared)
-    suite_records = [store.setdefault((n, suite), {}) for suite in selected]
+        failures = 0
+        for suite in selected:
+            if suite in computed:
+                for line in _render(n, suite, computed[suite]):
+                    out.write(line)
+                failed = _failed(n, suite, line)  # the last line is the summary
+            else:
+                block = blocks[n, suite]
+                cache.seek(block.body)
+                out.write(cache.read(block.end - block.body).decode("utf-8", "replace"))
+                failed = block.failed
+            if _SUITE_RULES[suite].gates:
+                failures += failed
+            elif failed:
+                err.write(
+                    f"{suite.upper()} COUNTEREXAMPLE(S): {failed} permutation(s) in S_{n}; "
+                    f"see the {suite} records above\n"
+                )
 
-    tasks: list[tuple[tuple[int, ...], tuple[str, ...]]] = []
-    for word in permutations(range(1, n + 1)):
-        missing = tuple(s for s, records in zip(selected, suite_records) if word not in records)
-        if missing:
-            tasks.append((word, shared.setdefault(missing, missing)))
-
-    if tasks:
-        _sweep(tasks, jobs, store, n, shared)
-
-    failures = 0
-    for suite, records in zip(selected, suite_records):
-        rule = _SUITE_RULES[suite]
-        ok = rule.fields.index("ok")
-        counts = {rule.fields.index(field): name for field, name in rule.counts.items()}
-        encode = _encoder(n, suite)
-        failed = 0
-        totals = dict.fromkeys(counts.values(), 0)
-        for word in permutations(range(1, n + 1)):
-            values = records[word]
-            failed += not values[ok]
-            for index, name in counts.items():
-                totals[name] += values[index]
-            out.write(encode(word, values))
-        summary = {"suite": suite, "n": n, "summary": True, "total": len(records), "failed": failed}
-        out.write(_dump({**summary, **totals}) + "\n")
-        if rule.gates:
-            failures += failed
-        elif failed:
-            err.write(
-                f"{suite.upper()} COUNTEREXAMPLE(S): {failed} permutation(s) in S_{n}; "
-                f"see the {suite} records above\n"
-            )
-
-    if target and (tasks or dropped):
-        try:
-            _write_cache(target, store)
-        except OSError as exc:
-            err.write(f"cache write failed: {exc}\n")
-            return 2
+        if target and (missing or dropped):
+            try:
+                _write_cache(target, cache, blocks, n, computed)
+            except OSError as exc:
+                err.write(f"cache write failed: {exc}\n")
+                return 2
     return 1 if failures else 0
 
 
-def _sweep(
-    tasks: list[tuple[tuple[int, ...], tuple[str, ...]]],
-    jobs: int,
-    store: _Store,
-    n: int,
-    shared: dict[tuple, tuple],
-) -> None:
-    """Compute each task's records into store, with their value tuples
-    drawn from shared, in jobs worker processes when jobs > 1.
+def _sweep(n: int, suites: tuple[str, ...], jobs: int) -> dict[str, dict[tuple[int, ...], tuple]]:
+    """Each suite's record of every word of S_n, as the tuple of its field
+    values, computed in jobs worker processes when jobs > 1.  Equal tuples
+    are one object: S_7's 30,240 records have 224 distinct tuples.
 
-    The task words' sequences and closure monomials are built first, so
-    forked workers inherit them.  Both tables and the formula chains are
-    emptied when the sweep ends, also by an exception.
+    The words' sequences and closure monomials are built first, so forked
+    workers inherit them.  Both tables and the formula chains are emptied
+    when the sweep ends, also by an exception.
     """
+    tasks = [(word, suites) for word in permutations(range(1, n + 1))]
+    records: dict[str, dict[tuple[int, ...], tuple]] = {suite: {} for suite in suites}
+    shared: dict[tuple, tuple] = {}
     try:
-        if any(not _FACT_SUITES.isdisjoint(missing) for _, missing in tasks):
+        if not _FACT_SUITES.isdisjoint(suites):
             for word, _ in tasks:
                 masks = rothe_masks(word)
                 _SEQUENCES[word] = mask_orthodontia(masks)
                 _CLOSURES[word] = mask_closure(masks)
-        if any("main" in missing for _, missing in tasks):
+        if "main" in suites:
             # neighbours in step order share the longest formula prefixes
             tasks.sort(key=lambda task: formula_steps(_SEQUENCES[task[0]]))
         with contextlib.ExitStack() as stack:
@@ -691,14 +675,15 @@ def _sweep(
                 done = map(_verify_task, tasks)
             # each result is stored as it arrives, so the parent never
             # holds them all at once
-            for word, records in done:
-                for suite, values in records.items():
-                    store[n, suite][word] = shared.setdefault(values, values)
+            for word, by_suite in done:
+                for suite, values in by_suite.items():
+                    records[suite][word] = shared.setdefault(values, values)
     finally:
         _SEQUENCES.clear()
         _CLOSURES.clear()
         _SCHUBERT_CHAIN.clear()
         _GROTH_CHAIN.clear()
+    return records
 
 
 # ---------------------------------------------------------------------------

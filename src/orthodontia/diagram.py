@@ -107,6 +107,12 @@ class Diagram:
 
     @classmethod
     def from_json(cls, obj: dict) -> Diagram:
+        """The diagram of :meth:`to_json`'s form: an object with n and a
+        list of columns, each a list of rows."""
+        if not isinstance(obj, dict) or not {"n", "columns"} <= obj.keys():
+            raise ValueError(f"diagram JSON {obj!r:.40} is not an object with n and columns")
+        if not isinstance(obj["columns"], (list, tuple)):
+            raise ValueError(f"diagram columns {obj['columns']!r:.40} are not a list")
         try:
             n = operator.index(obj["n"])
         except TypeError:

@@ -431,12 +431,27 @@ class Polynomial:
 
     @classmethod
     def from_json(cls, obj: Mapping) -> Polynomial:
-        return cls(obj["n"], ((exps, coeff) for coeff, exps in obj["terms"]))
+        """The polynomial of :meth:`to_json`'s form: an object with n and a
+        list of [coefficient, exponent vector] terms."""
+        if not isinstance(obj, Mapping) or not {"n", "terms"} <= obj.keys():
+            raise ValueError(f"polynomial JSON {obj!r:.40} is not an object with n and terms")
+        terms = obj["terms"]
+        if not isinstance(terms, (list, tuple)):
+            raise ValueError(f"polynomial terms {terms!r:.40} are not a list")
+        return cls(obj["n"], map(_json_term, terms))
 
     @classmethod
     def parse(cls, text: str, n: int) -> Polynomial:
         """Parse the text form produced by ``str``, e.g. "3*x1^2*x2 - x3"."""
         return cls(n, _parsed_terms(text, n))
+
+
+def _json_term(term) -> tuple:
+    """A JSON [coefficient, exponent vector] term as the pair (exponent vector, coefficient)."""
+    if not isinstance(term, (list, tuple)) or len(term) != 2:
+        raise ValueError(f"term {term!r:.40} is not a [coefficient, exponents] pair")
+    coeff, exps = term
+    return exps, coeff
 
 
 def _packed(n: int, pairs: Iterable[tuple[Iterable[int], int]]) -> Iterator[tuple[int, int]]:

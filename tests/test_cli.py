@@ -47,11 +47,53 @@ def stamped(*lines: bytes) -> bytes:
     return b"".join(line + b"\n" for line in (stamp_line().encode(), *lines))
 
 
+def cache_blocks(data: bytes) -> list[tuple[int, str, bytes]]:
+    """Each block of a cache file that starts with the stamp line of these
+    sources, as (n, suite, text), its header line checked to be exactly
+    the one its text gives."""
+    head, _, rest = data.partition(b"\n")
+    assert head == stamp_line().encode()
+    blocks = []
+    while rest:
+        line, _, rest = rest.partition(b"\n")
+        header = json.loads(line)
+        n, suite, size = header["n"], header["suite"], header["bytes"]
+        text, rest = rest[:size], rest[size:]
+        digest = hashlib.sha256(f"{n} {suite}\n".encode() + text).hexdigest()
+        assert line == json.dumps(
+            {"bytes": len(text), "n": n, "sha256": digest, "suite": suite},
+            sort_keys=True, separators=(",", ":"),
+        ).encode()
+        blocks.append((n, suite, text))
+    return blocks
+
+
+def suite_blocks(out: str) -> list[bytes]:
+    """verify's stdout cut after each summary line: one block per suite."""
+    blocks, block = [], []
+    for line in out.splitlines(keepends=True):
+        block.append(line)
+        if '"summary":true' in line:
+            blocks.append("".join(block).encode())
+            block = []
+    assert block == []
+    return blocks
+
+
 def assert_cache_holds(cache, out: str) -> None:
-    """The cache file is the stamp line plus exactly out's record lines."""
-    head, *lines = cache.read_text().splitlines()
-    assert head == stamp_line()
-    assert sorted(lines) == sorted(line for line in out.splitlines() if '"summary"' not in line)
+    """The cache file is the stamp line plus exactly one block per suite
+    block of out, in any order."""
+    assert sorted(text for _, _, text in cache_blocks(cache.read_bytes())) == sorted(suite_blocks(out))
+
+
+def cold_cache(tmp_path, n: int, suites) -> tuple[str, bytes]:
+    """The stdout and the cache file of a run that starts with no cache."""
+    path = tmp_path / "cold.jsonl"
+    code, out, err = run_verify(n, suites, cache=str(path))
+    assert code == 0 and err == ""
+    written = path.read_bytes()
+    path.unlink()
+    return out, written
 
 
 def test_parse_permutation():
@@ -329,16 +371,43 @@ def test_compute_holds_no_ascending_result_during_the_recursive_walk(monkeypatch
     assert len(built[0]) > 1 and walked == [[]]
 
 
-def test_verify_cache_shared_by_two_ranks(tmp_path):
+def test_verify_cache_shared_by_two_ranks(tmp_path, monkeypatch):
     cache = tmp_path / "results.jsonl"
     _, expected, _ = run_verify(2, cache=str(cache))
-    code, three, _ = run_verify(3, cache=str(cache))
+    code, three, _ = run_verify(3, suites=["main", "sorted"], cache=str(cache))
     assert code == 0
+    partial = cache.read_bytes()
+    # the blocks of rank 2 and rank 3's main and sorted are copied byte for
+    # byte, and the four other suites of rank 3 come after them
+    swept = []
+    real_sweep = cli._sweep
+
+    def sweep(n, suites, jobs):
+        swept.append((n, suites))
+        return real_sweep(n, suites, jobs)
+
+    monkeypatch.setattr(cli, "_sweep", sweep)
+    code, three, _ = run_verify(3, cache=str(cache))
+    assert code == 0 and swept == [(3, ("divisibility", "degree", "monk", "conjecture"))]
     both = cache.read_bytes()
+    assert both.startswith(partial)
     assert_cache_holds(cache, expected + three)
     code, out, err = run_verify(2, cache=str(cache))
     assert code == 0 and out == expected and err == ""
     assert cache.read_bytes() == both
+    # a damaged block of an unselected suite is dropped, and every other
+    # block, of either rank, is kept byte for byte
+    main_2 = both.index(b'"n":2,"ok":true,"schubert_match":true,"suite":"main","w":[2,1]}')
+    damaged = both[:main_2] + b"N" + both[main_2 + 1:]
+    cache.write_bytes(damaged)
+    code, out, err = run_verify(2, suites=["sorted"], cache=str(cache))
+    assert code == 0 and out.encode() == suite_blocks(expected)[SUITES.index("sorted")]
+    assert err == f"warning: skipped 1 malformed block(s) in cache {cache}\n"
+    kept = [block for block in cache_blocks(both) if block[:2] != (2, "main")]
+    assert cache_blocks(cache.read_bytes()) == kept
+    swept.clear()
+    code, out, err = run_verify(2, cache=str(cache))
+    assert code == 0 and out == expected and err == "" and swept == [(2, ("main",))]
 
 
 # a path in a directory that does not exist, where the temporary file
@@ -410,20 +479,30 @@ def test_verify_cache_ignores_records_stamped_before_the_source_hash(tmp_path, c
     assert_cache_holds(cache, expected)
 
 
+def test_verify_cache_ignores_blocks_under_another_stamp(tmp_path):
+    cache = tmp_path / "results.jsonl"
+    expected, written = cold_cache(tmp_path, 3, ["main"])
+    _, _, blocks = written.partition(b"\n")
+    cache.write_bytes(b'{"version":"0.0.0"}\n' + blocks)
+    assert run_verify(3, suites=["main"], cache=str(cache)) == (0, expected, "")
+    assert cache.read_bytes() == written
+
+
 # the fields of a passing main record
 MAIN_OK = b'"groth_match":true,"lowest_degree_match":true,"ok":true,"schubert_match":true'
 
 
-def assert_skipped_then_silent(cache, content: bytes, skipped: int, n=2, suite="main"):
+def assert_skipped_then_silent(cache, content: bytes, skipped: int, n=2, suites=("main",)):
+    """A run from a cache holding content warns once of the skipped
+    blocks, prints the cold stdout and writes the cold run's file, so the
+    next run replays it silently."""
+    expected, written = cold_cache(cache.parent, n, suites)
     cache.write_bytes(content)
-    _, expected, _ = run_verify(n, suites=[suite])
-    code, out, err = run_verify(n, suites=[suite], cache=str(cache))
+    code, out, err = run_verify(n, suites, cache=str(cache))
     assert code == 0 and out == expected
-    assert err == f"warning: skipped {skipped} malformed line(s) in cache {cache}\n"
-    # the run rewrote the file without the bad lines, so replay is silent
-    assert_cache_holds(cache, expected)
-    code, replay, err = run_verify(n, suites=[suite], cache=str(cache))
-    assert code == 0 and replay == expected and err == ""
+    assert err == f"warning: skipped {skipped} malformed block(s) in cache {cache}\n"
+    assert cache.read_bytes() == written
+    assert run_verify(n, suites, cache=str(cache)) == (0, expected, "")
 
 
 # the line verify prints for the main record of 21
@@ -433,25 +512,33 @@ MAIN_21 = (
 )
 
 
+# after the stamp, each run of lines that are not a header is one
+# malformed block, whatever the lines hold
 @pytest.mark.parametrize(
     "line",
     [
         b'{"version":"0.1.0"}',
         b"[1]",
         b"\xff{",
-        # w is not a permutation of 1..n, or n is not an int
+        # a record line of the per-line format that came before blocks
+        pytest.param(MAIN_21, id="per-line-record"),
         b'{"n":2,"suite":"main","w":[1,1],' + MAIN_OK + b"}",
         b'{"n":2,"suite":"main","w":["a",2],' + MAIN_OK + b"}",
         b'{"n":2,"suite":"main","w":[[1],2],' + MAIN_OK + b"}",
         b'{"n":"2","suite":"main","w":[2,1],' + MAIN_OK + b"}",
-        # nested deeper than the recursion limit, as a whole line and
-        # around a word; an integer too long to convert
+        # nested deeper than the recursion limit, as a whole line, around a
+        # word and inside a header; integers too long to convert
         pytest.param(b"[" * 100_000, id="nested-line"),
         pytest.param(b'{"w":[2,1],"x":' + b"[" * 100_000, id="nested-around-word"),
+        pytest.param(b'{"bytes":1,"n":2,"sha256":"","suite":' + b"[" * 100_000, id="nested-header"),
         pytest.param(
             b'{"checked":' + b"9" * 5000 + b',"n":2,"ok":true,"skipped":1,"suite":"monk","w":[1,2]}',
             id="long-integer",
         ),
+        pytest.param(b'{"bytes":' + b"9" * 5000 + b',"n":2,"sha256":"","suite":"main"}', id="long-length"),
+        # lengths past the end of the file, which no read may try to allocate
+        b'{"bytes":1000000000000,"n":2,"sha256":"","suite":"main"}',
+        b'{"bytes":' + b"9" * 30 + b',"n":2,"sha256":"","suite":"main"}',
         # the record of 21 with the right values, but not the line verify prints
         MAIN_21.replace(b'"n":2', b'"n": 2'),
         b'{"n":2,' + MAIN_21[1:].replace(b'"n":2,', b""),
@@ -461,62 +548,161 @@ MAIN_21 = (
         MAIN_21.replace(b"[2,1]", b"[+2,1]"),
         MAIN_21 + b"\r",
         b" " + MAIN_21,
+        # headers with a field missing, added, or of the wrong type, an
+        # unknown suite, and a length that is not positive
+        b'{"bytes":1,"n":2,"suite":"main"}',
+        b'{"bytes":1,"extra":0,"n":2,"sha256":"","suite":"main"}',
+        b'{"bytes":"1","n":2,"sha256":"","suite":"main"}',
+        b'{"bytes":1,"n":2.0,"sha256":"","suite":"main"}',
+        b'{"bytes":1,"n":true,"sha256":"","suite":"main"}',
+        b'{"bytes":1,"n":2,"sha256":"","suite":"nope"}',
+        b'{"bytes":1,"n":2,"sha256":"","suite":["main"]}',
+        b'{"bytes":0,"n":2,"sha256":"","suite":"main"}',
+        b'{"bytes":-1,"n":2,"sha256":"","suite":"main"}',
     ],
 )
 def test_verify_cache_skips_malformed_line(tmp_path, line):
-    assert_skipped_then_silent(tmp_path / "results.jsonl", stamped(line), 1)
+    assert_skipped_then_silent(tmp_path / "results.jsonl", stamped(line, MAIN_21, b"[2]"), 1)
 
 
-# without a stamp line first, every line is malformed, even a record
+# without a stamp line first, the whole file is one malformed block, even
+# a block that would be trusted after the stamp
 @pytest.mark.parametrize(
-    "content, skipped",
+    "content",
     [
-        (b"[1]\n", 1),
-        (b'\xff{\n{"n":2,"suite":"main","w":[2,1],' + MAIN_OK + b"}\n", 2),
-        pytest.param(b"[" * 100_000 + b"\n" + MAIN_21 + b"\n", 2, id="nested-line"),
-        pytest.param(b"9" * 5000 + b"\n", 1, id="long-integer"),
+        b"[1]\n",
+        b'\xff{\n{"n":2,"suite":"main","w":[2,1],' + MAIN_OK + b"}\n",
+        pytest.param(b"[" * 100_000 + b"\n" + MAIN_21 + b"\n", id="nested-line"),
+        pytest.param(b"9" * 5000 + b"\n", id="long-integer"),
+        pytest.param(None, id="blocks-without-stamp"),
     ],
 )
-def test_verify_cache_without_a_stamp_line_is_malformed(tmp_path, content, skipped):
-    assert_skipped_then_silent(tmp_path / "results.jsonl", content, skipped)
+def test_verify_cache_without_a_stamp_line_is_malformed(tmp_path, content):
+    if content is None:
+        content = cold_cache(tmp_path, 2, ["main"])[1].partition(b"\n")[2]
+    assert_skipped_then_silent(tmp_path / "results.jsonl", content, 1)
 
 
-# a trusted line with only its word changed: to one that is not a
-# permutation of 1..n, or to one whose monk counts or sorted flag differ
-# from the record's; the line before it has the same text around its word
+# edits that keep each line's length: one byte flipped in a record line
+# and in the summary line (which would fail the run if trusted), the
+# header's suite renamed to another suite, and a word changed to one that
+# is not a permutation of 1..n, or to one whose monk counts or sorted flag
+# differ from the record's.  The digest no longer matches, so the block is
+# skipped and its suite recomputed
 @pytest.mark.parametrize(
-    "n, suite, word, other",
+    "n, suite, old, new",
     [
-        (2, "main", "2,1", "1,1"),
-        (2, "main", "2,1", "3,1"),
-        (3, "monk", "1,2,3", "3,2,1"),
-        (3, "sorted", "1,3,2", "2,1,3"),
+        (3, "main", b'"ok":true', b'"ok":trUe'),
+        (3, "main", b'"failed":0', b'"failed":1'),
+        (3, "main", b'"suite":"main"}', b'"suite":"monk"}'),
+        (3, "sorted", b'"suite":"sorted"}', b'"suite":"degree"}'),
+        (2, "main", b'"w":[2,1]', b'"w":[1,1]'),
+        (2, "main", b'"w":[2,1]', b'"w":[3,1]'),
+        (3, "monk", b'"w":[1,2,3]', b'"w":[3,2,1]'),
+        (3, "sorted", b'"w":[1,3,2]', b'"w":[2,1,3]'),
     ],
 )
-def test_verify_cache_shape_vouches_for_no_word(tmp_path, n, suite, word, other):
+def test_verify_cache_skips_an_edited_block(tmp_path, n, suite, old, new):
+    _, written = cold_cache(tmp_path, n, [suite])
+    assert written.count(old) >= 1
+    edited = written.replace(old, new, 1)
+    assert len(edited) == len(written) and edited != written
+    assert_skipped_then_silent(tmp_path / "results.jsonl", edited, 1, n, [suite])
+
+
+def test_verify_cache_skips_a_block_cut_short(tmp_path):
+    _, written = cold_cache(tmp_path, 3, ["main", "sorted"])
+    # the last newline, the last 10 bytes, and all of the last block but
+    # the start of its header
+    for cut in (1, 10, len(written) - written.rindex(b'{"bytes":') - 5):
+        assert_skipped_then_silent(tmp_path / "results.jsonl", written[:-cut], 1, 3, ["main", "sorted"])
+
+
+def test_verify_cache_skips_a_duplicate_block(tmp_path):
+    _, written = cold_cache(tmp_path, 3, ["main", "sorted"])
+    last = written[written.rindex(b'{"bytes":'):]
+    # the duplicate, and a copy with a wrong digest after it: two blocks
+    wrong = last.replace(b'"ok":true', b'"ok":trUe', 1)
+    assert_skipped_then_silent(tmp_path / "results.jsonl", written + last, 1, 3, ["main", "sorted"])
+    assert_skipped_then_silent(tmp_path / "results.jsonl", written + last + wrong, 2, 3, ["main", "sorted"])
+
+
+def forged(n: int, suite: str, text: bytes) -> bytes:
+    """A block whose header gives the length and digest of text."""
+    digest = hashlib.sha256(f"{n} {suite}\n".encode() + text).hexdigest()
+    header = {"bytes": len(text), "n": n, "sha256": digest, "suite": suite}
+    return json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n" + text
+
+
+def test_verify_cache_trusts_a_block_by_its_digest(tmp_path):
+    # a block whose digest fits its bytes is replayed as it is, and its
+    # summary line gives the exit code: the digest guards against damage,
+    # not against an author who writes a new digest
     cache = tmp_path / "results.jsonl"
-    run_verify(n, suites=[suite], cache=str(cache))
-    old, new = f'"w":[{word}]'.encode(), f'"w":[{other}]'.encode()
-    line = next(line for line in cache.read_bytes().splitlines() if old in line)
-    assert_skipped_then_silent(cache, stamped(line, line.replace(old, new)), 1, n, suite)
+    _, written = cold_cache(tmp_path, 2, ["main"])
+    text = written.split(b"\n", 2)[2]
+    text = text.replace(b'"groth_match":true', b'"groth_match":false', 1)
+    text = text.replace(b'"failed":0', b'"failed":1')
+    cache.write_bytes(stamped() + forged(2, "main", text))
+    code, out, err = run_verify(2, ["main"], cache=str(cache))
+    assert (code, out.encode(), err) == (1, text, "")
 
 
-def test_verify_replay_parses_each_record_shape_once(tmp_path, monkeypatch):
-    # the stamp line, then the text around the word once per distinct
-    # (suite, value tuple): S_6 has 85, and the bound is the one
-    # test_verify_store_shares_equal_records sets for its 83 distinct tuples
-    cache = str(tmp_path / "results.jsonl")
-    _, cold, _ = run_verify(6, cache=cache)
-    parsed = []
-    real = cli._json_object
+# a block whose digest fits its bytes, but whose last line is not the
+# summary of its suite at its rank with an int failed count
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        (b'"suite":"main","summary":true', b'"suite":"monk","summary":true'),
+        (b'"n":2,"suite":"main","summary"', b'"n":3,"suite":"main","summary"'),
+        (b'"summary":true', b'"summary":1'),
+        (b'"failed":0', b'"failed":"0"'),
+        (b'"failed":0', b'"failed":null'),
+        (b'{"failed":0,"n":2,"suite":"main","summary":true,"total":2}\n', b""),
+        (b'"total":2}\n', b'"total":2}'),
+    ],
+)
+def test_verify_cache_skips_a_block_without_its_summary(tmp_path, old, new):
+    _, written = cold_cache(tmp_path, 2, ["main"])
+    text = written.split(b"\n", 2)[2]
+    assert old in text
+    content = stamped() + forged(2, "main", text.replace(old, new))
+    assert_skipped_then_silent(tmp_path / "results.jsonl", content, 1)
 
-    def parse(line):
-        parsed.append(line)
-        return real(line)
 
-    monkeypatch.setattr(cli, "_json_object", parse)
-    assert run_verify(6, cache=cache) == (0, cold, "")
-    assert len(parsed) <= 1 + 100
+def test_verify_replay_writes_each_block_as_it_is(tmp_path, monkeypatch):
+    # a full replay decodes JSON only for the stamp, and for each block its
+    # header and summary line; it runs no record rule, computes nothing and
+    # writes nothing
+    cache = tmp_path / "results.jsonl"
+    _, cold, _ = run_verify(6, cache=str(cache))
+    written, stat = cache.read_bytes(), os.stat(cache)
+    lines = written.splitlines()
+    headers = [line for line in lines if line.startswith(b'{"bytes":')]
+    summaries = [line for line in lines if b'"summary":true' in line]
+    assert len(headers) == len(summaries) == len(SUITES)
+    decoded = []
+    real_loads = json.loads
+
+    def loads(text, *args, **kwargs):
+        decoded.append(text.encode() if isinstance(text, str) else text)
+        return real_loads(text, *args, **kwargs)
+
+    def never(*args):
+        raise AssertionError("a record was checked")
+
+    monkeypatch.setattr(json, "loads", loads)
+    monkeypatch.setattr(cli, "_sweep", never)
+    for suite, rule in cli._SUITE_RULES.items():
+        monkeypatch.setitem(cli._SUITE_RULES, suite, rule._replace(ok=never))
+    assert run_verify(6, cache=str(cache)) == (0, cold, "")
+    assert [text.rstrip(b"\n") for text in decoded] == [lines[0]] + [
+        line for pair in zip(headers, summaries) for line in pair
+    ]
+    kept = os.stat(cache)
+    assert cache.read_bytes() == written
+    assert (kept.st_ino, kept.st_mtime_ns) == (stat.st_ino, stat.st_mtime_ns)
+    assert [p.name for p in tmp_path.iterdir()] == ["results.jsonl"]
 
 
 @pytest.mark.parametrize(
@@ -591,17 +777,21 @@ def test_verify_replay_parses_each_record_shape_once(tmp_path, monkeypatch):
         b'{"checked":3,"n":3,"ok":true,"skipped":0,"suite":"monk","w":[1,2,3]}',
     ],
 )
-def test_verify_cache_recomputes_record_missing_summary_fields(tmp_path, line):
+def test_verify_cache_recomputes_an_edited_record(tmp_path, line):
+    # the record of the same word in a block the writer built is replaced
+    # by the line, and the header's length follows it, so only the digest
+    # tells the block was edited
     record = json.loads(line)
     n, suite = record["n"], record["suite"]
-    cache = tmp_path / "results.jsonl"
-    cache.write_bytes(stamped(line))
-    _, expected, _ = run_verify(n, suites=[suite])
-    code, out, err = run_verify(n, suites=[suite], cache=str(cache))
-    assert code == 0 and out == expected
-    assert err == f"warning: skipped 1 malformed line(s) in cache {cache}\n"
-    code, replay, err = run_verify(n, suites=[suite], cache=str(cache))
-    assert code == 0 and replay == expected and err == ""
+    _, written = cold_cache(tmp_path, n, [suite])
+    stamp, header, text = written.split(b"\n", 2)
+    word = b'"w":[' + ",".join(map(str, record["w"])).encode() + b"]"
+    old = next(record for record in text.splitlines() if word in record)
+    text = text.replace(old, line)
+    fields = json.loads(header)
+    header = json.dumps({**fields, "bytes": len(text)}, sort_keys=True, separators=(",", ":"))
+    content = b"\n".join([stamp, header.encode(), text])
+    assert_skipped_then_silent(tmp_path / "results.jsonl", content, 1, n, [suite])
 
 
 def test_verify_degree_record_over_a_bound_fails_with_its_counts(monkeypatch):
@@ -627,32 +817,21 @@ def test_verify_degree_record_over_a_bound_fails_with_its_counts(monkeypatch):
     }
 
 
-def test_verify_store_shares_equal_records(tmp_path, monkeypatch):
+def test_verify_sweep_shares_equal_records(monkeypatch):
     # S_6 has 83 distinct record value tuples over its six suites
-    stores = []
-    real_load, real_write = cli._load_cache, cli._write_cache
+    swept = []
+    real = cli._sweep
 
-    def load(path, err, shared):
-        store, dropped = real_load(path, err, shared)
-        stores.append(store)
-        return store, dropped
+    def sweep(n, suites, jobs):
+        swept.append(real(n, suites, jobs))
+        return swept[-1]
 
-    def write(path, store):
-        stores.append(store)
-        real_write(path, store)
-
-    monkeypatch.setattr(cli, "_load_cache", load)
-    monkeypatch.setattr(cli, "_write_cache", write)
-    cache = str(tmp_path / "results.jsonl")
-    _, cold, _ = run_verify(6, cache=cache)
-    _, replay, _ = run_verify(6, cache=cache)
-    assert replay == cold
-    # the cold run fills the store it loaded and writes it; then the replayed store
-    assert len(stores) == 3 and stores[0] is stores[1]
-    for store in stores[1:]:
-        records = [values for suite_records in store.values() for values in suite_records.values()]
-        assert len(records) == 720 * len(SUITES)
-        assert len({id(values) for values in records}) <= 100
+    monkeypatch.setattr(cli, "_sweep", sweep)
+    assert run_verify(6)[0] == 0
+    [computed] = swept
+    records = [values for suite_records in computed.values() for values in suite_records.values()]
+    assert len(records) == 720 * len(SUITES)
+    assert len({id(values) for values in records}) <= 100
 
 
 def test_verify_failing_witness_replays_the_same_bytes(tmp_path, monkeypatch):
@@ -678,11 +857,12 @@ def test_verify_cache_drops_malformed_line_when_nothing_is_computed(tmp_path):
     cache = tmp_path / "results.jsonl"
     _, expected, _ = run_verify(2, suites=["main"], cache=str(cache))
     complete = cache.read_bytes()
-    with cache.open("ab") as handle:
-        handle.write(b"[1]\n")
+    stamp, _, block = complete.partition(b"\n")
+    # a per-line record between the stamp and the block, and a line at the end
+    cache.write_bytes(stamp + b"\n" + MAIN_21 + b"\n" + block + b"[1]\n")
     code, out, err = run_verify(2, suites=["main"], cache=str(cache))
     assert code == 0 and out == expected
-    assert err == f"warning: skipped 1 malformed line(s) in cache {cache}\n"
+    assert err == f"warning: skipped 2 malformed block(s) in cache {cache}\n"
     assert cache.read_bytes() == complete
     assert [p.name for p in tmp_path.iterdir()] == ["results.jsonl"]
     code, replay, err = run_verify(2, suites=["main"], cache=str(cache))
@@ -742,7 +922,7 @@ def test_check_monk_fails_when_one_sign_flips(monkeypatch):
 
 def test_monk_cache_rule_skips_exactly_where_monk_terms_overflows_s1_to_s6():
     # the rule counts right-to-left maxima; a drift from the library would
-    # make every cached monk record untrusted
+    # fail every computed monk record
     for n in range(1, 7):
         for w in symmetric_group(n):
             skipped = 0
@@ -973,19 +1153,13 @@ def test_verify_applies_each_recursive_operator_once_per_word(monkeypatch):
     assert counts == {"divided_difference": 719, "isobaric": 719}
 
 
-@pytest.mark.parametrize("kept", ["some suites", "some words"])
-def test_verify_cache_with_some_records_prints_the_cold_stdout(tmp_path, kept):
+@pytest.mark.parametrize("kept", [["main", "sorted"], [s for s in SUITES if s != "sorted"]])
+def test_verify_cache_with_some_suites_prints_the_cold_stdout(tmp_path, kept):
+    # with every suite but sorted cached, sorted runs with no facts table
+    # and builds the sequences of sort(w) and its predecessors itself
     cache = tmp_path / "results.jsonl"
     _, cold, _ = run_verify(4)
-    if kept == "some suites":
-        run_verify(4, suites=["main", "sorted"], cache=str(cache))
-    else:
-        # every suite's records for the words of S_4 that start with 1 or 2,
-        # so sorted looks up sort(w) and predecessors that have no facts
-        run_verify(4, cache=str(cache))
-        head, *lines = cache.read_text().splitlines()
-        kept_lines = [line for line in lines if json.loads(line)["w"][0] <= 2]
-        cache.write_text("\n".join([head, *kept_lines]) + "\n")
+    run_verify(4, suites=kept, cache=str(cache))
     code, out, err = run_verify(4, cache=str(cache))
     assert code == 0 and out == cold and err == ""
     assert_cache_holds(cache, cold)

@@ -314,6 +314,14 @@ def test_diagram_validation():
             Diagram.from_columns(2, [[row], []])
         with pytest.raises(ValueError, match="is not an int"):
             Diagram.from_json({"n": 2, "columns": [[row], []]})
+    # JSON of the wrong structure
+    for obj in ({"n": 2}, {"columns": [[1], []]}, [1], "x", None):
+        with pytest.raises(ValueError, match="is not an object with n and columns"):
+            Diagram.from_json(obj)
+    with pytest.raises(ValueError, match="columns 5 are not a list"):
+        Diagram.from_json({"n": 2, "columns": 5})
+    with pytest.raises(ValueError, match="column 1 has a row that is not an int"):
+        Diagram.from_json({"n": 2, "columns": [5, []]})
 
 
 def test_orthodontic_sequence_validation():

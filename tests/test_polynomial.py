@@ -240,27 +240,41 @@ def test_repeated_terms_add_up():
 
 
 @pytest.mark.parametrize(
-    "make",
+    "make, problem",
     [
-        lambda: Polynomial.from_json({"n": 1, "terms": [[1, [1.7]]]}),
-        lambda: Polynomial.from_json({"n": 1, "terms": [[2.9, [1]]]}),
-        lambda: Polynomial.from_json({"n": 2.5, "terms": [[1, [1, 0]]]}),
-        lambda: Polynomial.from_json({"n": 1, "terms": [["2", [1]]]}),
-        lambda: Polynomial(2, {(1, 0): 1.5}),
-        lambda: Polynomial(2, {("1", 0): 1}),
-        lambda: Polynomial(2.5),
-        lambda: Polynomial(2.0),
-        lambda: Polynomial.monomial((1.0, 0)),
-        lambda: Polynomial.zero(2.5),
-        lambda: Polynomial.one(2.5),
-        lambda: Polynomial.constant(2.5, 3),
-        lambda: Polynomial.variable(1, 2.5),
-        lambda: Polynomial.variable(1.0, 2),
-        lambda: Polynomial.one("2"),
+        (lambda: Polynomial.from_json({"n": 1, "terms": [[1, [1.7]]]}), "not an int"),
+        (lambda: Polynomial.from_json({"n": 1, "terms": [[2.9, [1]]]}), "not an int"),
+        (lambda: Polynomial.from_json({"n": 2.5, "terms": [[1, [1, 0]]]}), "not an int"),
+        (lambda: Polynomial.from_json({"n": 1, "terms": [["2", [1]]]}), "not an int"),
+        (lambda: Polynomial(2, {(1, 0): 1.5}), "not an int"),
+        (lambda: Polynomial(2, {("1", 0): 1}), "not an int"),
+        (lambda: Polynomial(2.5), "not an int"),
+        (lambda: Polynomial(2.0), "not an int"),
+        (lambda: Polynomial.monomial((1.0, 0)), "not an int"),
+        (lambda: Polynomial.zero(2.5), "not an int"),
+        (lambda: Polynomial.one(2.5), "not an int"),
+        (lambda: Polynomial.constant(2.5, 3), "not an int"),
+        (lambda: Polynomial.variable(1, 2.5), "not an int"),
+        (lambda: Polynomial.variable(1.0, 2), "not an int"),
+        (lambda: Polynomial.one("2"), "not an int"),
+        # JSON of the wrong structure
+        (lambda: Polynomial.from_json({"n": 2}), "not an object with n and terms"),
+        (lambda: Polynomial.from_json({"terms": []}), "not an object with n and terms"),
+        (lambda: Polynomial.from_json([1]), "not an object with n and terms"),
+        (lambda: Polynomial.from_json("x"), "not an object with n and terms"),
+        (lambda: Polynomial.from_json({"n": 2, "terms": 5}), "terms 5 are not a list"),
+        (
+            lambda: Polynomial.from_json({"n": 2, "terms": [[5]]}),
+            r"term \[5\] is not a \[coefficient, exponents\] pair",
+        ),
+        (lambda: Polynomial.from_json({"n": 2, "terms": [[1]]}), r"term \[1\] is not a"),
+        (lambda: Polynomial.from_json({"n": 2, "terms": [5]}), "term 5 is not a"),
+        (lambda: Polynomial.from_json({"n": 2, "terms": [[1, [1, 0], 3]]}), "is not a"),
+        (lambda: Polynomial.from_json({"n": 2, "terms": [[1, 5]]}), "not an int"),
     ],
 )
-def test_non_int_input_is_refused(make):
-    with pytest.raises(ValueError, match="not an int"):
+def test_non_int_input_is_refused(make, problem):
+    with pytest.raises(ValueError, match=problem):
         make()
 
 
