@@ -51,7 +51,7 @@ class DegreeReport:
 
     ``bound_prop`` is deg S_w plus the orthodontia step count;
     ``bound_cor`` is the box count of the upper closure.  Both bounds are
-    theorems; the report records them, and the verify ``degree`` rule judges them.
+    theorems; the report records them, and the verify ``degree`` check judges them.
     """
 
     deg_groth: int

@@ -57,8 +57,6 @@ from orthodontia.grothendieck import (
     FormulaChain,
     RankOverflowError,
     _descend,
-    _is_sorted,
-    _primary_column_data,
     chained_grothendieck,
     chained_schubert,
     check_sorted_step,
@@ -118,32 +116,43 @@ def _check_main(w: Permutation) -> dict:
     seq = _SEQUENCES[w.word]
     schubert = schubert_recursive(w)
     groth = grothendieck_recursive(w)
+    groth_match = groth == chained_grothendieck(seq, _GROTH_CHAIN)
+    schubert_match = schubert == chained_schubert(seq, _SCHUBERT_CHAIN)
+    lowest_degree_match = groth.lowest_degree_component() == schubert
     return {
-        "groth_match": groth == chained_grothendieck(seq, _GROTH_CHAIN),
-        "schubert_match": schubert == chained_schubert(seq, _SCHUBERT_CHAIN),
-        "lowest_degree_match": groth.lowest_degree_component() == schubert,
+        "groth_match": groth_match,
+        "schubert_match": schubert_match,
+        "lowest_degree_match": lowest_degree_match,
+        "ok": groth_match and schubert_match and lowest_degree_match,
     }
 
 
 def _check_divisibility(w: Permutation) -> dict:
-    _, witness = check_divisibility(w, _CLOSURES[w.word])
-    return {"witness": witness}
+    ok, witness = check_divisibility(w, _CLOSURES[w.word])
+    return {"ok": ok, "witness": witness}
 
 
 def _check_degree(w: Permutation) -> dict:
     report = degree_report(w, _SEQUENCES[w.word], _CLOSURES[w.word])
+    deg, prop, cor = report.deg_groth, report.bound_prop, report.bound_cor
     return {
-        "deg_groth": report.deg_groth,
-        "bound_prop": report.bound_prop,
-        "bound_cor": report.bound_cor,
-        "tight_prop": report.deg_groth == report.bound_prop,
-        "tight_cor": report.deg_groth == report.bound_cor,
+        "deg_groth": deg,
+        "bound_prop": prop,
+        "bound_cor": cor,
+        "tight_prop": deg == prop,
+        "tight_cor": deg == cor,
+        "ok": deg <= prop and deg <= cor,
     }
 
 
 def _check_sorted(w: Permutation) -> dict:
     step = check_sorted_step(w, _SEQUENCES)
-    return {"sorted": step.is_sorted, "parts_ok": step.parts_ok, "unsort_ok": step.unsort_ok}
+    return {
+        "sorted": step.is_sorted,
+        "parts_ok": step.parts_ok,
+        "unsort_ok": step.unsort_ok,
+        "ok": step.unsort_ok and step.parts_ok is not False,
+    }
 
 
 def _check_monk(w: Permutation) -> dict:
@@ -159,12 +168,15 @@ def _check_monk(w: Permutation) -> dict:
         checked += 1
         if not monk_residue_vanishes(j, w, targets):
             ok = False
+    # j has no Monk targets exactly when w(j) exceeds every later entry,
+    # that is at each new maximum from the right; a skip anywhere else fails
+    ok = ok and skipped == len(set(accumulate(reversed(w.word), max)))
     return {"ok": ok, "checked": checked, "skipped": skipped}
 
 
 def _check_conjecture(w: Permutation) -> dict:
-    _, witness = check_conjecture(w, _SEQUENCES[w.word], _CLOSURES[w.word])
-    return {"witness": witness}
+    ok, witness = check_conjecture(w, _SEQUENCES[w.word], _CLOSURES[w.word])
+    return {"ok": ok, "witness": witness}
 
 
 _SUITE_CHECKS = {
@@ -181,82 +193,27 @@ class _Rule(NamedTuple):
     # the record's field names besides suite, n and w, in sorted order; a
     # stored record is the tuple of its values in this order
     fields: tuple[str, ...]
-    # the record's ok, derived from the word and the record's other fields,
-    # or None when a field holds a value that no check of the word produces
-    ok: Callable[[tuple[int, ...], dict], bool | None]
     counts: dict[str, str] = {}  # int field the summary adds up -> name of the sum
     gates: bool = True  # whether a failed record fails the run
 
 
-def _all_match(word: tuple[int, ...], record: dict) -> bool | None:
-    flags = (record["groth_match"], record["schubert_match"], record["lowest_degree_match"])
-    if not all(type(flag) is bool for flag in flags):
-        return None
-    return all(flags)
-
-
-def _no_witness(word: tuple[int, ...], record: dict) -> bool | None:
-    # a witness is an exponent vector of w, a tuple of n ints
-    witness = record["witness"]
-    if witness is None:
-        return True
-    if type(witness) is tuple and len(witness) == len(word) and all(type(e) is int for e in witness):
-        return False
-    return None
-
-
-def _within_bounds(word: tuple[int, ...], record: dict) -> bool | None:
-    deg, prop, cor = record["deg_groth"], record["bound_prop"], record["bound_cor"]
-    if not (type(deg) is int and type(prop) is int and type(cor) is int):
-        return None
-    if record["tight_prop"] is not (deg == prop) or record["tight_cor"] is not (deg == cor):
-        return None
-    return deg <= prop and deg <= cor
-
-
-def _residue_ok(word: tuple[int, ...], record: dict) -> bool | None:
-    # the residue check's own result, once each j in 1..n was checked or
-    # skipped; j is skipped, having no Monk targets, exactly when w(j)
-    # exceeds every later entry, that is at each new maximum from the right
-    skipped = len(set(accumulate(reversed(word), max)))
-    counts = (record["checked"], record["skipped"])
-    if tuple(map(type, counts)) != (int, int) or counts != (len(word) - skipped, skipped):
-        return None
-    return record["ok"] is True
-
-
-def _parts_and_unsort_ok(word: tuple[int, ...], record: dict) -> bool | None:
-    # sorted is what the word gives, parts_ok is a boolean exactly when w
-    # is sorted and not the identity and None otherwise, and unsort_ok is
-    # a boolean
-    is_sorted = _is_sorted(word, _primary_column_data(word))
-    checked = is_sorted and word != tuple(range(1, len(word) + 1))
-    parts_ok, unsort_ok = record["parts_ok"], record["unsort_ok"]
-    if record["sorted"] is not is_sorted or type(unsort_ok) is not bool:
-        return None
-    if not (type(parts_ok) is bool if checked else parts_ok is None):
-        return None
-    return unsort_ok and parts_ok is not False
-
-
-# Each suite's record rule.  Every record, passing or failing, carries
-# exactly the suite's fields, and the summary adds up its count fields.
+# Each suite's record shape.  Every record, passing or failing, carries
+# exactly the suite's fields, ok among them as its check worked it out,
+# and the summary adds up its count fields.
 _SUITE_RULES = {
-    "main": _Rule(("groth_match", "lowest_degree_match", "ok", "schubert_match"), _all_match),
-    "divisibility": _Rule(("ok", "witness"), _no_witness),
+    "main": _Rule(("groth_match", "lowest_degree_match", "ok", "schubert_match")),
+    "divisibility": _Rule(("ok", "witness")),
     "degree": _Rule(
         ("bound_cor", "bound_prop", "deg_groth", "ok", "tight_cor", "tight_prop"),
-        _within_bounds,
         {"tight_prop": "tight_prop_count", "tight_cor": "tight_cor_count"},
     ),
-    "sorted": _Rule(("ok", "parts_ok", "sorted", "unsort_ok"), _parts_and_unsort_ok),
+    "sorted": _Rule(("ok", "parts_ok", "sorted", "unsort_ok")),
     "monk": _Rule(
         ("checked", "ok", "skipped"),
-        _residue_ok,
         {"checked": "checked_total", "skipped": "skipped_total"},
     ),
     # an experiment: a counterexample is reported, never a failed run
-    "conjecture": _Rule(("ok", "witness"), _no_witness, gates=False),
+    "conjecture": _Rule(("ok", "witness"), gates=False),
 }
 SUITES = tuple(_SUITE_RULES)
 
@@ -269,10 +226,8 @@ def _verify_task(
     w = Permutation(word)
     records = {}
     for suite in suites:
-        rule = _SUITE_RULES[suite]
         record = _SUITE_CHECKS[suite](w)
-        record["ok"] = rule.ok(word, record)
-        records[suite] = tuple(map(record.__getitem__, rule.fields))
+        records[suite] = tuple(map(record.__getitem__, _SUITE_RULES[suite].fields))
     return word, records
 
 
@@ -588,12 +543,6 @@ def cmd_verify(
     if jobs < 1:
         err.write("--jobs must be at least 1\n")
         return 2
-    if n >= 7:
-        cost = f"about {_SWEEP_COST[n]}" if n <= 8 else f"far more than rank 8's {_SWEEP_COST[8]}"
-        err.write(
-            f"warning: rank {n} sweeps {n}! permutations; expect a long run, "
-            f"{cost} of peak memory per process with every suite\n"
-        )
     cpus = os.cpu_count() or 1
     if jobs > cpus:
         err.write(f"warning: --jobs {jobs} capped at the CPU count, {cpus}\n")
@@ -609,6 +558,12 @@ def cmd_verify(
         # was checked in even when another run replaces the path meanwhile
         blocks, dropped = _load_cache(cache, cache_path, err) if cache else ({}, False)
         missing = tuple(suite for suite in selected if (n, suite) not in blocks)
+        if missing and n >= 7:
+            cost = f"about {_SWEEP_COST[n]}" if n <= 8 else f"far more than rank 8's {_SWEEP_COST[8]}"
+            err.write(
+                f"warning: rank {n} sweeps {n}! permutations; expect a long run, "
+                f"{cost} of peak memory per process with every suite\n"
+            )
         computed = _sweep(n, missing, jobs) if missing else {}
 
         failures = 0
@@ -725,7 +680,10 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument(
         "--cache",
         default=os.environ.get(CACHE_ENV),
-        help=f"JSON-lines result cache (default: ${CACHE_ENV})",
+        help=(
+            "result cache: a stamp line, then one sha256-checked block per rank and suite "
+            f"(default: ${CACHE_ENV})"
+        ),
     )
     verify.add_argument("--max-rank", type=int, default=DEFAULT_MAX_RANK)
     return parser

@@ -9,6 +9,7 @@ The rank-7 sweep is optional; set ORTHODONTIA_ACCEPT_N7=1 to enable it.
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -169,7 +170,12 @@ def _verify_child(*args: str) -> tuple[int, float, str]:
     reason="rank-7 sweep enabled by ORTHODONTIA_ACCEPT_N7=1",
 )
 def test_criterion_2_verify_rank_7_peak_memory():
-    status, peak, _ = _verify_child("--n", "7")
+    status, peak, out = _verify_child("--n", "7")
+    # sha256 of `verify --n 7` stdout with every suite, as first recorded
+    assert (
+        hashlib.sha256(out.encode()).hexdigest()
+        == "52690c38379341558c932e31eb77950ab31889e6cc7df68c148c5182ed08494a"
+    )
     _report("2 verify --n 7 peak RSS below 45 MiB", status == 0 and peak < 45, f"{peak:.1f} MiB")
 
 

@@ -7,7 +7,7 @@ import hashlib
 import io
 import json
 import os
-from itertools import permutations
+from itertools import accumulate, permutations
 
 import pytest
 
@@ -324,7 +324,7 @@ def test_verify_cache_round_trip(tmp_path):
     code, first, _ = run_verify(3, cache=str(cache))
     assert code == 0
     assert_cache_holds(cache, first)
-    # every fresh record passes its suite's rule, so all of them replay
+    # every suite's block matches its digest, so all of them replay
     code, second, err = run_verify(3, cache=str(cache))
     assert code == 0 and err == ""
     assert first == second
@@ -672,7 +672,7 @@ def test_verify_cache_skips_a_block_without_its_summary(tmp_path, old, new):
 
 def test_verify_replay_writes_each_block_as_it_is(tmp_path, monkeypatch):
     # a full replay decodes JSON only for the stamp, and for each block its
-    # header and summary line; it runs no record rule, computes nothing and
+    # header and summary line; it runs no check, computes nothing and
     # writes nothing
     cache = tmp_path / "results.jsonl"
     _, cold, _ = run_verify(6, cache=str(cache))
@@ -693,8 +693,6 @@ def test_verify_replay_writes_each_block_as_it_is(tmp_path, monkeypatch):
 
     monkeypatch.setattr(json, "loads", loads)
     monkeypatch.setattr(cli, "_sweep", never)
-    for suite, rule in cli._SUITE_RULES.items():
-        monkeypatch.setitem(cli._SUITE_RULES, suite, rule._replace(ok=never))
     assert run_verify(6, cache=str(cache)) == (0, cold, "")
     assert [text.rstrip(b"\n") for text in decoded] == [lines[0]] + [
         line for pair in zip(headers, summaries) for line in pair
@@ -714,7 +712,7 @@ def test_verify_replay_writes_each_block_as_it_is(tmp_path, monkeypatch):
         b'{"n":2,"ok":true,"suite":"degree","w":[2,1]}',
         # a failing monk record without its counts
         b'{"n":2,"ok":false,"suite":"monk","w":[2,1]}',
-        # from here on, each record's ok contradicts what its suite's rule derives
+        # from here on, each record's ok contradicts what its suite's check works out
         b'{"groth_match":false,"lowest_degree_match":true,"n":2,"ok":true,'
         b'"schubert_match":true,"suite":"main","w":[2,1]}',
         b'{"n":2,"ok":true,"suite":"divisibility","w":[2,1],"witness":[2,0]}',
@@ -780,7 +778,7 @@ def test_verify_replay_writes_each_block_as_it_is(tmp_path, monkeypatch):
 def test_verify_cache_recomputes_an_edited_record(tmp_path, line):
     # the record of the same word in a block the writer built is replaced
     # by the line, and the header's length follows it, so only the digest
-    # tells the block was edited
+    # tells the block was edited: no record line is parsed on a replay
     record = json.loads(line)
     n, suite = record["n"], record["suite"]
     _, written = cold_cache(tmp_path, n, [suite])
@@ -794,26 +792,36 @@ def test_verify_cache_recomputes_an_edited_record(tmp_path, line):
     assert_skipped_then_silent(tmp_path / "results.jsonl", content, 1, n, [suite])
 
 
-def test_verify_degree_record_over_a_bound_fails_with_its_counts(monkeypatch):
+@pytest.mark.parametrize(
+    "change, degrees, tight",
+    [
+        # 21 has degree 1 and both bounds 1; 12 has 0 and 0, tight for both
+        ({"deg_groth": 2}, (2, 1, 1), (False, False)),
+        ({"bound_prop": 0}, (1, 0, 1), (False, True)),
+        ({"bound_cor": 0}, (1, 1, 0), (True, False)),
+    ],
+    ids=["over-both", "over-prop", "over-cor"],
+)
+def test_verify_degree_record_over_a_bound_fails_with_its_counts(monkeypatch, change, degrees, tight):
     real = cli.degree_report
 
     def over(w, seq, closure):
         report = real(w, seq, closure)
-        if w.word == (2, 1):
-            return dataclasses.replace(report, deg_groth=report.bound_cor + 1)
-        return report
+        return dataclasses.replace(report, **change) if w.word == (2, 1) else report
 
     monkeypatch.setattr(cli, "degree_report", over)
     code, out, _ = run_verify(2, suites=["degree"])
     assert code == 1
     records = [json.loads(line) for line in out.splitlines()]
+    deg, prop, cor = degrees
+    tight_prop, tight_cor = tight
     assert records[1] == {
-        "suite": "degree", "n": 2, "w": [2, 1], "deg_groth": 2, "bound_prop": 1,
-        "bound_cor": 1, "tight_prop": False, "tight_cor": False, "ok": False,
+        "suite": "degree", "n": 2, "w": [2, 1], "deg_groth": deg, "bound_prop": prop,
+        "bound_cor": cor, "tight_prop": tight_prop, "tight_cor": tight_cor, "ok": False,
     }
     assert records[2] == {
         "suite": "degree", "n": 2, "summary": True, "total": 2, "failed": 1,
-        "tight_prop_count": 1, "tight_cor_count": 1,
+        "tight_prop_count": 1 + tight_prop, "tight_cor_count": 1 + tight_cor,
     }
 
 
@@ -851,6 +859,46 @@ def test_verify_failing_witness_replays_the_same_bytes(tmp_path, monkeypatch):
 
     monkeypatch.setitem(cli._SUITE_CHECKS, "divisibility", never)
     assert run_verify(3, suites=["divisibility"], cache=cache) == (1, swept, "")
+
+
+@pytest.mark.parametrize(
+    "suite, name, fault, fields, code",
+    [
+        # the recursive route disagrees with the ascending one, and so its
+        # lowest-degree part with the Schubert polynomial
+        ("main", "grothendieck_recursive", lambda groth: groth + groth,
+         {"groth_match": False, "lowest_degree_match": False, "schubert_match": True}, 1),
+        ("sorted", "check_sorted_step", lambda step: dataclasses.replace(step, unsort_ok=False),
+         {"parts_ok": True, "sorted": True, "unsort_ok": False}, 1),
+        ("sorted", "check_sorted_step", lambda step: dataclasses.replace(step, parts_ok=False),
+         {"parts_ok": False, "sorted": True, "unsort_ok": True}, 1),
+        # a counterexample to the conjecture is reported but fails no run
+        ("conjecture", "check_conjecture", lambda result: (False, (1, 1, 0)),
+         {"witness": [1, 1, 0]}, 0),
+    ],
+    ids=["main", "sorted-unsort", "sorted-parts", "conjecture"],
+)
+def test_verify_fails_the_record_whose_check_faults(monkeypatch, suite, name, fault, fields, code):
+    # 132 is sorted and not the identity, so all of its sorted-step parts are checked
+    real = getattr(cli, name)
+
+    def faulted(w, *args):
+        result = real(w, *args)
+        return fault(result) if w.word == (1, 3, 2) else result
+
+    monkeypatch.setattr(cli, name, faulted)
+    got, out, err = run_verify(3, suites=[suite])
+    assert got == code
+    records = [json.loads(line) for line in out.splitlines()]
+    faulted_records = [record for record in records if not record.get("summary") and not record["ok"]]
+    assert faulted_records == [{"suite": suite, "n": 3, "w": [1, 3, 2], "ok": False, **fields}]
+    assert records[-1]["failed"] == 1
+    if code:
+        assert err == ""
+    else:
+        assert err == (
+            "CONJECTURE COUNTEREXAMPLE(S): 1 permutation(s) in S_3; see the conjecture records above\n"
+        )
 
 
 def test_verify_cache_drops_malformed_line_when_nothing_is_computed(tmp_path):
@@ -920,21 +968,27 @@ def test_check_monk_fails_when_one_sign_flips(monkeypatch):
     assert cli._check_monk(w)["ok"] is False
 
 
-def test_monk_cache_rule_skips_exactly_where_monk_terms_overflows_s1_to_s6():
-    # the rule counts right-to-left maxima; a drift from the library would
-    # fail every computed monk record
+def test_check_monk_skips_exactly_where_monk_terms_overflows_s1_to_s6(monkeypatch):
+    # the check counts right-to-left maxima itself; a drift from the library
+    # would fail every computed monk record
+    real = cli.monk_terms
     for n in range(1, 7):
         for w in symmetric_group(n):
-            skipped = 0
-            for j in range(1, n + 1):
-                try:
-                    monk_terms(j, w)
-                except RankOverflowError:
-                    skipped += 1
-            record = {"checked": n - skipped, "skipped": skipped, "ok": True}
-            assert cli._residue_ok(w.word, record) is True, w
-            record = {"checked": n - skipped - 1, "skipped": skipped + 1, "ok": True}
-            assert cli._residue_ok(w.word, record) is None, w
+            skipped = len(set(accumulate(reversed(w.word), max)))
+            assert cli._check_monk(w) == {"ok": True, "checked": n - skipped, "skipped": skipped}, w
+            # a monk_terms that overflows at one more j fails the record
+            extra = next((j for j in range(1, n + 1) if w(j) < max(w.word[j - 1:])), None)
+            if extra is None:
+                continue
+
+            def overflow(j, v, extra=extra):
+                if j == extra:
+                    raise RankOverflowError(j, v, n)
+                return real(j, v)
+
+            monkeypatch.setattr(cli, "monk_terms", overflow)
+            assert cli._check_monk(w) == {"ok": False, "checked": n - skipped - 1, "skipped": skipped + 1}, w
+            monkeypatch.setattr(cli, "monk_terms", real)
 
 
 def test_verify_records_carry_exactly_their_rules_fields():
@@ -1186,6 +1240,18 @@ def test_verify_warns_of_the_time_and_memory_of_a_long_sweep(monkeypatch):
             f"warning: rank {n} sweeps {n}! permutations; expect a long run, "
             f"{cost} of peak memory per process with every suite\n"
         )
+
+
+def test_verify_warns_of_a_long_sweep_only_when_it_sweeps(tmp_path):
+    cache = str(tmp_path / "results.jsonl")
+    code, cold, err = run_verify(7, ["sorted"], cache=cache)
+    assert code == 0
+    assert err == (
+        "warning: rank 7 sweeps 7! permutations; expect a long run, "
+        "about 5 s and 27 MiB of peak memory per process with every suite\n"
+    )
+    # a replay sweeps nothing, so it warns of nothing
+    assert run_verify(7, ["sorted"], cache=cache) == (0, cold, "")
 
 
 def test_verify_jobs_capped_at_cpu_count(monkeypatch):
