@@ -29,20 +29,13 @@ from orthodontia.diagram import OrthodonticSequence, closure_monomial, rothe_dia
 from orthodontia.grothendieck import (
     _grothendieck_entry,
     _is_sorted,
-    _keys,
     _primary_column_data,
     _schubert_entry,
     _sorted_step_up,
     grothendieck_recursive,
 )
 from orthodontia.permutation import Permutation
-from orthodontia.polynomial import (
-    Monomial,
-    Polynomial,
-    _degree,
-    _max_exponents,
-    monomial_divides,
-)
+from orthodontia.polynomial import Monomial, Polynomial, monomial_divides
 
 
 @dataclass(frozen=True)
@@ -94,10 +87,9 @@ def support_witness(f: Polynomial, bound: Monomial) -> Monomial | None:
 
 
 def _grothendieck_witness(w: Permutation, bound: Monomial) -> Monomial | None:
-    # support_witness of G_w, with the maximum exponents read off the keys
-    # of its memo entry, so G_w is built only to name a witness
-    keys = _keys(_grothendieck_entry(w.word))
-    if not keys or monomial_divides(_max_exponents(keys, w.n), bound):
+    # support_witness of G_w, with the maximum exponents its memo entry
+    # keeps, so G_w is built only to name a witness
+    if monomial_divides(tuple(_grothendieck_entry(w.word).max_exponents), bound):
         return None
     return support_witness(grothendieck_recursive(w), bound)
 
@@ -115,12 +107,10 @@ def degree_report(w: Permutation, seq: OrthodonticSequence, closure: Monomial) -
     """Degree of G_w and both bounds, given the orthodontic sequence and
     upper-closure monomial of w; never raises on a failed bound.
 
-    The degrees are read off the keys of the memo entries of G_w and S_w.
+    The degrees are the ones the memo entries of G_w and S_w keep.
     """
-    groth = _keys(_grothendieck_entry(w.word))
-    schub = _keys(_schubert_entry(w.word))
-    deg_groth = _degree(groth, w.n) if groth else 0
-    deg_schub = _degree(schub, w.n) if schub else 0
+    deg_groth = _grothendieck_entry(w.word).degree
+    deg_schub = _schubert_entry(w.word).degree
     length = seq.step_count
     closure_size = sum(closure)
     return DegreeReport(

@@ -75,7 +75,7 @@ from orthodontia.polynomial import Monomial
 DEFAULT_MAX_RANK = 7
 # The time and peak RSS of one process sweeping S_n with every suite, as
 # measured for the README; each --jobs worker fills its own memos
-_SWEEP_COST = {7: "5 s and 27 MiB", 8: "4.5 min and 175 MiB"}
+_SWEEP_COST = {7: "5 s and 28 MiB", 8: "3.5 min and 180 MiB"}
 CACHE_ENV = "ORTHODONTIA_CACHE"
 
 

@@ -22,21 +22,24 @@ sequence so that shared step prefixes are applied once.
 
 The memo caches are plain dicts keyed by one-line words, filled on
 demand.  A forked worker fills its own copy.  Each memo value is a
-read-only entry ``(indices, coeffs)`` of two arrays, each of the
-narrowest typecode that holds that entry's values.  The polynomial's
-packed keys are stored as indices into one key table that both memos
-share: a list from index to key and a dict from key to index, to which
-a key is appended when a frozen polynomial first has it.  The memos of
-S_n use n! keys, so an index takes 1 byte up to S_5 and 2 bytes up to
-S_8.  The coefficients take ``b``, ``h``, ``i`` or ``q`` (1 byte each
-up to S_6); one outside the signed 64-bit range is refused, never
-truncated.  Only this module reads the format: :func:`_thaw` rebuilds a
-polynomial, :func:`_keys` lists an entry's packed keys for the degree
-and maximum-exponent reads, and :func:`monk_residue_vanishes` sums
-target entries keyed by index.  ``orthodontia compute`` keeps no memo:
-it runs the same walk with ``memo=None``, which stores nothing and
-holds only the polynomial in hand, because one ``compute`` visits each
-word of its first-ascent chain once.
+read-only :class:`_Entry` ``(indices, coeffs, degree, max_exponents)``:
+two arrays, each of the narrowest typecode that holds that entry's
+values, then the polynomial's total degree and the largest exponent of
+each variable, as n bytes, both worked out once when the entry is
+frozen.  The polynomial's packed keys are stored as indices into one
+key table that both memos share: a list from index to key and a dict
+from key to index, to which a key is appended when a frozen polynomial
+first has it.  The memos of S_n use n! keys, so an index takes 1 byte
+up to S_5 and 2 bytes up to S_8.  The coefficients take ``b``, ``h``,
+``i`` or ``q`` (1 byte each up to S_6); one outside the signed 64-bit
+range is refused, never truncated.  Only this module reads the terms:
+:func:`_thaw` rebuilds a polynomial, and :func:`monk_residue_vanishes`
+sums target entries into one list indexed by key index, which is all
+zeros between calls.  The support checks of :mod:`orthodontia.analysis`
+read only the degree and maximum exponents.  ``orthodontia compute``
+keeps no memo: it runs the same walk with ``memo=None``, which stores
+nothing and holds only the polynomial in hand, because one ``compute``
+visits each word of its first-ascent chain once.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import repeat
-from operator import add, sub
+from operator import add
 from typing import NamedTuple
 
 from orthodontia.diagram import (
@@ -59,7 +62,13 @@ from orthodontia.diagram import (
 )
 from orthodontia.operators import demazure, demazure_lascoux, divided_difference, isobaric
 from orthodontia.permutation import Permutation
-from orthodontia.polynomial import Monomial, Polynomial, fundamental_weight
+from orthodontia.polynomial import (
+    Monomial,
+    Polynomial,
+    _degree,
+    _max_exponents,
+    fundamental_weight,
+)
 
 
 class RankOverflowError(ValueError):
@@ -77,7 +86,14 @@ class RankOverflowError(ValueError):
         )
 
 
-_Entry = tuple[array, array]  # a memo value: (key indices, coefficients)
+class _Entry(NamedTuple):
+    """A memo value: the terms of one polynomial and a summary of them."""
+
+    indices: array  # each term's key, as its index in _KEY_LIST
+    coeffs: array  # each term's coefficient, in the same order
+    degree: int  # the total degree; 0 for the zero polynomial
+    max_exponents: bytes  # the largest exponent of each variable, n bytes
+
 
 _SCHUBERT_CACHE: dict[tuple[int, ...], _Entry] = {}
 _GROTH_CACHE: dict[tuple[int, ...], _Entry] = {}
@@ -113,7 +129,7 @@ def _narrowest(codes: str, values: list[int]) -> array:
 
 def _freeze(f: Polynomial) -> _Entry:
     """The memo entry of f; refuses a coefficient outside the signed 64-bit range."""
-    terms = f.terms
+    n, terms = f.n, f.terms
     try:
         coeffs = _narrowest("bhiq", list(terms.values()))
     except OverflowError:
@@ -121,17 +137,20 @@ def _freeze(f: Polynomial) -> _Entry:
         raise OverflowError(
             f"coefficient {big} does not fit a memo entry's signed 64-bit coefficients"
         ) from None
-    return _narrowest("BHIQ", list(map(_KEY_INDEX.__getitem__, terms))), coeffs
+    indices = _narrowest("BHIQ", list(map(_KEY_INDEX.__getitem__, terms)))
+    if not terms:
+        return _Entry(indices, coeffs, 0, bytes(n))
+    return _Entry(indices, coeffs, _degree(terms, n), bytes(_max_exponents(terms, n)))
 
 
 def _keys(entry: _Entry) -> list[int]:
     """The packed keys of a memo entry, in its term order."""
-    return list(map(_KEY_LIST.__getitem__, entry[0]))
+    return list(map(_KEY_LIST.__getitem__, entry.indices))
 
 
 def _thaw(n: int, entry: _Entry) -> Polynomial:
     """The polynomial in n variables of a memo entry."""
-    return Polynomial._raw(n, dict(zip(_keys(entry), entry[1])))
+    return Polynomial._raw(n, dict(zip(_keys(entry), entry.coeffs)))
 
 
 def _first_ascent(word: tuple[int, ...]) -> int | None:
@@ -475,6 +494,14 @@ def monk_terms(j: int, w: Permutation) -> dict[tuple[int, ...], int]:
     return found
 
 
+# The Monk residue's sums, one slot per index of _KEY_LIST: every slot is 0
+# whenever monk_residue_vanishes is not running, and it returns or raises
+# only with every slot 0 again.  Every caller in the process shares it, so
+# two threads must not run the check at once; forked workers each have
+# their own copy.
+_RESIDUE: list[int] = []
+
+
 def monk_residue_vanishes(
     j: int, w: Permutation, targets: Mapping[tuple[int, ...], int]
 ) -> bool:
@@ -483,8 +510,8 @@ def monk_residue_vanishes(
 
     Reads G_w and every G_v from the recursive memo, filling it on
     demand, and builds no polynomial: the residue x_j * G_w minus every
-    sign * G_v is summed in one dict keyed by key index, which keeps its
-    zeros, and the identity holds iff every coefficient ends at 0.
+    sign * G_v is summed in ``_RESIDUE``, one slot per key index, and the
+    identity holds iff every slot ends at 0.
     """
     # every target entry is fetched before any key is looked up, so a key
     # of x_j * G_w with no index is a monomial that no G_v has
@@ -492,15 +519,28 @@ def monk_residue_vanishes(
     base = _grothendieck_entry(w.word)
     (x_j,) = Polynomial.variable(j, w.n).terms
     # the key of x_j times a monomial is the sum of their keys
-    shifted = map(add, _keys(base), repeat(x_j))
-    residue = dict(zip(map(_KEY_INDEX.get, shifted), base[1]))
-    if None in residue:  # a monomial of x_j * G_w that no G_v has
+    shifted = list(map(_KEY_INDEX.get, map(add, _keys(base), repeat(x_j))))
+    if None in shifted:  # a monomial of x_j * G_w that no G_v has
         return False
-    get = residue.get
-    for (indices, coeffs), sign in entries:
-        combine = sub if sign > 0 else add
-        residue.update(zip(indices, map(combine, map(get, indices, repeat(0)), coeffs)))
-    return not any(residue.values())
+    residue = _RESIDUE
+    residue.extend(repeat(0, len(_KEY_LIST) - len(residue)))
+    vanishes = False
+    try:
+        # the keys of x_j * G_w are distinct, and every slot starts at 0
+        for i, c in zip(shifted, base.coeffs):
+            residue[i] = c
+        for entry, sign in entries:
+            if sign > 0:
+                for i, c in zip(entry.indices, entry.coeffs):
+                    residue[i] -= c
+            else:
+                for i, c in zip(entry.indices, entry.coeffs):
+                    residue[i] += c
+        vanishes = residue.count(0) == len(residue)
+    finally:
+        if not vanishes:
+            residue[:] = [0] * len(residue)
+    return vanishes
 
 
 def fallen_boxes(w: Permutation) -> frozenset[tuple[int, int]]:

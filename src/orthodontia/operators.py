@@ -16,12 +16,18 @@ d_j is zero on a == b and changes sign when a and b trade places; the
 other variables factor straight through.  The other three operators
 multiply by x_j, x_{j+1} or both first, which only shifts a and b, so
 each operator makes one pass over f and adds every contribution into a
-single output dict.  The tests check all four against the exact-division
+single output dict.  Where a term's contributions land depends only on
+its a and b, so each call works out those output-key offsets once per
+distinct (a, b) in f, and the pass adds each term's coefficient at its
+pair's offsets.  The tests check all four against the exact-division
 kernel in ``tests/oracles.py``, derived independently.  All operators
 are stateless pure functions.
 """
 
 from __future__ import annotations
+
+from itertools import repeat
+from operator import and_
 
 from orthodontia.polynomial import _FIELD, MAX_EXPONENT, Polynomial
 
@@ -33,38 +39,45 @@ def _apply(j: int, f: Polynomial, shifts: tuple[tuple[int, int, int], ...]) -> P
         raise ValueError(f"operator index {j} out of range for n={n}")
     # packed keys (see orthodontia.polynomial): x_{j+1} in the field at sb,
     # x_j in the field above it, the total degree above every field.  A
-    # contribution's key is the term's key with both fields cleared, plus
-    # the degree change da + db - 1, plus p and top - p in the two fields,
-    # and p -> p + 1 adds step.  No field can overflow: every output
-    # exponent is below high <= MAX_EXPONENT + 1.
+    # contribution's key is the term's key with the two fields set to p and
+    # a + b - 1 - p, plus the degree change da + db - 1, so its offset from
+    # the term's key depends only on the term's two fields.  The plan of
+    # each distinct field pair lists, once per call, those offsets and the
+    # sign of each shift's contributions.  No field can overflow: every
+    # output exponent is below high <= MAX_EXPONENT + 1.
     sb = _FIELD * (n - j - 1)
     sa = sb + _FIELD
-    step = (1 << sa) - (1 << sb)
-    unit = 1 << sb
-    clear = ~(MAX_EXPONENT << sa | MAX_EXPONENT << sb)
-    moves = tuple((da, db, sign, (da + db - 1) << _FIELD * n) for da, db, sign in shifts)
+    step = (1 << sa) - (1 << sb)  # p -> p + 1
     m = MAX_EXPONENT
-    out: dict[int, int] = {}
-    get = out.get
-    for k, c in f.terms.items():
-        ea, eb = k >> sa & m, k >> sb & m
-        rest = k & clear
-        for da, db, sign, degree in moves:
+    pair = m << sa | m << sb
+    terms = f.terms
+    plans = {}
+    for fields in set(map(and_, terms, repeat(pair))):
+        ea, eb = fields >> sa, fields >> sb & m
+        plan = []
+        for da, db, sign in shifts:
             a, b = ea + da, eb + db
             if a > b:
-                low, high, coeff = b, a, c * sign
+                low, high = b, a
             elif a < b:
-                low, high, coeff = a, b, -c * sign
+                low, high, sign = a, b, -sign
             else:
                 continue
-            key = rest + degree + low * step + (a + b - 1) * unit
-            for _ in range(high - low):
+            first = ((da + db - 1) << _FIELD * n) + low * step + (a + b - 1 << sb) - fields
+            plan.append((list(range(first, first + (high - low) * step, step)), sign))
+        plans[fields] = plan
+    out: dict[int, int] = {}
+    get = out.get
+    for k, c in terms.items():
+        for offsets, sign in plans[k & pair]:
+            coeff = c * sign
+            for offset in offsets:
+                key = k + offset
                 s = get(key, 0) + coeff
                 if s:
                     out[key] = s
                 else:
                     del out[key]
-                key += step
     return Polynomial._raw(n, out)
 
 

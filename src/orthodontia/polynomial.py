@@ -31,10 +31,11 @@ computes on keys outside this module: the bijective shifts
 ``mul_monomial``, ``swap_variables`` and :func:`exact_divide_monomial`;
 ``_apply`` in :mod:`orthodontia.operators`; and the memo of
 :mod:`orthodontia.grothendieck`, which keeps keys in one table and
-stores indices into it (``_freeze``, ``_thaw`` and ``_keys``), reads
-degrees and maximum exponents through this module, and checks the Monk
-expansion in ``monk_residue_vanishes``, which adds x_j's key and sums
-target entries by ``dict.update`` keyed by index.
+stores indices into it (``_freeze``, ``_thaw`` and ``_keys``), works
+out each entry's degree and maximum exponents through this module when
+it freezes the entry, and checks the Monk expansion in
+``monk_residue_vanishes``, which adds x_j's key and sums target entries
+into one list indexed by key index.
 
 Polynomials are immutable values and safe to share between threads.
 """

@@ -825,6 +825,32 @@ def test_verify_degree_record_over_a_bound_fails_with_its_counts(monkeypatch, ch
     }
 
 
+def test_verify_fails_the_support_suites_on_a_closure_one_too_small(monkeypatch):
+    # each nonidentity word's closure loses 1 in its last nonzero variable;
+    # the support checks read G_w's maximum exponents and degree off its
+    # memo entry, and still fail every word the smaller bound excludes
+    real = cli.mask_closure
+
+    def lowered(masks):
+        closure = list(real(masks))
+        nonzero = [i for i, e in enumerate(closure) if e]
+        if nonzero:
+            closure[nonzero[-1]] -= 1
+        return tuple(closure)
+
+    monkeypatch.setattr(cli, "mask_closure", lowered)
+    code, out, _ = run_verify(5)
+    assert code == 1
+    failed = {
+        record["suite"]: record["failed"]
+        for record in map(json.loads, out.splitlines())
+        if "summary" in record
+    }
+    assert failed == {
+        "main": 0, "divisibility": 119, "degree": 105, "sorted": 0, "monk": 0, "conjecture": 119,
+    }
+
+
 def test_verify_sweep_shares_equal_records(monkeypatch):
     # S_6 has 83 distinct record value tuples over its six suites
     swept = []
@@ -1130,14 +1156,14 @@ def test_verify_memos_share_one_key_object_per_exponent_vector(monkeypatch):
         for memo in (grothendieck._SCHUBERT_CACHE, grothendieck._GROTH_CACHE)
         for entry in memo.values()
     ]
-    assert sum(len(indices) for indices, _ in entries) > 20 * 720
+    assert sum(len(entry.indices) for entry in entries) > 20 * 720
     # the monomials under the staircase of S_6, each one key in the table
     table = grothendieck._KEY_LIST
     assert len(table) <= 720 and len(set(table)) == len(table)
     assert grothendieck._KEY_INDEX == {key: i for i, key in enumerate(table)}
     # so each index fits 2 bytes, and each coefficient 1 byte
-    assert {indices.typecode for indices, _ in entries} <= {"B", "H"}
-    assert {coeffs.typecode for _, coeffs in entries} == {"b"}
+    assert {entry.indices.typecode for entry in entries} <= {"B", "H"}
+    assert {entry.coeffs.typecode for entry in entries} == {"b"}
 
 
 def test_verify_monk_from_empty_memos_passes_every_record(monkeypatch):
@@ -1231,7 +1257,7 @@ def test_verify_warns_of_the_time_and_memory_of_a_long_sweep(monkeypatch):
         raise RuntimeError("sweep reached")
 
     monkeypatch.setattr(cli, "_sweep", stop)
-    for n, cost in ((7, "about 5 s and 27 MiB"), (8, "about 4.5 min and 175 MiB")):
+    for n, cost in ((7, "about 5 s and 28 MiB"), (8, "about 3.5 min and 180 MiB")):
         out, err = io.StringIO(), io.StringIO()
         with pytest.raises(RuntimeError, match="sweep reached"):
             cmd_verify(n, ["sorted"], 1, None, out, err, max_rank=8)
@@ -1248,7 +1274,7 @@ def test_verify_warns_of_a_long_sweep_only_when_it_sweeps(tmp_path):
     assert code == 0
     assert err == (
         "warning: rank 7 sweeps 7! permutations; expect a long run, "
-        "about 5 s and 27 MiB of peak memory per process with every suite\n"
+        "about 5 s and 28 MiB of peak memory per process with every suite\n"
     )
     # a replay sweeps nothing, so it warns of nothing
     assert run_verify(7, ["sorted"], cache=cache) == (0, cold, "")

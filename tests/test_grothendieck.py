@@ -5,10 +5,12 @@ import os
 import random
 import re
 import sys
+from array import array
 from itertools import combinations, combinations_with_replacement, permutations
 
 import pytest
 
+from orthodontia import grothendieck
 from orthodontia.diagram import (
     Diagram,
     is_strongly_separated,
@@ -19,9 +21,12 @@ from orthodontia.diagram import (
 from orthodontia.grothendieck import (
     FormulaChain,
     _descend,
+    _Entry,
     _freeze,
+    _grothendieck_entry,
     _keys,
     _narrowest,
+    _schubert_entry,
     _thaw,
     check_sorted_step,
     RankOverflowError,
@@ -33,6 +38,7 @@ from orthodontia.grothendieck import (
     grothendieck_recursive,
     is_dominant,
     is_sorted_permutation,
+    monk_residue_vanishes,
     monk_terms,
     orthodontia_grothendieck,
     orthodontia_schubert,
@@ -163,10 +169,13 @@ def test_memo_entries_thaw_to_the_polynomials_they_froze(rng):
     ]
     polys.append(Polynomial.constant(2, (1 << 63) - 1) - Polynomial.variable(1, 2) * (1 << 63))
     for f in polys:
-        indices, coeffs = entry = _freeze(f)
-        assert len(indices) == len(coeffs) == len(f.terms)
+        entry = _freeze(f)
+        assert len(entry.indices) == len(entry.coeffs) == len(f.terms)
         assert _keys(entry) == list(f.terms)
         assert _thaw(f.n, entry) == f
+        # and the summary the support checks read: 0 and no exponents for 0
+        assert entry.degree == (f.degree() if f.terms else 0)
+        assert entry.max_exponents == bytes(f.max_exponents() if f.terms else f.n)
     # each entry's coefficients take the narrowest signed typecode that holds them
     x1 = Polynomial.variable(1, 2)
     for low, high, code in [
@@ -180,11 +189,24 @@ def test_memo_entries_thaw_to_the_polynomials_they_froze(rng):
     ]:
         for c in (low, high):
             f = x1 + Polynomial.constant(2, c)
-            assert _freeze(f)[1].typecode == code, c
+            assert _freeze(f).coeffs.typecode == code, c
             assert _thaw(2, _freeze(f)) == f
     # and its key indices the narrowest unsigned one
     for top, code in [(255, "B"), (256, "H"), (65_535, "H"), (65_536, "I")]:
         assert _narrowest("BHIQ", [0, top]).typecode == code, top
+
+
+def test_memo_entry_summaries_match_their_polynomials_s1_to_s6():
+    # the degree and maximum exponents the support checks read, against
+    # the exponent vectors of the polynomial each entry thaws to
+    for n in range(1, 7):
+        for w in symmetric_group(n):
+            for entry in (_grothendieck_entry(w.word), _schubert_entry(w.word)):
+                f = _thaw(n, entry)
+                vectors = list(f.monomials())
+                assert entry.degree == f.degree() == max(map(sum, vectors)), w
+                assert tuple(entry.max_exponents) == f.max_exponents(), w
+                assert f.max_exponents() == tuple(map(max, zip(*vectors))), w
 
 
 @pytest.mark.parametrize("coeff", [1 << 63, -(1 << 63) - 1, 1 << 200])
@@ -481,6 +503,55 @@ def test_monk_terms_match_chain_oracle_s1_to_s6():
                 assert sorted(monk_terms(j, w).items()) == expected, (w, j)
     with pytest.raises(ValueError, match="out of range"):
         monk_terms(3, from_one_line([2, 1]))
+
+
+def test_monk_residue_leaves_every_sum_at_zero_s2_to_s5(monkeypatch):
+    residue = grothendieck._RESIDUE
+    pairs = 0
+    for n in range(2, 6):
+        for w in symmetric_group(n):
+            for j in range(1, n + 1):
+                try:
+                    targets = monk_terms(j, w)
+                except RankOverflowError:
+                    continue
+                pairs += 1
+                for v, sign in targets.items():
+                    dropped = {u: s for u, s in targets.items() if u != v}
+                    flipped = {**targets, v: -sign}
+                    for wrong in (dropped, flipped):
+                        assert not monk_residue_vanishes(j, w, wrong), (w, j, v)
+                        assert residue.count(0) == len(residue)
+                assert monk_residue_vanishes(j, w, targets), (w, j)
+                assert residue.count(0) == len(residue)
+    assert pairs > 300 and len(residue) >= 120
+
+    w = from_one_line([1, 3, 2, 4])
+    targets = monk_terms(2, w)
+    assert len(targets) > 1
+    last = list(targets)[-1]
+    real = grothendieck._grothendieck_entry
+
+    def fetch(word):
+        if word == last:
+            raise RuntimeError("fetch failed")
+        return real(word)
+
+    monkeypatch.setattr(grothendieck, "_grothendieck_entry", fetch)
+    with pytest.raises(RuntimeError, match="fetch failed"):
+        monk_residue_vanishes(2, w, targets)
+    assert residue.count(0) == len(residue)
+    # an entry that faults while the sums are half made: the earlier
+    # targets' terms are in the list when its index is read
+    out_of_range = _Entry(array("I", [(1 << 32) - 1]), array("b", [1]), 0, bytes(4))
+    monkeypatch.setattr(
+        grothendieck, "_grothendieck_entry", lambda word: out_of_range if word == last else real(word)
+    )
+    with pytest.raises(IndexError):
+        monk_residue_vanishes(2, w, targets)
+    assert residue.count(0) == len(residue)
+    monkeypatch.undo()
+    assert monk_residue_vanishes(2, w, targets)
 
 
 def test_sorted_step_with_known_sequences_matches_check_sorted_step_s1_to_s6():
