@@ -40,7 +40,7 @@ import os
 import sys
 from itertools import accumulate, permutations
 from pathlib import Path
-from typing import BinaryIO, Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from orthodontia import __version__
 from orthodontia.analysis import check_conjecture, check_divisibility, degree_report
@@ -190,30 +190,21 @@ _SUITE_CHECKS = {
 
 
 class _Rule(NamedTuple):
-    # the record's field names besides suite, n and w, in sorted order; a
-    # stored record is the tuple of its values in this order
-    fields: tuple[str, ...]
     counts: dict[str, str] = {}  # int field the summary adds up -> name of the sum
     gates: bool = True  # whether a failed record fails the run
 
 
-# Each suite's record shape.  Every record, passing or failing, carries
-# exactly the suite's fields, ok among them as its check worked it out,
-# and the summary adds up its count fields.
+# How each suite's records are summed up, in the order verify prints the
+# suites.  A record holds exactly the keys its check returns, ok among
+# them as the check worked it out.
 _SUITE_RULES = {
-    "main": _Rule(("groth_match", "lowest_degree_match", "ok", "schubert_match")),
-    "divisibility": _Rule(("ok", "witness")),
-    "degree": _Rule(
-        ("bound_cor", "bound_prop", "deg_groth", "ok", "tight_cor", "tight_prop"),
-        {"tight_prop": "tight_prop_count", "tight_cor": "tight_cor_count"},
-    ),
-    "sorted": _Rule(("ok", "parts_ok", "sorted", "unsort_ok")),
-    "monk": _Rule(
-        ("checked", "ok", "skipped"),
-        {"checked": "checked_total", "skipped": "skipped_total"},
-    ),
+    "main": _Rule(),
+    "divisibility": _Rule(),
+    "degree": _Rule({"tight_prop": "tight_prop_count", "tight_cor": "tight_cor_count"}),
+    "sorted": _Rule(),
+    "monk": _Rule({"checked": "checked_total", "skipped": "skipped_total"}),
     # an experiment: a counterexample is reported, never a failed run
-    "conjecture": _Rule(("ok", "witness"), gates=False),
+    "conjecture": _Rule(gates=False),
 }
 SUITES = tuple(_SUITE_RULES)
 
@@ -221,14 +212,11 @@ SUITES = tuple(_SUITE_RULES)
 def _verify_task(
     args: tuple[tuple[int, ...], tuple[str, ...]],
 ) -> tuple[tuple[int, ...], dict[str, tuple]]:
-    # each suite's record of the word, as the tuple of its field values
+    # each suite's record of the word, as its (field, value) pairs in field
+    # order; the keys are distinct, so the sort never compares values
     word, suites = args
     w = Permutation(word)
-    records = {}
-    for suite in suites:
-        record = _SUITE_CHECKS[suite](w)
-        records[suite] = tuple(map(record.__getitem__, _SUITE_RULES[suite].fields))
-    return word, records
+    return word, {suite: tuple(sorted(_SUITE_CHECKS[suite](w).items())) for suite in suites}
 
 
 # ---------------------------------------------------------------------------
@@ -276,48 +264,37 @@ def _json_object(line: str | bytes) -> dict | None:
     return value if isinstance(value, dict) else None
 
 
-def _encoder(n: int, suite: str) -> Callable[[tuple[int, ...], tuple], str]:
-    """The line, with its newline, of each record of (n, suite) from its
-    word and value tuple.
+def _render(n: int, suite: str, records: dict[tuple[int, ...], tuple]) -> Iterator[str]:
+    """What verify prints for a computed suite at rank n, line by line:
+    each word's record line in word order, then the summary line.
 
     A record's line is f'{head}"w":[{digits}]{tail}', where digits is its
     word's entries joined by commas, and head and tail are its line with
-    an empty word cut around "w":[].  They depend on the value tuple only,
-    so they are built once per distinct tuple: S_7's 30,240 records have
-    224.  Equality takes True for 1, but each field of a suite's records
-    always holds the same type, so equal tuples print the same.
+    an empty word cut around "w":[].  They, its ok and the counts its
+    summary adds up depend on its (field, value) pairs only, so they are
+    worked out once per distinct record: S_7's 30,240 records have 224.
+    Equality takes True for 1, but each field of a suite's records always
+    holds the same type, so equal records print the same.
     """
-    fields = _SUITE_RULES[suite].fields
+    counts = _SUITE_RULES[suite].counts
     word_format = ",".join(["%d"] * n)
-    outer: dict[tuple, tuple[str, str]] = {}
-
-    def encode(word: tuple[int, ...], values: tuple) -> str:
-        try:
-            head, tail = outer[values]
-        except KeyError:
-            line = _dump({"suite": suite, "n": n, "w": (), **dict(zip(fields, values))})
-            head, _, tail = line.partition('"w":[]')
-            outer[values] = head, tail
-        return f'{head}"w":[{word_format % word}]{tail}\n'
-
-    return encode
-
-
-def _render(n: int, suite: str, records: dict[tuple[int, ...], tuple]) -> Iterator[str]:
-    """What verify prints for a computed suite at rank n, line by line:
-    each word's record line in word order, then the summary line."""
-    rule = _SUITE_RULES[suite]
-    ok = rule.fields.index("ok")
-    counts = {rule.fields.index(field): name for field, name in rule.counts.items()}
-    encode = _encoder(n, suite)
+    parts: dict[tuple, tuple[str, str, bool, dict[str, int]]] = {}
     failed = 0
     totals = dict.fromkeys(counts.values(), 0)
     for word in permutations(range(1, n + 1)):
-        values = records[word]
-        failed += not values[ok]
-        for index, name in counts.items():
-            totals[name] += values[index]
-        yield encode(word, values)
+        items = records[word]
+        try:
+            head, tail, ok, added = parts[items]
+        except KeyError:
+            record = dict(items)
+            line = _dump({"suite": suite, "n": n, "w": (), **record})
+            head, _, tail = line.partition('"w":[]')
+            ok, added = record["ok"], {name: record[field] for field, name in counts.items()}
+            parts[items] = head, tail, ok, added
+        failed += not ok
+        for name, value in added.items():
+            totals[name] += value
+        yield f'{head}"w":[{word_format % word}]{tail}\n'
     summary = {"suite": suite, "n": n, "summary": True, "total": len(records), "failed": failed}
     yield _dump({**summary, **totals}) + "\n"
 
@@ -595,9 +572,10 @@ def cmd_verify(
 
 
 def _sweep(n: int, suites: tuple[str, ...], jobs: int) -> dict[str, dict[tuple[int, ...], tuple]]:
-    """Each suite's record of every word of S_n, as the tuple of its field
-    values, computed in jobs worker processes when jobs > 1.  Equal tuples
-    are one object: S_7's 30,240 records have 224 distinct tuples.
+    """Each suite's record of every word of S_n, as the tuple of its
+    (field, value) pairs in field order, computed in jobs worker processes
+    when jobs > 1.  Equal records are one object: S_7's 30,240 records
+    have 224 distinct ones.
 
     The words' sequences and closure monomials are built first, so forked
     workers inherit them.  Both tables and the formula chains are emptied
@@ -631,8 +609,8 @@ def _sweep(n: int, suites: tuple[str, ...], jobs: int) -> dict[str, dict[tuple[i
             # each result is stored as it arrives, so the parent never
             # holds them all at once
             for word, by_suite in done:
-                for suite, values in by_suite.items():
-                    records[suite][word] = shared.setdefault(values, values)
+                for suite, items in by_suite.items():
+                    records[suite][word] = shared.setdefault(items, items)
     finally:
         _SEQUENCES.clear()
         _CLOSURES.clear()

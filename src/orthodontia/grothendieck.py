@@ -101,7 +101,7 @@ _GROTH_CACHE: dict[tuple[int, ...], _Entry] = {}
 
 class _KeyIndex(dict):
     """The index of each packed key in ``_KEY_LIST``.  Looking up a key
-    not seen before with ``[]`` appends it there; ``get`` appends nothing."""
+    not seen before appends it there."""
 
     __slots__ = ()
 
@@ -511,18 +511,16 @@ def monk_residue_vanishes(
     Reads G_w and every G_v from the recursive memo, filling it on
     demand, and builds no polynomial: the residue x_j * G_w minus every
     sign * G_v is summed in ``_RESIDUE``, one slot per key index, and the
-    identity holds iff every slot ends at 0.
+    identity holds iff every slot ends at 0.  A monomial of x_j * G_w that
+    no G_v has gets a slot of its own, which no target brings back to 0.
     """
-    # every target entry is fetched before any key is looked up, so a key
-    # of x_j * G_w with no index is a monomial that no G_v has
     entries = [(_grothendieck_entry(v), sign) for v, sign in targets.items()]
     base = _grothendieck_entry(w.word)
     (x_j,) = Polynomial.variable(j, w.n).terms
     # the key of x_j times a monomial is the sum of their keys
-    shifted = list(map(_KEY_INDEX.get, map(add, _keys(base), repeat(x_j))))
-    if None in shifted:  # a monomial of x_j * G_w that no G_v has
-        return False
+    shifted = list(map(_KEY_INDEX.__getitem__, map(add, _keys(base), repeat(x_j))))
     residue = _RESIDUE
+    # after every lookup, so there is a slot for each key index
     residue.extend(repeat(0, len(_KEY_LIST) - len(residue)))
     vanishes = False
     try:

@@ -1017,14 +1017,27 @@ def test_check_monk_skips_exactly_where_monk_terms_overflows_s1_to_s6(monkeypatc
             monkeypatch.setattr(cli, "monk_terms", real)
 
 
-def test_verify_records_carry_exactly_their_rules_fields():
-    # printed keys are sorted, so this also checks that each rule lists its fields sorted
+# each suite's record fields besides suite, n and w, as verify prints them
+RECORD_FIELDS = {
+    "main": ("groth_match", "lowest_degree_match", "ok", "schubert_match"),
+    "divisibility": ("ok", "witness"),
+    "degree": ("bound_cor", "bound_prop", "deg_groth", "ok", "tight_cor", "tight_prop"),
+    "sorted": ("ok", "parts_ok", "sorted", "unsort_ok"),
+    "monk": ("checked", "ok", "skipped"),
+    "conjecture": ("ok", "witness"),
+}
+
+
+def test_verify_records_carry_exactly_their_suites_fields():
+    # printed keys are sorted, so the fields are compared in sorted order
     _, out, _ = run_verify(4)
-    for line in out.splitlines():
+    lines = out.splitlines()
+    assert len(lines) == len(SUITES) * 25
+    for line in lines:
         record = json.loads(line)
         if not record.get("summary"):
             fields = tuple(key for key in record if key not in ("suite", "n", "w"))
-            assert fields == cli._SUITE_RULES[record["suite"]].fields, record
+            assert fields == RECORD_FIELDS[record["suite"]], record
 
 
 def test_verify_builds_each_words_diagram_facts_once(monkeypatch):
@@ -1167,8 +1180,8 @@ def test_verify_memos_share_one_key_object_per_exponent_vector(monkeypatch):
 
 
 def test_verify_monk_from_empty_memos_passes_every_record(monkeypatch):
-    # the residue looks up x_j * G_w's keys only after every target entry
-    # is in the memo, so no key is missing merely because it came first
+    # from an empty key table: a monomial gets one index whichever lookup
+    # meets it first, so x_j * G_w and each G_v with that term share its slot
     fresh_memos(monkeypatch)
     code, out, _ = run_verify(5, suites=["monk"])
     assert code == 0
@@ -1183,8 +1196,8 @@ def test_check_monk_fails_on_an_extra_term_whose_shift_has_no_index(monkeypatch)
     assert cli._check_monk(w) == {"ok": True, "checked": 3, "skipped": 1}
     groth = grothendieck_recursive(w)
     # no G_v of S_4 has a term of x_j times these, which lie under no
-    # staircase of S_4; the opposite pair would cancel if keys without an
-    # index were summed in one slot
+    # staircase of S_4, so each gets a slot of its own; the opposite pair
+    # would cancel if such keys were summed in one slot
     x1, x2 = Polynomial.variable(1, 4), Polynomial.variable(2, 4)
     for extra in (x1**5, x2**5 - x2**7):
         grothendieck._GROTH_CACHE[w.word] = grothendieck._freeze(groth + extra)
