@@ -23,7 +23,7 @@ wherever the divisibility check does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from orthodontia.diagram import OrthodonticSequence, closure_monomial, rothe_diagram
 from orthodontia.grothendieck import (
@@ -38,8 +38,7 @@ from orthodontia.permutation import Permutation
 from orthodontia.polynomial import Monomial, Polynomial, monomial_divides
 
 
-@dataclass(frozen=True)
-class DegreeReport:
+class DegreeReport(NamedTuple):
     """Degree of G_w against the two combinatorial upper bounds.
 
     ``bound_prop`` is deg S_w plus the orthodontia step count;
@@ -55,20 +54,25 @@ class DegreeReport:
     bound_cor: int
 
 
-@dataclass(frozen=True)
-class SupportVectors:
-    """The two exponent vectors whose sum is the conjecture experiment's bound.
+class _SupportFields(NamedTuple):
+    theta: tuple[int, ...]
+    xi: tuple[int, ...]
+
+
+class SupportVectors(_SupportFields):
+    """The two exponent vectors whose sum is the conjecture experiment's bound,
+    a read-only tuple record.
 
     ``theta``: the upper-closure monomial; entry j counts columns reaching row j or lower.
     ``xi``: entry j counts orthodontia steps that swapped rows j, j+1.
     """
 
-    theta: tuple[int, ...]
-    xi: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if any(v < 0 for v in self.theta) or any(v < 0 for v in self.xi):
+    def __new__(cls, theta: tuple[int, ...], xi: tuple[int, ...]) -> SupportVectors:
+        if min(theta, default=0) < 0 or min(xi, default=0) < 0:
             raise ValueError("support vectors must be nonnegative")
+        return tuple.__new__(cls, (theta, xi))
 
 
 def support_witness(f: Polynomial, bound: Monomial) -> Monomial | None:

@@ -13,15 +13,15 @@ file it resolves to is rewritten; a path that resolves to anything but a
 regular file (a directory, a device, a FIFO), or into a missing
 directory, is refused before the sweep.  The file's first line is the
 stamp of these sources, {"version": STAMP}.  Then comes one block per
-(n, suite): a header line {"bytes": B, "n": n, "sha256": D, "suite": s},
+(n, suite): a header line {"blake2b": D, "bytes": B, "n": n, "suite": s},
 then exactly the B bytes that verify prints for that suite at rank n,
-its n! record lines and its summary line.  D is the sha256 of "n s\n"
-followed by those bytes.  The first line decides how the rest is read:
-after the current stamp, a block whose bytes match its digest is
-replayed by writing its text, and its summary line gives its share of
-the exit code; any other block, and any run of lines that are not a
-header, is skipped with one warning on stderr, and a selected suite it
-held is recomputed.  After another stamp, as every older format has,
+its n! record lines and its summary line.  D is the hex 32-byte BLAKE2b
+digest of "n s\n" followed by those bytes.  The first line decides how
+the rest is read: after the current stamp, a block whose bytes match its
+digest is replayed by writing its text, and its summary line gives its
+share of the exit code; any other block, and any run of lines that are
+not a header, is skipped with one warning on stderr, and a selected
+suite it held is recomputed.  After another stamp, as every older format has,
 every line is skipped silently; after anything else, the file is one
 malformed block, skipped with the warning.  A run that computes a suite
 or skips a block rewrites the file: its trusted blocks byte for byte,
@@ -118,7 +118,8 @@ def _check_main(w: Permutation) -> dict:
     groth = grothendieck_recursive(w)
     groth_match = groth == chained_grothendieck(seq, _GROTH_CHAIN)
     schubert_match = schubert == chained_schubert(seq, _SCHUBERT_CHAIN)
-    lowest_degree_match = groth.lowest_degree_component() == schubert
+    # G_w = 0, which has no lowest degree, fails the record
+    lowest_degree_match = not groth.is_zero and groth.lowest_degree_component() == schubert
     return {
         "groth_match": groth_match,
         "schubert_match": schubert_match,
@@ -223,29 +224,28 @@ def _verify_task(
 # result cache
 
 
-def _sha256(data: bytes = b""):
-    # the builtin sha256: hashlib loads OpenSSL (20 ms, 3.5 MiB of RSS)
-    try:
-        from _sha2 import sha256  # CPython 3.12 and later
-    except ImportError:
-        from _sha256 import sha256
-    return sha256(data)
+def _blake2b(data: bytes = b""):
+    # BLAKE2b with a 32-byte digest, from the C builtin that hashlib wraps:
+    # importing hashlib loads OpenSSL (about 5 ms and 3.7 MiB of RSS)
+    from _blake2 import blake2b
+
+    return blake2b(data, digest_size=32)
 
 
 @functools.cache
 def _cache_stamp() -> str:
-    """__version__ plus the first 16 hex digits of a sha256 over the
-    package's .py files, each file's name and bytes in name order."""
-    digest = _sha256()
+    """__version__ plus the first 16 hex digits of a 32-byte BLAKE2b over
+    the package's .py files, each file's name and bytes in name order."""
+    digest = _blake2b()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         digest.update(path.name.encode() + path.read_bytes())
     return f"{__version__}+{digest.hexdigest()[:16]}"
 
 
 def _digest(n: int, suite: str, chunks: Iterable[bytes]) -> tuple[int, str]:
-    """The byte length and the sha256 of a cache block that is the chunks
-    joined; the sha256 covers the block's n and suite, then its bytes."""
-    digest = _sha256(f"{n} {suite}\n".encode())
+    """The byte length and the 32-byte BLAKE2b of a cache block that is the
+    chunks joined; the digest covers the block's n and suite, then its bytes."""
+    digest = _blake2b(f"{n} {suite}\n".encode())
     size = 0
     for chunk in chunks:
         digest.update(chunk)
@@ -323,12 +323,12 @@ def _header(line: bytes, room: int) -> tuple[tuple[int, str], int, object] | Non
     # holds, when it holds exactly these, with n an int, a known suite and
     # a positive length of at most room, the bytes left in the file
     header = _json_object(line)
-    if header is None or header.keys() != {"bytes", "n", "sha256", "suite"}:
+    if header is None or header.keys() != {"blake2b", "bytes", "n", "suite"}:
         return None
     n, suite, length = header["n"], header["suite"], header["bytes"]
     if type(n) is not int or suite not in SUITES or type(length) is not int or not 0 < length <= room:
         return None
-    return (n, suite), length, header["sha256"]
+    return (n, suite), length, header["blake2b"]
 
 
 def _load_cache(cache: BinaryIO, path: str, err: TextIO) -> tuple[dict[tuple[int, str], _Block], bool]:
@@ -403,7 +403,7 @@ def _write_cache(
                 handle.write(cache.read(block.end - block.start))
             for suite, records in computed.items():
                 size, digest = _digest(n, suite, map(str.encode, _render(n, suite, records)))
-                header = {"bytes": size, "n": n, "sha256": digest, "suite": suite}
+                header = {"blake2b": digest, "bytes": size, "n": n, "suite": suite}
                 handle.write(_dump(header).encode() + b"\n")
                 handle.writelines(map(str.encode, _render(n, suite, records)))
         os.replace(temp, path)
@@ -659,7 +659,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache",
         default=os.environ.get(CACHE_ENV),
         help=(
-            "result cache: a stamp line, then one sha256-checked block per rank and suite "
+            "result cache: a stamp line, then one BLAKE2b-checked block per rank and suite "
             f"(default: ${CACHE_ENV})"
         ),
     )

@@ -25,7 +25,6 @@ puts the columns back in their places in its snapshots.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -45,21 +44,43 @@ def _rows(mask: int) -> list[int]:
     return [i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1]
 
 
-@dataclass(frozen=True)
 class Diagram:
     """A subset of the n x n grid: ``masks[j-1]`` has bit i-1 set for the box (i, j)."""
 
-    n: int
-    masks: tuple[int, ...]
+    __slots__ = ("n", "masks")
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+    def __init__(self, n: int, masks: tuple[int, ...]) -> None:
+        if n < 1:
             raise ValueError("grid size must be at least 1")
-        if len(self.masks) != self.n:
-            raise ValueError(f"expected {self.n} columns, got {len(self.masks)}")
-        for c in self.masks:
-            if c < 0 or c >> self.n:
-                raise ValueError(f"column mask {c} outside 0..{(1 << self.n) - 1}")
+        if len(masks) != n:
+            raise ValueError(f"expected {n} columns, got {len(masks)}")
+        for c in masks:
+            if c < 0 or c >> n:
+                raise ValueError(f"column mask {c} outside 0..{(1 << n) - 1}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "masks", masks)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError("Diagram is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Diagram is immutable")
+
+    def __reduce__(self) -> tuple:
+        # pickle and copy rebuild through __init__, which validates
+        return self.__class__, (self.n, self.masks)
+
+    # n is the number of masks, so the masks alone decide equality
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.masks == other.masks
+
+    def __hash__(self) -> int:
+        return hash(self.masks)
+
+    def __repr__(self) -> str:
+        return f"Diagram(n={self.n!r}, masks={self.masks!r})"
 
     @classmethod
     def from_columns(cls, n: int, columns: Iterable[Iterable[int]]) -> Diagram:

@@ -26,8 +26,9 @@ read-only :class:`_Entry` ``(indices, coeffs, degree, max_exponents)``:
 two arrays, each of the narrowest typecode that holds that entry's
 values, then the polynomial's total degree and the largest exponent of
 each variable, as n bytes, both worked out once when the entry is
-frozen.  The polynomial's packed keys are stored as indices into one
-key table that both memos share: a list from index to key and a dict
+frozen.  A Schubert entry leaves the exponents empty, since nothing
+reads them.  The polynomial's packed keys are stored as indices into
+one key table that both memos share: a list from index to key and a dict
 from key to index, to which a key is appended when a frozen polynomial
 first has it.  The memos of S_n use n! keys, so an index takes 1 byte
 up to S_5 and 2 bytes up to S_8.  The coefficients take ``b``, ``h``,
@@ -46,7 +47,6 @@ from __future__ import annotations
 
 from array import array
 from collections.abc import Mapping
-from dataclasses import dataclass
 from itertools import repeat
 from operator import add
 from typing import NamedTuple
@@ -92,7 +92,7 @@ class _Entry(NamedTuple):
     indices: array  # each term's key, as its index in _KEY_LIST
     coeffs: array  # each term's coefficient, in the same order
     degree: int  # the total degree; 0 for the zero polynomial
-    max_exponents: bytes  # the largest exponent of each variable, n bytes
+    max_exponents: bytes  # the largest exponent of each variable, n bytes; b"" in an S entry
 
 
 _SCHUBERT_CACHE: dict[tuple[int, ...], _Entry] = {}
@@ -127,8 +127,11 @@ def _narrowest(codes: str, values: list[int]) -> array:
     return array(codes[-1], values)
 
 
-def _freeze(f: Polynomial) -> _Entry:
-    """The memo entry of f; refuses a coefficient outside the signed 64-bit range."""
+def _freeze(f: Polynomial, *, maxima: bool = True) -> _Entry:
+    """The memo entry of f; refuses a coefficient outside the signed 64-bit range.
+
+    Without ``maxima`` the entry's maximum exponents are left empty.
+    """
     n, terms = f.n, f.terms
     try:
         coeffs = _narrowest("bhiq", list(terms.values()))
@@ -138,9 +141,10 @@ def _freeze(f: Polynomial) -> _Entry:
             f"coefficient {big} does not fit a memo entry's signed 64-bit coefficients"
         ) from None
     indices = _narrowest("BHIQ", list(map(_KEY_INDEX.__getitem__, terms)))
-    if not terms:
-        return _Entry(indices, coeffs, 0, bytes(n))
-    return _Entry(indices, coeffs, _degree(terms, n), bytes(_max_exponents(terms, n)))
+    degree = _degree(terms, n) if terms else 0
+    if not maxima:
+        return _Entry(indices, coeffs, degree, b"")
+    return _Entry(indices, coeffs, degree, bytes(_max_exponents(terms, n) if terms else n))
 
 
 def _keys(entry: _Entry) -> list[int]:
@@ -173,6 +177,8 @@ def _descend(
     # thawed.  Without a memo the walk stores nothing: only the polynomial
     # in hand and the one op is building are alive at any time.
     n = len(word)
+    # the support checks read G_w's maximum exponents; nothing reads S_w's
+    maxima = memo is _GROTH_CACHE
     chain: list[tuple[tuple[int, ...], int]] = []
     entry = None if memo is None else memo.get(word)
     while entry is None:
@@ -180,7 +186,7 @@ def _descend(
         if j is None:
             poly = _staircase(n)
             if memo is not None:
-                memo[word] = _freeze(poly)
+                memo[word] = _freeze(poly, maxima=maxima)
             break
         chain.append((word, j))
         word = word[: j - 1] + (word[j], word[j - 1]) + word[j + 1 :]
@@ -191,7 +197,7 @@ def _descend(
     for word, j in reversed(chain):
         poly = op(j, poly)
         if memo is not None:
-            memo[word] = _freeze(poly)
+            memo[word] = _freeze(poly, maxima=maxima)
     return poly
 
 
@@ -576,8 +582,7 @@ def _sorted_step_up(w: Permutation, data: PrimaryColumnData) -> Permutation:
     return Permutation(word[:p] + (word[t],) + word[p:t] + word[t + 1 :])
 
 
-@dataclass(frozen=True)
-class SortedStepCheck:
+class SortedStepCheck(NamedTuple):
     """The step relations of the orthodontic sort order, checked for one w.
 
     ``is_sorted``: whether w is sorted.

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from orthodontia.analysis import (
+    SupportVectors,
     check_conjecture,
     check_divisibility,
     degree_report,
@@ -174,6 +175,13 @@ def test_support_vectors_14532():
     v = support_vectors(*facts(from_one_line([1, 4, 5, 3, 2])))
     assert v.theta == (2, 2, 2, 1, 0)
     assert v.xi == (1, 1, 1, 0, 0)
+
+
+def test_support_vectors_refuse_negative_entries():
+    assert SupportVectors((1, 0), (0, 2)) == ((1, 0), (0, 2))
+    for theta, xi in [((1, -1), (0, 0)), ((0, 0), (-1, 0)), ((-2,), (-1,))]:
+        with pytest.raises(ValueError, match="support vectors must be nonnegative"):
+            SupportVectors(theta, xi)
 
 
 def test_support_vectors_s5_consistency():

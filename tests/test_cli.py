@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from itertools import accumulate, permutations
 
 import pytest
@@ -59,9 +60,9 @@ def cache_blocks(data: bytes) -> list[tuple[int, str, bytes]]:
         header = json.loads(line)
         n, suite, size = header["n"], header["suite"], header["bytes"]
         text, rest = rest[:size], rest[size:]
-        digest = hashlib.sha256(f"{n} {suite}\n".encode() + text).hexdigest()
+        digest = hashlib.blake2b(f"{n} {suite}\n".encode() + text, digest_size=32).hexdigest()
         assert line == json.dumps(
-            {"bytes": len(text), "n": n, "sha256": digest, "suite": suite},
+            {"blake2b": digest, "bytes": len(text), "n": n, "suite": suite},
             sort_keys=True, separators=(",", ":"),
         ).encode()
         blocks.append((n, suite, text))
@@ -340,6 +341,27 @@ def test_verify_cache_round_trip(tmp_path):
     assert_cache_holds(cache, first)
 
 
+def test_launch_and_replay_load_no_dataclasses_inspect_or_openssl(tmp_path):
+    # pytest and these tests import hashlib themselves, so a child process
+    # without site imports the CLI and replays a full cache
+    cache = tmp_path / "results.jsonl"
+    _, first, _ = run_verify(4, cache=str(cache))
+    child = (
+        "import sys\n"
+        "import orthodontia.cli\n"
+        "imported = sorted({'dataclasses', 'inspect', '_hashlib'} & sys.modules.keys())\n"
+        "code = orthodontia.cli.main(['verify', '--n', '4', '--cache', sys.argv[1]])\n"
+        "replayed = sorted({'_blake2', '_hashlib'} & sys.modules.keys())\n"
+        "print(imported, replayed, code, file=sys.stderr)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", child, str(cache)], capture_output=True, text=True, env=env, check=True
+    )
+    assert result.stderr == "[] ['_blake2'] 0\n"
+    assert result.stdout == first
+
+
 @pytest.mark.parametrize("kind", ["schubert", "grothendieck"])
 def test_compute_holds_no_ascending_result_during_the_recursive_walk(monkeypatch, kind):
     # the walk starts with only the ascending result's snapshot alive, and
@@ -530,15 +552,15 @@ MAIN_21 = (
         # word and inside a header; integers too long to convert
         pytest.param(b"[" * 100_000, id="nested-line"),
         pytest.param(b'{"w":[2,1],"x":' + b"[" * 100_000, id="nested-around-word"),
-        pytest.param(b'{"bytes":1,"n":2,"sha256":"","suite":' + b"[" * 100_000, id="nested-header"),
+        pytest.param(b'{"blake2b":"","bytes":1,"n":2,"suite":' + b"[" * 100_000, id="nested-header"),
         pytest.param(
             b'{"checked":' + b"9" * 5000 + b',"n":2,"ok":true,"skipped":1,"suite":"monk","w":[1,2]}',
             id="long-integer",
         ),
-        pytest.param(b'{"bytes":' + b"9" * 5000 + b',"n":2,"sha256":"","suite":"main"}', id="long-length"),
+        pytest.param(b'{"blake2b":"","bytes":' + b"9" * 5000 + b',"n":2,"suite":"main"}', id="long-length"),
         # lengths past the end of the file, which no read may try to allocate
-        b'{"bytes":1000000000000,"n":2,"sha256":"","suite":"main"}',
-        b'{"bytes":' + b"9" * 30 + b',"n":2,"sha256":"","suite":"main"}',
+        b'{"blake2b":"","bytes":1000000000000,"n":2,"suite":"main"}',
+        b'{"blake2b":"","bytes":' + b"9" * 30 + b',"n":2,"suite":"main"}',
         # the record of 21 with the right values, but not the line verify prints
         MAIN_21.replace(b'"n":2', b'"n": 2'),
         b'{"n":2,' + MAIN_21[1:].replace(b'"n":2,', b""),
@@ -549,16 +571,18 @@ MAIN_21 = (
         MAIN_21 + b"\r",
         b" " + MAIN_21,
         # headers with a field missing, added, or of the wrong type, an
-        # unknown suite, and a length that is not positive
+        # unknown suite, and a length that is not positive; the last
+        # format's sha256 header
         b'{"bytes":1,"n":2,"suite":"main"}',
-        b'{"bytes":1,"extra":0,"n":2,"sha256":"","suite":"main"}',
-        b'{"bytes":"1","n":2,"sha256":"","suite":"main"}',
-        b'{"bytes":1,"n":2.0,"sha256":"","suite":"main"}',
-        b'{"bytes":1,"n":true,"sha256":"","suite":"main"}',
-        b'{"bytes":1,"n":2,"sha256":"","suite":"nope"}',
-        b'{"bytes":1,"n":2,"sha256":"","suite":["main"]}',
-        b'{"bytes":0,"n":2,"sha256":"","suite":"main"}',
-        b'{"bytes":-1,"n":2,"sha256":"","suite":"main"}',
+        b'{"bytes":1,"n":2,"sha256":"","suite":"main"}',
+        b'{"blake2b":"","bytes":1,"extra":0,"n":2,"suite":"main"}',
+        b'{"blake2b":"","bytes":"1","n":2,"suite":"main"}',
+        b'{"blake2b":"","bytes":1,"n":2.0,"suite":"main"}',
+        b'{"blake2b":"","bytes":1,"n":true,"suite":"main"}',
+        b'{"blake2b":"","bytes":1,"n":2,"suite":"nope"}',
+        b'{"blake2b":"","bytes":1,"n":2,"suite":["main"]}',
+        b'{"blake2b":"","bytes":0,"n":2,"suite":"main"}',
+        b'{"blake2b":"","bytes":-1,"n":2,"suite":"main"}',
     ],
 )
 def test_verify_cache_skips_malformed_line(tmp_path, line):
@@ -614,13 +638,13 @@ def test_verify_cache_skips_a_block_cut_short(tmp_path):
     _, written = cold_cache(tmp_path, 3, ["main", "sorted"])
     # the last newline, the last 10 bytes, and all of the last block but
     # the start of its header
-    for cut in (1, 10, len(written) - written.rindex(b'{"bytes":') - 5):
+    for cut in (1, 10, len(written) - written.rindex(b'{"blake2b":') - 5):
         assert_skipped_then_silent(tmp_path / "results.jsonl", written[:-cut], 1, 3, ["main", "sorted"])
 
 
 def test_verify_cache_skips_a_duplicate_block(tmp_path):
     _, written = cold_cache(tmp_path, 3, ["main", "sorted"])
-    last = written[written.rindex(b'{"bytes":'):]
+    last = written[written.rindex(b'{"blake2b":'):]
     # the duplicate, and a copy with a wrong digest after it: two blocks
     wrong = last.replace(b'"ok":true', b'"ok":trUe', 1)
     assert_skipped_then_silent(tmp_path / "results.jsonl", written + last, 1, 3, ["main", "sorted"])
@@ -629,8 +653,8 @@ def test_verify_cache_skips_a_duplicate_block(tmp_path):
 
 def forged(n: int, suite: str, text: bytes) -> bytes:
     """A block whose header gives the length and digest of text."""
-    digest = hashlib.sha256(f"{n} {suite}\n".encode() + text).hexdigest()
-    header = {"bytes": len(text), "n": n, "sha256": digest, "suite": suite}
+    digest = hashlib.blake2b(f"{n} {suite}\n".encode() + text, digest_size=32).hexdigest()
+    header = {"blake2b": digest, "bytes": len(text), "n": n, "suite": suite}
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode() + b"\n" + text
 
 
@@ -678,7 +702,7 @@ def test_verify_replay_writes_each_block_as_it_is(tmp_path, monkeypatch):
     _, cold, _ = run_verify(6, cache=str(cache))
     written, stat = cache.read_bytes(), os.stat(cache)
     lines = written.splitlines()
-    headers = [line for line in lines if line.startswith(b'{"bytes":')]
+    headers = [line for line in lines if line.startswith(b'{"blake2b":')]
     summaries = [line for line in lines if b'"summary":true' in line]
     assert len(headers) == len(summaries) == len(SUITES)
     decoded = []
@@ -807,7 +831,7 @@ def test_verify_degree_record_over_a_bound_fails_with_its_counts(monkeypatch, ch
 
     def over(w, seq, closure):
         report = real(w, seq, closure)
-        return dataclasses.replace(report, **change) if w.word == (2, 1) else report
+        return report._replace(**change) if w.word == (2, 1) else report
 
     monkeypatch.setattr(cli, "degree_report", over)
     code, out, _ = run_verify(2, suites=["degree"])
@@ -894,9 +918,9 @@ def test_verify_failing_witness_replays_the_same_bytes(tmp_path, monkeypatch):
         # lowest-degree part with the Schubert polynomial
         ("main", "grothendieck_recursive", lambda groth: groth + groth,
          {"groth_match": False, "lowest_degree_match": False, "schubert_match": True}, 1),
-        ("sorted", "check_sorted_step", lambda step: dataclasses.replace(step, unsort_ok=False),
+        ("sorted", "check_sorted_step", lambda step: step._replace(unsort_ok=False),
          {"parts_ok": True, "sorted": True, "unsort_ok": False}, 1),
-        ("sorted", "check_sorted_step", lambda step: dataclasses.replace(step, parts_ok=False),
+        ("sorted", "check_sorted_step", lambda step: step._replace(parts_ok=False),
          {"parts_ok": False, "sorted": True, "unsort_ok": True}, 1),
         # a counterexample to the conjecture is reported but fails no run
         ("conjecture", "check_conjecture", lambda result: (False, (1, 1, 0)),

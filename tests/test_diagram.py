@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import json
+import pickle
 import random
 from itertools import combinations, permutations, product
 
@@ -322,6 +324,32 @@ def test_diagram_validation():
         Diagram.from_json({"n": 2, "columns": 5})
     with pytest.raises(ValueError, match="column 1 has a row that is not an int"):
         Diagram.from_json({"n": 2, "columns": [5, []]})
+
+
+def test_diagrams_are_immutable_values():
+    D = Diagram.from_columns(3, [{1, 2}, {1}, set()])
+    assert repr(D) == "Diagram(n=3, masks=(3, 1, 0))"
+    assert D == Diagram(3, (3, 1, 0)) and hash(D) == hash(Diagram(3, (3, 1, 0)))
+    assert D != Diagram(3, (3, 0, 0)) and D != Diagram(4, (3, 1, 0, 0)) and D != (3, (3, 1, 0))
+    for name in ("n", "masks"):
+        with pytest.raises(AttributeError, match="Diagram is immutable"):
+            setattr(D, name, getattr(D, name))
+        with pytest.raises(AttributeError, match="Diagram is immutable"):
+            delattr(D, name)
+    assert (D.n, D.masks) == (3, (3, 1, 0))
+
+
+def test_diagrams_copy_and_pickle_through_validation():
+    D = rothe_diagram(from_one_line([3, 1, 5, 4, 2]))
+    for twin in (pickle.loads(pickle.dumps(D)), copy.copy(D), copy.deepcopy(D)):
+        assert type(twin) is Diagram and twin == D
+    # masks that skipped __init__ are refused when they are rebuilt
+    forged = object.__new__(Diagram)
+    object.__setattr__(forged, "n", 2)
+    object.__setattr__(forged, "masks", (4, 0))
+    for rebuild in (lambda: pickle.loads(pickle.dumps(forged)), lambda: copy.copy(forged)):
+        with pytest.raises(ValueError, match=r"column mask 4 outside 0\.\.3"):
+            rebuild()
 
 
 def test_orthodontic_sequence_validation():

@@ -37,12 +37,17 @@ def monk_terms_dropping_one(j, w, real=grothendieck.monk_terms):
     return targets
 
 
-def freeze_dropping_highest_key(f, real=grothendieck._freeze):
-    # a one-term polynomial keeps its term: G_w = 0 stops verify with exit 2
+def freeze_dropping_highest_key(f, real=grothendieck._freeze, **options):
+    # a one-term polynomial keeps its term; the next fault empties those
     terms = dict(f.terms)
     if len(terms) >= 2:
         del terms[max(terms)]
-    return real(Polynomial._raw(f.n, terms))
+    return real(Polynomial._raw(f.n, terms), **options)
+
+
+def freeze_emptying_one_term(f, real=grothendieck._freeze, **options):
+    # memo entries of 0, for the staircase and every other monomial
+    return real(Polynomial.zero(f.n) if len(f.terms) == 1 else f, **options)
 
 
 def step_up_from_tooth(w, data):
@@ -73,6 +78,9 @@ FAULTS = [
     ),
     ("monk_terms_dropping_one", cli, "monk_terms", monk_terms_dropping_one, {"monk"}),
     ("freeze_dropping_highest_key", grothendieck, "_freeze", freeze_dropping_highest_key, {"main", "monk"}),
+    # G_w = 0 fails main's records; the support suites read a zero entry's
+    # degree and exponents, which no bound refuses
+    ("freeze_emptying_one_term", grothendieck, "_freeze", freeze_emptying_one_term, {"main"}),
     ("step_up_from_tooth", grothendieck, "_sorted_step_up", step_up_from_tooth, {"sorted"}),
     ("sigma_reversed", grothendieck, "_sigma", sigma_reversed, {"sorted"}),
     # an escape: divisibility and degree check only that G_w's support lies
