@@ -70,9 +70,16 @@ class SupportVectors(_SupportFields):
     __slots__ = ()
 
     def __new__(cls, theta: tuple[int, ...], xi: tuple[int, ...]) -> SupportVectors:
+        if len(theta) != len(xi):
+            raise ValueError("theta and xi must have equal length")
         if min(theta, default=0) < 0 or min(xi, default=0) < 0:
             raise ValueError("support vectors must be nonnegative")
         return tuple.__new__(cls, (theta, xi))
+
+    @classmethod
+    def _make(cls, iterable) -> SupportVectors:
+        # _replace builds through _make, so both go through the checks
+        return cls(*iterable)
 
 
 def support_witness(f: Polynomial, bound: Monomial) -> Monomial | None:

@@ -28,6 +28,7 @@ import operator
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from orthodontia._value import Value
 from orthodontia.permutation import Permutation
 from orthodontia.polynomial import Monomial
 
@@ -44,12 +45,16 @@ def _rows(mask: int) -> list[int]:
     return [i for i in range(1, mask.bit_length() + 1) if mask >> (i - 1) & 1]
 
 
-class Diagram:
+class Diagram(Value):
     """A subset of the n x n grid: ``masks[j-1]`` has bit i-1 set for the box (i, j)."""
 
     __slots__ = ("n", "masks")
 
-    def __init__(self, n: int, masks: tuple[int, ...]) -> None:
+    def __init__(self, n: int, masks: Sequence[int]) -> None:
+        try:
+            n, masks = operator.index(n), tuple(map(operator.index, masks))
+        except TypeError:
+            raise ValueError(f"grid size {n!r} and column masks {masks!r:.40} must be ints") from None
         if n < 1:
             raise ValueError("grid size must be at least 1")
         if len(masks) != n:
@@ -59,28 +64,6 @@ class Diagram:
                 raise ValueError(f"column mask {c} outside 0..{(1 << n) - 1}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "masks", masks)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("Diagram is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("Diagram is immutable")
-
-    def __reduce__(self) -> tuple:
-        # pickle and copy rebuild through __init__, which validates
-        return self.__class__, (self.n, self.masks)
-
-    # n is the number of masks, so the masks alone decide equality
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.masks == other.masks
-
-    def __hash__(self) -> int:
-        return hash(self.masks)
-
-    def __repr__(self) -> str:
-        return f"Diagram(n={self.n!r}, masks={self.masks!r})"
 
     @classmethod
     def from_columns(cls, n: int, columns: Iterable[Iterable[int]]) -> Diagram:
@@ -170,6 +153,11 @@ class OrthodonticSequence(_SequenceFields):
         if min(interval_multiplicities, default=0) < 0 or min(tooth_multiplicities, default=0) < 0:
             raise ValueError("multiplicities must be nonnegative")
         return tuple.__new__(cls, (teeth, interval_multiplicities, tooth_multiplicities))
+
+    @classmethod
+    def _make(cls, iterable) -> OrthodonticSequence:
+        # _replace builds through _make, so both go through the checks
+        return cls(*iterable)
 
     @property
     def step_count(self) -> int:

@@ -15,40 +15,22 @@ import itertools
 import operator
 from typing import Iterator, Sequence
 
+from orthodontia._value import Value
 
-class Permutation:
+
+class Permutation(Value):
     """An element of S_n, as the tuple of its one-line notation values."""
 
     __slots__ = ("word",)
 
-    def __init__(self, word: tuple[int, ...]) -> None:
+    def __init__(self, word: Sequence[int]) -> None:
+        word = tuple(word)
         n = len(word)
         if n == 0:
             raise ValueError("permutation must have rank at least 1")
         if sorted(word) != list(range(1, n + 1)):
             raise ValueError(f"not a permutation of 1..{n}: {word}")
         object.__setattr__(self, "word", word)
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("Permutation is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("Permutation is immutable")
-
-    def __reduce__(self) -> tuple:
-        # pickle and copy rebuild through __init__, which validates
-        return self.__class__, (self.word,)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.word == other.word
-
-    def __hash__(self) -> int:
-        return hash(self.word)
-
-    def __repr__(self) -> str:
-        return f"Permutation(word={self.word!r})"
 
     @property
     def n(self) -> int:

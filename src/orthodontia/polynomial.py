@@ -26,18 +26,16 @@ Terms from outside enter through one kernel, which adds up repeated
 vectors and drops sums of 0: the constructor (so ``zero``, ``one``,
 ``constant`` and ``monomial`` too), ``parse`` and ``from_json`` feed it
 exponent vectors, and ``+``, ``-`` and ``*`` packed keys.  Code that sees
-no outside input keeps its own measured hot loops, and is all that
-computes on keys outside this module: the bijective shifts
-``mul_monomial``, ``swap_variables`` and :func:`exact_divide_monomial`;
-``_apply`` in :mod:`orthodontia.operators`; and the memo of
-:mod:`orthodontia.grothendieck`, which keeps keys in one table and
-stores indices into it (``_freeze``, ``_thaw`` and ``_keys``), works
-out each entry's degree and maximum exponents through this module when
-it freezes the entry, and checks the Monk expansion in
-``monk_residue_vanishes``, which adds x_j's key and sums target entries
-into one list indexed by key index.
+no outside input keeps its own measured hot loops: the bijective
+shifts ``mul_monomial``, ``swap_variables`` and
+:func:`exact_divide_monomial` here, ``_apply`` in
+:mod:`orthodontia.operators`, and the memo of
+:mod:`orthodontia.grothendieck`, whose module docstring describes how it
+stores keys.
 
-Polynomials are immutable values and safe to share between threads.
+Polynomials are immutable values and safe to share between threads;
+``copy`` and ``pickle`` rebuild one from its exponent vectors through
+the constructor.
 """
 
 from __future__ import annotations
@@ -46,6 +44,8 @@ import io
 import operator
 from bisect import bisect_left
 from typing import Iterable, Iterator, Mapping, TextIO
+
+from orthodontia._value import Value
 
 Monomial = tuple[int, ...]
 
@@ -137,7 +137,7 @@ def _max_exponents(keys: Iterable[int], n: int) -> Monomial:
     return tuple(max(data[i::n]) for i in range(n))
 
 
-class Polynomial:
+class Polynomial(Value):
     """An element of Z[x1, ..., xn], stored sparsely."""
 
     __slots__ = ("n", "terms")
@@ -149,8 +149,8 @@ class Polynomial:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", _add_terms({}, _packed(n, pairs)))
 
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError("Polynomial is immutable")
+    def __reduce__(self) -> tuple:
+        return type(self), (self.n, self.sorted_terms())
 
     @classmethod
     def _raw(cls, n: int, terms: dict[int, int]) -> Polynomial:

@@ -178,10 +178,23 @@ def test_support_vectors_14532():
 
 
 def test_support_vectors_refuse_negative_entries():
-    assert SupportVectors((1, 0), (0, 2)) == ((1, 0), (0, 2))
+    vectors = SupportVectors((1, 0), (0, 2))
+    assert vectors == ((1, 0), (0, 2))
     for theta, xi in [((1, -1), (0, 0)), ((0, 0), (-1, 0)), ((-2,), (-1,))]:
         with pytest.raises(ValueError, match="support vectors must be nonnegative"):
             SupportVectors(theta, xi)
+    # the tuple methods build through the checks too
+    for build in (lambda: vectors._replace(xi=(0, -2)), lambda: SupportVectors._make([(1, 0), (-1, 0)])):
+        with pytest.raises(ValueError, match="support vectors must be nonnegative"):
+            build()
+    for build in (
+        lambda: SupportVectors((1,), (0, 2)),
+        lambda: vectors._replace(theta=(1,)),
+        lambda: SupportVectors._make([(1, 0, 0), (0, 2)]),
+    ):
+        with pytest.raises(ValueError, match="theta and xi must have equal length"):
+            build()
+    assert type(vectors._replace(xi=(3, 0))) is SupportVectors
 
 
 def test_support_vectors_s5_consistency():

@@ -342,14 +342,14 @@ def test_verify_cache_round_trip(tmp_path):
 
 
 def test_launch_and_replay_load_no_dataclasses_inspect_or_openssl(tmp_path):
-    # pytest and these tests import hashlib themselves, so a child process
-    # without site imports the CLI and replays a full cache
+    # pytest and these tests import hashlib, copy and pickle themselves, so
+    # a child process without site imports the CLI and replays a full cache
     cache = tmp_path / "results.jsonl"
     _, first, _ = run_verify(4, cache=str(cache))
     child = (
         "import sys\n"
         "import orthodontia.cli\n"
-        "imported = sorted({'dataclasses', 'inspect', '_hashlib'} & sys.modules.keys())\n"
+        "imported = sorted({'dataclasses', 'inspect', '_hashlib', 'copy', 'pickle'} & sys.modules.keys())\n"
         "code = orthodontia.cli.main(['verify', '--n', '4', '--cache', sys.argv[1]])\n"
         "replayed = sorted({'_blake2', '_hashlib'} & sys.modules.keys())\n"
         "print(imported, replayed, code, file=sys.stderr)\n"
@@ -849,20 +849,19 @@ def test_verify_degree_record_over_a_bound_fails_with_its_counts(monkeypatch, ch
     }
 
 
+def closure_minus_one(masks, real=cli.mask_closure):
+    # each nonidentity word's closure loses 1 in its last nonzero variable
+    closure = list(real(masks))
+    nonzero = [i for i, e in enumerate(closure) if e]
+    if nonzero:
+        closure[nonzero[-1]] -= 1
+    return tuple(closure)
+
+
 def test_verify_fails_the_support_suites_on_a_closure_one_too_small(monkeypatch):
-    # each nonidentity word's closure loses 1 in its last nonzero variable;
     # the support checks read G_w's maximum exponents and degree off its
     # memo entry, and still fail every word the smaller bound excludes
-    real = cli.mask_closure
-
-    def lowered(masks):
-        closure = list(real(masks))
-        nonzero = [i for i, e in enumerate(closure) if e]
-        if nonzero:
-            closure[nonzero[-1]] -= 1
-        return tuple(closure)
-
-    monkeypatch.setattr(cli, "mask_closure", lowered)
+    monkeypatch.setattr(cli, "mask_closure", closure_minus_one)
     code, out, _ = run_verify(5)
     assert code == 1
     failed = {

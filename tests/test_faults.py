@@ -4,7 +4,9 @@ Each row monkeypatches one function that ``verify`` reads, runs every
 suite over S_5 in-process from empty memos, and names the suites whose
 summary counts failed records.  A row whose set is empty is an escape: a
 fault that no suite catches, kept here with its reason so that a suite
-that learns to catch it must update the row.
+that learns to catch it must update the row.  A row may name an
+exception instead, when a check of the library stops the run before any
+suite can fail a record; ``main`` reports it and exits 2.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ import json
 
 import pytest
 
-from orthodontia import cli, grothendieck, operators
+from orthodontia import cli, diagram, grothendieck, operators
 from orthodontia.cli import SUITES, cmd_verify
+from orthodontia.grothendieck import PrimaryColumnData
 from orthodontia.permutation import Permutation
 from orthodontia.polynomial import Polynomial
-from test_cli import fresh_memos
+from test_cli import closure_minus_one, fresh_memos
 
 
 def isobaric_plus(j, f):
@@ -65,7 +68,34 @@ def closure_plus_x_1(masks, real=cli.mask_closure):
     return (first + 1, *rest)
 
 
-# (name, module, attribute, replacement, suites with failed records)
+def masks_of_inverse(word, real=diagram.rothe_masks):
+    # rows and columns mixed up: the diagram of w^-1 is the transpose of w's
+    inverse = [0] * len(word)
+    for i, v in enumerate(word, start=1):
+        inverse[v - 1] = i
+    return real(inverse)
+
+
+def orthodontia_dropping_last_step(masks, real=diagram.mask_orthodontia):
+    seq = real(masks)
+    if not seq.teeth:
+        return seq
+    return seq._replace(teeth=seq.teeth[:-1], tooth_multiplicities=seq.tooth_multiplicities[:-1])
+
+
+def primary_tooth_one_short(word, real=grothendieck._primary_column_data):
+    # the gap below the prefix ends a row early
+    data = real(word)
+    return PrimaryColumnData(data.standard_cols, data.prefix, data.tooth - 1, data.gap - 1)
+
+
+def apply_step_without_weight(f, step, op):
+    # each step's operator runs without the multiply by x_1...x_tooth
+    return op(step[0], f)
+
+
+# (name, module, attribute, replacement, suites with failed records or
+# the exception that stops the run)
 FAULTS = [
     ("isobaric_plus", grothendieck, "isobaric", isobaric_plus, {"main", "monk"}),
     ("lascoux_is_demazure", grothendieck, "demazure_lascoux", operators.demazure, {"main"}),
@@ -86,6 +116,32 @@ FAULTS = [
     # an escape: divisibility and degree check only that G_w's support lies
     # under the closure, so a closure too large passes every suite
     ("closure_plus_x_1", cli, "mask_closure", closure_plus_x_1, set()),
+    # the failed counts are pinned by a test in test_cli.py
+    ("closure_minus_one", cli, "mask_closure", closure_minus_one, {"divisibility", "degree", "conjecture"}),
+    # the fact pass: every word's sequence and closure, which sorted reads too
+    ("masks_of_inverse", cli, "rothe_masks", masks_of_inverse, {"main", "divisibility", "sorted", "conjecture"}),
+    ("masks_of_inverse_in_sorted", grothendieck, "rothe_masks", masks_of_inverse, {"sorted"}),
+    (
+        "orthodontia_dropping_last_step",
+        cli,
+        "mask_orthodontia",
+        orthodontia_dropping_last_step,
+        {"main", "degree", "sorted"},
+    ),
+    # an escape: with every suite, the fact pass gives sorted each word's
+    # sequence, so it builds only the patterns sigma(w), and of those it
+    # reads only the interval counts, which this fault leaves alone
+    (
+        "orthodontia_dropping_last_step_in_sorted",
+        grothendieck,
+        "mask_orthodontia",
+        orthodontia_dropping_last_step,
+        set(),
+    ),
+    # sigma(w) asserts that w maps the gap onto an interval of values; no
+    # primary column data that breaks it reaches a suite
+    ("primary_tooth_one_short", grothendieck, "_primary_column_data", primary_tooth_one_short, AssertionError),
+    ("apply_step_without_weight", grothendieck, "_apply_step", apply_step_without_weight, {"main"}),
 ]
 
 
@@ -112,6 +168,10 @@ def test_verify_5_fails_exactly_the_suites_that_catch_the_fault(
 ):
     fresh_memos(monkeypatch)
     monkeypatch.setattr(module, attribute, replacement)
+    if isinstance(failing, type):
+        with pytest.raises(failing):
+            verify_5()
+        return
     code, failed = verify_5()
     assert failed.keys() == set(SUITES)
     assert {suite for suite, count in failed.items() if count} == failing, failed

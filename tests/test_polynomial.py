@@ -20,6 +20,7 @@ from orthodontia.polynomial import (
     fundamental_weight,
     monomial_divides,
 )
+from conftest import random_polynomial
 from oracles import exact_divide_linear, summed_terms, text_oracle
 
 
@@ -411,12 +412,27 @@ def test_text_and_json_golden():
     assert h.to_json() == {"n": 2, "terms": [[1, [0, 0]], [-2, [1, 0]], [-1, [1, 1]]]}
 
 
-def test_power():
+def test_power(rng):
     x1 = Polynomial.variable(1, 2)
     assert (1 + x1) ** 0 == Polynomial.one(2)
     assert (1 + x1) ** 3 == 1 + 3 * x1 + 3 * x1 * x1 + x1 * x1 * x1
-    with pytest.raises(ValueError):
-        x1 ** -1
+    for _ in range(20):
+        n = rng.randint(1, 3)
+        f = random_polynomial(rng, n, max_terms=4)
+        assert f ** 0 == Polynomial.one(n)
+        product = Polynomial.one(n)
+        for k in range(1, 6):
+            product = product * f
+            assert f ** k == product
+    for k in (-1, 2.0, "2", None):
+        with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+            x1 ** k
+    # a power past the exponent bound fails in its product, not wrapped
+    # into the next field
+    with pytest.raises(ValueError, match=f"above the exponent bound {MAX_EXPONENT}"):
+        (1 + x1) ** (MAX_EXPONENT + 1)
+    with pytest.raises(ValueError, match=f"above the exponent bound {MAX_EXPONENT}"):
+        Polynomial.monomial((100, 1)) ** 3
 
 
 def test_degree_and_min_degree():
@@ -428,12 +444,6 @@ def test_degree_and_min_degree():
     assert f.max_exponents() == (2, 3)
     with pytest.raises(ValueError):
         Polynomial.zero(2).max_exponents()
-
-
-def test_immutability():
-    f = Polynomial.one(2)
-    with pytest.raises(AttributeError):
-        f.n = 3  # type: ignore[misc]
 
 
 def test_coefficient():
