@@ -637,22 +637,25 @@ def check_sorted_step(
         teeth = seq_w.teeth
         k = seq_w.interval_multiplicities
         m = seq_w.tooth_multiplicities
-        part_i = len(teeth) >= gap and all(teeth[t] == data.tooth - t for t in range(gap))
-        part_ii = data.prefix == 0 or k[data.prefix - 1] >= gap
-        part_iii = all(k[j - 1] == 0 for j in range(data.prefix + 1, data.tooth + 1))
-        part_iv = all(m[t] == 0 for t in range(gap - 1))
-        part_v = False
-        if part_i:
+        # part (i) gives w's sequence at least gap teeth, which parts (iv)
+        # and (v) index, so the rest is read only when it holds
+        parts_ok = (
+            len(teeth) >= gap
+            and all(teeth[t] == data.tooth - t for t in range(gap))
+            and (data.prefix == 0 or k[data.prefix - 1] >= gap)
+            and all(k[j - 1] == 0 for j in range(data.prefix + 1, data.tooth + 1))
+            and all(m[t] == 0 for t in range(gap - 1))
+        )
+        if parts_ok:
             seq_up = sequence(_sorted_step_up(w, data).word)
             expected_up_k = list(k)
             if data.prefix > 0:
                 expected_up_k[data.prefix - 1] -= gap
             expected_up_k[data.prefix] = gap + m[gap - 1]
-            part_v = (
+            parts_ok = (
                 seq_up.teeth == teeth[gap:]
                 and seq_up.tooth_multiplicities == m[gap:]
                 and list(seq_up.interval_multiplicities) == expected_up_k
             )
-        parts_ok = part_i and part_ii and part_iii and part_iv and part_v
 
     return SortedStepCheck(is_sorted, unsort_ok, parts_ok)

@@ -114,6 +114,18 @@ def test_compute_text_golden(capsys):
     assert captured.out.strip() == str(schubert_recursive(from_one_line([3, 1, 5, 4, 2])))
 
 
+def test_compute_text_golden_rank10(capsys):
+    # sha256 of the 1,552,452 bytes this prints, as measured on CPython
+    # 3.10 to 3.13: pins the text formatter's output across versions
+    assert main(["compute", "4,6,1,8,7,10,5,2,9,3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and len(captured.out) == 1_552_452
+    assert (
+        hashlib.sha256(captured.out.encode()).hexdigest()
+        == "ced360218a2a58d32f798e8d95dd465641836808c8fb3a18aa0766229e5e0a52"
+    )
+
+
 def test_compute_trivial(capsys):
     assert main(["compute", "1"]) == 0
     assert capsys.readouterr().out.strip() == "1"
@@ -966,14 +978,26 @@ def test_verify_cache_drops_malformed_line_when_nothing_is_computed(tmp_path):
     assert code == 0 and replay == expected and err == ""
 
 
-def test_verify_stdout_golden_rank5():
+def test_verify_stdout_golden_rank5(tmp_path):
     # sha256 of `verify --n 5` stdout with every suite, as first recorded
-    code, out, err = run_verify(5)
+    cache = tmp_path / "results.jsonl"
+    code, out, err = run_verify(5, cache=str(cache))
     assert code == 0 and err == ""
     assert (
         hashlib.sha256(out.encode()).hexdigest()
         == "d7b54a2cde352d4e2fcc57af447f700bb08c6287d62d3b603d39cfe7726b4107"
     )
+    # and of the cache file after its stamp line, which hashes the sources:
+    # the blocks, their order and their BLAKE2b digests, which must be the
+    # same on every CPython for one version to replay another's file
+    written = cache.read_bytes()
+    assert (
+        hashlib.sha256(written.partition(b"\n")[2]).hexdigest()
+        == "22d169da6aaad9dc5957118251b79bc5efb7bf612b0c3b6fd3c491c5b914748d"
+    )
+    # a second run replays every block silently and leaves the file as it was
+    assert run_verify(5, cache=str(cache)) == (0, out, "")
+    assert cache.read_bytes() == written
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -2,11 +2,15 @@
 
 Each row monkeypatches one function that ``verify`` reads, runs every
 suite over S_5 in-process from empty memos, and names the suites whose
-summary counts failed records.  A row whose set is empty is an escape: a
-fault that no suite catches, kept here with its reason so that a suite
-that learns to catch it must update the row.  A row may name an
-exception instead, when a check of the library stops the run before any
-suite can fail a record; ``main`` reports it and exits 2.
+summary counts failed records.  A row whose set is empty is one of two
+kinds, and its comment says which.  An escape is a fault that changes
+what the library computes but that no suite catches; it is kept with its
+reason so that a suite that learns to catch it must update the row.  An
+equivalent mutant changes nothing ``verify`` can see: on every input the
+sweep gives it, the patched function returns what the real one does, so
+no suite could fail.  A row may name an exception instead, when a check
+of the library stops the run before any suite can fail a record;
+``main`` reports it and exits 2.
 """
 
 from __future__ import annotations
@@ -83,6 +87,29 @@ def orthodontia_dropping_last_step(masks, real=diagram.mask_orthodontia):
     return seq._replace(teeth=seq.teeth[:-1], tooth_multiplicities=seq.tooth_multiplicities[:-1])
 
 
+def masks_dropping_last_box(word, real=diagram.rothe_masks):
+    # the lowest box of the last nonempty column goes
+    masks = real(word)
+    for j in reversed(range(len(masks))):
+        if masks[j]:
+            masks[j] ^= 1 << (masks[j].bit_length() - 1)
+            break
+    return masks
+
+
+def degree_plus_one(keys, n, real=grothendieck._degree):
+    return real(keys, n) + 1
+
+
+def max_exponents_x_1_minus_one(keys, n, real=grothendieck._max_exponents):
+    first, *rest = real(keys, n)
+    return (max(first - 1, 0), *rest)
+
+
+def lowest_component_is_everything(f):
+    return f
+
+
 def primary_tooth_one_short(word, real=grothendieck._primary_column_data):
     # the gap below the prefix ends a row early
     data = real(word)
@@ -128,9 +155,10 @@ FAULTS = [
         orthodontia_dropping_last_step,
         {"main", "degree", "sorted"},
     ),
-    # an escape: with every suite, the fact pass gives sorted each word's
-    # sequence, so it builds only the patterns sigma(w), and of those it
-    # reads only the interval counts, which this fault leaves alone
+    # an equivalent mutant: with every suite, the fact pass gives sorted
+    # each word's sequence, so it builds only the patterns sigma(w); each
+    # is dominant, so every column of its diagram is an interval, its
+    # sequence has no teeth, and the patched function returns it unchanged
     (
         "orthodontia_dropping_last_step_in_sorted",
         grothendieck,
@@ -142,6 +170,30 @@ FAULTS = [
     # primary column data that breaks it reaches a suite
     ("primary_tooth_one_short", grothendieck, "_primary_column_data", primary_tooth_one_short, AssertionError),
     ("apply_step_without_weight", grothendieck, "_apply_step", apply_step_without_weight, {"main"}),
+    # the fact pass: a sequence with fewer teeth than its word's gap fails
+    # sorted's part (i), and the parts that index those teeth are not read
+    (
+        "masks_dropping_last_box",
+        cli,
+        "rothe_masks",
+        masks_dropping_last_box,
+        {"main", "divisibility", "degree", "sorted", "conjecture"},
+    ),
+    ("masks_dropping_last_box_in_sorted", grothendieck, "rothe_masks", masks_dropping_last_box, {"sorted"}),
+    ("divided_difference_is_demazure", grothendieck, "divided_difference", operators.demazure, {"main"}),
+    ("demazure_is_isobaric", grothendieck, "demazure", operators.isobaric, {"main"}),
+    ("degree_plus_one", grothendieck, "_degree", degree_plus_one, {"degree"}),
+    (
+        "lowest_component_is_everything",
+        Polynomial,
+        "lowest_degree_component",
+        lowest_component_is_everything,
+        {"main"},
+    ),
+    # an escape: divisibility checks only that each maximum exponent is at
+    # most the closure's, which one too small still is; a suite that checks
+    # the maxima equal the closure, not yet written, should catch it
+    ("max_exponents_x_1_minus_one", grothendieck, "_max_exponents", max_exponents_x_1_minus_one, set()),
 ]
 
 

@@ -13,6 +13,7 @@ import pytest
 from orthodontia import grothendieck
 from orthodontia.diagram import (
     Diagram,
+    OrthodonticSequence,
     is_strongly_separated,
     orthodontia,
     rothe_diagram,
@@ -565,6 +566,14 @@ def test_sorted_step_with_known_sequences_matches_check_sorted_step_s1_to_s6():
             # only w's own sequence is known, so sort(w) and the predecessor are built
             assert check_sorted_step(w, {w.word: table[w.word]}) == expected, w
             assert check_sorted_step(w, {}) == expected, w
+
+
+def test_check_sorted_step_fails_a_sequence_with_fewer_teeth_than_the_gap():
+    # 1243 is sorted with gap 2; a known sequence without teeth fails part
+    # (i), and the parts that index its teeth are not read
+    w = Permutation((1, 2, 4, 3))
+    step = check_sorted_step(w, {w.word: OrthodonticSequence((), (0, 0, 0, 0), ())})
+    assert step.is_sorted and step.parts_ok is False
 
 
 def test_monk_terms_leave_no_reference_cycles_s4():
