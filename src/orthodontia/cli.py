@@ -70,7 +70,7 @@ from orthodontia.grothendieck import (
 )
 from orthodontia.operators import divided_difference, isobaric
 from orthodontia.permutation import Permutation, from_one_line
-from orthodontia.polynomial import Monomial
+from orthodontia.polynomial import MAX_EXPONENT, Monomial
 
 DEFAULT_MAX_RANK = 7
 # The time and peak RSS of one process sweeping S_n with every suite, as
@@ -423,6 +423,11 @@ def cmd_compute(
     out: TextIO,
     err: TextIO,
 ) -> int:
+    # G_w lies in the span of x^a with a <= (n - 1, ..., 0), so every rank up
+    # to MAX_EXPONENT + 1 fits the exponent bound
+    if w.n > MAX_EXPONENT + 1:
+        err.write(f"rank {w.n} above {MAX_EXPONENT + 1}: compute's exponents stop at {MAX_EXPONENT}\n")
+        return 2
     # The ascending result is kept only as its snapshot while the recursive
     # route, a walk that stores nothing, runs; so one route's polynomials
     # are alive at a time.  The ascending result is built again only to

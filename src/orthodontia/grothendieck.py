@@ -65,6 +65,7 @@ from orthodontia.permutation import Permutation
 from orthodontia.polynomial import (
     Monomial,
     Polynomial,
+    _Owned,
     _degree,
     _max_exponents,
     fundamental_weight,
@@ -174,8 +175,9 @@ def _descend(
     # Walk up the weak order by first ascents to a memo hit or w0, then
     # apply op on the way back down, freezing every word's polynomial on
     # the chain into the memo; only the entry the walk continues from is
-    # thawed.  Without a memo the walk stores nothing: only the polynomial
-    # in hand and the one op is building are alive at any time.
+    # thawed.  Without a memo the walk stores nothing and owns its
+    # polynomials (polynomial._Owned): each op empties the polynomial in
+    # hand as it builds the next one.
     n = len(word)
     # the support checks read G_w's maximum exponents; nothing reads S_w's
     maxima = memo is _GROTH_CACHE
@@ -194,11 +196,13 @@ def _descend(
             entry = memo.get(word)
     else:  # the walk stopped at a memo hit
         poly = _thaw(n, entry)
+    if memo is None:
+        poly = _Owned._raw(n, dict(poly.terms))
     for word, j in reversed(chain):
         poly = op(j, poly)
         if memo is not None:
             memo[word] = _freeze(poly, maxima=maxima)
-    return poly
+    return Polynomial._raw(n, poly.terms)
 
 
 def schubert_recursive(w: Permutation) -> Polynomial:
@@ -272,8 +276,8 @@ def _evaluate_formula(
 ) -> Polynomial:
     n = len(seq.interval_multiplicities)
     steps = formula_steps(seq)
-    if chain is None:
-        f = Polynomial.one(n)
+    if chain is None:  # a walk that keeps nothing owns its polynomials
+        f = _Owned.one(n)
         for step in steps:
             f = _apply_step(f, step, op)
     else:
@@ -297,7 +301,7 @@ def _evaluate_formula(
     for j in range(n, 0, -1):
         running += seq.interval_multiplicities[j - 1]
         suffix_sums[j - 1] = running
-    return f.mul_monomial(tuple(suffix_sums))
+    return Polynomial._raw(n, f.mul_monomial(tuple(suffix_sums)).terms)
 
 
 def orthodontia_schubert(D: Diagram) -> Polynomial:

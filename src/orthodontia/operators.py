@@ -21,7 +21,10 @@ its a and b, so each call works out those output-key offsets once per
 distinct (a, b) in f, and the pass adds each term's coefficient at its
 pair's offsets.  The tests check all four against the exact-division
 kernel in ``tests/oracles.py``, derived independently.  All operators
-are stateless pure functions.
+are stateless pure functions, but for one exception: an input of the
+private owned type of :mod:`orthodontia.polynomial`, which only a walk
+inside :mod:`orthodontia.grothendieck` makes, is emptied as its terms
+are read, and the result is of that type too.
 """
 
 from __future__ import annotations
@@ -68,17 +71,18 @@ def _apply(j: int, f: Polynomial, shifts: tuple[tuple[int, int, int], ...]) -> P
         plans[fields] = plan
     out: dict[int, int] = {}
     get = out.get
-    for k, c in terms.items():
-        for offsets, sign in plans[k & pair]:
-            coeff = c * sign
-            for offset in offsets:
-                key = k + offset
-                s = get(key, 0) + coeff
-                if s:
-                    out[key] = s
-                else:
-                    del out[key]
-    return Polynomial._raw(n, out)
+    for chunk in f._chunks():
+        for k, c in chunk:
+            for offsets, sign in plans[k & pair]:
+                coeff = c * sign
+                for offset in offsets:
+                    key = k + offset
+                    s = get(key, 0) + coeff
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
+    return type(f)._raw(n, out)
 
 
 def divided_difference(j: int, f: Polynomial) -> Polynomial:

@@ -35,7 +35,10 @@ stores keys.
 
 Polynomials are immutable values and safe to share between threads;
 ``copy`` and ``pickle`` rebuild one from its exponent vectors through
-the constructor.
+the constructor.  The one exception is ``_Owned``, an intermediate of a
+walk in :mod:`orthodontia.grothendieck` that keeps no other polynomial:
+``mul_monomial`` and the operators empty it as they read it, and it
+never leaves that module.
 """
 
 from __future__ import annotations
@@ -284,7 +287,11 @@ class Polynomial(Value):
         shift = _pack(exps)
         if self.terms:
             self._check_product(Polynomial._raw(self.n, {shift: 1}))
-        return Polynomial._raw(self.n, {k + shift: c for k, c in self.terms.items()})
+        return type(self)._raw(self.n, {k + shift: c for chunk in self._chunks() for k, c in chunk})
+
+    def _chunks(self) -> Iterable[Iterable[tuple[int, int]]]:
+        # the terms as chunks of (key, coefficient) pairs; see _Owned
+        return (self.terms.items(),)
 
     def swap_variables(self, j: int) -> Polynomial:
         """Exchange x_j and x_{j+1} in every monomial (1 <= j <= n-1)."""
@@ -445,6 +452,30 @@ class Polynomial(Value):
     def parse(cls, text: str, n: int) -> Polynomial:
         """Parse the text form produced by ``str``, e.g. "3*x1^2*x2 - x3"."""
         return cls(n, _parsed_terms(text, n))
+
+
+class _Owned(Polynomial):
+    """An intermediate that a walk of :mod:`orthodontia.grothendieck` owns,
+    one that keeps no polynomial but the one in hand.
+
+    ``mul_monomial`` and the operators of :mod:`orthodontia.operators`
+    plan from its keys, then empty it as they read its terms and return
+    an owned result: its dict's table goes at once, and each chunk's key
+    and coefficient objects before the next chunk is read.  The walk
+    returns a plain :class:`Polynomial` that shares the last dict.
+    """
+
+    __slots__ = ()
+
+    def _chunks(self) -> Iterator[Iterable[tuple[int, int]]]:
+        terms = self.terms
+        keys, coeffs = list(terms), list(terms.values())
+        terms.clear()
+        while keys:  # from the end, each chunk cut from the lists
+            start = max(len(keys) - _CHUNK, 0)
+            chunk = zip(keys[start:], coeffs[start:])
+            del keys[start:], coeffs[start:]
+            yield chunk
 
 
 def _json_term(term) -> tuple:

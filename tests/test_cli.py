@@ -12,7 +12,7 @@ from itertools import accumulate, permutations
 
 import pytest
 
-from orthodontia import analysis, cli, diagram, grothendieck
+from orthodontia import analysis, cli, diagram, grothendieck, operators, polynomial
 from orthodontia.cli import (
     SUITES,
     cmd_compute,
@@ -30,7 +30,7 @@ from orthodontia.grothendieck import (
 )
 from orthodontia.operators import divided_difference, isobaric
 from orthodontia.permutation import from_one_line, symmetric_group
-from orthodontia.polynomial import Polynomial
+from orthodontia.polynomial import MAX_EXPONENT, Polynomial
 
 
 def run_verify(n, suites=SUITES, jobs=1, cache=None):
@@ -114,16 +114,58 @@ def test_compute_text_golden(capsys):
     assert captured.out.strip() == str(schubert_recursive(from_one_line([3, 1, 5, 4, 2])))
 
 
+# sha256 of the 1,552,452 bytes that compute prints for this word, as
+# measured on CPython 3.10 to 3.13: pins the text formatter's output
+# across versions
+RANK10_WORD = "4,6,1,8,7,10,5,2,9,3"
+RANK10_SHA256 = "ced360218a2a58d32f798e8d95dd465641836808c8fb3a18aa0766229e5e0a52"
+
+
 def test_compute_text_golden_rank10(capsys):
-    # sha256 of the 1,552,452 bytes this prints, as measured on CPython
-    # 3.10 to 3.13: pins the text formatter's output across versions
-    assert main(["compute", "4,6,1,8,7,10,5,2,9,3"]) == 0
+    assert main(["compute", RANK10_WORD]) == 0
     captured = capsys.readouterr()
     assert captured.err == "" and len(captured.out) == 1_552_452
-    assert (
-        hashlib.sha256(captured.out.encode()).hexdigest()
-        == "ced360218a2a58d32f798e8d95dd465641836808c8fb3a18aa0766229e5e0a52"
-    )
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == RANK10_SHA256
+
+
+def test_compute_empties_each_owned_input_as_it_reads_it(monkeypatch):
+    # both routes are walks that keep nothing, so every operator and
+    # interval-weight multiply reads an input that its walk owns and that
+    # it leaves empty; the 38,555 terms of the last steps span many chunks
+    seen = []
+
+    def reading(real):
+        def read(*args):
+            f = args[-2]  # _apply(j, f, shifts) and mul_monomial(f, exps)
+            size = len(f.terms)
+            result = real(*args)
+            seen.append((type(f), type(result), size, len(f.terms)))
+            return result
+
+        return read
+
+    monkeypatch.setattr(operators, "_apply", reading(operators._apply))
+    monkeypatch.setattr(Polynomial, "mul_monomial", reading(Polynomial.mul_monomial))
+    out, err = io.StringIO(), io.StringIO()
+    assert cmd_compute(parse_permutation(RANK10_WORD), "grothendieck", "text", out, err) == 0
+    assert err.getvalue() == ""
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == RANK10_SHA256
+    assert [left for _, _, _, left in seen] == [0] * len(seen)
+    assert max(size for _, _, size, _ in seen) > 4 * polynomial._CHUNK
+    assert {(owned, result) for owned, result, _, _ in seen} == {(polynomial._Owned, polynomial._Owned)}
+
+
+def test_compute_refuses_a_rank_past_the_exponent_bound(capsys):
+    # G_w's exponents reach n - 1, so rank MAX_EXPONENT + 1 is the largest
+    word = [2, 1, *range(3, MAX_EXPONENT + 2)]
+    assert main(["compute", ",".join(map(str, word))]) == 0
+    assert capsys.readouterr() == ("x1\n", "")
+    longer = ",".join(map(str, [*word, len(word) + 1]))
+    assert main(["compute", longer]) == 2
+    assert capsys.readouterr() == ("", "rank 257 above 256: compute's exponents stop at 255\n")
+    for command in ("ortho", "diagram"):
+        assert main([command, longer]) == 0
+        capsys.readouterr()
 
 
 def test_compute_trivial(capsys):

@@ -20,7 +20,7 @@ import json
 
 import pytest
 
-from orthodontia import cli, diagram, grothendieck, operators
+from orthodontia import cli, diagram, grothendieck, operators, polynomial
 from orthodontia.cli import SUITES, cmd_verify
 from orthodontia.grothendieck import PrimaryColumnData
 from orthodontia.permutation import Permutation
@@ -190,6 +190,9 @@ FAULTS = [
         lowest_component_is_everything,
         {"main"},
     ),
+    # the ownership rule: reading every polynomial as a walk-owned one
+    # empties the FormulaChain prefixes that main's ascending formulas reuse
+    ("every_polynomial_owned", Polynomial, "_chunks", polynomial._Owned._chunks, {"main"}),
     # an escape: divisibility checks only that each maximum exponent is at
     # most the closure's, which one too small still is; a suite that checks
     # the maxima equal the closure, not yet written, should catch it

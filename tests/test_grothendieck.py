@@ -21,6 +21,7 @@ from orthodontia.diagram import (
 )
 from orthodontia.grothendieck import (
     FormulaChain,
+    _apply_step,
     _descend,
     _Entry,
     _freeze,
@@ -50,7 +51,7 @@ from orthodontia.grothendieck import (
     sort_permutation,
     unsort_factor,
 )
-from orthodontia.operators import divided_difference, isobaric
+from orthodontia.operators import demazure, demazure_lascoux, divided_difference, isobaric
 from orthodontia.permutation import (
     Permutation,
     from_one_line,
@@ -156,8 +157,11 @@ def test_operator_stability_on_ascents():
 def test_walk_without_memo_matches_the_memoized_recursions():
     for n in range(1, 7):
         for w in symmetric_group(n):
-            assert _descend(w.word, divided_difference) == schubert_recursive(w)
-            assert _descend(w.word, isobaric) == grothendieck_recursive(w)
+            for op, recursive in ((divided_difference, schubert_recursive), (isobaric, grothendieck_recursive)):
+                walked, memoized = _descend(w.word, op), recursive(w)
+                # the walk's owned intermediates never leave it
+                assert type(walked) is type(memoized) is Polynomial
+                assert walked == memoized
 
 
 def test_memo_entries_thaw_to_the_polynomials_they_froze(rng):
@@ -310,13 +314,23 @@ def test_formula_chain_matches_fresh_evaluation_s6_then_s5():
     for w in words + list(symmetric_group(5)):
         D = rothe_diagram(w)
         seq = orthodontia(D)
-        assert chained_schubert(seq, schubert_chain) == orthodontia_schubert(D), w
-        assert chained_grothendieck(seq, groth_chain) == orthodontia_grothendieck(D), w
+        results = [
+            (chained_schubert(seq, schubert_chain), orthodontia_schubert(D)),
+            (chained_grothendieck(seq, groth_chain), orthodontia_grothendieck(D)),
+        ]
+        for chained, fresh in results:
+            assert type(chained) is type(fresh) is Polynomial
+            assert chained == fresh, w
         steps = formula_steps(seq)
-        for chain in (schubert_chain, groth_chain):
+        for chain, op in ((schubert_chain, demazure), (groth_chain, demazure_lascoux)):
             assert chain.steps == steps
-            assert len(chain.polys) == len(steps) + 1
-            assert chain.polys[0] == Polynomial.one(w.n)
+            # the prefixes reused from earlier sequences went through this
+            # one's steps unchanged
+            f = Polynomial.one(w.n)
+            assert chain.polys[0] == f
+            for step, poly in zip(steps, chain.polys[1:], strict=True):
+                f = _apply_step(f, step, op)
+                assert poly == f, (w, step)
 
 
 def test_recursive_routes_run_below_the_recursion_limit():

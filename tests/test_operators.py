@@ -116,8 +116,10 @@ def near_bound(draw):
 @given(near_bound())
 def test_operators_match_kernel_oracle_near_the_exponent_bound(case):
     f, j = case
+    terms = dict(f.terms)
     for op, kernel in OPERATORS:
         assert op(j, f) == kernel(j, f)
+        assert f.terms == terms  # the caller's polynomial is only read
     if not f.is_zero:
         assert f.max_exponents() == tuple(map(max, zip(*f.monomials())))
 

@@ -183,6 +183,16 @@ def test_ring_axioms(triple):
 
 
 @settings(max_examples=200, deadline=None)
+@given(polynomials(), st.data())
+def test_mul_monomial_is_the_product_and_leaves_its_input(f, data):
+    exps = data.draw(st.tuples(*[st.integers(0, 3)] * f.n))
+    terms = dict(f.terms)
+    product = f.mul_monomial(exps)
+    assert type(product) is Polynomial and product == f * Polynomial.monomial(exps)
+    assert f.terms == terms
+
+
+@settings(max_examples=200, deadline=None)
 @given(polynomials())
 def test_text_round_trip(f):
     assert Polynomial.parse(str(f), f.n) == f
