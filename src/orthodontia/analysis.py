@@ -25,14 +25,14 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from orthodontia.diagram import OrthodonticSequence, closure_monomial, rothe_diagram
+from orthodontia.diagram import OrthodonticSequence, mask_closure, rothe_masks
 from orthodontia.grothendieck import (
     _grothendieck_entry,
-    _is_sorted,
-    _primary_column_data,
     _schubert_entry,
-    _sorted_step_up,
     grothendieck_recursive,
+    is_sorted_permutation,
+    os_predecessor,
+    primary_column_data,
 )
 from orthodontia.permutation import Permutation
 from orthodontia.polynomial import Monomial, Polynomial, monomial_divides
@@ -150,14 +150,14 @@ def exponent_change_check(w: Permutation) -> bool:
     """
     if w.is_identity():
         raise ValueError("w must be a nonidentity sorted permutation")
-    data = _primary_column_data(w.word)
-    if not _is_sorted(w.word, data):
+    if not is_sorted_permutation(w):
         raise ValueError(f"{w} is not sorted")
-    u = _sorted_step_up(w, data)
-    D = rothe_diagram(w)
-    gamma = sum(1 for c in D.masks[data.standard_cols :] if c.bit_length() == data.tooth + 1)
-    mu = closure_monomial(rothe_diagram(u))
-    lhs = list(closure_monomial(D))
+    data = primary_column_data(w)
+    masks = rothe_masks(w.word)
+    gamma = sum(1 for c in masks[data.standard_cols :] if c.bit_length() == data.tooth + 1)
+    # for sorted nonidentity w, the predecessor is u, one sorted step up
+    mu = mask_closure(rothe_masks(os_predecessor(w).word))
+    lhs = list(mask_closure(masks))
     lhs[data.prefix] += data.gap
     rhs = list(mu)
     for p in range(data.prefix + 2, data.tooth + 2):

@@ -18,8 +18,9 @@ tooth", stripping standard-interval columns as they appear, and records
 - the multiplicities of standard-interval columns removed up front, and
 - the multiplicity of columns standardized by each swap.
 
-It drops each column once it is emptied; :func:`orthodontia_trace`
-puts the columns back in their places in its snapshots.
+It drops each column once it is stripped.  :func:`orthodontia_trace`
+runs the same loop, then replays the sequence's swaps over all n
+columns kept in place, so its snapshots show a stripped column as empty.
 """
 
 from __future__ import annotations
@@ -197,12 +198,17 @@ tooth_multiplicities=(0, 1, 1))
     return masks
 
 
-def _run_orthodontia(
-    masks: Sequence[int], trace: list[tuple[str, tuple[int, ...]]] | None
-) -> OrthodonticSequence:
-    # The columns left to straighten, in their order, with emptied ones
-    # dropped.  When trace is a list, each snapshot is appended to it as
-    # the masks of all n columns, each in its own place
+def _swap_rows(cols: list[int], low: int) -> list[int]:
+    # swap the rows at bits low and low << 1 in each column that has exactly
+    # one of them, the columns where adding low carries into the second or sets it
+    high = low << 1
+    pair = low | high
+    return [c ^ pair if (c + low) & high else c for c in cols]
+
+
+def mask_orthodontia(masks: Sequence[int]) -> OrthodonticSequence:
+    """:func:`orthodontia` of the diagram whose column masks are ``masks``."""
+    # cols: the columns left to straighten, in order, with stripped ones dropped
     n = len(masks)
     interval_mults = [0] * n
     cols = []
@@ -211,18 +217,6 @@ def _run_orthodontia(
             cols.append(c)
         elif c:
             interval_mults[c.bit_length() - 1] += 1
-    if trace is not None:
-        places = [j for j, c in enumerate(masks) if c & (c + 1)]
-
-        def snapshot(label: str) -> None:
-            full = [0] * n
-            for j, c in zip(places, cols):
-                full[j] = c
-            trace.append((label, tuple(full)))
-
-        trace.append(("start", tuple(masks)))
-        snapshot("strip standard columns")
-
     teeth: list[int] = []
     tooth_mults: list[int] = []
     # a safety cap, which no diagram reaches (see orthodontia)
@@ -238,29 +232,14 @@ def _run_orthodontia(
         if len(teeth) >= max_steps:
             raise OrthodontiaError("step limit exceeded; diagram is not strongly separated")
         low = gaps & -gaps  # the tooth's row
-        high = low << 1  # the row below it
-        tooth = low.bit_length()
-        teeth.append(tooth)
-        # swap the two rows in each column that has exactly one of them,
-        # the columns where adding low carries into high or sets it
-        pair = low | high
-        cols = [c ^ pair if (c + low) & high else c for c in cols]
-        target = high - 1  # the interval {1..tooth}
+        teeth.append(low.bit_length())
+        cols = _swap_rows(cols, low)
+        target = (low << 1) - 1  # the interval {1..tooth}
         count = cols.count(target)
         tooth_mults.append(count)
         if count:
-            if trace is not None:
-                places = [j for j, c in zip(places, cols) if c != target]
             cols = [c for c in cols if c != target]
-        if trace is not None:
-            snapshot(f"swap rows {tooth},{tooth + 1}")
-
     return OrthodonticSequence(tuple(teeth), tuple(interval_mults), tuple(tooth_mults))
-
-
-def mask_orthodontia(masks: Sequence[int]) -> OrthodonticSequence:
-    """:func:`orthodontia` of the diagram whose column masks are ``masks``."""
-    return _run_orthodontia(masks, None)
 
 
 def orthodontia(D: Diagram) -> OrthodonticSequence:
@@ -280,18 +259,25 @@ def orthodontia(D: Diagram) -> OrthodonticSequence:
     strongly separated with its columns in the order of
     :func:`sort_columns`.
     """
-    return _run_orthodontia(D.masks, None)
+    return mask_orthodontia(D.masks)
 
 
 def orthodontia_trace(D: Diagram) -> tuple[OrthodonticSequence, list[tuple[str, Diagram]]]:
     """Like :func:`orthodontia`, also returning labeled intermediate diagrams.
 
     Every column keeps its place in the snapshots; a stripped column
-    shows as empty.
+    shows as empty.  They replay the sequence's swaps over all n columns:
+    the interval columns start empty, and the swap at tooth t empties
+    the columns it makes equal to {1..t}, the only interval it can make.
     """
-    snapshots: list[tuple[str, tuple[int, ...]]] = []
-    seq = _run_orthodontia(D.masks, snapshots)
-    return seq, [(label, Diagram(D.n, masks)) for label, masks in snapshots]
+    seq = mask_orthodontia(D.masks)
+    cols = [c if c & (c + 1) else 0 for c in D.masks]
+    snapshots = [("start", D), ("strip standard columns", Diagram(D.n, cols))]
+    for tooth in seq.teeth:
+        target = (1 << tooth) - 1
+        cols = [0 if c == target else c for c in _swap_rows(cols, 1 << (tooth - 1))]
+        snapshots.append((f"swap rows {tooth},{tooth + 1}", Diagram(D.n, cols)))
+    return seq, snapshots
 
 
 def upper_closure(D: Diagram) -> Diagram:

@@ -24,7 +24,11 @@ class Permutation(Value):
     __slots__ = ("word",)
 
     def __init__(self, word: Sequence[int]) -> None:
-        word = tuple(word)
+        try:
+            # a float or a string has no __index__, so it is refused, not truncated
+            word = tuple(map(operator.index, word))
+        except TypeError:
+            raise ValueError(f"not a sequence of ints: {word!r}") from None
         n = len(word)
         if n == 0:
             raise ValueError("permutation must have rank at least 1")
@@ -128,11 +132,7 @@ def from_one_line(seq: Sequence[int]) -> Permutation:
     >>> from_one_line([3, 1, 5, 4, 2]).word
     (3, 1, 5, 4, 2)
     """
-    try:
-        word = tuple(map(operator.index, seq))
-    except TypeError:
-        raise ValueError(f"not a sequence of ints: {seq!r}") from None
-    return Permutation(word)
+    return Permutation(seq)
 
 
 def identity(n: int) -> Permutation:

@@ -395,6 +395,31 @@ def test_verify_cache_round_trip(tmp_path):
     assert_cache_holds(cache, first)
 
 
+def test_verify_cache_defaults_to_the_environment_variable(tmp_path, monkeypatch, capsys):
+    cache, other = tmp_path / "env.jsonl", tmp_path / "other.jsonl"
+    monkeypatch.setenv(cli.CACHE_ENV, str(cache))
+    assert main(["verify", "--n", "3"]) == 0
+    first = capsys.readouterr().out
+    assert_cache_holds(cache, first)
+    written = cache.read_bytes()
+
+    def never(w):
+        raise AssertionError("a replayed run computed a record")
+
+    # the second run replays every block from the file the variable names
+    with monkeypatch.context() as m:
+        for suite in SUITES:
+            m.setitem(cli._SUITE_CHECKS, suite, never)
+        assert main(["verify", "--n", "3"]) == 0
+    assert capsys.readouterr() == (first, "")
+    assert cache.read_bytes() == written
+    # --cache names the file even with the variable set
+    assert main(["verify", "--n", "3", "--cache", str(other)]) == 0
+    assert capsys.readouterr().out == first
+    assert_cache_holds(other, first)
+    assert cache.read_bytes() == written
+
+
 def test_launch_and_replay_load_no_dataclasses_inspect_or_openssl(tmp_path):
     # pytest and these tests import hashlib, copy and pickle themselves, so
     # a child process without site imports the CLI and replays a full cache

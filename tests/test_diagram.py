@@ -7,6 +7,7 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from orthodontia import diagram
 from orthodontia.diagram import (
     Diagram,
     OrthodonticSequence,
@@ -192,6 +193,17 @@ def test_orthodontia_trace_snapshots():
     assert trace[0] == ("start", D)
     assert trace[-1][1].is_empty()
     assert len(trace) == 2 + seq.step_count
+
+
+@pytest.mark.parametrize("entry", [orthodontia, orthodontia_trace])
+def test_every_entry_point_runs_the_one_loop_once(monkeypatch, entry):
+    # a tracer that wraps mask_orthodontia sees every run of the algorithm
+    calls = []
+    loop = diagram.mask_orthodontia
+    monkeypatch.setattr(diagram, "mask_orthodontia", lambda masks: calls.append(masks) or loop(masks))
+    D = rothe_diagram(from_one_line([4, 1, 10, 5, 2, 7, 3, 9, 8, 6]))
+    entry(D)
+    assert calls == [D.masks]
 
 
 def test_upper_closure():

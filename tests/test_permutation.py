@@ -21,13 +21,15 @@ def test_from_one_line_golden():
     assert from_one_line([1]).is_identity()
 
 
+@pytest.mark.parametrize("build", [from_one_line, Permutation])
 @pytest.mark.parametrize(
     "bad",
-    [[2, 1, 3, 7], [1, 1], [2, 3], [0, 1], [], [1, 2, 2, 4], [1.9, 2.1], ["2", "1"], [2.0, 1.0]],
+    [[2, 1, 3, 7], [1, 1], [2, 3], [0, 1], [], [1, 2, 2, 4], [1.9, 2.1], ["2", "1"], [2.0, 1.0],
+     (2.0, 1), ("1",), (1.5,)],
 )
-def test_from_one_line_rejects_malformed(bad):
+def test_from_one_line_rejects_malformed(build, bad):
     with pytest.raises(ValueError):
-        from_one_line(bad)
+        build(bad)
 
 
 def test_right_multiply_adjacent_golden():
