@@ -198,14 +198,6 @@ tooth_multiplicities=(0, 1, 1))
     return masks
 
 
-def _swap_rows(cols: list[int], low: int) -> list[int]:
-    # swap the rows at bits low and low << 1 in each column that has exactly
-    # one of them, the columns where adding low carries into the second or sets it
-    high = low << 1
-    pair = low | high
-    return [c ^ pair if (c + low) & high else c for c in cols]
-
-
 def mask_orthodontia(masks: Sequence[int]) -> OrthodonticSequence:
     """:func:`orthodontia` of the diagram whose column masks are ``masks``."""
     # cols: the columns left to straighten, in order, with stripped ones dropped
@@ -232,9 +224,13 @@ def mask_orthodontia(masks: Sequence[int]) -> OrthodonticSequence:
         if len(teeth) >= max_steps:
             raise OrthodontiaError("step limit exceeded; diagram is not strongly separated")
         low = gaps & -gaps  # the tooth's row
+        high = low << 1  # the row below it
         teeth.append(low.bit_length())
-        cols = _swap_rows(cols, low)
-        target = (low << 1) - 1  # the interval {1..tooth}
+        # swap the two rows in each column that has exactly one of them,
+        # the columns where adding low carries into high or sets it
+        pair = low | high
+        cols = [c ^ pair if (c + low) & high else c for c in cols]
+        target = high - 1  # the interval {1..tooth}
         count = cols.count(target)
         tooth_mults.append(count)
         if count:
@@ -274,8 +270,10 @@ def orthodontia_trace(D: Diagram) -> tuple[OrthodonticSequence, list[tuple[str, 
     cols = [c if c & (c + 1) else 0 for c in D.masks]
     snapshots = [("start", D), ("strip standard columns", Diagram(D.n, cols))]
     for tooth in seq.teeth:
-        target = (1 << tooth) - 1
-        cols = [0 if c == target else c for c in _swap_rows(cols, 1 << (tooth - 1))]
+        # the swap of mask_orthodontia, then the interval {1..tooth} is emptied
+        low, high = 1 << (tooth - 1), 1 << tooth
+        cols = [c ^ (low | high) if (c + low) & high else c for c in cols]
+        cols = [0 if c == high - 1 else c for c in cols]
         snapshots.append((f"swap rows {tooth},{tooth + 1}", Diagram(D.n, cols)))
     return seq, snapshots
 

@@ -24,11 +24,14 @@ class Permutation(Value):
     __slots__ = ("word",)
 
     def __init__(self, word: Sequence[int]) -> None:
-        try:
-            # a float or a string has no __index__, so it is refused, not truncated
-            word = tuple(map(operator.index, word))
-        except TypeError:
-            raise ValueError(f"not a sequence of ints: {word!r}") from None
+        # a tuple of exact ints is kept as it is, not copied; anything else
+        # is converted, and a float or a string has no __index__, so it is
+        # refused, not truncated
+        if type(word) is not tuple or set(map(type, word)) != {int}:
+            try:
+                word = tuple(map(operator.index, word))
+            except TypeError:
+                raise ValueError(f"not a sequence of ints: {word!r}") from None
         n = len(word)
         if n == 0:
             raise ValueError("permutation must have rank at least 1")

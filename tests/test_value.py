@@ -63,6 +63,8 @@ def test_values_store_tuples():
     w, D = Permutation([3, 1, 2]), Diagram(2, [1, 0])
     assert type(w.word) is tuple and hash(w) == hash(Permutation((3, 1, 2)))
     assert type(D.masks) is tuple and hash(D) == hash(Diagram(2, (1, 0)))
+    word = (3, 1, 2)
+    assert Permutation(word).word is word
     # entries are stored as the ints they index, as masks are
     assert [type(v) for v in Permutation((2, True)).word] == [int, int]
     assert [type(c) for c in Diagram(2, (True, 0)).masks] == [int, int]
