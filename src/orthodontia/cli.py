@@ -689,6 +689,9 @@ def _run(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     if args.command == "compute":
         return cmd_compute(args.permutation, args.kind, args.format, out, err)
     if args.command == "ortho":
+        if args.trace and args.format == "json":
+            err.write("--trace draws text diagrams; it cannot be used with --format json\n")
+            return 2
         return cmd_ortho(args.permutation, args.format, args.trace, out)
     if args.command == "diagram":
         return cmd_diagram(args.permutation, args.closure, args.format, out)

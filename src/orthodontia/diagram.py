@@ -37,7 +37,9 @@ from orthodontia.polynomial import Monomial
 class OrthodontiaError(RuntimeError):
     """A nonempty first column without a missing tooth, or more steps than the cap.
 
-    Neither can happen (see :func:`orthodontia`); the error guards that.
+    Neither can happen on a :class:`Diagram` (see :func:`orthodontia`).
+    :func:`mask_orthodontia` checks no masks, and some masks outside
+    0..2^n - 1 reach the step cap: ``[-2]`` and ``[2**70, 0]`` raise it.
     """
 
 
@@ -177,7 +179,9 @@ def rothe_masks(word: Sequence[int]) -> list[int]:
     """The column masks of the Rothe diagram of the permutation with one-line word ``word``.
 
     Bit i-1 of mask j is set when i < w^{-1}(j) and w(i) > j, that is
-    when the diagram has the box (i, j).
+    when the diagram has the box (i, j).  ``word`` must be a permutation's
+    word; nothing checks it, so another word gives masks that mean
+    nothing: ``rothe_masks((1, 1))`` is ``[0, 0]``.
 
     >>> rothe_masks((3, 1, 5, 4, 2))
     [1, 13, 0, 4, 0]
@@ -199,7 +203,13 @@ tooth_multiplicities=(0, 1, 1))
 
 
 def mask_orthodontia(masks: Sequence[int]) -> OrthodonticSequence:
-    """:func:`orthodontia` of the diagram whose column masks are ``masks``."""
+    """:func:`orthodontia` of the diagram whose column masks are ``masks``.
+
+    ``masks`` must be those of an n x n diagram, each in 0..2^n - 1, as
+    :func:`rothe_masks` gives for a permutation's word.  Nothing checks
+    them: ``[4, 0]`` (a box in row 3 of a 2-row grid) and ``[-1]`` give
+    a sequence, and ``[-2]`` raises :class:`OrthodontiaError`.
+    """
     # cols: the columns left to straighten, in order, with stripped ones dropped
     n = len(masks)
     interval_mults = [0] * n
@@ -211,7 +221,7 @@ def mask_orthodontia(masks: Sequence[int]) -> OrthodonticSequence:
             interval_mults[c.bit_length() - 1] += 1
     teeth: list[int] = []
     tooth_mults: list[int] = []
-    # a safety cap, which no diagram reaches (see orthodontia)
+    # a safety cap, which the masks of no diagram reach (see orthodontia)
     max_steps = n * n * n + n * n + sum(map(int.bit_count, masks)) + 1
     while cols:
         first = cols[0]
@@ -246,7 +256,9 @@ def orthodontia(D: Diagram) -> OrthodonticSequence:
     it can make is {1..t}, which is stripped at once: the first nonempty
     column always has a missing tooth.  Each swap lowers that column's
     row sum by one, which bounds the steps.  :class:`OrthodontiaError`
-    guards these two facts and is never raised.
+    guards these two facts, so it is never raised for a :class:`Diagram`;
+    only masks outside a diagram's range, passed to
+    :func:`mask_orthodontia`, can raise it.
 
     The sequence drives the ascending formulas of
     :mod:`orthodontia.grothendieck`, which give the Schubert and
@@ -289,7 +301,11 @@ def closure_monomial(D: Diagram) -> Monomial:
 
 
 def mask_closure(masks: Sequence[int]) -> Monomial:
-    """:func:`closure_monomial` of the diagram whose column masks are ``masks``."""
+    """:func:`closure_monomial` of the diagram whose column masks are ``masks``.
+
+    ``masks`` must be those of an n x n diagram, each in 0..2^n - 1, as
+    :func:`rothe_masks` gives for a permutation's word; nothing checks them.
+    """
     lowest = [c.bit_length() for c in masks if c]  # each column's lowest row
     return tuple(sum(1 for m in lowest if m >= i) for i in range(1, len(masks) + 1))
 

@@ -395,18 +395,18 @@ def sigma(w: Permutation) -> Permutation:
     dominant w the restriction is all of w, so sigma(w) = w.  w is called
     sorted when sigma(w) is the identity.
     """
-    return _sigma(w, _primary_column_data(w.word))
+    return Permutation(_sigma(w.word, _primary_column_data(w.word)))
 
 
-def _sigma(w: Permutation, data: PrimaryColumnData) -> Permutation:
+def _sigma(word: tuple[int, ...], data: PrimaryColumnData) -> tuple[int, ...]:
     shift = data.standard_cols - data.gap
-    values = [v - shift for v in w.word[data.prefix : data.tooth]]
+    values = tuple(v - shift for v in word[data.prefix : data.tooth])
     if sorted(values) != list(range(1, data.gap + 1)):
         raise AssertionError(
-            f"restriction of {w} to positions {data.prefix + 1}..{data.tooth} "
+            f"restriction of {word} to positions {data.prefix + 1}..{data.tooth} "
             "is not a bijection onto an interval"
         )
-    return Permutation(tuple(values))
+    return values
 
 
 def is_sorted_permutation(w: Permutation) -> bool:
@@ -425,13 +425,12 @@ def sort_permutation(w: Permutation) -> Permutation:
     Idempotent; preserves primary column data; maps dominant permutations
     to the identity.
     """
-    return _sort(w, _primary_column_data(w.word))
+    return Permutation(_sort(w.word, _primary_column_data(w.word)))
 
 
-def _sort(w: Permutation, data: PrimaryColumnData) -> Permutation:
-    word = list(w.word)
-    word[data.prefix : data.tooth] = sorted(word[data.prefix : data.tooth])
-    return Permutation(tuple(word))
+def _sort(word: tuple[int, ...], data: PrimaryColumnData) -> tuple[int, ...]:
+    p, t = data.prefix, data.tooth
+    return word[:p] + tuple(sorted(word[p:t])) + word[t:]
 
 
 def unsort_factor(w: Permutation) -> Monomial:
@@ -443,7 +442,8 @@ def unsort_factor(w: Permutation) -> Monomial:
     """
     data = _primary_column_data(w.word)
     exps = [0] * w.n
-    exps[data.prefix : data.tooth] = diagram_monomial(rothe_diagram(_sigma(w, data)))
+    pattern = Permutation(_sigma(w.word, data))
+    exps[data.prefix : data.tooth] = diagram_monomial(rothe_diagram(pattern))
     return tuple(exps)
 
 
@@ -573,17 +573,16 @@ def os_predecessor(w: Permutation) -> Permutation:
     """
     if w.is_identity():
         raise ValueError("the identity has no predecessor")
-    data = _primary_column_data(w.word)
-    if not _is_sorted(w.word, data):
-        return _sort(w, data)
-    return _sorted_step_up(w, data)
-
-
-def _sorted_step_up(w: Permutation, data: PrimaryColumnData) -> Permutation:
-    # w * s_tooth * ... * s_{prefix+1}: move the entry at position tooth+1 to prefix+1
     word = w.word
+    data = _primary_column_data(word)
+    step = _sorted_step_up if _is_sorted(word, data) else _sort
+    return Permutation(step(word, data))
+
+
+def _sorted_step_up(word: tuple[int, ...], data: PrimaryColumnData) -> tuple[int, ...]:
+    # w * s_tooth * ... * s_{prefix+1}: move the entry at position tooth+1 to prefix+1
     p, t = data.prefix, data.tooth
-    return Permutation(word[:p] + (word[t],) + word[p:t] + word[t + 1 :])
+    return word[:p] + (word[t],) + word[p:t] + word[t + 1 :]
 
 
 class SortedStepCheck(NamedTuple):
@@ -620,10 +619,10 @@ def check_sorted_step(
     data = primary_column_data(w)
     seq_w = sequence(word)
     is_sorted = _is_sorted(word, data)
-    seq_sorted = seq_w if is_sorted else sequence(_sort(w, data).word)
+    seq_sorted = seq_w if is_sorted else sequence(_sort(word, data))
     # the sequences of w and sort(w) agree except for the interval counts,
     # which shift by the interval counts of the pattern sigma(w)
-    pattern_counts = sequence(_sigma(w, data).word).interval_multiplicities
+    pattern_counts = sequence(_sigma(word, data)).interval_multiplicities
     expected_k = list(seq_sorted.interval_multiplicities)
     if data.prefix > 0:
         expected_k[data.prefix - 1] -= sum(pattern_counts)
@@ -651,7 +650,7 @@ def check_sorted_step(
             and all(m[t] == 0 for t in range(gap - 1))
         )
         if parts_ok:
-            seq_up = sequence(_sorted_step_up(w, data).word)
+            seq_up = sequence(_sorted_step_up(word, data))
             expected_up_k = list(k)
             if data.prefix > 0:
                 expected_up_k[data.prefix - 1] -= gap

@@ -114,6 +114,17 @@ def _variable_count(n: int) -> int:
     return n
 
 
+def _monomial(exps: Iterable[int], n: int) -> Monomial:
+    """exps as a tuple of n ints; refuses a value that is not an int, or another length."""
+    try:
+        exps = tuple(map(operator.index, exps))
+    except TypeError:
+        raise ValueError(f"monomial {exps!r} has a value that is not an int") from None
+    if len(exps) != n:
+        raise RankMismatchError(f"monomial rank {len(exps)} vs polynomial rank {n}")
+    return exps
+
+
 def _pack(exps: Monomial) -> int:
     """The key of x^exps; refuses exponents outside 0..MAX_EXPONENT."""
     if min(exps) < 0:
@@ -281,10 +292,7 @@ class Polynomial(Value):
 
     def mul_monomial(self, exps: Monomial) -> Polynomial:
         """Multiply by x^exps in a single pass."""
-        exps = tuple(exps)
-        if len(exps) != self.n:
-            raise RankMismatchError(f"monomial rank {len(exps)} vs polynomial rank {self.n}")
-        shift = _pack(exps)
+        shift = _pack(_monomial(exps, self.n))
         if self.terms:
             self._check_product(Polynomial._raw(self.n, {shift: 1}))
         return type(self)._raw(self.n, {k + shift: c for chunk in self._chunks() for k, c in chunk})
@@ -328,9 +336,7 @@ class Polynomial(Value):
 
     def coefficient(self, exps: Monomial) -> int:
         """The coefficient of x^exps; 0 for any exponent outside 0..MAX_EXPONENT."""
-        exps = tuple(exps)
-        if len(exps) != self.n:
-            raise RankMismatchError(f"monomial rank {len(exps)} vs polynomial rank {self.n}")
+        exps = _monomial(exps, self.n)
         if min(exps) < 0 or max(exps) > MAX_EXPONENT:
             return 0
         return self.terms.get(_pack(exps), 0)
@@ -535,9 +541,7 @@ def exact_divide_monomial(f: Polynomial, exps: Monomial) -> Polynomial:
     Every term of f must be divisible by x^exps; otherwise the caller
     broke the contract and :class:`DivisionRemainderError` is raised.
     """
-    exps = tuple(exps)
-    if len(exps) != f.n:
-        raise RankMismatchError(f"monomial rank {len(exps)} vs polynomial rank {f.n}")
+    exps = _monomial(exps, f.n)
     shift = _pack(exps)
     # a field of x^exps above the term's borrows across a field boundary
     boundaries = sum(1 << _FIELD * i for i in range(1, f.n + 1))

@@ -3,6 +3,7 @@ from __future__ import annotations
 import argparse
 import gc
 import hashlib
+import importlib
 import io
 import json
 import os
@@ -29,7 +30,7 @@ from orthodontia.grothendieck import (
     schubert_recursive,
 )
 from orthodontia.operators import divided_difference, isobaric
-from orthodontia.permutation import from_one_line, symmetric_group
+from orthodontia.permutation import Permutation, from_one_line, symmetric_group
 from orthodontia.polynomial import MAX_EXPONENT, Polynomial
 
 
@@ -307,6 +308,13 @@ def test_ortho_trace_shows_diagrams():
     out = io.StringIO()
     assert cmd_ortho(parse_permutation("31542"), "text", True, out) == 0
     assert out.getvalue() == ORTHO_TRACE_31542
+
+
+def test_ortho_refuses_a_trace_in_json(capsys):
+    assert main(["ortho", "31542", "--format", "json", "--trace"]) == 2
+    assert capsys.readouterr() == ("", "--trace draws text diagrams; it cannot be used with --format json\n")
+    assert main(["ortho", "31542", "--trace"]) == 0
+    assert capsys.readouterr() == (ORTHO_TRACE_31542, "")
 
 
 def test_diagram_ascii_and_json():
@@ -1304,6 +1312,17 @@ def test_verify_monk_from_empty_memos_passes_every_record(monkeypatch):
     assert summary["failed"] == 0 and summary["checked_total"] > 0
 
 
+def test_verify_degree_from_empty_memos_fills_the_schubert_memo(monkeypatch):
+    # degree alone reads each S_w before any other check has filled its
+    # memo entry, so the memo fills from the degree check's own walks
+    _, every, _ = run_verify(5)
+    fresh_memos(monkeypatch)
+    code, out, _ = run_verify(5, suites=["degree"])
+    assert code == 0
+    assert suite_blocks(out) == [suite_blocks(every)[SUITES.index("degree")]]
+    assert all(word in grothendieck._SCHUBERT_CACHE for word in permutations(range(1, 6)))
+
+
 def test_check_monk_fails_on_an_extra_term_whose_shift_has_no_index(monkeypatch):
     fresh_memos(monkeypatch)
     w = from_one_line([1, 3, 2, 4])
@@ -1360,6 +1379,21 @@ def test_verify_applies_each_recursive_operator_once_per_word(monkeypatch):
     assert counts == {"divided_difference": 719, "isobaric": 719}
 
 
+@pytest.mark.parametrize("suites", [SUITES, ["sorted"]])
+def test_verify_builds_one_permutation_per_word(monkeypatch, suites):
+    # the sorted suite reads sort(w), sigma(w) and the step up as words
+    built = []
+    real = Permutation.__init__
+
+    def counted(self, word):
+        built.append(word)
+        real(self, word)
+
+    monkeypatch.setattr(Permutation, "__init__", counted)
+    assert run_verify(6, suites)[0] == 0
+    assert sorted(built) == list(permutations(range(1, 7)))
+
+
 @pytest.mark.parametrize("kept", [["main", "sorted"], [s for s in SUITES if s != "sorted"]])
 def test_verify_cache_with_some_suites_prints_the_cold_stdout(tmp_path, kept):
     # with every suite but sorted cached, sorted runs with no facts table
@@ -1372,11 +1406,36 @@ def test_verify_cache_with_some_suites_prints_the_cold_stdout(tmp_path, kept):
     assert_cache_holds(cache, cold)
 
 
+# the paths perfbench/tracer.py names that the program no longer has; a
+# rename must not add to them, and the list may only shrink
+UNTRACED = {
+    "orthodontia.polynomial.exact_divide_linear",
+    "orthodontia.grothendieck.warm_caches",
+    "orthodontia.diagram.missing_tooth",
+    "orthodontia.cli._append_cache",
+}
+
+
 def test_traced_names_exist():
     # the benchmark's tracer wraps these by name
     for suite in SUITES:
         assert cli._SUITE_CHECKS[suite] is getattr(cli, f"_check_{suite}")
     assert callable(cli._load_cache) and callable(cli._verify_task)
+    # the tracer's table, read from its source without importing it, so no
+    # bytecode is written beside it
+    tracer = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
+    with open(tracer, encoding="utf-8") as handle:
+        namespace = {"__name__": "tracer"}
+        exec(compile(handle.read(), tracer, "exec"), namespace)
+    unresolved = set()
+    for _, _, _, targets in namespace["TRACED"]:
+        for module_name, path in targets:
+            owner = importlib.import_module(module_name)
+            for part in path.split("."):
+                owner = getattr(owner, part, None)
+            if owner is None:
+                unresolved.add(f"{module_name}.{path}")
+    assert unresolved <= UNTRACED
 
 
 def test_verify_warns_of_the_time_and_memory_of_a_long_sweep(monkeypatch):

@@ -23,7 +23,6 @@ import pytest
 from orthodontia import cli, diagram, grothendieck, operators, polynomial
 from orthodontia.cli import SUITES, cmd_verify
 from orthodontia.grothendieck import PrimaryColumnData
-from orthodontia.permutation import Permutation
 from orthodontia.polynomial import Polynomial
 from test_cli import closure_minus_one, fresh_memos
 
@@ -57,14 +56,14 @@ def freeze_emptying_one_term(f, real=grothendieck._freeze, **options):
     return real(Polynomial.zero(f.n) if len(f.terms) == 1 else f, **options)
 
 
-def step_up_from_tooth(w, data):
+def step_up_from_tooth(word, data):
     # moves the entry at position tooth, not tooth + 1, to prefix + 1
-    word, p, t = w.word, data.prefix, data.tooth
-    return Permutation(word[:p] + (word[t - 1],) + word[p : t - 1] + word[t:])
+    p, t = data.prefix, data.tooth
+    return word[:p] + (word[t - 1],) + word[p : t - 1] + word[t:]
 
 
-def sigma_reversed(w, data, real=grothendieck._sigma):
-    return Permutation(real(w, data).word[::-1])
+def sigma_reversed(word, data, real=grothendieck._sigma):
+    return real(word, data)[::-1]
 
 
 def closure_plus_x_1(masks, real=cli.mask_closure):

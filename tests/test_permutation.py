@@ -19,6 +19,8 @@ def test_from_one_line_golden():
     assert w(1) == 3
     assert w.word == (3, 1, 5, 4, 2)
     assert from_one_line([1]).is_identity()
+    with pytest.raises(ValueError, match="position 0 out of range"):
+        Permutation((2, 1))(0)
 
 
 @pytest.mark.parametrize("build", [from_one_line, Permutation])
@@ -109,6 +111,14 @@ def test_descents_ascents_partition():
         des, asc = w.descents(), w.ascents()
         assert des | asc == set(range(1, 5))
         assert not des & asc
+
+
+@pytest.mark.parametrize(
+    "make", [identity, longest_element, lambda n: list(symmetric_group(n))]
+)
+def test_rank_below_one_is_refused(make):
+    with pytest.raises(ValueError, match="rank must be at least 1"):
+        make(0)
 
 
 def test_longest_element():

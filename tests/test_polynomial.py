@@ -54,6 +54,8 @@ def test_arithmetic_golden():
     assert x1 * (x1 * x2) == Polynomial.monomial((2, 1))
     assert (1 - x2) * (1 + x2) == 1 - x2 * x2
     assert f - f == Polynomial.zero(2)
+    assert f - 3 == Polynomial(2, {(2, 1): 3, (0, 1): -1, (0, 0): -3})
+    assert (f * 0).is_zero
 
 
 def test_rank_mismatch():
@@ -63,6 +65,13 @@ def test_rank_mismatch():
         Polynomial.one(2) * Polynomial.one(3)
     with pytest.raises(RankMismatchError):
         monomial_divides((1, 0), (1, 0, 0))
+    x1 = Polynomial.variable(1, 2)
+    with pytest.raises(RankMismatchError):
+        x1.mul_monomial((1, 0, 0))
+    with pytest.raises(RankMismatchError):
+        exact_divide_monomial(x1, (1,))
+    with pytest.raises(RankMismatchError):
+        Polynomial(2, {(1, 0, 0): 1})
 
 
 def test_negative_exponents_rejected():
@@ -268,6 +277,16 @@ def test_repeated_terms_add_up():
         (lambda: Polynomial.variable(1, 2.5), "not an int"),
         (lambda: Polynomial.variable(1.0, 2), "not an int"),
         (lambda: Polynomial.one("2"), "not an int"),
+        # monomial arguments
+        (lambda: Polynomial.variable(1, 2).mul_monomial((1.5, 0)), "not an int"),
+        (lambda: Polynomial.variable(1, 2).mul_monomial(("1", 0)), "not an int"),
+        (lambda: Polynomial.variable(1, 2).coefficient((1.5, 0)), "not an int"),
+        (lambda: Polynomial.variable(1, 2).coefficient(("1", 0)), "not an int"),
+        (lambda: exact_divide_monomial(Polynomial.variable(1, 2), (1.5, 0)), "not an int"),
+        (lambda: exact_divide_monomial(Polynomial.variable(1, 2), ("1", 0)), "not an int"),
+        # variable indices out of range
+        (lambda: Polynomial.variable(3, 2), "variable index 3 out of range"),
+        (lambda: Polynomial.parse("x3", 2), "variable x3 out of range"),
         # JSON of the wrong structure
         (lambda: Polynomial.from_json({"n": 2}), "not an object with n and terms"),
         (lambda: Polynomial.from_json({"terms": []}), "not an object with n and terms"),
@@ -292,7 +311,7 @@ def test_non_int_input_is_refused(make, problem):
 def test_canonical_serialization_is_stable():
     f = Polynomial(2, {(1, 0): 1, (0, 1): 1, (2, 0): -1})
     g = Polynomial(2, {(2, 0): -1, (0, 1): 1, (1, 0): 1})
-    assert f == g
+    assert f == g and hash(f) == hash(g)
     assert str(f) == str(g)
     assert json.dumps(f.to_json()) == json.dumps(g.to_json())
 
