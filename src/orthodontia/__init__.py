@@ -25,11 +25,9 @@ from orthodontia.permutation import (
     symmetric_group,
 )
 from orthodontia.polynomial import (
-    DivisionRemainderError,
     Monomial,
     Polynomial,
     RankMismatchError,
-    exact_divide_monomial,
     fundamental_weight,
     monomial_divides,
 )
@@ -53,10 +51,7 @@ from orthodontia.diagram import (
 from orthodontia.grothendieck import (
     PrimaryColumnData,
     RankOverflowError,
-    dominant_grothendieck,
-    fallen_boxes,
     grothendieck_recursive,
-    is_dominant,
     is_sorted_permutation,
     monk_terms,
     orthodontia_grothendieck,
@@ -89,8 +84,6 @@ __all__ = [
     "Monomial",
     "Polynomial",
     "RankMismatchError",
-    "DivisionRemainderError",
-    "exact_divide_monomial",
     "fundamental_weight",
     "monomial_divides",
     "divided_difference",
@@ -112,15 +105,12 @@ __all__ = [
     "grothendieck_recursive",
     "orthodontia_schubert",
     "orthodontia_grothendieck",
-    "is_dominant",
-    "dominant_grothendieck",
     "primary_column_data",
     "sigma",
     "sort_permutation",
     "is_sorted_permutation",
     "monk_terms",
     "unsort_factor",
-    "fallen_boxes",
     "os_predecessor",
     "DegreeReport",
     "SupportVectors",

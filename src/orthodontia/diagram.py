@@ -35,9 +35,9 @@ from orthodontia.polynomial import Monomial
 
 
 class OrthodontiaError(RuntimeError):
-    """A nonempty first column without a missing tooth, or more steps than the cap.
+    """More steps than the cap of :func:`mask_orthodontia`, its only guard.
 
-    Neither can happen on a :class:`Diagram` (see :func:`orthodontia`).
+    It cannot happen on a :class:`Diagram` (see :func:`orthodontia`).
     :func:`mask_orthodontia` checks no masks, and some masks outside
     0..2^n - 1 reach the step cap: ``[-2]`` and ``[2**70, 0]`` raise it.
     """
@@ -224,15 +224,10 @@ def mask_orthodontia(masks: Sequence[int]) -> OrthodonticSequence:
     # a safety cap, which the masks of no diagram reach (see orthodontia)
     max_steps = n * n * n + n * n + sum(map(int.bit_count, masks)) + 1
     while cols:
-        first = cols[0]
-        gaps = first >> 1 & ~first  # bit i-1: row i is empty and row i+1 is not
-        if not gaps:
-            raise OrthodontiaError(
-                f"nonempty column {_rows(first)} has no missing tooth; "
-                "columns are not in strongly separated order"
-            )
         if len(teeth) >= max_steps:
             raise OrthodontiaError("step limit exceeded; diagram is not strongly separated")
+        first = cols[0]
+        gaps = first >> 1 & ~first  # bit i-1: row i is empty and row i+1 is not
         low = gaps & -gaps  # the tooth's row
         high = low << 1  # the row below it
         teeth.append(low.bit_length())
@@ -254,11 +249,12 @@ def orthodontia(D: Diagram) -> OrthodonticSequence:
     Every diagram runs to the end.  A swap at tooth t changes only the
     columns holding exactly one of rows t and t+1, so the only interval
     it can make is {1..t}, which is stripped at once: the first nonempty
-    column always has a missing tooth.  Each swap lowers that column's
-    row sum by one, which bounds the steps.  :class:`OrthodontiaError`
-    guards these two facts, so it is never raised for a :class:`Diagram`;
-    only masks outside a diagram's range, passed to
-    :func:`mask_orthodontia`, can raise it.
+    column always has a missing tooth, whatever ints the masks are, so
+    nothing checks for one.  Each swap lowers that column's row sum by
+    one, which bounds the steps.  The step cap is the only guard left,
+    and :class:`OrthodontiaError` is never raised for a
+    :class:`Diagram`; only masks outside a diagram's range, passed to
+    :func:`mask_orthodontia`, can reach the cap.
 
     The sequence drives the ascending formulas of
     :mod:`orthodontia.grothendieck`, which give the Schubert and

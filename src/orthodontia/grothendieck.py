@@ -13,8 +13,8 @@ Two independent routes to the same polynomials:
 The two routes agree; the verification suites check this exhaustively at
 small rank.  The module also carries the sorting machinery (primary
 column data, the dominant projection, the unsorting monomial factor),
-the transition expansion of x_j * G_w, fallen boxes, and the step
-relation of the orthodontic sort order.
+the transition expansion of x_j * G_w, and the step relation of the
+orthodontic sort order.
 
 A caller that evaluates the ascending formula on many diagrams can pass
 a :class:`FormulaChain`, which keeps the polynomials along the last step
@@ -332,18 +332,6 @@ def chained_grothendieck(seq: OrthodonticSequence, chain: FormulaChain) -> Polyn
     return _evaluate_formula(seq, demazure_lascoux, chain)
 
 
-def is_dominant(w: Permutation) -> bool:
-    """True iff w avoids the pattern 132, iff no column of its diagram is primary."""
-    return _primary_column_data(w.word).standard_cols == w.n
-
-
-def dominant_grothendieck(w: Permutation) -> Polynomial:
-    """For dominant w the Grothendieck polynomial is the single diagram monomial."""
-    if not is_dominant(w):
-        raise ValueError(f"{w} is not dominant")
-    return Polynomial.monomial(diagram_monomial(rothe_diagram(w)))
-
-
 class PrimaryColumnData(NamedTuple):
     """Shape data of the primary column, the first Rothe column that is
     neither empty nor an interval {1..k}.
@@ -549,18 +537,6 @@ def monk_residue_vanishes(
         if not vanishes:
             residue[:] = [0] * len(residue)
     return vanishes
-
-
-def fallen_boxes(w: Permutation) -> frozenset[tuple[int, int]]:
-    """Boxes of the diagram that sit below their top-aligned position.
-
-    A box is fallen when its row index exceeds its rank within the
-    column, i.e. some earlier row of the column is empty.  Dominant
-    permutations have none.
-    """
-    # c & (c + 1) clears the run of boxes at the top of the column
-    fallen = tuple(c & (c + 1) for c in rothe_diagram(w).masks)
-    return frozenset(Diagram(w.n, fallen).boxes())
 
 
 def os_predecessor(w: Permutation) -> Permutation:

@@ -18,6 +18,14 @@ from typing import Iterator, Sequence
 from orthodontia._value import Value
 
 
+def _int(value: int, what: str) -> int:
+    """value as an int; a float or a string is refused, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an int") from None
+
+
 class Permutation(Value):
     """An element of S_n, as the tuple of its one-line notation values."""
 
@@ -49,6 +57,7 @@ class Permutation(Value):
         >>> Permutation((3, 1, 5, 4, 2))(1)
         3
         """
+        i = _int(i, "position")
         if not 1 <= i <= self.n:
             raise ValueError(f"position {i} out of range for rank {self.n}")
         return self.word[i - 1]
@@ -73,6 +82,7 @@ class Permutation(Value):
         >>> Permutation((3, 1, 5, 4, 2)).right_multiply_adjacent(1).word
         (1, 3, 5, 4, 2)
         """
+        j = _int(j, "position")
         if not 1 <= j <= self.n - 1:
             raise ValueError(f"adjacent transposition s_{j} out of range for rank {self.n}")
         w = list(self.word)
@@ -85,6 +95,7 @@ class Permutation(Value):
         >>> Permutation((3, 1, 5, 4, 2)).right_multiply_transposition(1, 3).word
         (5, 1, 3, 4, 2)
         """
+        a, b = _int(a, "position"), _int(b, "position")
         if a == b:
             raise ValueError("transposition needs two distinct positions")
         if not (1 <= a <= self.n and 1 <= b <= self.n):
@@ -140,6 +151,7 @@ def from_one_line(seq: Sequence[int]) -> Permutation:
 
 def identity(n: int) -> Permutation:
     """The identity permutation in S_n."""
+    n = _int(n, "rank")
     if n < 1:
         raise ValueError("rank must be at least 1")
     return Permutation(tuple(range(1, n + 1)))
@@ -151,6 +163,7 @@ def longest_element(n: int) -> Permutation:
     >>> longest_element(3).word
     (3, 2, 1)
     """
+    n = _int(n, "rank")
     if n < 1:
         raise ValueError("rank must be at least 1")
     return Permutation(tuple(range(n, 0, -1)))
@@ -161,6 +174,7 @@ def symmetric_group(n: int) -> Iterator[Permutation]:
 
     The fixed iteration order keeps exhaustive sweeps reproducible.
     """
+    n = _int(n, "rank")
     if n < 1:
         raise ValueError("rank must be at least 1")
     for word in itertools.permutations(range(1, n + 1)):

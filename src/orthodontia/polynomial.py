@@ -5,10 +5,7 @@ tuples of nonnegative ints) to nonzero Python ints.  Coefficients are
 unbounded.  Exponents are nonnegative and at most ``MAX_EXPONENT`` (255):
 a larger exponent, whether given or produced by a product, raises
 ``ValueError``, as does a non-int exponent, coefficient or variable
-count given to a constructor or a parser: none is truncated.  The
-two places where a negative power would be convenient are covered
-instead by :func:`exact_divide_monomial`, which divides by a monomial
-under a zero-remainder contract.
+count given to a constructor or a parser: none is truncated.
 
 Canonical term order is graded-lexicographic: ascending total degree,
 ties broken by descending exponent vector, so equal polynomials always
@@ -27,8 +24,7 @@ vectors and drops sums of 0: the constructor (so ``zero``, ``one``,
 ``constant`` and ``monomial`` too), ``parse`` and ``from_json`` feed it
 exponent vectors, and ``+``, ``-`` and ``*`` packed keys.  Code that sees
 no outside input keeps its own measured hot loops: the bijective
-shifts ``mul_monomial``, ``swap_variables`` and
-:func:`exact_divide_monomial` here, ``_apply`` in
+shifts ``mul_monomial`` and ``swap_variables`` here, ``_apply`` in
 :mod:`orthodontia.operators`, and the memo of
 :mod:`orthodontia.grothendieck`, whose module docstring describes how it
 stores keys.
@@ -61,10 +57,6 @@ _CHUNK = 4096
 
 class RankMismatchError(ValueError):
     """Polynomials or monomials over different variable counts were mixed."""
-
-
-class DivisionRemainderError(ArithmeticError):
-    """An exact division left a nonzero remainder; the caller broke a contract."""
 
 
 class _Factors(dict):
@@ -533,22 +525,3 @@ def _parsed_terms(text: str, n: int) -> Iterator[tuple[list[int], int]]:
                 raise ValueError(f"variable {var} out of range for n={n}")
             exps[i - 1] += int(power) if power else 1
         yield exps, coeff
-
-
-def exact_divide_monomial(f: Polynomial, exps: Monomial) -> Polynomial:
-    """Divide f exactly by the monomial x^exps.
-
-    Every term of f must be divisible by x^exps; otherwise the caller
-    broke the contract and :class:`DivisionRemainderError` is raised.
-    """
-    exps = _monomial(exps, f.n)
-    shift = _pack(exps)
-    # a field of x^exps above the term's borrows across a field boundary
-    boundaries = sum(1 << _FIELD * i for i in range(1, f.n + 1))
-    out: dict[int, int] = {}
-    for k, c in f.terms.items():
-        q = k - shift
-        if (k ^ shift ^ q) & boundaries:
-            raise DivisionRemainderError(f"term x^{_unpack(k, f.n)} not divisible by x^{exps}")
-        out[q] = c
-    return Polynomial._raw(f.n, out)

@@ -46,6 +46,12 @@ The library's ascending Schubert formula on a strongly separated diagram
 is checked against the character of the diagram's flagged Weyl module,
 which uses no operator: the dimension of each weight space of a span of
 products of minors, found by exact elimination over the rationals.
+
+Three proof tools that no library code needs live only here: exact
+division by a monomial, on exponent tuples; the fallen boxes of a Rothe
+diagram, on its sets of rows; and G_w of a dominant w, the monomial of
+its diagram's row counts.  The oracles take only the ``Polynomial`` and
+``Monomial`` types from the library.
 """
 
 from __future__ import annotations
@@ -54,12 +60,11 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 from typing import Iterable
 
-from orthodontia.polynomial import (
-    DivisionRemainderError,
-    Monomial,
-    Polynomial,
-    monomial_divides,
-)
+from orthodontia.polynomial import Monomial, Polynomial
+
+
+class DivisionRemainderError(ArithmeticError):
+    """An exact division left a nonzero remainder; the caller broke a contract."""
 
 
 def exact_divide_linear(f: Polynomial, j: int) -> Polynomial:
@@ -113,6 +118,21 @@ def _divide_linear(terms: dict[Monomial, int], n: int, j: int) -> dict[Monomial,
     if current:
         raise DivisionRemainderError(f"nonzero remainder dividing by x{j} - x{j + 1}")
     return out
+
+
+def exact_divide_monomial(f: Polynomial, exps: Monomial) -> Polynomial:
+    """Divide f exactly by the monomial x^exps, exponent by exponent.
+
+    Every term of f must be divisible by x^exps; otherwise the caller
+    broke the contract and :class:`DivisionRemainderError` is raised.
+    """
+    out: dict[Monomial, int] = {}
+    for term, c in f.sorted_terms():
+        quotient = tuple(a - b for a, b in zip(term, exps, strict=True))
+        if min(quotient) < 0:
+            raise DivisionRemainderError(f"term x^{term} not divisible by x^{exps}")
+        out[quotient] = c
+    return Polynomial(f.n, out)
 
 
 # The kernels work on exponent tuples throughout, with no library
@@ -207,7 +227,7 @@ def inversions_by_enumeration(word: tuple[int, ...]) -> int:
 def support_witness_scan(f: Polynomial, bound: Monomial) -> Monomial | None:
     """The first monomial of f in canonical order not dividing x^bound, by testing each."""
     for exps in f.monomials():
-        if not monomial_divides(exps, bound):
+        if not all(a <= b for a, b in zip(exps, bound, strict=True)):
             return exps
     return None
 
@@ -357,6 +377,28 @@ def rothe_oracle(word: tuple[int, ...]) -> Columns:
         frozenset(i for i in range(1, word.index(j) + 1) if word[i - 1] > j)
         for j in range(1, len(word) + 1)
     )
+
+
+def fallen_boxes(word: tuple[int, ...]) -> frozenset[tuple[int, int]]:
+    """The boxes (i, j) of the Rothe diagram of w that sit below their
+    top-aligned place: row i exceeds the box's rank within column j, so
+    some row above it in the column is empty.  A dominant w has none."""
+    return frozenset(
+        (i, j)
+        for j, column in enumerate(rothe_oracle(word), start=1)
+        for rank, i in enumerate(sorted(column), start=1)
+        if i > rank
+    )
+
+
+def dominant_grothendieck(word: tuple[int, ...]) -> Polynomial:
+    """G_w of a dominant (132-avoiding) w: the one monomial whose exponent
+    of x_i counts the boxes in row i of the Rothe diagram."""
+    if not avoids_132(word):
+        raise ValueError(f"{word} is not dominant")
+    columns = rothe_oracle(word)
+    rows = tuple(sum(i in c for c in columns) for i in range(1, len(word) + 1))
+    return Polynomial(len(word), {rows: 1})
 
 
 def missing_tooth(column: Iterable[int]) -> int | None:

@@ -11,6 +11,7 @@ from orthodontia import diagram
 from orthodontia.diagram import (
     Diagram,
     OrthodonticSequence,
+    OrthodontiaError,
     closure_monomial,
     diagram_monomial,
     is_strongly_separated,
@@ -120,6 +121,11 @@ def test_orthodontia_step_bound():
         D = rothe_diagram(w)
         seq = orthodontia(D)
         assert seq.step_count <= D.n * D.n + D.box_count()
+    # the cap is mask_orthodontia's only guard, and masks outside a
+    # diagram's range can reach it
+    for masks in ([-2], [2**70, 0]):
+        with pytest.raises(OrthodontiaError, match="step limit exceeded"):
+            mask_orthodontia(masks)
 
 
 def test_orthodontia_multiplicities_count_nonempty_columns():

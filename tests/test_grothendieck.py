@@ -34,11 +34,8 @@ from orthodontia.grothendieck import (
     RankOverflowError,
     chained_grothendieck,
     chained_schubert,
-    dominant_grothendieck,
-    fallen_boxes,
     formula_steps,
     grothendieck_recursive,
-    is_dominant,
     is_sorted_permutation,
     monk_residue_vanishes,
     monk_terms,
@@ -64,6 +61,8 @@ from orthodontia.polynomial import Polynomial
 from conftest import random_polynomial
 from oracles import (
     avoids_132,
+    dominant_grothendieck,
+    fallen_boxes,
     flagged_weyl_character,
     monk_terms_oracle,
     pipe_dream_grothendiecks,
@@ -350,12 +349,12 @@ def test_recursive_routes_run_below_the_recursion_limit():
     finally:
         sys.setrecursionlimit(limit)
     # w avoids 132, so both polynomials are its diagram monomial
-    assert schubert == groth == dominant_grothendieck(w)
+    assert schubert == groth == dominant_grothendieck(w.word)
 
 
-def test_is_dominant():
-    assert is_dominant(from_one_line([3, 2, 1]))
-    assert not is_dominant(from_one_line([1, 3, 2]))
+def test_dominance_from_primary_column_data():
+    assert primary_column_data(from_one_line([3, 2, 1])).standard_cols == 3
+    assert primary_column_data(from_one_line([1, 3, 2])).standard_cols != 3
 
 
 def test_dominant_column_characterization_s6():
@@ -364,17 +363,17 @@ def test_dominant_column_characterization_s6():
             not c or c == frozenset(range(1, len(c) + 1))
             for c in rothe_diagram(w).columns
         )
-        assert is_dominant(w) == all_intervals
+        assert (primary_column_data(w).standard_cols == w.n) == all_intervals
 
 
 def test_dominant_grothendieck():
-    assert dominant_grothendieck(identity(3)) == Polynomial.one(3)
-    assert dominant_grothendieck(from_one_line([3, 2, 1])) == Polynomial.monomial((2, 1, 0))
+    assert dominant_grothendieck((1, 2, 3)) == Polynomial.one(3)
+    assert dominant_grothendieck((3, 2, 1)) == Polynomial.monomial((2, 1, 0))
     for w in symmetric_group(5):
-        if is_dominant(w):
-            assert dominant_grothendieck(w) == grothendieck_recursive(w)
+        if avoids_132(w.word):
+            assert dominant_grothendieck(w.word) == grothendieck_recursive(w)
     with pytest.raises(ValueError):
-        dominant_grothendieck(from_one_line([1, 3, 2]))
+        dominant_grothendieck((1, 3, 2))
 
 
 def primary_column_tuple(word):
@@ -393,7 +392,7 @@ def test_primary_column_data_golden():
 def test_primary_column_data_dominant_convention():
     for word in ([1, 2, 3], [3, 2, 1], [2, 1]):
         w = from_one_line(word)
-        assert is_dominant(w)
+        assert avoids_132(w.word)
         d = primary_column_data(w)
         assert (d.standard_cols, d.prefix, d.tooth, d.gap) == (w.n, 0, w.n, w.n)
 
@@ -404,7 +403,7 @@ def test_primary_column_data_invariants_s5():
 
     for w in symmetric_group(5):
         d = primary_column_data(w)
-        if is_dominant(w):
+        if d.standard_cols == w.n:
             continue
         D = rothe_diagram(w)
         column = D.columns[d.standard_cols]
@@ -416,13 +415,13 @@ def test_primary_column_data_invariants_s5():
         assert d.gap == d.tooth - d.prefix >= 1
 
 
-def test_primary_column_data_and_is_dominant_match_oracles_s1_to_s7():
+def test_primary_column_data_and_dominance_match_oracles_s1_to_s7():
     for n in range(1, 8):
         for word in permutations(range(1, n + 1)):
             w = Permutation(word)
             d = primary_column_data(w)
             assert (d.standard_cols, d.prefix, d.tooth, d.gap) == primary_column_oracle(word)
-            assert is_dominant(w) == avoids_132(word)
+            assert (d.standard_cols == w.n) == avoids_132(word)
 
 
 def test_sigma_golden():
@@ -432,7 +431,8 @@ def test_sigma_golden():
 
 def test_sigma_dominant_everywhere_s6():
     for w in symmetric_group(6):
-        assert is_dominant(sigma(w))
+        pattern = sigma(w)
+        assert primary_column_data(pattern).standard_cols == pattern.n
 
 
 def test_sigma_identity_iff_sorted_s5():
@@ -456,7 +456,7 @@ def test_sort_permutation():
         assert is_sorted_permutation(ws)
         assert sort_permutation(ws) == ws
         assert primary_column_data(ws) == primary_column_data(w)
-        if is_dominant(w):
+        if avoids_132(w.word):
             assert ws.is_identity()
 
 
@@ -628,20 +628,20 @@ def test_unsort_identity_rank8_instance():
 
 def test_fallen_boxes_golden():
     w = from_one_line([5, 8, 1, 3, 4, 7, 2, 6])
-    assert fallen_boxes(w) == frozenset(
+    assert fallen_boxes(w.word) == frozenset(
         {(2, 6), (2, 7), (4, 2), (5, 2), (6, 2), (6, 6)}
     )
 
 
 def test_fallen_boxes_dominant_empty():
     for w in symmetric_group(5):
-        if is_dominant(w):
-            assert fallen_boxes(w) == frozenset()
+        if avoids_132(w.word):
+            assert fallen_boxes(w.word) == frozenset()
 
 
 def test_fallen_boxes_sort_invariant_s5():
     for w in symmetric_group(5):
-        assert fallen_boxes(w) == fallen_boxes(sort_permutation(w))
+        assert fallen_boxes(w.word) == fallen_boxes(sort_permutation(w).word)
 
 
 def test_os_predecessor_golden():
@@ -676,10 +676,10 @@ def test_os_predecessor_chains_terminate_with_fb_monotone():
         while not current.is_identity():
             assert current.word not in seen
             seen.add(current.word)
-            fb_before = len(fallen_boxes(current))
+            fb_before = len(fallen_boxes(current.word))
             was_sorted = is_sorted_permutation(current)
             current = os_predecessor(current)
-            fb_after = len(fallen_boxes(current))
+            fb_after = len(fallen_boxes(current.word))
             if was_sorted:
                 assert fb_after < fb_before
             else:

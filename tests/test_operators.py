@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from orthodontia.operators import demazure, demazure_lascoux, divided_difference, isobaric
-from orthodontia.polynomial import MAX_EXPONENT, Polynomial, exact_divide_monomial
+from orthodontia.polynomial import MAX_EXPONENT, Polynomial
 from orthodontia.grothendieck import (
     grothendieck_recursive,
     is_sorted_permutation,
@@ -28,6 +28,7 @@ from oracles import (
     demazure_kernel,
     demazure_lascoux_kernel,
     divided_difference_kernel,
+    exact_divide_monomial,
     isobaric_kernel,
 )
 

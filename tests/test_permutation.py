@@ -21,6 +21,8 @@ def test_from_one_line_golden():
     assert from_one_line([1]).is_identity()
     with pytest.raises(ValueError, match="position 0 out of range"):
         Permutation((2, 1))(0)
+    with pytest.raises(ValueError, match="position 1.5 is not an int"):
+        Permutation((2, 1))(1.5)
 
 
 @pytest.mark.parametrize("build", [from_one_line, Permutation])
@@ -57,6 +59,8 @@ def test_right_multiply_adjacent_range():
         w.right_multiply_adjacent(0)
     with pytest.raises(ValueError):
         w.right_multiply_adjacent(3)
+    with pytest.raises(ValueError, match="not an int"):
+        w.right_multiply_adjacent(1.0)
 
 
 def test_right_multiply_transposition_golden():
@@ -87,6 +91,8 @@ def test_right_multiply_transposition_errors():
         w.right_multiply_transposition(0, 2)
     with pytest.raises(ValueError):
         w.right_multiply_transposition(1, 5)
+    with pytest.raises(ValueError, match="not an int"):
+        w.right_multiply_transposition(1.0, 2)
 
 
 def test_length_golden():
@@ -119,6 +125,9 @@ def test_descents_ascents_partition():
 def test_rank_below_one_is_refused(make):
     with pytest.raises(ValueError, match="rank must be at least 1"):
         make(0)
+    for rank in (2.0, "3"):
+        with pytest.raises(ValueError, match="is not an int"):
+            make(rank)
 
 
 def test_longest_element():
