@@ -57,6 +57,7 @@ from orthodontia.grothendieck import (
     FormulaChain,
     RankOverflowError,
     _descend,
+    _sequence,
     chained_grothendieck,
     chained_schubert,
     check_sorted_step,
@@ -103,17 +104,79 @@ _SCHUBERT_CHAIN = FormulaChain()
 _GROTH_CHAIN = FormulaChain()
 
 
-# The orthodontic sequence and upper-closure monomial of every task word
-# when a task has one of _FACT_SUITES to compute, which read them; filled
-# by _sweep before any fork and emptied when it ends.  The diagrams
+# The sweep's per-word tables, each indexed by a word's lex index, its
+# position in permutations(range(1, n + 1)): the orthodontic sequence of
+# every word of S_n when a suite of _SEQUENCE_SUITES has records to
+# compute, and its upper-closure monomial for _CLOSURE_SUITES.  _sweep
+# fills them before any fork and empties them when it ends.  The diagrams
 # themselves are not kept.
-_SEQUENCES: dict[tuple[int, ...], OrthodonticSequence] = {}
-_CLOSURES: dict[tuple[int, ...], Monomial] = {}
-_FACT_SUITES = frozenset({"main", "divisibility", "degree", "conjecture"})
+_SEQUENCES: list[OrthodonticSequence] = []
+_CLOSURES: list[Monomial] = []
+_SEQUENCE_SUITES = frozenset({"main", "degree", "sorted", "conjecture"})
+_CLOSURE_SUITES = frozenset({"divisibility", "degree", "conjecture"})
+
+
+def _lex_index(word: tuple[int, ...]) -> int:
+    """The position of ``word`` in permutations(range(1, n + 1)).
+
+    The digit of each entry v in the Lehmer code is the number of later
+    entries below v, that is v - 1 less the earlier ones; the digits are
+    folded by Horner's rule with bases n, n - 1, ..., 1.
+    """
+    index = 0
+    seen = 0  # bit v: v is an earlier entry
+    base = len(word)
+    for v in word:
+        bit = 1 << v
+        index = index * base + v - 1 - (seen & (bit - 1)).bit_count()
+        seen |= bit
+        base -= 1
+    return index
+
+
+class _Known:
+    """The sweep's sequences as ``check_sorted_step`` reads its ``known``.
+
+    A word of the sweep's rank is read from _SEQUENCES; the task's own
+    word, ``word``, at the lex index ``index`` that _verify_task works
+    out once.  A word of lower rank is a pattern sigma(w): its sequence is
+    built through grothendieck's bindings the first time it is read and
+    kept in ``patterns`` until the sweep ends, so each distinct pattern is
+    built once (196 over S_8).
+    """
+
+    __slots__ = ("word", "index", "patterns")
+
+    def __init__(self) -> None:
+        self.word: tuple[int, ...] | None = None
+        self.index = 0
+        self.patterns: dict[tuple[int, ...], OrthodonticSequence] = {}
+
+    def get(self, word: tuple[int, ...]) -> OrthodonticSequence:
+        if word is self.word:
+            return _SEQUENCES[self.index]
+        if len(word) == len(self.word):
+            return _SEQUENCES[_lex_index(word)]
+        seq = self.patterns.get(word)
+        if seq is None:
+            seq = self.patterns[word] = _sequence(word)
+        return seq
+
+    def clear(self) -> None:
+        self.word = None
+        self.patterns.clear()
+
+
+_KNOWN = _Known()
+
+
+def _index(w: Permutation) -> int:
+    # the lex index of the task's word, which _verify_task has worked out
+    return _KNOWN.index if w.word is _KNOWN.word else _lex_index(w.word)
 
 
 def _check_main(w: Permutation) -> dict:
-    seq = _SEQUENCES[w.word]
+    seq = _SEQUENCES[_index(w)]
     schubert = schubert_recursive(w)
     groth = grothendieck_recursive(w)
     groth_match = groth == chained_grothendieck(seq, _GROTH_CHAIN)
@@ -129,12 +192,13 @@ def _check_main(w: Permutation) -> dict:
 
 
 def _check_divisibility(w: Permutation) -> dict:
-    ok, witness = check_divisibility(w, _CLOSURES[w.word])
+    ok, witness = check_divisibility(w, _CLOSURES[_index(w)])
     return {"ok": ok, "witness": witness}
 
 
 def _check_degree(w: Permutation) -> dict:
-    report = degree_report(w, _SEQUENCES[w.word], _CLOSURES[w.word])
+    index = _index(w)
+    report = degree_report(w, _SEQUENCES[index], _CLOSURES[index])
     deg, prop, cor = report.deg_groth, report.bound_prop, report.bound_cor
     return {
         "deg_groth": deg,
@@ -147,7 +211,7 @@ def _check_degree(w: Permutation) -> dict:
 
 
 def _check_sorted(w: Permutation) -> dict:
-    step = check_sorted_step(w, _SEQUENCES)
+    step = check_sorted_step(w, _KNOWN)
     return {
         "sorted": step.is_sorted,
         "parts_ok": step.parts_ok,
@@ -176,7 +240,8 @@ def _check_monk(w: Permutation) -> dict:
 
 
 def _check_conjecture(w: Permutation) -> dict:
-    ok, witness = check_conjecture(w, _SEQUENCES[w.word], _CLOSURES[w.word])
+    index = _index(w)
+    ok, witness = check_conjecture(w, _SEQUENCES[index], _CLOSURES[index])
     return {"ok": ok, "witness": witness}
 
 
@@ -210,14 +275,16 @@ _SUITE_RULES = {
 SUITES = tuple(_SUITE_RULES)
 
 
-def _verify_task(
-    args: tuple[tuple[int, ...], tuple[str, ...]],
-) -> tuple[tuple[int, ...], dict[str, tuple]]:
-    # each suite's record of the word, as its (field, value) pairs in field
-    # order; the keys are distinct, so the sort never compares values
-    word, suites = args
+def _verify_task(suites: tuple[str, ...], word: tuple[int, ...]) -> tuple[tuple, ...]:
+    # each suite's record of the word, in the order of suites, as its
+    # (field, value) pairs in field order; the keys are distinct, so the
+    # sort never compares values
+    _KNOWN.word, _KNOWN.index = word, _lex_index(word)
     w = Permutation(word)
-    return word, {suite: tuple(sorted(_SUITE_CHECKS[suite](w).items())) for suite in suites}
+    try:
+        return tuple(tuple(sorted(_SUITE_CHECKS[suite](w).items())) for suite in suites)
+    finally:
+        _KNOWN.word = None
 
 
 # ---------------------------------------------------------------------------
@@ -264,7 +331,7 @@ def _json_object(line: str | bytes) -> dict | None:
     return value if isinstance(value, dict) else None
 
 
-def _render(n: int, suite: str, records: dict[tuple[int, ...], tuple]) -> Iterator[str]:
+def _render(n: int, suite: str, records: list[tuple]) -> Iterator[str]:
     """What verify prints for a computed suite at rank n, line by line:
     each word's record line in word order, then the summary line.
 
@@ -281,8 +348,7 @@ def _render(n: int, suite: str, records: dict[tuple[int, ...], tuple]) -> Iterat
     parts: dict[tuple, tuple[str, str, bool, dict[str, int]]] = {}
     failed = 0
     totals = dict.fromkeys(counts.values(), 0)
-    for word in permutations(range(1, n + 1)):
-        items = records[word]
+    for word, items in zip(permutations(range(1, n + 1)), records):
         try:
             head, tail, ok, added = parts[items]
         except KeyError:
@@ -383,7 +449,7 @@ def _write_cache(
     cache: BinaryIO | None,
     blocks: dict[tuple[int, str], _Block],
     n: int,
-    computed: dict[str, dict[tuple[int, ...], tuple]],
+    computed: dict[str, list[tuple]],
 ) -> None:
     """Replace the cache file with the stamp line, each trusted block of
     the open old file byte for byte, and a block for each computed suite
@@ -576,28 +642,30 @@ def cmd_verify(
     return 1 if failures else 0
 
 
-def _sweep(n: int, suites: tuple[str, ...], jobs: int) -> dict[str, dict[tuple[int, ...], tuple]]:
-    """Each suite's record of every word of S_n, as the tuple of its
-    (field, value) pairs in field order, computed in jobs worker processes
-    when jobs > 1.  Equal records are one object: S_7's 30,240 records
-    have 224 distinct ones.
+def _sweep(n: int, suites: tuple[str, ...], jobs: int) -> dict[str, list[tuple]]:
+    """Each suite's record of every word of S_n in lex order, as the tuple
+    of its (field, value) pairs in field order, computed in jobs worker
+    processes when jobs > 1.  Equal records are one object: S_7's 30,240
+    records have 224 distinct ones.
 
-    The words' sequences and closure monomials are built first, so forked
-    workers inherit them.  Both tables and the formula chains are emptied
-    when the sweep ends, also by an exception.
+    The tables that the suites read are filled first, so forked workers
+    inherit them.  The tables, the pattern memo and the formula chains are
+    emptied when the sweep ends, also by an exception.
     """
-    tasks = [(word, suites) for word in permutations(range(1, n + 1))]
-    records: dict[str, dict[tuple[int, ...], tuple]] = {suite: {} for suite in suites}
+    count = functools.reduce(int.__mul__, range(1, n + 1), 1)  # n!
+    records = {suite: [None] * count for suite in suites}
     shared: dict[tuple, tuple] = {}
     try:
-        if not _FACT_SUITES.isdisjoint(suites):
-            for word, _ in tasks:
-                masks = rothe_masks(word)
-                _SEQUENCES[word] = mask_orthodontia(masks)
-                _CLOSURES[word] = mask_closure(masks)
+        _fill_tables(n, not _SEQUENCE_SUITES.isdisjoint(suites), not _CLOSURE_SUITES.isdisjoint(suites))
+        order: Iterable[int] = range(count)  # the lex index of each task's word
+        tasks: Iterable[tuple[int, ...]] = permutations(range(1, n + 1))
         if "main" in suites:
             # neighbours in step order share the longest formula prefixes
-            tasks.sort(key=lambda task: formula_steps(_SEQUENCES[task[0]]))
+            order = sorted(order, key=lambda index: formula_steps(_SEQUENCES[index]))
+            words = list(tasks)
+            tasks = [words[index] for index in order]
+            del words
+        task = functools.partial(_verify_task, suites)
         with contextlib.ExitStack() as stack:
             if jobs > 1:
                 import concurrent.futures
@@ -607,21 +675,48 @@ def _sweep(n: int, suites: tuple[str, ...], jobs: int) -> dict[str, dict[tuple[i
                 pool = stack.enter_context(
                     concurrent.futures.ProcessPoolExecutor(jobs, mp_context=context)
                 )
-                chunk = max(1, len(tasks) // (jobs * 4))
-                done = pool.map(_verify_task, tasks, chunksize=chunk)
+                chunk = max(1, count // (jobs * 4))
+                done = pool.map(task, tasks, chunksize=chunk)
             else:
-                done = map(_verify_task, tasks)
+                done = map(task, tasks)
             # each result is stored as it arrives, so the parent never
             # holds them all at once
-            for word, by_suite in done:
-                for suite, items in by_suite.items():
-                    records[suite][word] = shared.setdefault(items, items)
+            lists = [records[suite] for suite in suites]
+            for index, results in zip(order, done):
+                for suite_records, items in zip(lists, results):
+                    suite_records[index] = shared.setdefault(items, items)
     finally:
         _SEQUENCES.clear()
         _CLOSURES.clear()
+        _KNOWN.clear()
         _SCHUBERT_CHAIN.clear()
         _GROTH_CHAIN.clear()
     return records
+
+
+def _fill_tables(n: int, sequences: bool, closures: bool) -> None:
+    # Fills _SEQUENCES and _CLOSURES, each when asked, in lex order.  Equal
+    # parts are one object, through a dict that lives for the fill: S_8's
+    # 40,320 sequences have 2,063 distinct teeth, 1,430 interval and 2,812
+    # tooth multiplicities.  A sequence is rebuilt around its shared parts
+    # without OrthodonticSequence's checks, which its parts have passed.
+    if not (sequences or closures):
+        return
+    parts: dict[tuple[int, ...], tuple[int, ...]] = {}
+    share = parts.setdefault
+    for word in permutations(range(1, n + 1)):
+        masks = rothe_masks(word)
+        if sequences:
+            teeth, intervals, tooth_counts = mask_orthodontia(masks)
+            _SEQUENCES.append(
+                tuple.__new__(
+                    OrthodonticSequence,
+                    (share(teeth, teeth), share(intervals, intervals), share(tooth_counts, tooth_counts)),
+                )
+            )
+        if closures:
+            closure = mask_closure(masks)
+            _CLOSURES.append(share(closure, closure))
 
 
 # ---------------------------------------------------------------------------

@@ -231,15 +231,19 @@ def mask_orthodontia(masks: Sequence[int]) -> OrthodonticSequence:
         low = gaps & -gaps  # the tooth's row
         high = low << 1  # the row below it
         teeth.append(low.bit_length())
-        # swap the two rows in each column that has exactly one of them,
-        # the columns where adding low carries into high or sets it
+        # one pass: swap the two rows in each column that has exactly one
+        # of them, the columns where adding low carries into high or sets
+        # it, and strip the columns that become the interval {1..tooth}
         pair = low | high
-        cols = [c ^ pair if (c + low) & high else c for c in cols]
-        target = high - 1  # the interval {1..tooth}
-        count = cols.count(target)
-        tooth_mults.append(count)
-        if count:
-            cols = [c for c in cols if c != target]
+        target = high - 1
+        left = []
+        for c in cols:
+            if (c + low) & high:
+                c ^= pair
+            if c != target:
+                left.append(c)
+        tooth_mults.append(len(cols) - len(left))
+        cols = left
     return OrthodonticSequence(tuple(teeth), tuple(interval_mults), tuple(tooth_mults))
 
 

@@ -399,12 +399,7 @@ def _sigma(word: tuple[int, ...], data: PrimaryColumnData) -> tuple[int, ...]:
 
 def is_sorted_permutation(w: Permutation) -> bool:
     """True iff the entries on positions prefix+1..tooth already increase."""
-    return _is_sorted(w.word, _primary_column_data(w.word))
-
-
-def _is_sorted(word: tuple[int, ...], data: PrimaryColumnData) -> bool:
-    run = word[data.prefix : data.tooth]
-    return list(run) == sorted(run)
+    return _sort(w.word, _primary_column_data(w.word)) == w.word
 
 
 def sort_permutation(w: Permutation) -> Permutation:
@@ -551,14 +546,19 @@ def os_predecessor(w: Permutation) -> Permutation:
         raise ValueError("the identity has no predecessor")
     word = w.word
     data = _primary_column_data(word)
-    step = _sorted_step_up if _is_sorted(word, data) else _sort
-    return Permutation(step(word, data))
+    sorted_word = _sort(word, data)
+    return Permutation(_sorted_step_up(word, data) if sorted_word == word else sorted_word)
 
 
 def _sorted_step_up(word: tuple[int, ...], data: PrimaryColumnData) -> tuple[int, ...]:
     # w * s_tooth * ... * s_{prefix+1}: move the entry at position tooth+1 to prefix+1
     p, t = data.prefix, data.tooth
     return word[:p] + (word[t],) + word[p:t] + word[t + 1 :]
+
+
+def _sequence(word: tuple[int, ...]) -> OrthodonticSequence:
+    # the orthodontic sequence of the word's Rothe diagram, from its column masks
+    return mask_orthodontia(rothe_masks(word))
 
 
 class SortedStepCheck(NamedTuple):
@@ -582,28 +582,32 @@ def check_sorted_step(
 ) -> SortedStepCheck:
     """Check the sorted-step relations for w.
 
-    ``known`` maps one-line words to their orthodontic sequences and is
-    only read.  The sequences of w, sort(w), w's sorted-step predecessor
-    and the pattern sigma(w) come from it where it has them and are built
-    from the words' column masks otherwise, so ``{}`` builds every one.
+    ``known`` is read only through ``known.get(word)``, which gives the
+    orthodontic sequence of the one-line word ``word`` or None; a dict
+    from words to sequences serves, and so does any object with such a
+    ``get``.  The sequences of w, sort(w), w's sorted-step predecessor and
+    the pattern sigma(w) come from it where it has them and are built from
+    the words' column masks otherwise, so ``{}`` builds every one.
     """
 
     def sequence(v: tuple[int, ...]) -> OrthodonticSequence:
-        return known.get(v) or mask_orthodontia(rothe_masks(v))
+        return known.get(v) or _sequence(v)
 
     word = w.word
     data = primary_column_data(w)
+    _, p, tooth, gap = data
     seq_w = sequence(word)
-    is_sorted = _is_sorted(word, data)
-    seq_sorted = seq_w if is_sorted else sequence(_sort(word, data))
+    sorted_word = _sort(word, data)
+    is_sorted = sorted_word == word
+    seq_sorted = seq_w if is_sorted else sequence(sorted_word)
     # the sequences of w and sort(w) agree except for the interval counts,
-    # which shift by the interval counts of the pattern sigma(w)
+    # which shift by the interval counts of the pattern sigma(w), placed on
+    # positions p+1..tooth
     pattern_counts = sequence(_sigma(word, data)).interval_multiplicities
     expected_k = list(seq_sorted.interval_multiplicities)
-    if data.prefix > 0:
-        expected_k[data.prefix - 1] -= sum(pattern_counts)
-    for j in range(data.prefix + 1, data.tooth + 1):
-        expected_k[j - 1] += pattern_counts[j - data.prefix - 1]
+    if p > 0:
+        expected_k[p - 1] -= sum(pattern_counts)
+    expected_k[p:tooth] = map(add, expected_k[p:tooth], pattern_counts)
     unsort_ok = (
         seq_w.teeth == seq_sorted.teeth
         and seq_w.tooth_multiplicities == seq_sorted.tooth_multiplicities
@@ -611,26 +615,24 @@ def check_sorted_step(
     )
 
     parts_ok: bool | None = None
-    if is_sorted and not w.is_identity():
-        gap = data.gap
-        teeth = seq_w.teeth
-        k = seq_w.interval_multiplicities
-        m = seq_w.tooth_multiplicities
+    # a dominant w is its own pattern, so the only sorted dominant w is the
+    # identity, and a sorted w with fewer standard columns than n is not it
+    if is_sorted and data.standard_cols < len(word):
+        teeth, k, m = seq_w
         # part (i) gives w's sequence at least gap teeth, which parts (iv)
         # and (v) index, so the rest is read only when it holds
         parts_ok = (
-            len(teeth) >= gap
-            and all(teeth[t] == data.tooth - t for t in range(gap))
-            and (data.prefix == 0 or k[data.prefix - 1] >= gap)
-            and all(k[j - 1] == 0 for j in range(data.prefix + 1, data.tooth + 1))
-            and all(m[t] == 0 for t in range(gap - 1))
+            teeth[:gap] == tuple(range(tooth, tooth - gap, -1))
+            and (p == 0 or k[p - 1] >= gap)
+            and not any(k[p:tooth])
+            and not any(m[: gap - 1])
         )
         if parts_ok:
             seq_up = sequence(_sorted_step_up(word, data))
             expected_up_k = list(k)
-            if data.prefix > 0:
-                expected_up_k[data.prefix - 1] -= gap
-            expected_up_k[data.prefix] = gap + m[gap - 1]
+            if p > 0:
+                expected_up_k[p - 1] -= gap
+            expected_up_k[p] = gap + m[gap - 1]
             parts_ok = (
                 seq_up.teeth == teeth[gap:]
                 and seq_up.tooth_multiplicities == m[gap:]

@@ -973,7 +973,8 @@ def test_verify_sweep_shares_equal_records(monkeypatch):
     monkeypatch.setattr(cli, "_sweep", sweep)
     assert run_verify(6)[0] == 0
     [computed] = swept
-    records = [values for suite_records in computed.values() for values in suite_records.values()]
+    assert all(type(suite_records) is list for suite_records in computed.values())
+    records = [values for suite_records in computed.values() for values in suite_records]
     assert len(records) == 720 * len(SUITES)
     assert len({id(values) for values in records}) <= 100
 
@@ -1163,12 +1164,12 @@ def test_verify_records_carry_exactly_their_suites_fields():
 
 
 def test_verify_builds_each_words_diagram_facts_once(monkeypatch):
-    # the fact pass builds the masks and sequence of each of the 720 words
+    # the table fill builds the masks and sequence of each of the 720 words
     # once; sorted reads w's column data off its word and the sequences of
-    # rank 6 from the facts, and builds the masks and sequence of the
-    # pattern sigma(w) when it is of lower rank, that is unless w is one
-    # of the 132 dominant words, whose pattern is w itself.  No Diagram is
-    # built
+    # rank 6 from the table, and builds the masks and sequence of each
+    # distinct pattern sigma(w) of lower rank once: the 1 + 2 + 5 + 14
+    # dominant words of ranks 1 to 4 (a dominant w is its own pattern).
+    # No Diagram is built
     built = []
     counts = {"rothe_diagram": 0, "orthodontia": 0, "mask_orthodontia": 0}
 
@@ -1191,7 +1192,7 @@ def test_verify_builds_each_words_diagram_facts_once(monkeypatch):
     code, _, _ = run_verify(6)
     assert code == 0
     assert sorted(word for word in built if len(word) == 6) == sorted(permutations(range(1, 7)))
-    assert sum(len(word) < 6 for word in built) == 720 - 132
+    assert sum(len(word) < 6 for word in built) == 22
     assert counts == {"rothe_diagram": 0, "orthodontia": 0, "mask_orthodontia": len(built)}
 
 
@@ -1220,7 +1221,8 @@ def test_verify_calls_the_public_diagram_fact_checks(monkeypatch):
 
 
 def assert_sweep_state_empty() -> None:
-    assert cli._SEQUENCES == {} and cli._CLOSURES == {}
+    assert cli._SEQUENCES == [] and cli._CLOSURES == []
+    assert cli._KNOWN.word is None and cli._KNOWN.patterns == {}
     for chain in (cli._SCHUBERT_CHAIN, cli._GROTH_CHAIN):
         assert chain.steps == () and chain.polys == []
     # the source stamp is the one result the module keeps between runs
@@ -1237,34 +1239,75 @@ def test_verify_keeps_no_word_after_a_replay(tmp_path):
 
 
 def test_verify_facts_table_serves_one_run(monkeypatch):
-    seen = {}
-    for suite in ("sorted", "monk"):
+    seen = set()
+    for suite in SUITES:
         real = cli._SUITE_CHECKS[suite]
 
-        def check(w, real=real, suite=suite):
-            seen.setdefault(suite, set()).add((len(cli._SEQUENCES), len(cli._CLOSURES)))
+        def check(w, real=real):
+            seen.add((len(cli._SEQUENCES), len(cli._CLOSURES)))
             return real(w)
 
         monkeypatch.setitem(cli._SUITE_CHECKS, suite, check)
-    # a sorted-only or monk-only run builds no facts
-    run_verify(4, suites=["sorted"])
-    run_verify(4, suites=["monk"])
-    assert seen == {"sorted": {(0, 0)}, "monk": {(0, 0)}}
-    assert_sweep_state_empty()
-    seen.clear()
-    run_verify(4)
-    assert seen == {"sorted": {(24, 24)}, "monk": {(24, 24)}}
-    assert_sweep_state_empty()
+    # each table is filled only for the suites that read it: sequences for
+    # main, degree, sorted and conjecture, closures for divisibility,
+    # degree and conjecture
+    for suites, sizes in [
+        (["sorted"], (24, 0)),
+        (["main"], (24, 0)),
+        (["divisibility"], (0, 24)),
+        (["monk"], (0, 0)),
+        (["divisibility", "monk"], (0, 24)),
+        (SUITES, (24, 24)),
+    ]:
+        seen.clear()
+        assert run_verify(4, suites=suites)[0] == 0
+        assert seen == {sizes}, suites
+        assert_sweep_state_empty()
 
-    def broken(w):
-        # main has filled both chains for this word
+    def broken(w, real=cli._SUITE_CHECKS["monk"]):
+        # raised once sorted has built a pattern; main has filled both
+        # chains for this word
+        if not cli._KNOWN.patterns:
+            return real(w)
         assert cli._SCHUBERT_CHAIN.polys and cli._GROTH_CHAIN.polys
         raise RuntimeError("check failed")
 
-    monkeypatch.setitem(cli._SUITE_CHECKS, "degree", broken)
+    monkeypatch.setitem(cli._SUITE_CHECKS, "monk", broken)
     with pytest.raises(RuntimeError, match="check failed"):
-        run_verify(4, suites=["main", "degree"])
+        run_verify(4, suites=["main", "degree", "sorted", "monk"])
     assert_sweep_state_empty()
+
+
+def test_lex_index_is_the_position_in_permutations():
+    for n in range(1, 8):
+        for index, word in enumerate(permutations(range(1, n + 1))):
+            assert cli._lex_index(word) == index
+
+
+def test_verify_sorted_only_builds_each_sequence_once(monkeypatch):
+    # the table holds the 720 words' sequences, which w, sort(w) and the
+    # step up are read from, and the memo the 22 patterns of lower rank
+    calls = []
+
+    def counted(masks, real=diagram.mask_orthodontia):
+        calls.append(len(masks))
+        return real(masks)
+
+    for module in (cli, grothendieck):
+        monkeypatch.setattr(module, "mask_orthodontia", counted)
+    assert run_verify(6, suites=["sorted"])[0] == 0
+    assert len(calls) == 742 and calls.count(6) == 720
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_verify_each_suite_alone_prints_its_block_of_the_full_run(jobs):
+    # the full run is pinned by the rank-5 golden; each suite alone fills
+    # only the tables it reads, in this process or across a fork
+    _, full, _ = run_verify(5)
+    blocks = suite_blocks(full)
+    for suite, block in zip(SUITES, blocks, strict=True):
+        code, out, _ = run_verify(5, suites=[suite], jobs=jobs)
+        assert code == 0 and out.encode() == block, suite
 
 
 def test_verify_fills_the_memos_only_as_its_checks_read_them(monkeypatch):
@@ -1396,8 +1439,9 @@ def test_verify_builds_one_permutation_per_word(monkeypatch, suites):
 
 @pytest.mark.parametrize("kept", [["main", "sorted"], [s for s in SUITES if s != "sorted"]])
 def test_verify_cache_with_some_suites_prints_the_cold_stdout(tmp_path, kept):
-    # with every suite but sorted cached, sorted runs with no facts table
-    # and builds the sequences of sort(w) and its predecessors itself
+    # with every suite but sorted cached, sorted runs alone and fills only
+    # the sequence table; with main and sorted cached, the other four fill
+    # both tables
     cache = tmp_path / "results.jsonl"
     _, cold, _ = run_verify(4)
     run_verify(4, suites=kept, cache=str(cache))

@@ -144,7 +144,7 @@ FAULTS = [
     ("closure_plus_x_1", cli, "mask_closure", closure_plus_x_1, set()),
     # the failed counts are pinned by a test in test_cli.py
     ("closure_minus_one", cli, "mask_closure", closure_minus_one, {"divisibility", "degree", "conjecture"}),
-    # the fact pass: every word's sequence and closure, which sorted reads too
+    # the table fill: every word's sequence and closure, which sorted reads too
     ("masks_of_inverse", cli, "rothe_masks", masks_of_inverse, {"main", "divisibility", "sorted", "conjecture"}),
     ("masks_of_inverse_in_sorted", grothendieck, "rothe_masks", masks_of_inverse, {"sorted"}),
     (
@@ -154,8 +154,8 @@ FAULTS = [
         orthodontia_dropping_last_step,
         {"main", "degree", "sorted"},
     ),
-    # an equivalent mutant: with every suite, the fact pass gives sorted
-    # each word's sequence, so it builds only the patterns sigma(w); each
+    # an equivalent mutant: the table gives sorted the sequences of every
+    # word of S_5, so it builds only the patterns sigma(w) of lower rank; each
     # is dominant, so every column of its diagram is an interval, its
     # sequence has no teeth, and the patched function returns it unchanged
     (
@@ -169,7 +169,7 @@ FAULTS = [
     # primary column data that breaks it reaches a suite
     ("primary_tooth_one_short", grothendieck, "_primary_column_data", primary_tooth_one_short, AssertionError),
     ("apply_step_without_weight", grothendieck, "_apply_step", apply_step_without_weight, {"main"}),
-    # the fact pass: a sequence with fewer teeth than its word's gap fails
+    # the table fill: a sequence with fewer teeth than its word's gap fails
     # sorted's part (i), and the parts that index those teeth are not read
     (
         "masks_dropping_last_box",
