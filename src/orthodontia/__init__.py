@@ -14,7 +14,10 @@ The library provides:
   polynomials, their ascending operator formulas, sorting machinery and
   the transition (Monk-type) expansion (:mod:`orthodontia.grothendieck`),
 - support and degree analysis (:mod:`orthodontia.analysis`),
-- a command-line front end (:mod:`orthodontia.cli`).
+- a command-line front end (:mod:`orthodontia.cli`),
+- the verify engine behind it: the suites that check the paper's results
+  over all of S_n, the sweep that runs them, and their result cache
+  (:mod:`orthodontia.verify`).
 """
 
 from orthodontia.permutation import (

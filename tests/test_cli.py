@@ -13,7 +13,7 @@ from itertools import accumulate, permutations
 
 import pytest
 
-from orthodontia import analysis, cli, diagram, grothendieck, operators, polynomial
+from orthodontia import analysis, cli, diagram, grothendieck, operators, polynomial, verify
 from orthodontia.cli import (
     SUITES,
     cmd_compute,
@@ -41,7 +41,7 @@ def run_verify(n, suites=SUITES, jobs=1, cache=None):
 
 
 def stamp_line() -> str:
-    return json.dumps({"version": cli._cache_stamp()}, separators=(",", ":"))
+    return json.dumps({"version": verify._cache_stamp()}, separators=(",", ":"))
 
 
 def stamped(*lines: bytes) -> bytes:
@@ -417,7 +417,7 @@ def test_verify_cache_defaults_to_the_environment_variable(tmp_path, monkeypatch
     # the second run replays every block from the file the variable names
     with monkeypatch.context() as m:
         for suite in SUITES:
-            m.setitem(cli._SUITE_CHECKS, suite, never)
+            m.setitem(verify._SUITE_CHECKS, suite, never)
         assert main(["verify", "--n", "3"]) == 0
     assert capsys.readouterr() == (first, "")
     assert cache.read_bytes() == written
@@ -430,23 +430,33 @@ def test_verify_cache_defaults_to_the_environment_variable(tmp_path, monkeypatch
 
 def test_launch_and_replay_load_no_dataclasses_inspect_or_openssl(tmp_path):
     # pytest and these tests import hashlib, copy and pickle themselves, so
-    # a child process without site imports the CLI and replays a full cache
+    # a child process without site imports the CLI, replays a full cache and
+    # sweeps in one process; only a pool of workers loads the pool modules
     cache = tmp_path / "results.jsonl"
     _, first, _ = run_verify(4, cache=str(cache))
     child = (
         "import sys\n"
         "import orthodontia.cli\n"
-        "imported = sorted({'dataclasses', 'inspect', '_hashlib', 'copy', 'pickle'} & sys.modules.keys())\n"
+        "unused = {'dataclasses', 'inspect', '_hashlib', 'copy', 'pickle', 'concurrent', 'multiprocessing'}\n"
+        "imported = sorted(unused & sys.modules.keys())\n"
+        "package = sorted(name for name in sys.modules if name.startswith('orthodontia'))\n"
         "code = orthodontia.cli.main(['verify', '--n', '4', '--cache', sys.argv[1]])\n"
         "replayed = sorted({'_blake2', '_hashlib'} & sys.modules.keys())\n"
-        "print(imported, replayed, code, file=sys.stderr)\n"
+        "swept = orthodontia.cli.main(['verify', '--n', '4', '--jobs', '1'])\n"
+        "pooled = sorted({'concurrent', 'multiprocessing'} & sys.modules.keys())\n"
+        "print(imported, package, replayed, code, swept, pooled, file=sys.stderr)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(cli.__file__))}
     result = subprocess.run(
         [sys.executable, "-S", "-c", child, str(cache)], capture_output=True, text=True, env=env, check=True
     )
-    assert result.stderr == "[] ['_blake2'] 0\n"
-    assert result.stdout == first
+    package = [
+        "orthodontia", "orthodontia._value", "orthodontia.analysis", "orthodontia.cli", "orthodontia.diagram",
+        "orthodontia.grothendieck", "orthodontia.operators", "orthodontia.permutation",
+        "orthodontia.polynomial", "orthodontia.verify",
+    ]
+    assert result.stderr == f"[] {package} ['_blake2'] 0 0 []\n"
+    assert result.stdout == first + first
 
 
 @pytest.mark.parametrize("kind", ["schubert", "grothendieck"])
@@ -532,7 +542,7 @@ def test_verify_cache_write_failure_exits_2(tmp_path, monkeypatch, name):
     def never(w):
         raise AssertionError("a record was computed")
 
-    monkeypatch.setitem(cli._SUITE_CHECKS, "main", never)
+    monkeypatch.setitem(verify._SUITE_CHECKS, "main", never)
     code, out, err = run_verify(2, suites=["main"], cache=str(cache))
     assert code == 2 and out == ""
     assert err == f"cache {cache} cannot be written: not a regular file in an existing directory\n"
@@ -914,13 +924,13 @@ def test_verify_cache_recomputes_an_edited_record(tmp_path, line):
     ids=["over-both", "over-prop", "over-cor"],
 )
 def test_verify_degree_record_over_a_bound_fails_with_its_counts(monkeypatch, change, degrees, tight):
-    real = cli.degree_report
+    real = verify.degree_report
 
     def over(w, seq, closure):
         report = real(w, seq, closure)
         return report._replace(**change) if w.word == (2, 1) else report
 
-    monkeypatch.setattr(cli, "degree_report", over)
+    monkeypatch.setattr(verify, "degree_report", over)
     code, out, _ = run_verify(2, suites=["degree"])
     assert code == 1
     records = [json.loads(line) for line in out.splitlines()]
@@ -936,7 +946,7 @@ def test_verify_degree_record_over_a_bound_fails_with_its_counts(monkeypatch, ch
     }
 
 
-def closure_minus_one(masks, real=cli.mask_closure):
+def closure_minus_one(masks, real=verify.mask_closure):
     # each nonidentity word's closure loses 1 in its last nonzero variable
     closure = list(real(masks))
     nonzero = [i for i, e in enumerate(closure) if e]
@@ -948,7 +958,7 @@ def closure_minus_one(masks, real=cli.mask_closure):
 def test_verify_fails_the_support_suites_on_a_closure_one_too_small(monkeypatch):
     # the support checks read G_w's maximum exponents and degree off its
     # memo entry, and still fail every word the smaller bound excludes
-    monkeypatch.setattr(cli, "mask_closure", closure_minus_one)
+    monkeypatch.setattr(verify, "mask_closure", closure_minus_one)
     code, out, _ = run_verify(5)
     assert code == 1
     failed = {
@@ -980,12 +990,12 @@ def test_verify_sweep_shares_equal_records(monkeypatch):
 
 
 def test_verify_failing_witness_replays_the_same_bytes(tmp_path, monkeypatch):
-    real = cli.check_divisibility
+    real = verify.check_divisibility
 
     def failing(w, closure):
         return (False, (2, 1, 0)) if w.word == (3, 1, 2) else real(w, closure)
 
-    monkeypatch.setattr(cli, "check_divisibility", failing)
+    monkeypatch.setattr(verify, "check_divisibility", failing)
     cache = str(tmp_path / "results.jsonl")
     code, swept, err = run_verify(3, suites=["divisibility"], cache=cache)
     assert code == 1 and err == ""
@@ -994,7 +1004,7 @@ def test_verify_failing_witness_replays_the_same_bytes(tmp_path, monkeypatch):
     def never(w):
         raise AssertionError("a record was computed")
 
-    monkeypatch.setitem(cli._SUITE_CHECKS, "divisibility", never)
+    monkeypatch.setitem(verify._SUITE_CHECKS, "divisibility", never)
     assert run_verify(3, suites=["divisibility"], cache=cache) == (1, swept, "")
 
 
@@ -1017,13 +1027,13 @@ def test_verify_failing_witness_replays_the_same_bytes(tmp_path, monkeypatch):
 )
 def test_verify_fails_the_record_whose_check_faults(monkeypatch, suite, name, fault, fields, code):
     # 132 is sorted and not the identity, so all of its sorted-step parts are checked
-    real = getattr(cli, name)
+    real = getattr(verify, name)
 
     def faulted(w, *args):
         result = real(w, *args)
         return fault(result) if w.word == (1, 3, 2) else result
 
-    monkeypatch.setattr(cli, name, faulted)
+    monkeypatch.setattr(verify, name, faulted)
     got, out, err = run_verify(3, suites=[suite])
     assert got == code
     records = [json.loads(line) for line in out.splitlines()]
@@ -1105,26 +1115,26 @@ def test_verify_main_applies_each_shared_prefix_once(monkeypatch):
 
 def test_check_monk_fails_when_one_sign_flips(monkeypatch):
     w = from_one_line([1, 3, 2, 4])
-    assert cli._check_monk(w) == {"ok": True, "checked": 3, "skipped": 1}
-    real_terms = cli.monk_terms
+    assert verify._check_monk(w) == {"ok": True, "checked": 3, "skipped": 1}
+    real_terms = verify.monk_terms
 
     def flipped(j, w):
         targets = real_terms(j, w)
         first = min(targets)
         return {**targets, first: -targets[first]}
 
-    monkeypatch.setattr(cli, "monk_terms", flipped)
-    assert cli._check_monk(w)["ok"] is False
+    monkeypatch.setattr(verify, "monk_terms", flipped)
+    assert verify._check_monk(w)["ok"] is False
 
 
 def test_check_monk_skips_exactly_where_monk_terms_overflows_s1_to_s6(monkeypatch):
     # the check counts right-to-left maxima itself; a drift from the library
     # would fail every computed monk record
-    real = cli.monk_terms
+    real = verify.monk_terms
     for n in range(1, 7):
         for w in symmetric_group(n):
             skipped = len(set(accumulate(reversed(w.word), max)))
-            assert cli._check_monk(w) == {"ok": True, "checked": n - skipped, "skipped": skipped}, w
+            assert verify._check_monk(w) == {"ok": True, "checked": n - skipped, "skipped": skipped}, w
             # a monk_terms that overflows at one more j fails the record
             extra = next((j for j in range(1, n + 1) if w(j) < max(w.word[j - 1:])), None)
             if extra is None:
@@ -1135,9 +1145,9 @@ def test_check_monk_skips_exactly_where_monk_terms_overflows_s1_to_s6(monkeypatc
                     raise RankOverflowError(j, v, n)
                 return real(j, v)
 
-            monkeypatch.setattr(cli, "monk_terms", overflow)
-            assert cli._check_monk(w) == {"ok": False, "checked": n - skipped - 1, "skipped": skipped + 1}, w
-            monkeypatch.setattr(cli, "monk_terms", real)
+            monkeypatch.setattr(verify, "monk_terms", overflow)
+            assert verify._check_monk(w) == {"ok": False, "checked": n - skipped - 1, "skipped": skipped + 1}, w
+            monkeypatch.setattr(verify, "monk_terms", real)
 
 
 # each suite's record fields besides suite, n and w, as verify prints them
@@ -1184,10 +1194,10 @@ def test_verify_builds_each_words_diagram_facts_once(monkeypatch):
             counts[name] += 1
             return real(arg)
 
-        for module in (cli, analysis, grothendieck):
+        for module in (verify, analysis, grothendieck):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
-    for module in (cli, grothendieck):
+    for module in (verify, grothendieck):
         monkeypatch.setattr(module, "rothe_masks", counted_masks)
     code, _, _ = run_verify(6)
     assert code == 0
@@ -1200,9 +1210,9 @@ def test_verify_calls_the_public_diagram_fact_checks(monkeypatch):
     # the benchmark's tracer counts calls by these public names
     counts = {}
     targets = [
-        (cli, "check_divisibility"),
-        (cli, "degree_report"),
-        (cli, "check_conjecture"),
+        (verify, "check_divisibility"),
+        (verify, "degree_report"),
+        (verify, "check_conjecture"),
         (analysis, "support_vectors"),
         (grothendieck, "primary_column_data"),
     ]
@@ -1221,13 +1231,16 @@ def test_verify_calls_the_public_diagram_fact_checks(monkeypatch):
 
 
 def assert_sweep_state_empty() -> None:
-    assert cli._SEQUENCES == [] and cli._CLOSURES == []
-    assert cli._KNOWN.word is None and cli._KNOWN.patterns == {}
-    for chain in (cli._SCHUBERT_CHAIN, cli._GROTH_CHAIN):
+    assert verify._SEQUENCES == [] and verify._CLOSURES == []
+    assert verify._KNOWN.word is None and verify._KNOWN.patterns == {}
+    for chain in (verify._SCHUBERT_CHAIN, verify._GROTH_CHAIN):
         assert chain.steps == () and chain.polys == []
-    # the source stamp is the one result the module keeps between runs
-    for name, value in vars(cli).items():
-        if hasattr(value, "cache_info") and name != "_cache_stamp":
+    # the source stamp is the one result the module keeps between runs;
+    # finding it shows that the scan reads the module the sweep runs in
+    memos = {name: value for name, value in vars(verify).items() if hasattr(value, "cache_info")}
+    assert "_cache_stamp" in memos
+    for name, value in memos.items():
+        if name != "_cache_stamp":
             assert value.cache_info().currsize == 0, name
 
 
@@ -1241,13 +1254,13 @@ def test_verify_keeps_no_word_after_a_replay(tmp_path):
 def test_verify_facts_table_serves_one_run(monkeypatch):
     seen = set()
     for suite in SUITES:
-        real = cli._SUITE_CHECKS[suite]
+        real = verify._SUITE_CHECKS[suite]
 
         def check(w, real=real):
-            seen.add((len(cli._SEQUENCES), len(cli._CLOSURES)))
+            seen.add((len(verify._SEQUENCES), len(verify._CLOSURES)))
             return real(w)
 
-        monkeypatch.setitem(cli._SUITE_CHECKS, suite, check)
+        monkeypatch.setitem(verify._SUITE_CHECKS, suite, check)
     # each table is filled only for the suites that read it: sequences for
     # main, degree, sorted and conjecture, closures for divisibility,
     # degree and conjecture
@@ -1264,15 +1277,15 @@ def test_verify_facts_table_serves_one_run(monkeypatch):
         assert seen == {sizes}, suites
         assert_sweep_state_empty()
 
-    def broken(w, real=cli._SUITE_CHECKS["monk"]):
+    def broken(w, real=verify._SUITE_CHECKS["monk"]):
         # raised once sorted has built a pattern; main has filled both
         # chains for this word
-        if not cli._KNOWN.patterns:
+        if not verify._KNOWN.patterns:
             return real(w)
-        assert cli._SCHUBERT_CHAIN.polys and cli._GROTH_CHAIN.polys
+        assert verify._SCHUBERT_CHAIN.polys and verify._GROTH_CHAIN.polys
         raise RuntimeError("check failed")
 
-    monkeypatch.setitem(cli._SUITE_CHECKS, "monk", broken)
+    monkeypatch.setitem(verify._SUITE_CHECKS, "monk", broken)
     with pytest.raises(RuntimeError, match="check failed"):
         run_verify(4, suites=["main", "degree", "sorted", "monk"])
     assert_sweep_state_empty()
@@ -1281,7 +1294,7 @@ def test_verify_facts_table_serves_one_run(monkeypatch):
 def test_lex_index_is_the_position_in_permutations():
     for n in range(1, 8):
         for index, word in enumerate(permutations(range(1, n + 1))):
-            assert cli._lex_index(word) == index
+            assert verify._lex_index(word) == index
 
 
 def test_verify_sorted_only_builds_each_sequence_once(monkeypatch):
@@ -1293,7 +1306,7 @@ def test_verify_sorted_only_builds_each_sequence_once(monkeypatch):
         calls.append(len(masks))
         return real(masks)
 
-    for module in (cli, grothendieck):
+    for module in (verify, grothendieck):
         monkeypatch.setattr(module, "mask_orthodontia", counted)
     assert run_verify(6, suites=["sorted"])[0] == 0
     assert len(calls) == 742 and calls.count(6) == 720
@@ -1369,7 +1382,7 @@ def test_verify_degree_from_empty_memos_fills_the_schubert_memo(monkeypatch):
 def test_check_monk_fails_on_an_extra_term_whose_shift_has_no_index(monkeypatch):
     fresh_memos(monkeypatch)
     w = from_one_line([1, 3, 2, 4])
-    assert cli._check_monk(w) == {"ok": True, "checked": 3, "skipped": 1}
+    assert verify._check_monk(w) == {"ok": True, "checked": 3, "skipped": 1}
     groth = grothendieck_recursive(w)
     # no G_v of S_4 has a term of x_j times these, which lie under no
     # staircase of S_4, so each gets a slot of its own; the opposite pair
@@ -1381,7 +1394,7 @@ def test_check_monk_fails_on_an_extra_term_whose_shift_has_no_index(monkeypatch)
             shifted = Polynomial.variable(j, 4) * extra
             assert not shifted.terms.keys() & grothendieck._KEY_INDEX.keys()
             assert not grothendieck.monk_residue_vanishes(j, w, monk_terms(j, w)), (extra, j)
-        assert cli._check_monk(w) == {"ok": False, "checked": 3, "skipped": 1}
+        assert verify._check_monk(w) == {"ok": False, "checked": 3, "skipped": 1}
 
 
 def test_verify_thaws_each_words_memo_entries_once_for_main_only(monkeypatch):
@@ -1461,10 +1474,11 @@ UNTRACED = {
 
 
 def test_traced_names_exist():
-    # the benchmark's tracer wraps these by name
+    # the benchmark's tracer finds these by name in cli, and wraps every
+    # binding of each, the engine's own in verify among them
     for suite in SUITES:
-        assert cli._SUITE_CHECKS[suite] is getattr(cli, f"_check_{suite}")
-    assert callable(cli._load_cache) and callable(cli._verify_task)
+        assert verify._SUITE_CHECKS[suite] is getattr(cli, f"_check_{suite}")
+    assert cli._load_cache is verify._load_cache and cli._verify_task is verify._verify_task
     # the tracer's table, read from its source without importing it, so no
     # bytecode is written beside it
     tracer = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench", "tracer.py")
@@ -1487,7 +1501,7 @@ def test_verify_warns_of_the_time_and_memory_of_a_long_sweep(monkeypatch):
         raise RuntimeError("sweep reached")
 
     monkeypatch.setattr(cli, "_sweep", stop)
-    for n, cost in ((7, "about 5 s and 28 MiB"), (8, "about 3.5 min and 180 MiB")):
+    for n, cost in ((7, "about 5 s and 28 MiB"), (8, "about 3 min and 152 MiB")):
         out, err = io.StringIO(), io.StringIO()
         with pytest.raises(RuntimeError, match="sweep reached"):
             cmd_verify(n, ["sorted"], 1, None, out, err, max_rank=8)
@@ -1544,7 +1558,7 @@ def test_main_unexpected_exception_exits_2(monkeypatch, capsys):
     def broken(w):
         raise RuntimeError("check failed\nunexpectedly")
 
-    monkeypatch.setitem(cli._SUITE_CHECKS, "main", broken)
+    monkeypatch.setitem(verify._SUITE_CHECKS, "main", broken)
     assert main(["verify", "--n", "2", "--suite", "main"]) == 2
     captured = capsys.readouterr()
     assert captured.err == "error: RuntimeError: check failed unexpectedly\n"
