@@ -7,7 +7,7 @@ class Value:
 
     >>> import copy, pickle
     >>> from orthodontia.polynomial import Polynomial
-    >>> f = Polynomial.parse("2*x1^2*x2 - x3 + 1", 3)
+    >>> f = Polynomial(3, {(2, 1, 0): 2, (0, 0, 1): -1, (0, 0, 0): 1})
     >>> pickle.loads(pickle.dumps(f)) == f == copy.deepcopy(f)
     True
     >>> del f.terms

@@ -54,32 +54,15 @@ class DegreeReport(NamedTuple):
     bound_cor: int
 
 
-class _SupportFields(NamedTuple):
-    theta: tuple[int, ...]
-    xi: tuple[int, ...]
-
-
-class SupportVectors(_SupportFields):
-    """The two exponent vectors whose sum is the conjecture experiment's bound,
-    a read-only tuple record.
+class SupportVectors(NamedTuple):
+    """The two exponent vectors whose sum is the conjecture experiment's bound.
 
     ``theta``: the upper-closure monomial; entry j counts columns reaching row j or lower.
     ``xi``: entry j counts orthodontia steps that swapped rows j, j+1.
     """
 
-    __slots__ = ()
-
-    def __new__(cls, theta: tuple[int, ...], xi: tuple[int, ...]) -> SupportVectors:
-        if len(theta) != len(xi):
-            raise ValueError("theta and xi must have equal length")
-        if min(theta, default=0) < 0 or min(xi, default=0) < 0:
-            raise ValueError("support vectors must be nonnegative")
-        return tuple.__new__(cls, (theta, xi))
-
-    @classmethod
-    def _make(cls, iterable) -> SupportVectors:
-        # _replace builds through _make, so both go through the checks
-        return cls(*iterable)
+    theta: tuple[int, ...]
+    xi: tuple[int, ...]
 
 
 def support_witness(f: Polynomial, bound: Monomial) -> Monomial | None:

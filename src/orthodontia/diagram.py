@@ -82,10 +82,6 @@ class Diagram(Value):
             masks.append(sum(1 << (i - 1) for i in rows))
         return cls(n, tuple(masks))
 
-    @classmethod
-    def empty(cls, n: int) -> Diagram:
-        return cls(n, (0,) * n)
-
     @property
     def columns(self) -> tuple[frozenset[int], ...]:
         """Each column as the set of its rows."""
@@ -97,12 +93,6 @@ class Diagram(Value):
             for i in _rows(c):
                 yield (i, j)
 
-    def box_count(self) -> int:
-        return sum(map(int.bit_count, self.masks))
-
-    def is_empty(self) -> bool:
-        return not any(self.masks)
-
     def render_ascii(self) -> str:
         """Rows top to bottom; a box prints as a square, an empty cell as a dot."""
         return "\n".join(
@@ -111,20 +101,6 @@ class Diagram(Value):
 
     def to_json(self) -> dict:
         return {"n": self.n, "columns": [_rows(c) for c in self.masks]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> Diagram:
-        """The diagram of :meth:`to_json`'s form: an object with n and a
-        list of columns, each a list of rows."""
-        if not isinstance(obj, dict) or not {"n", "columns"} <= obj.keys():
-            raise ValueError(f"diagram JSON {obj!r:.40} is not an object with n and columns")
-        if not isinstance(obj["columns"], (list, tuple)):
-            raise ValueError(f"diagram columns {obj['columns']!r:.40} are not a list")
-        try:
-            n = operator.index(obj["n"])
-        except TypeError:
-            raise ValueError(f"grid size {obj['n']!r} is not an int") from None
-        return cls.from_columns(n, obj["columns"])
 
 
 class _SequenceFields(NamedTuple):

@@ -578,14 +578,14 @@ class SortedStepCheck(NamedTuple):
 
 
 def check_sorted_step(
-    w: Permutation, known: Mapping[tuple[int, ...], OrthodonticSequence]
+    w: Permutation, seq: OrthodonticSequence, known: Mapping[tuple[int, ...], OrthodonticSequence]
 ) -> SortedStepCheck:
-    """Check the sorted-step relations for w.
+    """Check the sorted-step relations for w, whose orthodontic sequence is ``seq``.
 
     ``known`` is read only through ``known.get(word)``, which gives the
     orthodontic sequence of the one-line word ``word`` or None; a dict
     from words to sequences serves, and so does any object with such a
-    ``get``.  The sequences of w, sort(w), w's sorted-step predecessor and
+    ``get``.  The sequences of sort(w), w's sorted-step predecessor and
     the pattern sigma(w) come from it where it has them and are built from
     the words' column masks otherwise, so ``{}`` builds every one.
     """
@@ -596,10 +596,9 @@ def check_sorted_step(
     word = w.word
     data = primary_column_data(w)
     _, p, tooth, gap = data
-    seq_w = sequence(word)
     sorted_word = _sort(word, data)
     is_sorted = sorted_word == word
-    seq_sorted = seq_w if is_sorted else sequence(sorted_word)
+    seq_sorted = seq if is_sorted else sequence(sorted_word)
     # the sequences of w and sort(w) agree except for the interval counts,
     # which shift by the interval counts of the pattern sigma(w), placed on
     # positions p+1..tooth
@@ -609,16 +608,16 @@ def check_sorted_step(
         expected_k[p - 1] -= sum(pattern_counts)
     expected_k[p:tooth] = map(add, expected_k[p:tooth], pattern_counts)
     unsort_ok = (
-        seq_w.teeth == seq_sorted.teeth
-        and seq_w.tooth_multiplicities == seq_sorted.tooth_multiplicities
-        and list(seq_w.interval_multiplicities) == expected_k
+        seq.teeth == seq_sorted.teeth
+        and seq.tooth_multiplicities == seq_sorted.tooth_multiplicities
+        and list(seq.interval_multiplicities) == expected_k
     )
 
     parts_ok: bool | None = None
     # a dominant w is its own pattern, so the only sorted dominant w is the
     # identity, and a sorted w with fewer standard columns than n is not it
     if is_sorted and data.standard_cols < len(word):
-        teeth, k, m = seq_w
+        teeth, k, m = seq
         # part (i) gives w's sequence at least gap teeth, which parts (iv)
         # and (v) index, so the rest is read only when it holds
         parts_ok = (

@@ -1,8 +1,9 @@
 """Permutations of [n] = {1, ..., n} in one-line notation.
 
-A permutation w is stored as the tuple (w(1), ..., w(n)).  All group
-operations act on the right and switch positions, not values: w * s_j is
-w with the entries in positions j and j+1 swapped.
+A permutation w is stored as the tuple (w(1), ..., w(n)).  The library
+lets s_j act on the right, on positions, not values: w * s_j is w with
+the entries in positions j and j+1 swapped, and the recursions of
+:mod:`orthodontia.grothendieck` make that swap on the word itself.
 
 Permutations are immutable values; every operation returns a new one.
 Permutations of different ranks never interact -- there is no implicit
@@ -32,14 +33,11 @@ class Permutation(Value):
     __slots__ = ("word",)
 
     def __init__(self, word: Sequence[int]) -> None:
-        # a tuple of exact ints is kept as it is, not copied; anything else
-        # is converted, and a float or a string has no __index__, so it is
-        # refused, not truncated
-        if type(word) is not tuple or set(map(type, word)) != {int}:
-            try:
-                word = tuple(map(operator.index, word))
-            except TypeError:
-                raise ValueError(f"not a sequence of ints: {word!r}") from None
+        # a float or a string has no __index__, so it is refused, not truncated
+        try:
+            word = tuple(map(operator.index, word))
+        except TypeError:
+            raise ValueError(f"not a sequence of ints: {word!r}") from None
         n = len(word)
         if n == 0:
             raise ValueError("permutation must have rank at least 1")
@@ -76,34 +74,6 @@ class Permutation(Value):
     def is_identity(self) -> bool:
         return all(v == i + 1 for i, v in enumerate(self.word))
 
-    def right_multiply_adjacent(self, j: int) -> Permutation:
-        """w * s_j: swap the entries in positions j and j+1.
-
-        >>> Permutation((3, 1, 5, 4, 2)).right_multiply_adjacent(1).word
-        (1, 3, 5, 4, 2)
-        """
-        j = _int(j, "position")
-        if not 1 <= j <= self.n - 1:
-            raise ValueError(f"adjacent transposition s_{j} out of range for rank {self.n}")
-        w = list(self.word)
-        w[j - 1], w[j] = w[j], w[j - 1]
-        return Permutation(tuple(w))
-
-    def right_multiply_transposition(self, a: int, b: int) -> Permutation:
-        """Right-multiply by a transposition: swap the entries in positions a and b.
-
-        >>> Permutation((3, 1, 5, 4, 2)).right_multiply_transposition(1, 3).word
-        (5, 1, 3, 4, 2)
-        """
-        a, b = _int(a, "position"), _int(b, "position")
-        if a == b:
-            raise ValueError("transposition needs two distinct positions")
-        if not (1 <= a <= self.n and 1 <= b <= self.n):
-            raise ValueError(f"positions ({a}, {b}) out of range for rank {self.n}")
-        w = list(self.word)
-        w[a - 1], w[b - 1] = w[b - 1], w[a - 1]
-        return Permutation(tuple(w))
-
     def length(self) -> int:
         """Number of inversions: pairs i < j with w(i) > w(j).
 
@@ -121,15 +91,6 @@ class Permutation(Value):
         """
         w = self.word
         return {j + 1 for j in range(self.n - 1) if w[j] > w[j + 1]}
-
-    def ascents(self) -> set[int]:
-        """Positions j with w(j) < w(j+1); the complement of the descents in [n-1]."""
-        w = self.word
-        return {j + 1 for j in range(self.n - 1) if w[j] < w[j + 1]}
-
-    def one_line(self) -> list[int]:
-        """One-line notation as a plain list, the JSON wire form."""
-        return list(self.word)
 
     def __str__(self) -> str:
         if self.n <= 9:

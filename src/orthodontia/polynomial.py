@@ -5,7 +5,7 @@ tuples of nonnegative ints) to nonzero Python ints.  Coefficients are
 unbounded.  Exponents are nonnegative and at most ``MAX_EXPONENT`` (255):
 a larger exponent, whether given or produced by a product, raises
 ``ValueError``, as does a non-int exponent, coefficient or variable
-count given to a constructor or a parser: none is truncated.
+count given to a constructor: none is truncated.
 
 Canonical term order is graded-lexicographic: ascending total degree,
 ties broken by descending exponent vector, so equal polynomials always
@@ -21,11 +21,10 @@ lex order.  Everything public takes and returns tuples.
 
 Terms from outside enter through one kernel, which adds up repeated
 vectors and drops sums of 0: the constructor (so ``zero``, ``one``,
-``constant`` and ``monomial`` too), ``parse`` and ``from_json`` feed it
-exponent vectors, and ``+``, ``-`` and ``*`` packed keys.  Code that sees
-no outside input keeps its own measured hot loops: the bijective
-shifts ``mul_monomial`` and ``swap_variables`` here, ``_apply`` in
-:mod:`orthodontia.operators`, and the memo of
+``constant`` and ``monomial`` too) feeds it exponent vectors, and ``+``,
+``-`` and ``*`` packed keys.  Code that sees no outside input keeps its
+own measured hot loops: the bijective shift ``mul_monomial`` here,
+``_apply`` in :mod:`orthodontia.operators`, and the memo of
 :mod:`orthodontia.grothendieck`, whose module docstring describes how it
 stores keys.
 
@@ -293,18 +292,6 @@ class Polynomial(Value):
         # the terms as chunks of (key, coefficient) pairs; see _Owned
         return (self.terms.items(),)
 
-    def swap_variables(self, j: int) -> Polynomial:
-        """Exchange x_j and x_{j+1} in every monomial (1 <= j <= n-1)."""
-        if not 1 <= j <= self.n - 1:
-            raise ValueError(f"swap index {j} out of range for n={self.n}")
-        sb = _FIELD * (self.n - j - 1)  # x_{j+1}; x_j is the field above
-        sa = sb + _FIELD
-        step = (1 << sa) - (1 << sb)
-        m = MAX_EXPONENT
-        # a bijection on monomials, so no two terms meet
-        out = {k + ((k >> sb & m) - (k >> sa & m)) * step: c for k, c in self.terms.items()}
-        return Polynomial._raw(self.n, out)
-
     def degree(self) -> int:
         if not self.terms:
             raise ValueError("degree of the zero polynomial is undefined")
@@ -435,22 +422,6 @@ class Polynomial(Value):
             sep = ","
         out.write("]}")
 
-    @classmethod
-    def from_json(cls, obj: Mapping) -> Polynomial:
-        """The polynomial of :meth:`to_json`'s form: an object with n and a
-        list of [coefficient, exponent vector] terms."""
-        if not isinstance(obj, Mapping) or not {"n", "terms"} <= obj.keys():
-            raise ValueError(f"polynomial JSON {obj!r:.40} is not an object with n and terms")
-        terms = obj["terms"]
-        if not isinstance(terms, (list, tuple)):
-            raise ValueError(f"polynomial terms {terms!r:.40} are not a list")
-        return cls(obj["n"], map(_json_term, terms))
-
-    @classmethod
-    def parse(cls, text: str, n: int) -> Polynomial:
-        """Parse the text form produced by ``str``, e.g. "3*x1^2*x2 - x3"."""
-        return cls(n, _parsed_terms(text, n))
-
 
 class _Owned(Polynomial):
     """An intermediate that a walk of :mod:`orthodontia.grothendieck` owns,
@@ -476,14 +447,6 @@ class _Owned(Polynomial):
             yield chunk
 
 
-def _json_term(term) -> tuple:
-    """A JSON [coefficient, exponent vector] term as the pair (exponent vector, coefficient)."""
-    if not isinstance(term, (list, tuple)) or len(term) != 2:
-        raise ValueError(f"term {term!r:.40} is not a [coefficient, exponents] pair")
-    coeff, exps = term
-    return exps, coeff
-
-
 def _packed(n: int, pairs: Iterable[tuple[Iterable[int], int]]) -> Iterator[tuple[int, int]]:
     """Each (exponent vector, coefficient) pair as (key, coefficient), checked."""
     for exps, coeff in pairs:
@@ -507,21 +470,3 @@ def _add_terms(out: dict[int, int], pairs: Iterable[tuple[int, int]]) -> dict[in
             out.pop(key, None)
     return out
 
-
-def _parsed_terms(text: str, n: int) -> Iterator[tuple[list[int], int]]:
-    # the (exponent vector, coefficient) pair of each term of the text
-    # form; "0" is one term with coefficient 0
-    for term in text.strip().replace(" - ", " + -").split(" + "):
-        term = term.strip()
-        coeff = -1 if term.startswith("-") else 1
-        exps = [0] * n
-        for factor in term.removeprefix("-").split("*"):
-            var, _, power = factor.strip().partition("^")
-            if not var.startswith("x"):
-                coeff *= int(factor)
-                continue
-            i = int(var[1:])
-            if not 1 <= i <= n:
-                raise ValueError(f"variable {var} out of range for n={n}")
-            exps[i - 1] += int(power) if power else 1
-        yield exps, coeff

@@ -47,7 +47,9 @@ _dump = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 # ---------------------------------------------------------------------------
-# suite checks (module level so worker processes can pickle them)
+# suite checks (module level so worker processes can pickle them); each
+# takes the task's word as a Permutation and the word's lex index, which
+# _verify_task works out once
 
 # The main check's ascending-formula chains, one per kind.  _sweep empties
 # them when it ends, so every sweep and forked worker starts with them empty.
@@ -86,46 +88,33 @@ def _lex_index(word: tuple[int, ...]) -> int:
 class _Known:
     """The sweep's sequences as ``check_sorted_step`` reads its ``known``.
 
-    A word of the sweep's rank is read from _SEQUENCES; the task's own
-    word, ``word``, at the lex index ``index`` that _verify_task works
-    out once.  A word of lower rank is a pattern sigma(w): its sequence is
+    A word of the sweep's rank, ``n``, is read from _SEQUENCES at its lex
+    index.  A word of lower rank is a pattern sigma(w): its sequence is
     built through grothendieck's bindings the first time it is read and
     kept in ``patterns`` until the sweep ends, so each distinct pattern is
     built once (196 over S_8).
     """
 
-    __slots__ = ("word", "index", "patterns")
+    __slots__ = ("n", "patterns")
 
     def __init__(self) -> None:
-        self.word: tuple[int, ...] | None = None
-        self.index = 0
+        self.n = 0
         self.patterns: dict[tuple[int, ...], OrthodonticSequence] = {}
 
     def get(self, word: tuple[int, ...]) -> OrthodonticSequence:
-        if word is self.word:
-            return _SEQUENCES[self.index]
-        if len(word) == len(self.word):
+        if len(word) == self.n:
             return _SEQUENCES[_lex_index(word)]
         seq = self.patterns.get(word)
         if seq is None:
             seq = self.patterns[word] = _sequence(word)
         return seq
 
-    def clear(self) -> None:
-        self.word = None
-        self.patterns.clear()
-
 
 _KNOWN = _Known()
 
 
-def _index(w: Permutation) -> int:
-    # the lex index of the task's word, which _verify_task has worked out
-    return _KNOWN.index if w.word is _KNOWN.word else _lex_index(w.word)
-
-
-def _check_main(w: Permutation) -> dict:
-    seq = _SEQUENCES[_index(w)]
+def _check_main(w: Permutation, index: int) -> dict:
+    seq = _SEQUENCES[index]
     schubert = schubert_recursive(w)
     groth = grothendieck_recursive(w)
     groth_match = groth == chained_grothendieck(seq, _GROTH_CHAIN)
@@ -140,13 +129,12 @@ def _check_main(w: Permutation) -> dict:
     }
 
 
-def _check_divisibility(w: Permutation) -> dict:
-    ok, witness = check_divisibility(w, _CLOSURES[_index(w)])
+def _check_divisibility(w: Permutation, index: int) -> dict:
+    ok, witness = check_divisibility(w, _CLOSURES[index])
     return {"ok": ok, "witness": witness}
 
 
-def _check_degree(w: Permutation) -> dict:
-    index = _index(w)
+def _check_degree(w: Permutation, index: int) -> dict:
     report = degree_report(w, _SEQUENCES[index], _CLOSURES[index])
     deg, prop, cor = report.deg_groth, report.bound_prop, report.bound_cor
     return {
@@ -159,8 +147,8 @@ def _check_degree(w: Permutation) -> dict:
     }
 
 
-def _check_sorted(w: Permutation) -> dict:
-    step = check_sorted_step(w, _KNOWN)
+def _check_sorted(w: Permutation, index: int) -> dict:
+    step = check_sorted_step(w, _SEQUENCES[index], _KNOWN)
     return {
         "sorted": step.is_sorted,
         "parts_ok": step.parts_ok,
@@ -169,7 +157,7 @@ def _check_sorted(w: Permutation) -> dict:
     }
 
 
-def _check_monk(w: Permutation) -> dict:
+def _check_monk(w: Permutation, index: int) -> dict:
     checked = 0
     skipped = 0
     ok = True
@@ -188,14 +176,13 @@ def _check_monk(w: Permutation) -> dict:
     return {"ok": ok, "checked": checked, "skipped": skipped}
 
 
-def _check_conjecture(w: Permutation) -> dict:
-    index = _index(w)
+def _check_conjecture(w: Permutation, index: int) -> dict:
     ok, witness = check_conjecture(w, _SEQUENCES[index], _CLOSURES[index])
     return {"ok": ok, "witness": witness}
 
 
 class _Suite(NamedTuple):
-    check: Callable[[Permutation], dict]  # a word's record: its fields, ok among them
+    check: Callable[[Permutation, int], dict]  # a word's record: its fields, ok among them
     counts: dict[str, str] = {}  # int field the summary adds up -> name of the sum
     gates: bool = True  # whether a failed record fails the run
     sequences: bool = False  # whether the check reads _SEQUENCES
@@ -223,12 +210,8 @@ def _verify_task(suites: tuple[str, ...], word: tuple[int, ...]) -> tuple[tuple,
     # each suite's record of the word, in the order of suites, as its
     # (field, value) pairs in field order; the keys are distinct, so the
     # sort never compares values
-    _KNOWN.word, _KNOWN.index = word, _lex_index(word)
-    w = Permutation(word)
-    try:
-        return tuple(tuple(sorted(_SUITE_CHECKS[suite](w).items())) for suite in suites)
-    finally:
-        _KNOWN.word = None
+    w, index = Permutation(word), _lex_index(word)
+    return tuple(tuple(sorted(_SUITE_CHECKS[suite](w, index).items())) for suite in suites)
 
 
 def _sweep(n: int, suites: tuple[str, ...], jobs: int) -> dict[str, list[tuple]]:
@@ -245,6 +228,7 @@ def _sweep(n: int, suites: tuple[str, ...], jobs: int) -> dict[str, list[tuple]]
     records = {suite: [None] * count for suite in suites}
     shared: dict[tuple, tuple] = {}
     try:
+        _KNOWN.n = n
         declared = [_SUITES[suite] for suite in suites]
         _fill_tables(n, any(s.sequences for s in declared), any(s.closures for s in declared))
         order: Iterable[int] = range(count)  # the lex index of each task's word
@@ -278,7 +262,7 @@ def _sweep(n: int, suites: tuple[str, ...], jobs: int) -> dict[str, list[tuple]]
     finally:
         _SEQUENCES.clear()
         _CLOSURES.clear()
-        _KNOWN.clear()
+        _KNOWN.patterns.clear()
         _SCHUBERT_CHAIN.clear()
         _GROTH_CHAIN.clear()
     return records

@@ -47,11 +47,14 @@ is checked against the character of the diagram's flagged Weyl module,
 which uses no operator: the dimension of each weight space of a span of
 products of minors, found by exact elimination over the rationals.
 
-Three proof tools that no library code needs live only here: exact
+Five proof tools that no library code needs live only here: exact
 division by a monomial, on exponent tuples; the fallen boxes of a Rothe
-diagram, on its sets of rows; and G_w of a dominant w, the monomial of
-its diagram's row counts.  The oracles take only the ``Polynomial`` and
-``Monomial`` types from the library.
+diagram, on its sets of rows; G_w of a dominant w, the monomial of its
+diagram's row counts; the swap of two positions of a word or exponent
+vector; and s_j.f, which the operator tests compare with f to test
+symmetry, its swapped exponent tuples summed by the constructor.  The
+oracles take only the ``Polynomial`` and ``Monomial`` types from the
+library.
 """
 
 from __future__ import annotations
@@ -240,10 +243,22 @@ def _covers(word: tuple[int, ...], x: int, y: int) -> bool:
     return all(not wx < word[p - 1] < wy for p in range(x + 1, y))
 
 
-def _swap_positions(word: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
-    lst = list(word)
+def swap_positions(entries: tuple[int, ...], a: int, b: int) -> tuple[int, ...]:
+    """entries with the ones at 1-based positions a and b exchanged.
+
+    On a one-line word it is w times the transposition (a b) on the
+    right; on an exponent vector, the exchange of x_a and x_b.
+    """
+    lst = list(entries)
     lst[a - 1], lst[b - 1] = lst[b - 1], lst[a - 1]
     return tuple(lst)
+
+
+def swap_variables(f: Polynomial, j: int) -> Polynomial:
+    """s_j.f: f with x_j and x_{j+1} exchanged in every monomial (1 <= j <= n-1)."""
+    if not 1 <= j <= f.n - 1:
+        raise ValueError(f"swap index {j} out of range for n={f.n}")
+    return Polynomial(f.n, [(swap_positions(exps, j, j + 1), c) for exps, c in f.sorted_terms()])
 
 
 def monk_terms_oracle(j: int, word: tuple[int, ...]) -> dict[tuple[int, ...], int]:
@@ -264,7 +279,7 @@ def monk_terms_oracle(j: int, word: tuple[int, ...]) -> dict[tuple[int, ...], in
     def extend_above(current: tuple[int, ...], cap: int, above_swaps: int) -> None:
         for b in range(cap, j, -1):
             if _covers(current, j, b):
-                nxt = _swap_positions(current, j, b)
+                nxt = swap_positions(current, j, b)
                 record(nxt, above_swaps + 1)
                 extend_above(nxt, b - 1, above_swaps + 1)
 
@@ -272,7 +287,7 @@ def monk_terms_oracle(j: int, word: tuple[int, ...]) -> dict[tuple[int, ...], in
         extend_above(current, n + 1, 0)
         for a in range(cap, 0, -1):
             if _covers(current, a, j):
-                nxt = _swap_positions(current, a, j)
+                nxt = swap_positions(current, a, j)
                 record(nxt, 0)
                 extend_below(nxt, a - 1)
 

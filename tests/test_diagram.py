@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import random
 from itertools import combinations, permutations, product
 
@@ -33,7 +32,7 @@ def cols(D):
 
 
 def test_rothe_identity_empty():
-    assert rothe_diagram(identity(4)).is_empty()
+    assert not any(rothe_diagram(identity(4)).masks)
 
 
 def test_rothe_31542():
@@ -43,7 +42,7 @@ def test_rothe_31542():
 
 def test_rothe_box_count_is_length():
     for w in symmetric_group(5):
-        assert rothe_diagram(w).box_count() == w.length()
+        assert sum(map(int.bit_count, rothe_diagram(w).masks)) == w.length()
 
 
 def test_rothe_diagram_is_its_masks_and_round_trips_through_columns():
@@ -120,7 +119,7 @@ def test_orthodontia_step_bound():
     for w in symmetric_group(5):
         D = rothe_diagram(w)
         seq = orthodontia(D)
-        assert seq.step_count <= D.n * D.n + D.box_count()
+        assert seq.step_count <= D.n * D.n + sum(map(int.bit_count, D.masks))
     # the cap is mask_orthodontia's only guard, and masks outside a
     # diagram's range can reach it
     for masks in ([-2], [2**70, 0]):
@@ -197,7 +196,7 @@ def test_orthodontia_trace_snapshots():
     D = rothe_diagram(from_one_line([3, 1, 5, 4, 2]))
     seq, trace = orthodontia_trace(D)
     assert trace[0] == ("start", D)
-    assert trace[-1][1].is_empty()
+    assert not any(trace[-1][1].masks)
     assert len(trace) == 2 + seq.step_count
 
 
@@ -213,7 +212,7 @@ def test_every_entry_point_runs_the_one_loop_once(monkeypatch, entry):
 
 
 def test_upper_closure():
-    assert upper_closure(Diagram.empty(3)).is_empty()
+    assert not any(upper_closure(Diagram(3, (0, 0, 0))).masks)
     D = Diagram.from_columns(4, [{2, 4}, set(), {3}, set()])
     assert cols(upper_closure(D)) == [[1, 2, 3, 4], [], [1, 2, 3], []]
 
@@ -223,7 +222,7 @@ def test_upper_closure_monomial_14532():
     assert cols(D) == [[], [2, 3, 4], [2, 3], [], []]
     closed = upper_closure(D)
     assert diagram_monomial(closed) == (2, 2, 2, 1, 0)
-    assert closed.box_count() == 7
+    assert sum(map(int.bit_count, closed.masks)) == 7
 
 
 def test_closure_monomial_is_the_upper_closure_monomial():
@@ -236,7 +235,7 @@ def test_closure_monomial_is_the_upper_closure_monomial():
 
 
 def test_diagram_monomial():
-    assert diagram_monomial(Diagram.empty(3)) == (0, 0, 0)
+    assert diagram_monomial(Diagram(3, (0, 0, 0))) == (0, 0, 0)
     D = rothe_diagram(from_one_line([3, 1, 5, 4, 2]))
     assert diagram_monomial(D) == (2, 0, 2, 1, 0)
     assert diagram_monomial(Diagram.from_columns(4, [set(), {3}, set(), set()])) == (0, 0, 1, 0)
@@ -298,7 +297,7 @@ def test_sorted_shuffled_rothe_runs_orthodontia():
         rng.shuffle(shuffled)
         ordered = sort_columns(Diagram.from_columns(4, shuffled))
         seq = orthodontia(ordered)
-        assert seq.step_count <= 4 * 4 + D.box_count()
+        assert seq.step_count <= 4 * 4 + sum(map(int.bit_count, D.masks))
 
 
 def test_ascii_render():
@@ -306,9 +305,8 @@ def test_ascii_render():
     assert D.render_ascii().splitlines() == ["□ · ·", "· · ·", "· · ·"]
 
 
-def test_json_round_trip():
+def test_json_form():
     D = rothe_diagram(from_one_line([3, 1, 5, 4, 2]))
-    assert Diagram.from_json(json.loads(json.dumps(D.to_json()))) == D
     assert D.to_json() == {"n": 5, "columns": [[1], [1, 3, 4], [], [3], []]}
 
 
@@ -329,22 +327,9 @@ def test_diagram_validation():
             Diagram(n, masks)
     with pytest.raises(ValueError, match="must be ints"):
         Diagram.from_columns(2.0, [[1], []])
-    for n in (2.9, 2.0, "2"):
-        with pytest.raises(ValueError, match="is not an int"):
-            Diagram.from_json({"n": n, "columns": [[1], []]})
     for row in (1.0, 1.5, "1"):
         with pytest.raises(ValueError, match="column 1 has a row that is not an int"):
             Diagram.from_columns(2, [[row], []])
-        with pytest.raises(ValueError, match="is not an int"):
-            Diagram.from_json({"n": 2, "columns": [[row], []]})
-    # JSON of the wrong structure
-    for obj in ({"n": 2}, {"columns": [[1], []]}, [1], "x", None):
-        with pytest.raises(ValueError, match="is not an object with n and columns"):
-            Diagram.from_json(obj)
-    with pytest.raises(ValueError, match="columns 5 are not a list"):
-        Diagram.from_json({"n": 2, "columns": 5})
-    with pytest.raises(ValueError, match="column 1 has a row that is not an int"):
-        Diagram.from_json({"n": 2, "columns": [5, []]})
 
 
 def test_diagrams_are_values():

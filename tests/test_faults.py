@@ -12,9 +12,9 @@ no suite could fail.  A row may name an exception instead, when a check
 of the library stops the run before any suite can fail a record;
 ``main`` reports it and exits 2.
 
-Every function that the verify module binds from another module of the
-package has a row that patches that binding, or sits in ``EXEMPT`` with
-the reason it needs none.
+Every function that the verify or the analysis module binds from another
+module of the package has a row that patches that binding, or sits in
+``EXEMPT`` or ``ANALYSIS_EXEMPT`` with the reason it needs none.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from orthodontia import diagram, grothendieck, operators, polynomial, verify
+from orthodontia import analysis, diagram, grothendieck, operators, polynomial, verify
 from orthodontia.cli import SUITES, cmd_verify
 from orthodontia.grothendieck import PrimaryColumnData
 from orthodontia.polynomial import Polynomial
@@ -97,9 +97,9 @@ def formula_steps_reversed(seq, real=grothendieck.formula_steps):
     return real(seq)[::-1]
 
 
-def sorted_step_reading_inverses(w, known, real=grothendieck.check_sorted_step):
+def sorted_step_reading_inverses(w, seq, known, real=grothendieck.check_sorted_step):
     # each word's sequence is read as its inverse's
-    return real(w, SimpleNamespace(get=lambda word: known.get(inverse(word))))
+    return real(w, known.get(inverse(w.word)), SimpleNamespace(get=lambda word: known.get(inverse(word))))
 
 
 def monk_residue_at_the_next_j(j, w, targets, real=grothendieck.monk_residue_vanishes):
@@ -118,6 +118,20 @@ def degree_report_without_teeth(w, seq, closure, real=verify.degree_report):
 
 def conjecture_of_inverse(w, seq, closure, real=verify.check_conjecture):
     return real(w.inverse(), seq, closure)
+
+
+def grothendieck_degree_plus_one(word, real=grothendieck._grothendieck_entry):
+    entry = real(word)
+    return entry._replace(degree=entry.degree + 1)
+
+
+def schubert_degree_minus_one(word, real=grothendieck._schubert_entry):
+    entry = real(word)
+    return entry._replace(degree=entry.degree - 1)
+
+
+def monomial_divides_reversed(a, b, real=polynomial.monomial_divides):
+    return real(b, a)
 
 
 def orthodontia_dropping_last_step(masks, real=diagram.mask_orthodontia):
@@ -254,6 +268,18 @@ FAULTS = [
     ("divisibility_of_inverse", verify, "check_divisibility", divisibility_of_inverse, {"divisibility"}),
     ("degree_report_without_teeth", verify, "degree_report", degree_report_without_teeth, {"degree"}),
     ("conjecture_of_inverse", verify, "check_conjecture", conjecture_of_inverse, {"conjecture"}),
+    # the bindings of analysis.  degree checks upper bounds only, so a deg
+    # G_w too high is caught, and so is a deg S_w too low; one too high
+    # escapes
+    ("grothendieck_degree_plus_one", analysis, "_grothendieck_entry", grothendieck_degree_plus_one, {"degree"}),
+    ("schubert_degree_minus_one", analysis, "_schubert_entry", schubert_degree_minus_one, {"degree"}),
+    # an equivalent mutant: analysis builds G_w only to name a witness, and
+    # no word of S_5 has one
+    ("grothendieck_is_schubert_in_analysis", analysis, "grothendieck_recursive", grothendieck.schubert_recursive,
+     set()),
+    # every word of S_5 has G_w's maximum exponents equal to its closure, so
+    # divisibility passes either way round; conjecture's bound adds xi
+    ("monomial_divides_reversed", analysis, "monomial_divides", monomial_divides_reversed, {"conjecture"}),
 ]
 
 # the bindings of verify from other package modules that need no row
@@ -262,6 +288,19 @@ EXEMPT = {
     "FormulaChain": "a value type",
     "RankOverflowError": "a value type",
     "Permutation": "a value type",
+}
+
+# the same for analysis
+ANALYSIS_EXEMPT = {
+    "OrthodonticSequence": "a value type",
+    "Permutation": "a value type",
+    "Polynomial": "a value type",
+    # read only by exponent_change_check
+    "mask_closure": "no suite runs it (ROADMAP item 9)",
+    "rothe_masks": "no suite runs it (ROADMAP item 9)",
+    "is_sorted_permutation": "no suite runs it (ROADMAP item 9)",
+    "os_predecessor": "no suite runs it (ROADMAP item 9)",
+    "primary_column_data": "no suite runs it (ROADMAP item 9)",
 }
 
 
@@ -299,15 +338,18 @@ def test_verify_5_fails_exactly_the_suites_that_catch_the_fault(
     assert code == (1 if failing - {"conjecture"} else 0)
 
 
-def test_every_function_verify_binds_from_the_library_has_a_row_or_an_exemption():
-    # a row covers the binding of verify that it patches
+@pytest.mark.parametrize(
+    ("module", "exempt"), [(verify, EXEMPT), (analysis, ANALYSIS_EXEMPT)], ids=["verify", "analysis"]
+)
+def test_every_function_a_module_binds_from_the_library_has_a_row_or_an_exemption(module, exempt):
+    # a row covers the binding of the module that it patches
     bound = {
         name
-        for name, value in vars(verify).items()
+        for name, value in vars(module).items()
         if callable(value) and getattr(value, "__module__", "").startswith("orthodontia.")
-        and value.__module__ != verify.__name__
+        and value.__module__ != module.__name__
     }
-    covered = {attribute for _, module, attribute, _, _ in FAULTS if module is verify}
-    assert sorted(bound - covered - EXEMPT.keys()) == []
+    covered = {attribute for _, patched, attribute, _, _ in FAULTS if patched is module}
+    assert sorted(bound - covered - exempt.keys()) == []
     # an exemption goes once its name has a row, or is no longer bound
-    assert sorted(EXEMPT.keys() - (bound - covered)) == []
+    assert sorted(exempt.keys() - (bound - covered)) == []

@@ -3,10 +3,15 @@
 Every name in ``orthodontia.__all__`` must be read, as an ``ast.Name`` or
 an ``ast.Attribute``, by some module of the package other than
 ``__init__``, or sit in ``EXEMPT`` with the reason it is public anyway.
-A text search would not do: docstrings and README prose mention names
-they do not use.  A proof tool that only tests need belongs in
-``tests/oracles.py``, which takes nothing from the library but the
-polynomial type it compares.
+The same holds for the members of each class among them: every name in
+the class's ``vars`` that does not start with ``_`` and is not a
+NamedTuple field must be read as an ``ast.Attribute`` by such a module,
+or sit in ``EXEMPT_MEMBERS``, keyed ``"Class.member"``, with its reason.
+A member rule that took bare names too would let ``Permutation.length``
+pass on a local variable called ``length``.  A text search would not do
+either: docstrings and README prose mention names they do not use.  A
+proof tool that only tests need belongs in ``tests/oracles.py``, which
+takes nothing from the library but the polynomial types it compares.
 """
 
 from __future__ import annotations
@@ -31,25 +36,53 @@ EXEMPT = {
 }
 
 
-def _names_read(path: Path) -> set[str]:
-    reads = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            reads.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            reads.add(node.attr)
-    return reads
+EXEMPT_MEMBERS = {
+    "Permutation.inverse": "basic API: the group inverse",
+    "Permutation.length": "basic API: the number of inversions, the degree of S_w",
+    "Permutation.descents": "basic API: the positions of the descents",
+    "Polynomial.coefficient": "basic API: one coefficient, looked up by its exponent vector",
+    "Diagram.from_columns": "basic API: a diagram from its rows, checked; the way in for a non-Rothe diagram",
+    "Diagram.columns": "basic API: the inverse of from_columns, shown in README's tour",
+    "Diagram.boxes": "basic API: every box as a (row, column) pair",
+}
+
+
+def _library_reads() -> tuple[set[str], set[str]]:
+    # the bare names and the attribute names that the package's modules
+    # other than __init__ read
+    names, attributes = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+    return names, attributes
 
 
 def test_every_public_name_is_read_by_the_library():
-    read = set()
-    for path in PACKAGE.glob("*.py"):
-        if path.name != "__init__.py":
-            read |= _names_read(path)
+    names, attributes = _library_reads()
+    read = names | attributes
     public = set(orthodontia.__all__)
     assert sorted(public - read - EXEMPT.keys()) == []
     # an exemption goes once its name is used, or is no longer public
     assert sorted(EXEMPT.keys() - (public - read)) == []
+
+
+def test_every_public_member_is_read_by_the_library():
+    _, read = _library_reads()
+    members = set()
+    for name in orthodontia.__all__:
+        cls = getattr(orthodontia, name)
+        if isinstance(cls, type):
+            fields = getattr(cls, "_fields", ())
+            members |= {f"{name}.{m}" for m in vars(cls) if not m.startswith("_") and m not in fields}
+    unread = {member for member in members if member.partition(".")[2] not in read}
+    assert sorted(unread - EXEMPT_MEMBERS.keys()) == []
+    # an exemption goes once its member is read, or is gone
+    assert sorted(EXEMPT_MEMBERS.keys() - unread) == []
 
 
 def test_the_oracles_take_only_the_polynomial_types_from_the_library():
