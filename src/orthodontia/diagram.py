@@ -71,6 +71,10 @@ class Diagram(Value):
     @classmethod
     def from_columns(cls, n: int, columns: Iterable[Iterable[int]]) -> Diagram:
         """The diagram whose column j holds the rows in ``columns[j-1]``."""
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(f"grid size {n!r} and column masks must be ints") from None
         masks = []
         for j, column in enumerate(columns, start=1):
             try:

@@ -332,6 +332,12 @@ def test_diagram_validation():
             Diagram.from_columns(2, [[row], []])
 
 
+@pytest.mark.parametrize("n", [2.9, 2.0, "2", None])
+def test_from_columns_refuses_a_grid_size_that_is_not_an_int(n):
+    with pytest.raises(ValueError, match="must be ints"):
+        Diagram.from_columns(n, [[1], []])
+
+
 def test_diagrams_are_values():
     D = Diagram.from_columns(3, [{1, 2}, {1}, set()])
     assert repr(D) == "Diagram(n=3, masks=(3, 1, 0))"

@@ -29,7 +29,7 @@ def test_from_one_line_golden():
 @pytest.mark.parametrize(
     "bad",
     [[2, 1, 3, 7], [1, 1], [2, 3], [0, 1], [], [1, 2, 2, 4], [1.9, 2.1], ["2", "1"], [2.0, 1.0],
-     (2.0, 1), ("1",), (1.5,)],
+     (2.0, 1), ("1",), (1.5,), [None], [[1], [2]]],
 )
 def test_from_one_line_rejects_malformed(build, bad):
     with pytest.raises(ValueError):
@@ -41,6 +41,26 @@ def test_adjacent_swap_changes_length_by_one():
         for j in range(1, 4):
             u = Permutation(swap_positions(w.word, j, j + 1))
             assert abs(u.length() - w.length()) == 1
+
+
+def test_swap_positions_golden():
+    assert swap_positions((3, 1, 5, 4, 2), 1, 2) == (1, 3, 5, 4, 2)
+    assert swap_positions((3, 1, 5, 4, 2), 1, 3) == (5, 1, 3, 4, 2)
+    # three successive adjacent swaps, checked by hand against position bookkeeping
+    word = (6, 8, 2, 3, 4, 7, 5, 1)
+    for j in (5, 4, 3):
+        word = swap_positions(word, j, j + 1)
+    assert word == (6, 8, 7, 2, 3, 4, 5, 1)
+
+
+def test_swap_positions_is_right_multiplication_by_a_transposition():
+    # (w t)(i) = w(t(i)) for the transposition t = (a b)
+    for w in symmetric_group(4):
+        for a in range(1, 5):
+            for b in range(a + 1, 5):
+                t = {a: b, b: a}
+                u = Permutation(swap_positions(w.word, a, b))
+                assert [u(i) for i in range(1, 5)] == [w(t.get(i, i)) for i in range(1, 5)]
 
 
 def test_length_golden():
@@ -58,6 +78,13 @@ def test_descents_golden():
     assert identity(4).descents() == set()
     assert longest_element(5).descents() == {1, 2, 3, 4}
     assert from_one_line([3, 1, 5, 4, 2]).descents() == {1, 3, 4}
+
+
+def test_descents_are_where_an_adjacent_swap_shortens():
+    # j is a descent of w iff l(w s_j) < l(w)
+    for w in symmetric_group(5):
+        below = {j for j in range(1, 5) if Permutation(swap_positions(w.word, j, j + 1)).length() < w.length()}
+        assert w.descents() == below
 
 
 @pytest.mark.parametrize(

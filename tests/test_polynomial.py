@@ -24,6 +24,7 @@ from oracles import (
     exact_divide_linear,
     exact_divide_monomial,
     summed_terms,
+    swap_variables,
     text_oracle,
 )
 
@@ -107,6 +108,22 @@ def test_zero_coefficients_pruned():
     f = Polynomial(2, {(1, 0): 0, (0, 1): 2})
     assert list(f.monomials()) == [(0, 1)]
     assert Polynomial.constant(3, 0).is_zero
+
+
+def test_swap_variables_golden():
+    f = Polynomial.monomial((2, 1, 0))
+    assert swap_variables(f, 1) == Polynomial.monomial((1, 2, 0))
+    sym = Polynomial.monomial((1, 1, 1))
+    assert swap_variables(sym, 2) == sym
+    with pytest.raises(ValueError):
+        swap_variables(f, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials(min_n=2), st.data())
+def test_swap_variables_involution(f, data):
+    j = data.draw(st.integers(1, f.n - 1))
+    assert swap_variables(swap_variables(f, j), j) == f
 
 
 def test_fundamental_weight():
@@ -246,6 +263,16 @@ def test_repeated_terms_add_up():
         (lambda: Polynomial.variable(1, 2.5), "not an int"),
         (lambda: Polynomial.variable(1.0, 2), "not an int"),
         (lambda: Polynomial.one("2"), "not an int"),
+        # terms given as (exponents, coefficient) pairs
+        (lambda: Polynomial(1, [((1.7,), 1)]), "not an int"),
+        (lambda: Polynomial(1, [((1,), 2.9)]), "not an int"),
+        (lambda: Polynomial(1, [((1,), "2")]), "not an int"),
+        (lambda: Polynomial(2, [([1, "0"], 1)]), "not an int"),
+        (lambda: Polynomial.monomial((1, 0), 2.9), "not an int"),
+        (lambda: Polynomial.constant(2, 1.5), "not an int"),
+        # exponent vectors of another length, or below 0
+        (lambda: Polynomial(2, {(1, 0, 0): 1}), "wrong length for n=2"),
+        (lambda: Polynomial(2, [((-1, 0), 1)]), "negative exponent"),
         # monomial arguments
         (lambda: Polynomial.variable(1, 2).mul_monomial((1.5, 0)), "not an int"),
         (lambda: Polynomial.variable(1, 2).mul_monomial(("1", 0)), "not an int"),
@@ -449,6 +476,8 @@ TOP = (MAX_EXPONENT, 0, MAX_EXPONENT)
     [
         lambda exps: Polynomial(3, {exps: 2}),
         lambda exps: Polynomial.monomial(exps, 2),
+        lambda exps: Polynomial(3, [(exps, 2)]),
+        lambda exps: Polynomial.monomial(exps) + Polynomial.monomial(exps),
     ],
 )
 def test_exponent_bound(make):
