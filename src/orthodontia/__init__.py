@@ -68,12 +68,10 @@ from orthodontia.grothendieck import (
 )
 from orthodontia.analysis import (
     DegreeReport,
-    SupportVectors,
     check_conjecture,
     check_divisibility,
     degree_report,
     exponent_change_check,
-    support_vectors,
 )
 
 __version__ = "0.1.0"
@@ -116,10 +114,8 @@ __all__ = [
     "unsort_factor",
     "os_predecessor",
     "DegreeReport",
-    "SupportVectors",
     "check_divisibility",
     "degree_report",
     "exponent_change_check",
-    "support_vectors",
     "check_conjecture",
 ]

@@ -1,5 +1,41 @@
 """The base of ``Permutation``, ``Diagram`` and ``Polynomial``: values that
-cannot change, and that copy and pickle through their checks."""
+cannot change, and that copy and pickle through their checks; and the one
+rule by which the library takes an int: ``_int``, ``_ints`` and ``_count``
+take values through ``operator.index``, so ``True`` is taken as 1, and a
+float or a string raises ``ValueError``, never truncated.
+
+>>> _count(1.5, "rank")
+Traceback (most recent call last):
+...
+ValueError: rank 1.5 is not an int
+"""
+
+import operator
+from typing import Iterable
+
+
+def _int(value: int, what: str) -> int:
+    """value as an int; a float or a string is refused, not truncated."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an int") from None
+
+
+def _ints(values: Iterable[int], what: str) -> tuple[int, ...]:
+    """values as a tuple of ints, refused as a whole if one is not an int."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValueError(f"{what} {values!r} has a value that is not an int") from None
+
+
+def _count(value: int, what: str) -> int:
+    """value as an int of at least 1."""
+    value = _int(value, what)
+    if value < 1:
+        raise ValueError(f"{what} must be at least 1")
+    return value
 
 
 class Value:

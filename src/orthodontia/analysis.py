@@ -48,21 +48,8 @@ class DegreeReport(NamedTuple):
 
     deg_groth: int
     deg_schub: int
-    ortho_length: int
-    upper_closure_size: int
     bound_prop: int
     bound_cor: int
-
-
-class SupportVectors(NamedTuple):
-    """The two exponent vectors whose sum is the conjecture experiment's bound.
-
-    ``theta``: the upper-closure monomial; entry j counts columns reaching row j or lower.
-    ``xi``: entry j counts orthodontia steps that swapped rows j, j+1.
-    """
-
-    theta: tuple[int, ...]
-    xi: tuple[int, ...]
 
 
 def support_witness(f: Polynomial, bound: Monomial) -> Monomial | None:
@@ -103,17 +90,12 @@ def degree_report(w: Permutation, seq: OrthodonticSequence, closure: Monomial) -
 
     The degrees are the ones the memo entries of G_w and S_w keep.
     """
-    deg_groth = _grothendieck_entry(w.word).degree
     deg_schub = _schubert_entry(w.word).degree
-    length = seq.step_count
-    closure_size = sum(closure)
     return DegreeReport(
-        deg_groth=deg_groth,
+        deg_groth=_grothendieck_entry(w.word).degree,
         deg_schub=deg_schub,
-        ortho_length=length,
-        upper_closure_size=closure_size,
-        bound_prop=deg_schub + length,
-        bound_cor=closure_size,
+        bound_prop=deg_schub + seq.step_count,
+        bound_cor=sum(closure),
     )
 
 
@@ -151,24 +133,17 @@ def exponent_change_check(w: Permutation) -> bool:
     return all(head == mu[p - 1] + gamma for p in range(data.prefix + 2, data.tooth + 2))
 
 
-def support_vectors(seq: OrthodonticSequence, closure: Monomial) -> SupportVectors:
-    """theta and xi of the orthodontic sequence and upper-closure monomial of one w."""
-    teeth = seq.teeth
-    xi = tuple(sum(1 for t in teeth if t == j) for j in range(1, len(closure) + 1))
-    return SupportVectors(closure, xi)
-
-
 def check_conjecture(
     w: Permutation, seq: OrthodonticSequence, closure: Monomial
 ) -> tuple[bool, Monomial | None]:
     """Experimental check: do all monomials of G_w divide x^(theta + xi)?
 
     ``seq`` and ``closure`` are the orthodontic sequence and upper-closure
-    monomial of w.  Since theta is the upper-closure monomial and xi >= 0,
-    this follows from :func:`check_divisibility`: it can fail only where
-    that check fails.  Callers must not fail a build on (False, witness).
+    monomial of w.  theta is ``closure`` itself, and entry j of xi counts
+    the steps of ``seq`` that swapped rows j, j+1.  Since xi >= 0, this
+    follows from :func:`check_divisibility`: it can fail only where that
+    check fails.  Callers must not fail a build on (False, witness).
     """
-    vectors = support_vectors(seq, closure)
-    bound = tuple(t + x for t, x in zip(vectors.theta, vectors.xi))
+    bound = tuple(theta + seq.teeth.count(j) for j, theta in enumerate(closure, start=1))
     witness = _grothendieck_witness(w, bound)
     return witness is None, witness

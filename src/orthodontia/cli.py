@@ -269,11 +269,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     out, err = sys.stdout, sys.stderr
     try:
-        return _run(args, out, err)
+        code = _run(args, out, err)
+        out.flush()  # so that a reader that has gone is reported here, not at exit
+        return code
     except Exception as exc:
         # an unexpected failure is reported in one line, never as a traceback
         message = " ".join(str(exc).split()) or "no message"
-        err.write(f"error: {type(exc).__name__}: {message}\n")
+        with contextlib.suppress(OSError):
+            err.write(f"error: {type(exc).__name__}: {message}\n")
+            out.flush()
+            return 2
+        # a reader has gone, so what is left goes to os.devnull: the
+        # interpreter's flush at exit would fail and turn exit 2 into 120
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        for stream in (out, err):
+            with contextlib.suppress(OSError):
+                os.dup2(devnull, stream.fileno())
         return 2
 
 

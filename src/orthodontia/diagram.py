@@ -25,11 +25,10 @@ columns kept in place, so its snapshots show a stripped column as empty.
 
 from __future__ import annotations
 
-import operator
 from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from orthodontia._value import Value
+from orthodontia._value import Value, _count, _int, _ints
 from orthodontia.permutation import Permutation
 from orthodontia.polynomial import Monomial
 
@@ -54,12 +53,7 @@ class Diagram(Value):
     __slots__ = ("n", "masks")
 
     def __init__(self, n: int, masks: Sequence[int]) -> None:
-        try:
-            n, masks = operator.index(n), tuple(map(operator.index, masks))
-        except TypeError:
-            raise ValueError(f"grid size {n!r} and column masks {masks!r:.40} must be ints") from None
-        if n < 1:
-            raise ValueError("grid size must be at least 1")
+        n, masks = _count(n, "grid size"), _ints(masks, "column masks")
         if len(masks) != n:
             raise ValueError(f"expected {n} columns, got {len(masks)}")
         for c in masks:
@@ -71,16 +65,10 @@ class Diagram(Value):
     @classmethod
     def from_columns(cls, n: int, columns: Iterable[Iterable[int]]) -> Diagram:
         """The diagram whose column j holds the rows in ``columns[j-1]``."""
-        try:
-            n = operator.index(n)
-        except TypeError:
-            raise ValueError(f"grid size {n!r} and column masks must be ints") from None
+        n = _int(n, "grid size")
         masks = []
-        for j, column in enumerate(columns, start=1):
-            try:
-                rows = set(map(operator.index, column))
-            except TypeError:
-                raise ValueError(f"column {j} has a row that is not an int") from None
+        for column in columns:
+            rows = set(_ints(column, "column"))
             if any(not 1 <= i <= n for i in rows):
                 raise ValueError(f"column entries {sorted(rows)} outside 1..{n}")
             masks.append(sum(1 << (i - 1) for i in rows))

@@ -51,6 +51,7 @@ from itertools import repeat
 from operator import add
 from typing import NamedTuple
 
+from orthodontia._value import _int
 from orthodontia.diagram import (
     Diagram,
     OrthodonticSequence,
@@ -447,7 +448,7 @@ def monk_terms(j: int, w: Permutation) -> dict[tuple[int, ...], int]:
     Then the expansion needs a larger ambient rank and
     :class:`RankOverflowError` is raised before any chain is enumerated.
     """
-    word = w.word
+    word, j = w.word, _int(j, "variable index")
     n = len(word)
     if not 1 <= j <= n:
         raise ValueError(f"variable index {j} out of range for rank {n}")

@@ -32,12 +32,13 @@ from __future__ import annotations
 from itertools import repeat
 from operator import and_
 
+from orthodontia._value import _int
 from orthodontia.polynomial import _FIELD, MAX_EXPONENT, Polynomial
 
 
 def _apply(j: int, f: Polynomial, shifts: tuple[tuple[int, int, int], ...]) -> Polynomial:
     """Sum of sign * d_j(x_j^da x_{j+1}^db f) over the (da, db, sign) in shifts."""
-    n = f.n
+    n, j = f.n, _int(j, "operator index")
     if not 1 <= j <= n - 1:
         raise ValueError(f"operator index {j} out of range for n={n}")
     # packed keys (see orthodontia.polynomial): x_{j+1} in the field at sb,
@@ -86,20 +87,29 @@ def _apply(j: int, f: Polynomial, shifts: tuple[tuple[int, int, int], ...]) -> P
 
 
 def divided_difference(j: int, f: Polynomial) -> Polynomial:
-    """(f - s_j.f) / (x_j - x_{j+1}); lowers degree by one, kills symmetric input."""
+    """(f - s_j.f) / (x_j - x_{j+1}); lowers degree by one, kills symmetric input.
+
+    Like each operator here, it raises ``ValueError`` on a j outside [n-1] or not an int.
+    """
     return _apply(j, f, ((0, 0, 1),))
 
 
 def demazure(j: int, f: Polynomial) -> Polynomial:
-    """d_j(x_j f)."""
+    """d_j(x_j f); ``ValueError`` on a j outside [n-1] or not an int."""
     return _apply(j, f, ((1, 0, 1),))
 
 
 def isobaric(j: int, f: Polynomial) -> Polynomial:
-    """d_j((1 - x_{j+1}) f); idempotent, with image symmetric in x_j, x_{j+1}."""
+    """d_j((1 - x_{j+1}) f); idempotent, with image symmetric in x_j, x_{j+1}.
+
+    ``ValueError`` on a j outside [n-1] or not an int.
+    """
     return _apply(j, f, ((0, 0, 1), (0, 1, -1)))
 
 
 def demazure_lascoux(j: int, f: Polynomial) -> Polynomial:
-    """d_j(x_j (1 - x_{j+1}) f); raises degree by at most one."""
+    """d_j(x_j (1 - x_{j+1}) f); raises degree by at most one.
+
+    ``ValueError`` on a j outside [n-1] or not an int.
+    """
     return _apply(j, f, ((1, 0, 1), (1, 1, -1)))

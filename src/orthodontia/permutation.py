@@ -13,18 +13,9 @@ embedding of S_n into S_{n+1}.
 from __future__ import annotations
 
 import itertools
-import operator
 from typing import Iterator, Sequence
 
-from orthodontia._value import Value
-
-
-def _int(value: int, what: str) -> int:
-    """value as an int; a float or a string is refused, not truncated."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} {value!r} is not an int") from None
+from orthodontia._value import Value, _count, _int, _ints
 
 
 class Permutation(Value):
@@ -33,11 +24,7 @@ class Permutation(Value):
     __slots__ = ("word",)
 
     def __init__(self, word: Sequence[int]) -> None:
-        # a float or a string has no __index__, so it is refused, not truncated
-        try:
-            word = tuple(map(operator.index, word))
-        except TypeError:
-            raise ValueError(f"not a sequence of ints: {word!r}") from None
+        word = _ints(word, "word")
         n = len(word)
         if n == 0:
             raise ValueError("permutation must have rank at least 1")
@@ -112,9 +99,7 @@ def from_one_line(seq: Sequence[int]) -> Permutation:
 
 def identity(n: int) -> Permutation:
     """The identity permutation in S_n."""
-    n = _int(n, "rank")
-    if n < 1:
-        raise ValueError("rank must be at least 1")
+    n = _count(n, "rank")
     return Permutation(tuple(range(1, n + 1)))
 
 
@@ -124,9 +109,7 @@ def longest_element(n: int) -> Permutation:
     >>> longest_element(3).word
     (3, 2, 1)
     """
-    n = _int(n, "rank")
-    if n < 1:
-        raise ValueError("rank must be at least 1")
+    n = _count(n, "rank")
     return Permutation(tuple(range(n, 0, -1)))
 
 
@@ -135,8 +118,6 @@ def symmetric_group(n: int) -> Iterator[Permutation]:
 
     The fixed iteration order keeps exhaustive sweeps reproducible.
     """
-    n = _int(n, "rank")
-    if n < 1:
-        raise ValueError("rank must be at least 1")
+    n = _count(n, "rank")
     for word in itertools.permutations(range(1, n + 1)):
         yield Permutation(word)

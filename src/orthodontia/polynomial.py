@@ -4,8 +4,9 @@ A polynomial in x1..xn is a finite map from exponent vectors (length-n
 tuples of nonnegative ints) to nonzero Python ints.  Coefficients are
 unbounded.  Exponents are nonnegative and at most ``MAX_EXPONENT`` (255):
 a larger exponent, whether given or produced by a product, raises
-``ValueError``, as does a non-int exponent, coefficient or variable
-count given to a constructor: none is truncated.
+``ValueError``, as does an exponent, coefficient, variable count or
+index, power or weight index that is not an int, by the rule of
+:mod:`orthodontia._value`: none is truncated.
 
 Canonical term order is graded-lexicographic: ascending total degree,
 ties broken by descending exponent vector, so equal polynomials always
@@ -39,11 +40,10 @@ never leaves that module.
 from __future__ import annotations
 
 import io
-import operator
 from bisect import bisect_left
 from typing import Iterable, Iterator, Mapping, TextIO
 
-from orthodontia._value import Value
+from orthodontia._value import Value, _count, _int, _ints
 
 Monomial = tuple[int, ...]
 
@@ -89,28 +89,15 @@ def fundamental_weight(j: int, n: int) -> Monomial:
     >>> fundamental_weight(3, 5)
     (1, 1, 1, 0, 0)
     """
+    j, n = _int(j, "weight index"), _int(n, "variable count")
     if not 0 <= j <= n:
         raise ValueError(f"weight index {j} out of range for {n} variables")
     return (1,) * j + (0,) * (n - j)
 
 
-def _variable_count(n: int) -> int:
-    """n as an int, refused unless it is an int of at least 1."""
-    try:
-        n = operator.index(n)
-    except TypeError:
-        raise ValueError(f"variable count {n!r} is not an int") from None
-    if n < 1:
-        raise ValueError("variable count must be at least 1")
-    return n
-
-
 def _monomial(exps: Iterable[int], n: int) -> Monomial:
     """exps as a tuple of n ints; refuses a value that is not an int, or another length."""
-    try:
-        exps = tuple(map(operator.index, exps))
-    except TypeError:
-        raise ValueError(f"monomial {exps!r} has a value that is not an int") from None
+    exps = _ints(exps, "monomial")
     if len(exps) != n:
         raise RankMismatchError(f"monomial rank {len(exps)} vs polynomial rank {n}")
     return exps
@@ -149,7 +136,7 @@ class Polynomial(Value):
 
     def __init__(self, n: int, terms: Mapping[Monomial, int] | Iterable | None = None):
         """The sum in x1..xn of ``terms``, a mapping or (exponents, coefficient) pairs."""
-        n = _variable_count(n)
+        n = _count(n, "variable count")
         pairs = terms.items() if isinstance(terms, Mapping) else terms or ()
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", _add_terms({}, _packed(n, pairs)))
@@ -175,17 +162,13 @@ class Polynomial(Value):
 
     @classmethod
     def constant(cls, n: int, c: int) -> Polynomial:
-        n = _variable_count(n)
+        n = _count(n, "variable count")
         return cls(n, {(0,) * n: c})
 
     @classmethod
     def variable(cls, j: int, n: int) -> Polynomial:
         """The polynomial x_j (1-based)."""
-        n = _variable_count(n)
-        try:
-            j = operator.index(j)
-        except TypeError:
-            raise ValueError(f"variable index {j!r} is not an int") from None
+        n, j = _count(n, "variable count"), _int(j, "variable index")
         if not 1 <= j <= n:
             raise ValueError(f"variable index {j} out of range for n={n}")
         return cls._raw(n, {1 << _FIELD * n | 1 << _FIELD * (n - j): 1})
@@ -270,8 +253,9 @@ class Polynomial(Value):
     __rmul__ = __mul__
 
     def __pow__(self, k: int) -> Polynomial:
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
+        k = _int(k, "power")
+        if k < 0:
+            raise ValueError(f"power {k} is negative")
         result = Polynomial.one(self.n)
         base = self
         while k:
@@ -402,16 +386,11 @@ class Polynomial(Value):
     def __repr__(self) -> str:
         return f"Polynomial({self.n}, {self!s})"
 
-    def to_json(self) -> dict:
-        """JSON form: {"n": n, "terms": [[coeff, [e1, ..., en]], ...]} in canonical order."""
-        n, terms = self.n, self.terms
-        return {"n": n, "terms": [[terms[k], list(_unpack(k, n))] for k in self._canonical_keys()]}
-
     def write_json(self, out: TextIO) -> None:
-        """Write :meth:`to_json` as compact JSON with sorted keys, one term at a time.
-
-        The bytes equal ``json.dumps(f.to_json(), sort_keys=True,
-        separators=(",", ":"))``, but no list is built per term.
+        """Write the JSON form, one term at a time: the object
+        ``{"n":n,"terms":[[coeff,[e1,...,en]],...]}``, compact, its keys
+        sorted and its terms in canonical order, as ``json.dumps`` with
+        ``sort_keys=True, separators=(",", ":")`` would write it.
         """
         n, terms = self.n, self.terms
         mask = (1 << _FIELD * n) - 1
@@ -450,10 +429,7 @@ class _Owned(Polynomial):
 def _packed(n: int, pairs: Iterable[tuple[Iterable[int], int]]) -> Iterator[tuple[int, int]]:
     """Each (exponent vector, coefficient) pair as (key, coefficient), checked."""
     for exps, coeff in pairs:
-        try:
-            exps, coeff = tuple(map(operator.index, exps)), operator.index(coeff)
-        except TypeError:
-            raise ValueError(f"term {coeff!r}*x^{exps!r} has a value that is not an int") from None
+        exps, coeff = _ints(exps, "exponent vector"), _int(coeff, "coefficient")
         if len(exps) != n:
             raise RankMismatchError(f"exponent vector {exps} has wrong length for n={n}")
         yield _pack(exps), coeff

@@ -36,7 +36,8 @@ The library writes a polynomial's text a chunk of terms at a time, in
 an order it takes from sorting packed keys, and formats each half of a
 term's exponent vector once per distinct half; the oracle sorts the
 exponent tuples by degree and vector itself and formats every term
-exponent by exponent.
+exponent by exponent.  The JSON oracle builds the JSON form's object in
+the same order, for ``json.dumps`` to write.
 
 The library takes every term from outside through one kernel that packs
 each exponent vector into an int key and adds coefficients into a dict
@@ -193,12 +194,11 @@ def text_oracle(f: Polynomial) -> str:
     when e = 1), joined by "*"; terms are joined by " + " or " - ", and a
     negative leading term starts with "-".
     """
-    terms = dict(f.sorted_terms())
+    terms = _canonical_terms(f)
     if not terms:
         return "0"
     parts: list[str] = []
-    for exps in sorted(terms, key=lambda e: (sum(e), [-x for x in e])):
-        c = terms[exps]
+    for exps, c in terms:
         factors = [f"x{i}^{e}" if e > 1 else f"x{i}" for i, e in enumerate(exps, 1) if e]
         mag = abs(c)
         if mag != 1 or not factors:
@@ -207,6 +207,18 @@ def text_oracle(f: Polynomial) -> str:
         parts.append("*".join(factors))
     parts[0] = "-" if parts[0] == " - " else ""
     return "".join(parts)
+
+
+def json_oracle(f: Polynomial) -> dict:
+    """The JSON form of f as an object: {"n": n, "terms": [[coeff, [e1,
+    ..., en]], ...]}, its terms in the order of :func:`text_oracle`."""
+    return {"n": f.n, "terms": [[c, list(exps)] for exps, c in _canonical_terms(f)]}
+
+
+def _canonical_terms(f: Polynomial) -> list[tuple[Monomial, int]]:
+    # (exponents, coefficient) by ascending total degree, ties by
+    # descending exponent vector, sorted here and not by the library
+    return sorted(f.sorted_terms(), key=lambda term: (sum(term[0]), [-x for x in term[0]]))
 
 
 def summed_terms(pairs: Iterable[tuple[Monomial, int]]) -> dict[Monomial, int]:

@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import pytest
 
+from orthodontia import analysis
 from orthodontia.analysis import (
     check_conjecture,
     check_divisibility,
     degree_report,
     exponent_change_check,
-    support_vectors,
     support_witness,
 )
 from orthodontia.diagram import (
@@ -25,7 +25,7 @@ from orthodontia.grothendieck import (
 from orthodontia.permutation import from_one_line, identity, longest_element, symmetric_group
 from orthodontia.polynomial import Polynomial, monomial_divides
 
-from oracles import support_witness_scan
+from oracles import orthodontia_oracle, rothe_oracle, support_witness_scan
 
 
 def facts(w):
@@ -59,10 +59,12 @@ def test_support_checks_match_scan_oracle_s5():
         # comes from the closure diagram itself
         seq, closure = facts(w)
         groth = grothendieck_recursive(w)
-        witness = support_witness_scan(groth, diagram_monomial(upper_closure(rothe_diagram(w))))
+        theta = diagram_monomial(upper_closure(rothe_diagram(w)))
+        witness = support_witness_scan(groth, theta)
         assert check_divisibility(w, closure) == (witness is None, witness)
-        vectors = support_vectors(seq, closure)
-        conjectured = tuple(t + x for t, x in zip(vectors.theta, vectors.xi))
+        # xi counts the oracle's steps that swap each row with the next
+        (teeth, _, _), _ = orthodontia_oracle(rothe_oracle(w.word))
+        conjectured = tuple(t + teeth.count(j) for j, t in enumerate(theta, start=1))
         witness = support_witness_scan(groth, conjectured)
         assert check_conjecture(w, seq, closure) == (witness is None, witness)
 
@@ -89,8 +91,7 @@ def test_support_witness_with_shrunken_bound():
 def test_degree_report_identity():
     w = identity(4)
     r = degree_report(w, *facts(w))
-    assert (r.deg_groth, r.deg_schub, r.ortho_length, r.upper_closure_size) == (0, 0, 0, 0)
-    assert r.bound_prop == 0 and r.bound_cor == 0
+    assert r == (0, 0, 0, 0)
 
 
 def test_degree_report_14532():
@@ -98,8 +99,6 @@ def test_degree_report_14532():
     r = degree_report(w, *facts(w))
     assert r.deg_groth == 7
     assert r.deg_schub == 5
-    assert r.ortho_length == 3
-    assert r.upper_closure_size == 7
     assert r.bound_prop == 8
     assert r.bound_cor == 7
 
@@ -164,33 +163,14 @@ def test_exponent_change_rejects_bad_input():
         exponent_change_check(from_one_line([6, 8, 4, 3, 2, 7, 5, 1]))  # unsorted
 
 
-def test_support_vectors_identity():
-    v = support_vectors(*facts(identity(4)))
-    assert v.theta == (0, 0, 0, 0)
-    assert v.xi == (0, 0, 0, 0)
-
-
-def test_support_vectors_14532():
-    v = support_vectors(*facts(from_one_line([1, 4, 5, 3, 2])))
-    assert v.theta == (2, 2, 2, 1, 0)
-    assert v.xi == (1, 1, 1, 0, 0)
-
-
-def test_support_vectors_s5_consistency():
-    for w in symmetric_group(5):
-        v = support_vectors(*facts(w))
-        closed = upper_closure(rothe_diagram(w))
-        assert sum(v.theta) == sum(map(int.bit_count, closed.masks))
-        # theta is exactly the closure monomial, row by row
-        assert v.theta == diagram_monomial(closed)
-        assert sum(v.xi) == orthodontia(rothe_diagram(w)).step_count
-
-
-def test_check_conjecture_identity_and_14532():
+def test_check_conjecture_identity_and_14532(monkeypatch):
     e = identity(3)
     assert check_conjecture(e, *facts(e)) == (True, None)
     w = from_one_line([1, 4, 5, 3, 2])
     ok, witness = check_conjecture(w, *facts(w))
     assert ok and witness is None
-    v = support_vectors(*facts(w))
-    assert tuple(t + x for t, x in zip(v.theta, v.xi)) == (3, 3, 3, 1, 0)
+    # theta = (2, 2, 2, 1, 0) plus xi = (1, 1, 1, 0, 0): the three steps swap rows 1, 2 and 3
+    bounds = []
+    monkeypatch.setattr(analysis, "_grothendieck_witness", lambda w, bound: bounds.append(bound))
+    check_conjecture(w, *facts(w))
+    assert bounds == [(3, 3, 3, 1, 0)]

@@ -33,6 +33,8 @@ from orthodontia.operators import divided_difference, isobaric
 from orthodontia.permutation import Permutation, from_one_line, symmetric_group
 from orthodontia.polynomial import MAX_EXPONENT, Polynomial
 
+from oracles import json_oracle
+
 
 def run_verify(n, suites=SUITES, jobs=1, cache=None):
     out, err = io.StringIO(), io.StringIO()
@@ -181,7 +183,7 @@ def test_compute_json_is_the_polynomials_json_form():
     payload = json.loads(out.getvalue())
     assert payload.keys() == {"w", "kind", "polynomial"}
     assert payload["w"] == [1, 4, 5, 3, 2]
-    assert payload["polynomial"] == grothendieck_recursive(w).to_json()
+    assert payload["polynomial"] == json_oracle(grothendieck_recursive(w))
 
 
 def test_compute_methods_agree_both_kinds():
@@ -209,7 +211,7 @@ def test_compute_json_writes_the_record_term_by_term(kind, word):
     assert cmd_compute(w, kind, "json", out, err) == 0 and err.getvalue() == ""
     op = {"schubert": divided_difference, "grothendieck": isobaric}[kind]
     poly = grothendieck._descend(w.word, op)
-    record = {"w": list(w.word), "kind": kind, "polynomial": poly.to_json()}
+    record = {"w": list(w.word), "kind": kind, "polynomial": json_oracle(poly)}
     assert out.getvalue() == cli._dump(record) + "\n"
 
 
@@ -1218,7 +1220,6 @@ def test_verify_calls_the_public_diagram_fact_checks(monkeypatch):
         (verify, "check_divisibility"),
         (verify, "degree_report"),
         (verify, "check_conjecture"),
-        (analysis, "support_vectors"),
         (grothendieck, "primary_column_data"),
     ]
     for module, name in targets:
@@ -1477,6 +1478,8 @@ UNTRACED = {
     "orthodontia.diagram.missing_tooth",
     "orthodontia.permutation.Permutation.right_multiply_adjacent",
     "orthodontia.cli._append_cache",
+    "orthodontia.polynomial.Polynomial.to_json",
+    "orthodontia.analysis.support_vectors",
 }
 
 
@@ -1570,3 +1573,47 @@ def test_main_unexpected_exception_exits_2(monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: RuntimeError: check failed unexpectedly\n"
     assert captured.out == ""
+
+
+# a run of main whose stdout holds a line, not yet flushed, when its
+# report to stderr meets the closed pipe
+PENDING_STDOUT = (
+    "import sys\n"
+    "from orthodontia import cli\n"
+    "def run(args, out, err):\n"
+    "    out.write('record\\n')\n"
+    "    err.write('warning\\n')\n"
+    "cli._run = run\n"
+    "sys.exit(cli.main(['compute', '1']))\n"
+)
+
+
+@pytest.mark.parametrize(
+    ("command", "shared"),
+    [
+        (["-m", "orthodontia.cli", "verify", "--n", "5"], True),
+        (["-m", "orthodontia.cli", "verify", "--n", "5"], False),
+        (["-c", PENDING_STDOUT], True),
+        # the whole output fits stdout's buffer, so only a flush can fail
+        (["-m", "orthodontia.cli", "compute", "21"], False),
+    ],
+    ids=["shared", "apart", "pending", "small"],
+)
+def test_main_exits_2_when_the_reader_of_stdout_is_gone(command, shared):
+    # stdout is a pipe whose read end is closed before launch; stderr is
+    # the same pipe, or a pipe of its own.  Exit 1 would claim a failed
+    # check, and 120 a failed flush of stdout or stderr at exit
+    read, write = os.pipe()
+    os.close(read)
+    # stdout block-buffered, as it is by default on a pipe
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(cli.__file__))
+    try:
+        result = subprocess.run(
+            [sys.executable, *command], stdout=write, stderr=write if shared else subprocess.PIPE, env=env
+        )
+    finally:
+        os.close(write)
+    assert result.returncode == 2
+    if not shared:
+        assert result.stderr == b"error: BrokenPipeError: [Errno 32] Broken pipe\n"

@@ -23,10 +23,17 @@ from oracles import (
     DivisionRemainderError,
     exact_divide_linear,
     exact_divide_monomial,
+    json_oracle,
     summed_terms,
     swap_variables,
     text_oracle,
 )
+
+
+def json_text(f):
+    out = io.StringIO()
+    f.write_json(out)
+    return out.getvalue()
 
 
 def P(n, terms):
@@ -214,7 +221,7 @@ def test_mul_monomial_is_the_product_and_leaves_its_input(f, data):
 def test_json_round_trip(f):
     written = io.StringIO()
     f.write_json(written)
-    assert written.getvalue() == json.dumps(f.to_json(), sort_keys=True, separators=(",", ":"))
+    assert written.getvalue() == json.dumps(json_oracle(f), sort_keys=True, separators=(",", ":"))
 
 
 @st.composite
@@ -292,7 +299,7 @@ def test_canonical_serialization_is_stable():
     g = Polynomial(2, {(2, 0): -1, (0, 1): 1, (1, 0): 1})
     assert f == g and hash(f) == hash(g)
     assert str(f) == str(g)
-    assert json.dumps(f.to_json()) == json.dumps(g.to_json())
+    assert json_text(f) == json_text(g)
 
 
 def test_text_form_examples():
@@ -400,7 +407,7 @@ def test_text_and_json_golden():
     })
     text = "-3 + x1 - x10 + 2*x1*x10 - x2^2 + 12*x10^2 - x3*x10^2"
     assert str(f) == text
-    assert f.to_json() == {"n": 10, "terms": [
+    assert json.loads(json_text(f)) == {"n": 10, "terms": [
         [-3, [0, 0, 0, 0, 0, 0, 0, 0, 0, 0]],
         [1, [1, 0, 0, 0, 0, 0, 0, 0, 0, 0]],
         [-1, [0, 0, 0, 0, 0, 0, 0, 0, 0, 1]],
@@ -409,14 +416,14 @@ def test_text_and_json_golden():
         [12, [0, 0, 0, 0, 0, 0, 0, 0, 0, 2]],
         [-1, [0, 0, 1, 0, 0, 0, 0, 0, 0, 2]],
     ]}
-    assert list(f.monomials()) == [tuple(exps) for _, exps in f.to_json()["terms"]]
+    assert list(f.monomials()) == [tuple(exps) for _, exps in json.loads(json_text(f))["terms"]]
     # a negative leading coefficient of magnitude 1 and of magnitude > 1,
     # and a bare positive constant in front
     g = Polynomial(2, {(0, 1): -1, (2, 0): -3})
     assert str(g) == "-x2 - 3*x1^2"
     h = Polynomial(2, {(1, 1): -1, (0, 0): 1, (1, 0): -2})
     assert str(h) == "1 - 2*x1 - x1*x2"
-    assert h.to_json() == {"n": 2, "terms": [[1, [0, 0]], [-2, [1, 0]], [-1, [1, 1]]]}
+    assert json.loads(json_text(h)) == {"n": 2, "terms": [[1, [0, 0]], [-2, [1, 0]], [-1, [1, 1]]]}
 
 
 def test_power(rng):
@@ -431,8 +438,10 @@ def test_power(rng):
         for k in range(1, 6):
             product = product * f
             assert f ** k == product
-    for k in (-1, 2.0, "2", None):
-        with pytest.raises(ValueError, match="exponent must be a nonnegative integer"):
+    with pytest.raises(ValueError, match="power -1 is negative"):
+        x1 ** -1
+    for k in (2.0, "2", None):
+        with pytest.raises(ValueError, match=f"power {k!r} is not an int"):
             x1 ** k
     # a power past the exponent bound fails in its product, not wrapped
     # into the next field
